@@ -4,9 +4,9 @@ with brute-force and propagation oracles."""
 
 from .eqio import (EquationSource, FnRepresentation, format_polynomial,
                    parse_equation, parse_polynomial, parse_rep)
-from .errors import (BoxTooLarge, DimensionMismatch, EnkitError,
-                     FamilyTooLarge, FormatError, ParseError, SearchLimit,
-                     UnusedVariable, ZeroPolynomial)
+from .errors import (BoxTooLarge, CertificateMismatch, DimensionMismatch,
+                     EnkitError, FamilyTooLarge, FormatError, ParseError,
+                     SearchLimit, UnusedVariable, ZeroPolynomial)
 from .oracle import (Box, Conflict, EquivalenceReport, OracleLimits,
                      PinningReport, Solved, Stuck, check_equivalence,
                      enumerate_roots, foursquare_decompose, lift, propagate,
@@ -18,7 +18,7 @@ from .reductions import (FamilyDescriptor, ReductionCertificate,
                          build_compact_n, build_compact_z, build_full_n,
                          build_full_z, build_halved_z, build_master_z,
                          build_reduction, card_nonneg, card_symmetric,
-                         enumerate_t, iter_family)
+                         enumerate_t, iter_family, validate_certificate)
 from .system import (DOMAIN_N, DOMAIN_Z, Add, EnSystem, Mul, One, add_eq,
                      check_assignment, deserialize, mul_eq, one_eq, serialize,
                      validate)

@@ -210,6 +210,7 @@ def _cmd_verify_equiv(args) -> int:
     d = eqio.parse_equation(args.equation).normalized
     target = _load_system(args.system)
     cert = _load_cert(args.cert)
+    reductions.validate_certificate(cert, target.n)
     domain = "Z" if args.ring == "z" else "N"
     box = _parse_box_spec(args.box, d.arity)
     started = time.monotonic()
@@ -247,6 +248,9 @@ def _cmd_verify_pin(args) -> int:
             n, s, mode, labels = pipeline.parse_layout(handle.read())
         if n != target.n:
             raise ParseError("layout and system disagree on n")
+        if cert is not None:
+            # fn-system certificates describe psi, whose n is the layout's s.
+            reductions.validate_certificate(cert, s)
         psi = pipeline.PsiSystem(
             system=system.EnSystem(s, [eq for eq in target.equations
                                        if max(eq) <= s]),

@@ -44,6 +44,10 @@ class FormatError(EnkitError):
     """A structured file (.ens/.cert/.rep/.layout) violates its format."""
 
 
+class CertificateMismatch(FormatError):
+    """A certificate does not describe the system it accompanies."""
+
+
 class BoxTooLarge(EnkitError):
     """An enumeration box exceeds the configured point budget."""
 

@@ -15,7 +15,8 @@ from itertools import product as iproduct
 from math import isqrt, prod
 
 from . import kernels
-from .errors import BoxTooLarge, DimensionMismatch, SearchLimit
+from .errors import (BoxTooLarge, CertificateMismatch, DimensionMismatch,
+                     SearchLimit)
 from .poly import Polynomial
 from .reductions import ReductionCertificate
 from .system import (DOMAIN_N, DOMAIN_Z, Add, EnEquation, EnSystem, One,
@@ -676,7 +677,10 @@ def _pinned_solutions_via_cert(assembled, forced, box_radius, domain, limits):
             base[i] = v
         point = tuple(base[i] for i in range(1, cert.p + 1))
         solution = assembled.witness_assignment(point)
-        # Chain equations hold under any lift by construction; verify anyway.
-        assert check_assignment(assembled.system, solution, domain).satisfied
+        # Chain equations hold under any lift by construction, so a lift
+        # that fails means the certificate does not belong to the system.
+        if not check_assignment(assembled.system, solution, domain).satisfied:
+            raise CertificateMismatch(
+                f"certificate lift of {point} does not solve the system")
         solutions.append(solution)
     return solutions

@@ -23,8 +23,8 @@ from math import prod
 
 from . import kernels
 from .eqio import format_polynomial, parse_polynomial
-from .errors import (FamilyTooLarge, FormatError, UnusedVariable,
-                     ZeroPolynomial)
+from .errors import (CertificateMismatch, FamilyTooLarge, FormatError,
+                     UnusedVariable, ZeroPolynomial)
 from .poly import Exponents, Polynomial
 from .system import EnEquation, EnSystem, add_eq, mul_eq, one_eq
 
@@ -213,6 +213,31 @@ def parse_certificate(text: str) -> ReductionCertificate:
     else:
         raise FormatError(f"bad ANCHOR line {' '.join(anchor)!r}")
     return cert
+
+
+def validate_certificate(cert: ReductionCertificate, n: int):
+    """Check that a certificate can describe a system on x_1..x_n.
+
+    The certificate must name the same n, define exactly the auxiliary
+    indices p+1..n and anchor on indices in [1, n]; otherwise its lift
+    would leave or miss variables of the system.
+    """
+    if cert.n != n:
+        raise CertificateMismatch(
+            f"certificate has n {cert.n}, the system has {n} variables")
+    auxiliary = set(range(cert.p + 1, n + 1))
+    stray = sorted(set(cert.defs) - auxiliary)
+    if stray:
+        raise CertificateMismatch(
+            f"certificate defines index {stray[0]} outside ({cert.p}, {n}]")
+    missing = sorted(auxiliary - set(cert.defs))
+    if missing:
+        raise CertificateMismatch(
+            f"certificate has no definition for index {missing[0]}")
+    for index in cert.anchor_indices():
+        if not 1 <= index <= n:
+            raise CertificateMismatch(
+                f"certificate anchor index {index} outside [1, {n}]")
 
 
 # --------------------------------------------------------------------------

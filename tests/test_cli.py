@@ -1,8 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import enkit
 from enkit.cli import main
+
+SRC = str(Path(enkit.__file__).resolve().parents[1])
 
 IDENTITY_REP = "REP r=2\nx1 - x2\n"
 
@@ -15,6 +22,26 @@ def workdir(tmp_path, monkeypatch):
 
 def write(path, text):
     path.write_text(text, encoding="ascii")
+
+
+def run_cli(flags, *argv):
+    """Run the CLI in a fresh interpreter started with `flags` (e.g. -O)."""
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *flags, "-m", "enkit.cli", *argv],
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path))
+
+
+def assert_input_error(result):
+    assert result.returncode == 2, result.stdout + result.stderr
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), result.stderr
+
+
+def tamper(path, old, new, out):
+    text = path.read_text()
+    assert old in text
+    write(out, text.replace(old, new))
 
 
 def test_reduce_writes_ens_and_cert(workdir, capsys):
@@ -170,3 +197,44 @@ def test_usage_error_exit_code(workdir):
     with pytest.raises(SystemExit) as err:
         main(["reduce", "--ring", "q", "x1 = x2"])
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+def test_verify_pin_rejects_certificate_whose_lift_fails(workdir, flags):
+    write(workdir / "id.rep", IDENTITY_REP)
+    assert main(["fn-system", "--rep", "id.rep", "--ring", "z", "--n", "300",
+                 "--out", "zs"]) == 0
+    cert = (workdir / "zs.cert").read_text()
+    anchor = cert.splitlines()[-1]
+    tamper(workdir / "zs.cert", anchor, "ANCHOR q 20", workdir / "bad.cert")
+    result = run_cli(flags, "verify-pin", "--system", "zs.ens",
+                     "--cert", "bad.cert", "--layout", "zs.layout",
+                     "--expected", "300", "--ring", "z", "--radius", "1")
+    assert_input_error(result)
+    assert "does not solve the system" in result.stderr
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+def test_certificate_validated_against_system(workdir, flags):
+    assert main(["reduce", "--ring", "z", "x1 = x2", "--out", "cz"]) == 0
+    equiv = ["verify-equiv", "--equation", "x1 = x2", "--system", "cz.ens",
+             "--ring", "z", "--box=-2..2", "--cert"]
+    assert run_cli(flags, *equiv, "cz.cert").returncode == 0
+    for old, new, message in [
+            ("\n3 ", "\n99 ", "index 99"),        # used to crash the lift
+            ("\nn 3\n", "\nn 7\n", "n 7"),        # used to PASS
+            ("\n3 x1 - x2\n", "\n", "index 3"),
+            ("ANCHOR q 3", "ANCHOR q 9", "index 9")]:
+        tamper(workdir / "cz.cert", old, new, workdir / "bad.cert")
+        result = run_cli(flags, *equiv, "bad.cert")
+        assert_input_error(result)
+        assert message in result.stderr
+    # fn-system certificates carry the layout's s as their n
+    write(workdir / "id.rep", IDENTITY_REP)
+    assert main(["fn-system", "--rep", "id.rep", "--ring", "n", "--n", "12",
+                 "--out", "sys"]) == 0
+    tamper(workdir / "sys.cert", "\nn 3\n", "\nn 12\n", workdir / "s.cert")
+    result = run_cli(flags, "verify-pin", "--system", "sys.ens",
+                     "--cert", "s.cert", "--layout", "sys.layout",
+                     "--expected", "12", "--ring", "n")
+    assert_input_error(result)

@@ -1,118 +1,27 @@
-"""Backend parity: the compiled kernels must agree with the pure reference
-on every input, including the sizes that force the compiled code off its
-int64 fast path."""
+"""Known-answer checks for the hot kernels in enkit.kernels."""
 
-import random
-
-import pytest
-
-from enkit import _pykernels
-from enkit.kernels import backends
+from enkit import kernels
 from enkit.reductions import FamilyDescriptor
 
-IMPLS = backends()
 
-
-def impl_pairs():
-    return [(name, impl) for name, impl in IMPLS.items() if name != "pure"]
-
-
-pytestmark = pytest.mark.skipif(
-    len(IMPLS) < 2, reason="compiled backend not built; nothing to compare")
-
-
-def random_poly_args(rng, arity):
-    nterms = rng.randint(0, 6)
-    exps = []
-    coeffs = []
-    for _ in range(nterms):
-        exps.append(tuple(rng.randint(0, 3) for _ in range(arity)))
-        coeffs.append(rng.randint(-9, 9) or 1)
-    lows = tuple(rng.randint(-6, 2) for _ in range(arity))
-    highs = tuple(lo + rng.randint(0, 5) for lo in lows)
-    return tuple(exps), tuple(coeffs), lows, highs
-
-
-@pytest.mark.parametrize("name,impl", impl_pairs())
-def test_grid_roots_parity(name, impl):
-    rng = random.Random(1)
-    for _ in range(200):
-        args = random_poly_args(rng, rng.randint(0, 3))
-        assert impl.grid_roots(*args) == _pykernels.grid_roots(*args)
-
-
-@pytest.mark.parametrize("name,impl", impl_pairs())
-def test_grid_roots_parity_huge_values(name, impl):
-    # Coefficients past int64: the compiled path must fall back, exactly.
-    exps = ((2,), (0,))
-    coeffs = (10**25, -(10**25) * 49)
-    args = (exps, coeffs, (-10,), (10,))
-    assert impl.grid_roots(*args) == _pykernels.grid_roots(*args) == [(-7,), (7,)]
-    # Box endpoints past int64.
-    big = 10**20
-    args = (((1,),), (1,), (big,), (big + 3,))
-    assert impl.grid_roots(*args) == _pykernels.grid_roots(*args) == []
-
-
-@pytest.mark.parametrize("name,impl", impl_pairs())
-def test_check_equations_parity(name, impl):
-    rng = random.Random(2)
-    for _ in range(200):
-        n = rng.randint(1, 8)
-        m = rng.randint(0, 10)
-        ops = tuple(rng.randint(0, 2) for _ in range(m))
-        ii = tuple(rng.randint(1, n) for _ in range(m))
-        jj = tuple(rng.randint(1, n) for _ in range(m))
-        kk = tuple(rng.randint(1, n) for _ in range(m))
-        scale = rng.choice([1, 1, 10**12])  # sometimes force the object path
-        values = [0] + [rng.randint(-4, 4) * scale for _ in range(n)]
-        assert (impl.check_equations(ops, ii, jj, kk, values)
-                == _pykernels.check_equations(ops, ii, jj, kk, values))
-
-
-def join_args(desc):
-    basis = desc.basis()
-    return (list(desc.iter_vectors()), desc.coeff_lo, desc.coeff_hi, basis,
-            desc.degree_bounds)
-
-
-@pytest.mark.parametrize("name,impl", impl_pairs())
-@pytest.mark.parametrize("desc", [
-    FamilyDescriptor(1, -2, 2, (1,)),
-    FamilyDescriptor(1, -1, 1, (3,)),
-    FamilyDescriptor(2, -2, 2, (1, 1)),
-    FamilyDescriptor(2, 0, 4, (1, 1)),
-    FamilyDescriptor(2, 0, 2, (2, 1)),
-    FamilyDescriptor(3, -1, 1, (1, 1, 0)),
-    FamilyDescriptor(1, 0, 9, (1,)),
-    FamilyDescriptor(1, -3, 1, (2,)),  # asymmetric interval
-])
-def test_family_join_parity(name, impl, desc):
-    args = join_args(desc)
-    got = impl.family_join(*args)
-    want = _pykernels.family_join(*args)
-    assert got == want
-
-
-@pytest.mark.parametrize("name,impl", impl_pairs())
-def test_family_join_fallback_paths(name, impl):
-    # Huge coefficient interval: nb * cmax^2 overflows, needs the pure path.
-    desc = FamilyDescriptor(1, -(2**40), -(2**40) + 2, (1,))
-    args = join_args(desc)
-    assert impl.family_join(*args) == _pykernels.family_join(*args)
-    # Not the whole family (rank != index): contract violation falls back.
-    vectors = [(0, 0), (1, 1), (2, 2)]
-    basis = [(0,), (1,)]
-    got = impl.family_join(vectors, 0, 2, basis, (1,))
-    want = _pykernels.family_join(vectors, 0, 2, basis, (1,))
-    assert got == want
-
-
-def test_family_join_reference_semantics():
+def test_family_join_known_family():
     # Hand-checked tiny family: constants -1, 0, 1.
     desc = FamilyDescriptor(1, -1, 1, (0,))
-    adds, muls = _pykernels.family_join(*join_args(desc))
+    adds, muls = kernels.family_join(
+        list(desc.iter_vectors()), desc.coeff_lo, desc.coeff_hi,
+        desc.basis(), desc.degree_bounds)
     # vectors: 0 -> -1, 1 -> 0, 2 -> 1
     assert set(adds) == {(0, 1, 0), (0, 2, 1), (1, 1, 1), (1, 2, 2)}
     assert set(muls) == {(0, 0, 2), (0, 1, 1), (0, 2, 0), (1, 1, 1),
                          (1, 2, 1), (2, 2, 2)}
+
+
+def test_grid_roots_coefficients_past_int64():
+    exps = ((2,), (0,))
+    coeffs = (10**25, -(10**25) * 49)
+    assert kernels.grid_roots(exps, coeffs, (-10,), (10,)) == [(-7,), (7,)]
+
+
+def test_grid_roots_box_past_int64():
+    big = 10**20
+    assert kernels.grid_roots(((1,),), (1,), (big,), (big + 3,)) == []

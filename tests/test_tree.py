@@ -1,0 +1,25 @@
+"""The checkout tracks no file that .gitignore excludes."""
+
+import shutil
+import subprocess
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _git(*args):
+    return subprocess.run(["git", "-C", str(ROOT), *args],
+                          capture_output=True, text=True)
+
+
+def test_no_tracked_file_is_ignored():
+    if shutil.which("git") is None:
+        pytest.skip("git is not installed")
+    top = _git("rev-parse", "--show-toplevel")
+    if top.returncode != 0 or Path(top.stdout.strip()) != ROOT:
+        pytest.skip("not a git checkout")
+    listed = _git("ls-files", "-ci", "--exclude-standard")
+    assert listed.returncode == 0, listed.stderr
+    assert listed.stdout == ""

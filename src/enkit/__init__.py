@@ -8,19 +8,18 @@ from .errors import (BoxTooLarge, CertificateMismatch, DimensionMismatch,
                      EnkitError, FamilyTooLarge, FormatError, ParseError,
                      SearchLimit, UnusedVariable, ZeroPolynomial)
 from .oracle import (Box, Conflict, EquivalenceReport, OracleLimits,
-                     PinningReport, Solved, Stuck, check_equivalence,
-                     enumerate_roots, foursquare_decompose, lift, propagate,
-                     solve_bounded, verify_pinning)
+                     PinningReport, Solved, Stuck, check_assignment,
+                     check_equivalence, enumerate_roots, foursquare_decompose,
+                     lift, propagate, solve_bounded, verify_pinning)
 from .pipeline import (AssembledSystem, PsiSystem, assemble, build_psi,
                        build_pipeline, master_witness, threshold)
 from .poly import Polynomial
 from .reductions import (FamilyDescriptor, ReductionCertificate,
                          build_compact_n, build_compact_z, build_full_n,
                          build_full_z, build_halved_z, build_master_z,
-                         build_reduction, card_nonneg, card_symmetric,
-                         enumerate_t, iter_family, validate_certificate)
+                         build_reduction, enumerate_t, family_descriptor,
+                         validate_certificate)
 from .system import (DOMAIN_N, DOMAIN_Z, Add, EnSystem, Mul, One, add_eq,
-                     check_assignment, deserialize, mul_eq, one_eq, serialize,
-                     validate)
+                     deserialize, mul_eq, one_eq, serialize, validate)
 
 __version__ = "0.1.0"

@@ -154,17 +154,11 @@ def _cmd_info(args) -> int:
         if d.is_zero():
             raise ParseError("equation normalizes to 0 = 0")
         print(f"p = {d.arity}")
-        bounds = d.degree_bounds()
-        print(f"degree bounds = {list(bounds)}")
-        m2 = d.scaled(2).max_abs_coeff()
-        print(f"card full_Z = {reductions.card_symmetric(m2, bounds)}")
-        print(f"card halved_Z = "
-              f"{reductions.card_symmetric(d.max_abs_coeff(), bounds)}")
-        b = reductions.b_polynomial(d)
-        a = d + b
-        delta = max(a.max_abs_coeff(), b.max_abs_coeff())
-        print(f"card full_N = {reductions.card_nonneg(delta, bounds)} "
-              f"(delta = {delta})")
+        print(f"degree bounds = {list(d.degree_bounds())}")
+        for mode in ("full_Z", "halved_Z", "full_N"):
+            desc, _ = reductions.family_descriptor(d, mode)
+            delta = f" (delta = {desc.coeff_hi})" if mode == "full_N" else ""
+            print(f"card {mode} = {desc.cardinality()}{delta}")
         compact_z, _ = reductions.build_compact_z(d)
         compact_n, _ = reductions.build_compact_n(d)
         print(f"n compact_Z = {compact_z.n}")

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from itertools import product
 
+from .system import Add, One
+
 BACKEND = "pure"
 
 
@@ -56,31 +58,32 @@ def grid_roots(exps, coeffs, lows, highs):
     return roots
 
 
-def check_equations(ops, ii, jj, kk, values):
+def check_equations(equations, values):
     """Index of the first violated equation, or -1 if all hold.
 
-    ops[t] is 0 (x_i = 1), 1 (x_i + x_j = x_k) or 2 (x_i * x_j = x_k);
-    values is indexed 1-based (values[0] is ignored).
+    equations: One/Add/Mul tuples with 1-based indices; values: a mapping
+    that covers every index they use.
     """
-    for t in range(len(ops)):
-        op = ops[t]
-        if op == 0:
-            if values[ii[t]] != 1:
+    for t, eq in enumerate(equations):
+        if type(eq) is One:
+            if values[eq.i] != 1:
                 return t
-        elif op == 1:
-            if values[ii[t]] + values[jj[t]] != values[kk[t]]:
+        elif type(eq) is Add:
+            i, j, k = eq
+            if values[i] + values[j] != values[k]:
                 return t
         else:
-            if values[ii[t]] * values[jj[t]] != values[kk[t]]:
+            i, j, k = eq
+            if values[i] * values[j] != values[k]:
                 return t
     return -1
 
 
-def family_join(vectors, lo, hi, basis, bounds):
+def family_join(vectors, lo, hi, basis):
     """Closure triples of a coefficient-bounded polynomial family.
 
-    vectors: dense coefficient tuples over `basis` (exponent tuples, all
-    <= bounds), listed in their enumeration order.  Returns (adds, muls):
+    vectors: dense coefficient tuples over `basis` (exponent tuples),
+    listed in their enumeration order.  Returns (adds, muls):
     adds holds every (a, b, c) with a <= b and vector[a] + vector[b] ==
     vector[c]; muls the same for polynomial products that land back in the
     family.  Indices refer to positions in `vectors`.

@@ -13,14 +13,14 @@ import time
 from dataclasses import dataclass, field
 from itertools import product as iproduct
 from math import isqrt, prod
+from typing import Mapping
 
 from . import kernels
 from .errors import (BoxTooLarge, CertificateMismatch, DimensionMismatch,
                      SearchLimit)
 from .poly import Polynomial
 from .reductions import ReductionCertificate
-from .system import (DOMAIN_N, DOMAIN_Z, Add, EnEquation, EnSystem, One,
-                     check_assignment)
+from .system import DOMAIN_N, DOMAIN_Z, Add, EnEquation, EnSystem, One
 
 DEFAULT_POINT_LIMIT = 10**8
 
@@ -104,6 +104,48 @@ def enumerate_roots(poly: Polynomial, box: Box, domain: str = DOMAIN_Z,
     lows = tuple(lo for lo, _ in eff)
     highs = tuple(hi for _, hi in eff)
     return kernels.grid_roots(exps, coeffs, lows, highs)
+
+
+# --------------------------------------------------------------------------
+# assignment checking
+
+@dataclass(frozen=True)
+class CheckResult:
+    status: str  # "satisfied" | "violated" | "incomplete"
+    equation: EnEquation | None = None
+    missing: tuple[int, ...] = ()
+    negatives: tuple[int, ...] = ()
+
+    @property
+    def satisfied(self) -> bool:
+        return self.status == "satisfied"
+
+
+def check_assignment(system: EnSystem, values: Mapping[int, int],
+                     domain: str = DOMAIN_Z) -> CheckResult:
+    """Check a (possibly partial) assignment against every equation.
+
+    Satisfied requires: total on [1, n], inside the domain (>= 0 for N),
+    and every equation exactly true.  Equations whose variables are all
+    assigned are checked even when the assignment is partial, so a
+    violation can never flip to satisfied by extending the assignment.
+    """
+    if domain == DOMAIN_N:
+        negatives = tuple(i for i in range(1, system.n + 1)
+                          if values.get(i, 0) < 0)
+        if negatives:
+            return CheckResult(status="violated", negatives=negatives)
+    missing = tuple(i for i in range(1, system.n + 1) if i not in values)
+    equations = system.equations
+    if missing:
+        equations = [eq for eq in equations
+                     if all(index in values for index in eq)]
+    bad = kernels.check_equations(equations, values)
+    if bad != -1:
+        return CheckResult(status="violated", equation=equations[bad])
+    if missing:
+        return CheckResult(status="incomplete", missing=missing)
+    return CheckResult(status="satisfied")
 
 
 # --------------------------------------------------------------------------
@@ -419,25 +461,8 @@ class EquivalenceReport:
         self.failures.extend(other.failures)
 
 
-def _encode_system(system: EnSystem):
-    ops, ii, jj, kk = [], [], [], []
-    for eq in system.equations:
-        if isinstance(eq, One):
-            ops.append(0)
-            ii.append(eq.i)
-            jj.append(0)
-            kk.append(0)
-        else:
-            ops.append(1 if isinstance(eq, Add) else 2)
-            ii.append(eq.i)
-            jj.append(eq.j)
-            kk.append(eq.k)
-    return tuple(ops), tuple(ii), tuple(jj), tuple(kk)
-
-
-def _check_points(d, system, cert, points, domain, limits, encoded):
+def _check_points(d, system, cert, points, domain, limits):
     report = EquivalenceReport(domain=domain)
-    ops, ii, jj, kk = encoded
     for point in points:
         report.base_points += 1
         value = d.eval_at(point)
@@ -445,18 +470,16 @@ def _check_points(d, system, cert, points, domain, limits, encoded):
         if value == 0:
             report.base_roots.append(point)
             lifted = lift(cert, point)
-            if domain == DOMAIN_N and any(v < 0 for v in lifted.values()):
+            result = check_assignment(system, lifted, domain)
+            if not result.satisfied:
                 report.lifted_ok = False
-                report.failures.append(f"lift of {point} leaves N")
-                continue
-            flat = [0] * (system.n + 1)
-            for index, v in lifted.items():
-                flat[index] = v
-            bad = kernels.check_equations(ops, ii, jj, kk, flat)
-            if bad != -1:
-                report.lifted_ok = False
-                report.failures.append(
-                    f"lift of {point} violates {system.equations[bad]}")
+                if result.negatives:
+                    problem = "leaves N"
+                elif result.equation is not None:
+                    problem = f"violates {result.equation}"
+                else:
+                    problem = f"leaves x{result.missing[0]} unassigned"
+                report.failures.append(f"lift of {point} {problem}")
                 continue
             report.system_solutions += 1
             outcome = propagate(system, seed, domain)
@@ -502,9 +525,7 @@ def _check_points(d, system, cert, points, domain, limits, encoded):
 
 
 def _equiv_chunk(args):
-    d, system, cert, points, domain, limits = args
-    return _check_points(d, system, cert, points, domain, limits,
-                         _encode_system(system))
+    return _check_points(*args)
 
 
 def check_equivalence(d: Polynomial, system: EnSystem,
@@ -534,8 +555,7 @@ def check_equivalence(d: Polynomial, system: EnSystem,
             for partial in pool.map(_equiv_chunk, tasks):
                 report.merge(partial)
         return report
-    return _check_points(d, system, cert, points, domain, limits,
-                         _encode_system(system))
+    return _check_points(d, system, cert, points, domain, limits)
 
 
 # --------------------------------------------------------------------------
@@ -578,6 +598,10 @@ class PinningReport:
         if not (self.consistent_propagation and self.x2_forced
                 and self.search_exhausted and not self.offending):
             return False
+        if self.solutions_found == 0:
+            # Nothing was pinned inside the box; only a witness shows a
+            # solution exists at all.
+            return self.witness_ok is True
         return self.witness_ok is not False
 
 

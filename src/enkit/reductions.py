@@ -94,37 +94,14 @@ class FamilyDescriptor:
             vec[t] = c
         return tuple(vec)
 
-    def contains(self, poly: Polynomial) -> bool:
-        return self.poly_vector(poly) is not None
-
-
-def card_symmetric(m: int, degree_bounds) -> int:
-    """(2M+1) ** prod(d_i + 1): family size for the interval [-M, M]."""
-    if m < 0:
-        raise ValueError("coefficient bound must be non-negative")
-    return (2 * m + 1) ** prod(d + 1 for d in degree_bounds)
-
-
-def card_nonneg(delta: int, degree_bounds) -> int:
-    """(delta+1) ** prod(d_i + 1): family size for the interval [0, delta]."""
-    if delta < 0:
-        raise ValueError("coefficient bound must be non-negative")
-    return (delta + 1) ** prod(d + 1 for d in degree_bounds)
-
-
-def iter_family(desc: FamilyDescriptor):
-    """Lazily yield every member polynomial in enumeration order."""
-    basis = desc.basis()
-    for vector in desc.iter_vectors():
-        yield desc.vector_to_poly(vector, basis)
-
 
 def enumerate_t(desc: FamilyDescriptor, cap: int = DEFAULT_FAMILY_CAP):
     """The family as an ordered list; refuses when larger than `cap`."""
     card = desc.cardinality()
     if card > cap:
         raise FamilyTooLarge(card, cap)
-    return list(iter_family(desc))
+    basis = desc.basis()
+    return [desc.vector_to_poly(vector, basis) for vector in desc.iter_vectors()]
 
 
 # --------------------------------------------------------------------------
@@ -450,7 +427,7 @@ def _family_system(desc: FamilyDescriptor, *, pinned: list[Polynomial],
         one_eq(assigned[rank]) for rank in range(card)
         if members[rank] == one_poly]
     adds, muls = kernels.family_join(
-        vectors, desc.coeff_lo, desc.coeff_hi, basis, desc.degree_bounds)
+        vectors, desc.coeff_lo, desc.coeff_hi, basis)
     equations.extend(
         add_eq(assigned[a], assigned[b], assigned[c]) for a, b, c in adds)
     equations.extend(
@@ -462,108 +439,82 @@ def _family_system(desc: FamilyDescriptor, *, pinned: list[Polynomial],
     return equations, defs, sys_index_of
 
 
-def lemma_descriptor(d: Polynomial) -> FamilyDescriptor:
-    """Family for the unhalved construction, built from 2*D."""
-    doubled = d.scaled(2)
-    return FamilyDescriptor(
-        p=d.arity,
-        coeff_lo=-doubled.max_abs_coeff(),
-        coeff_hi=doubled.max_abs_coeff(),
-        degree_bounds=doubled.degree_bounds())
-
-
-def halved_descriptor(d: Polynomial) -> FamilyDescriptor:
-    """Family for the halved variant: the bound is taken from D itself."""
-    return FamilyDescriptor(
-        p=d.arity,
-        coeff_lo=-d.max_abs_coeff(),
-        coeff_hi=d.max_abs_coeff(),
-        degree_bounds=d.degree_bounds())
-
-
-def build_full_z(d: Polynomial, cap: int = DEFAULT_FAMILY_CAP,
-                 pair_cap: int = DEFAULT_PAIR_CAP):
-    """Full-family reduction of D = 0 over the integers, anchored at 2*D.
-
-    Doubling guarantees the anchored member differs from every variable,
-    so the anchor index always lands among the auxiliaries.
-    """
-    if d.is_zero():
-        raise ZeroPolynomial("full-family reduction needs a nonzero polynomial")
-    _require_all_variables(d)
-    desc = lemma_descriptor(d)
-    equations, defs, index_of = _family_system(
-        desc, pinned=[], cap=cap, pair_cap=pair_cap)
-    q = index_of[d.scaled(2).key()]
-    equations.append(add_eq(q, q, q))
-    system = EnSystem(desc.cardinality(), equations)
-    cert = ReductionCertificate(
-        mode="full_Z", p=d.arity, n=system.n, defs=defs, anchor_q=q)
-    return system, cert
-
-
-def build_halved_z(d: Polynomial, cap: int = DEFAULT_FAMILY_CAP,
-                   pair_cap: int = DEFAULT_PAIR_CAP):
-    """Halved-family variant, anchored at D itself.
-
-    When D is literally a single variable x_i the anchor is q = i and no
-    auxiliary represents D.
-    """
-    if d.is_zero():
-        raise ZeroPolynomial("full-family reduction needs a nonzero polynomial")
-    _require_all_variables(d)
-    desc = halved_descriptor(d)
-    equations, defs, index_of = _family_system(
-        desc, pinned=[], cap=cap, pair_cap=pair_cap)
-    q = index_of[d.key()]
-    equations.append(add_eq(q, q, q))
-    system = EnSystem(desc.cardinality(), equations)
-    cert = ReductionCertificate(
-        mode="halved_Z", p=d.arity, n=system.n, defs=defs, anchor_q=q)
-    return system, cert
-
-
 def b_polynomial(d: Polynomial) -> Polynomial:
     """Same support as D with every coefficient replaced by |a| + 2."""
     return Polynomial._raw(
         d.arity, {e: abs(c) + 2 for e, c in d.terms.items()})
 
 
-def build_full_n(d: Polynomial, cap: int = DEFAULT_FAMILY_CAP,
-                 pair_cap: int = DEFAULT_PAIR_CAP):
-    """Full-family reduction of D = 0 over the non-negative integers.
+def family_descriptor(d: Polynomial, mode: str):
+    """The family of a full mode and the polynomials its anchor names.
 
-    D = 0 is rewritten as A = B with A = D + B and B carrying coefficients
-    |a| + 2, both strictly positive.  The family spans [0, delta] where
-    delta bounds the coefficients of A and B; the bijection pins 0, A, B
-    to p+1, p+2, p+3 and the anchor x_{p+1} + x_{p+2} = x_{p+3} equates
-    A with B through the zero node.
+    full_Z bounds the coefficients by those of 2*D and anchors 2*D;
+    halved_Z bounds them by D and anchors D.  full_N rewrites D = 0 as
+    A = B with B = b_polynomial(D) and A = D + B, spans [0, delta] where
+    delta bounds the coefficients of A and B, and anchors (0, A, B).
+    """
+    if mode == "full_N":
+        b = b_polynomial(d)
+        a = d + b
+        # A and B have D's support with coefficients >= 2 and >= 3, so
+        # neither is zero, a variable or the other.
+        delta = max(a.max_abs_coeff(), b.max_abs_coeff())
+        desc = FamilyDescriptor(d.arity, 0, delta, d.degree_bounds())
+        return desc, [Polynomial.zero(d.arity), a, b]
+    if mode not in ("full_Z", "halved_Z"):
+        raise ValueError(f"not a full-family mode: {mode!r}")
+    source = d.scaled(2) if mode == "full_Z" else d
+    bound = source.max_abs_coeff()
+    return FamilyDescriptor(d.arity, -bound, bound, d.degree_bounds()), [source]
+
+
+def _build_full(d: Polynomial, mode: str, cap: int, pair_cap: int):
+    """Every member of the mode's family as a variable, every identity
+    among them as an equation, and one anchor.
+
+    Over Z the anchor x_q + x_q = x_q sits on the member naming 2*D
+    (full_Z: doubling keeps it off the variables) or D (halved_Z: q = i
+    when D is x_i itself).  Over N the zero node, A and B take the indices
+    p+1, p+2, p+3 and x_{p+1} + x_{p+2} = x_{p+3} equates A with B.
     """
     if d.is_zero():
         raise ZeroPolynomial("full-family reduction needs a nonzero polynomial")
     _require_all_variables(d)
-    b = b_polynomial(d)
-    a = d + b
-    delta = max(a.max_abs_coeff(), b.max_abs_coeff())
-    bounds = tuple(max(a.degree_in(i), b.degree_in(i))
-                   for i in range(1, d.arity + 1))
-    variables = [Polynomial.variable(d.arity, i) for i in range(1, d.arity + 1)]
-    if a in variables or a.is_zero():
-        raise ValueError("A = D + B degenerated to a variable or zero")
-    if b in variables or b.is_zero() or a == b:
-        raise ValueError("B degenerated to a variable, zero, or A")
-    desc = FamilyDescriptor(p=d.arity, coeff_lo=0, coeff_hi=delta,
-                            degree_bounds=bounds)
-    zero = Polynomial.zero(d.arity)
+    desc, anchored = family_descriptor(d, mode)
+    pinned = anchored if mode == "full_N" else []
     equations, defs, index_of = _family_system(
-        desc, pinned=[zero, a, b], cap=cap, pair_cap=pair_cap)
-    p = d.arity
-    equations.append(add_eq(p + 1, p + 2, p + 3))
+        desc, pinned=pinned, cap=cap, pair_cap=pair_cap)
+    nodes = [index_of[poly.key()] for poly in anchored]
+    if mode == "full_N":
+        zero, a, b = nodes
+        equations.append(add_eq(zero, a, b))
+        anchor = {"anchor_zero": zero, "anchor_a": a, "anchor_b": b}
+    else:
+        (q,) = nodes
+        equations.append(add_eq(q, q, q))
+        anchor = {"anchor_q": q}
     system = EnSystem(desc.cardinality(), equations)
     cert = ReductionCertificate(
-        mode="full_N", p=p, n=system.n, defs=defs,
-        anchor_zero=p + 1, anchor_a=p + 2, anchor_b=p + 3)
+        mode=mode, p=d.arity, n=system.n, defs=defs, **anchor)
     return system, cert
+
+
+def build_full_z(d: Polynomial, cap: int = DEFAULT_FAMILY_CAP,
+                 pair_cap: int = DEFAULT_PAIR_CAP):
+    """Full-family reduction of D = 0 over the integers, anchored at 2*D."""
+    return _build_full(d, "full_Z", cap, pair_cap)
+
+
+def build_halved_z(d: Polynomial, cap: int = DEFAULT_FAMILY_CAP,
+                   pair_cap: int = DEFAULT_PAIR_CAP):
+    """Halved-family variant over the integers, anchored at D itself."""
+    return _build_full(d, "halved_Z", cap, pair_cap)
+
+
+def build_full_n(d: Polynomial, cap: int = DEFAULT_FAMILY_CAP,
+                 pair_cap: int = DEFAULT_PAIR_CAP):
+    """Full-family reduction of D = 0 over the non-negative integers."""
+    return _build_full(d, "full_N", cap, pair_cap)
 
 
 def build_reduction(d: Polynomial, mode: str, cap: int = DEFAULT_FAMILY_CAP,

@@ -8,7 +8,6 @@ deterministic builders are byte-identical across runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple
 
 from .errors import FormatError
@@ -120,53 +119,6 @@ def validate(system: EnSystem) -> list[str]:
         if not 1 <= index <= system.n:
             problems.append(f"named index {index} out of range [1, {system.n}]")
     return problems
-
-
-# --------------------------------------------------------------------------
-# assignment checking
-
-@dataclass(frozen=True)
-class CheckResult:
-    status: str  # "satisfied" | "violated" | "incomplete"
-    equation: EnEquation | None = None
-    missing: tuple[int, ...] = ()
-    negatives: tuple[int, ...] = ()
-
-    @property
-    def satisfied(self) -> bool:
-        return self.status == "satisfied"
-
-
-def eval_eq(eq: EnEquation, values: Mapping[int, int]) -> bool:
-    """True iff the equation holds under a total-enough assignment."""
-    if isinstance(eq, One):
-        return values[eq.i] == 1
-    if isinstance(eq, Add):
-        return values[eq.i] + values[eq.j] == values[eq.k]
-    return values[eq.i] * values[eq.j] == values[eq.k]
-
-
-def check_assignment(system: EnSystem, values: Mapping[int, int],
-                     domain: str = DOMAIN_Z) -> CheckResult:
-    """Check a (possibly partial) assignment against every equation.
-
-    Satisfied requires: total on [1, n], inside the domain (>= 0 for N),
-    and every equation exactly true.  Equations whose variables are all
-    assigned are checked even when the assignment is partial, so a
-    violation can never flip to satisfied by extending the assignment.
-    """
-    if domain == DOMAIN_N:
-        negatives = tuple(i for i in range(1, system.n + 1)
-                          if values.get(i, 0) < 0)
-        if negatives:
-            return CheckResult(status="violated", negatives=negatives)
-    missing = tuple(i for i in range(1, system.n + 1) if i not in values)
-    for eq in system.equations:
-        if all(index in values for index in eq) and not eval_eq(eq, values):
-            return CheckResult(status="violated", equation=eq)
-    if missing:
-        return CheckResult(status="incomplete", missing=missing)
-    return CheckResult(status="satisfied")
 
 
 # --------------------------------------------------------------------------

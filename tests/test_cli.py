@@ -8,6 +8,9 @@ import pytest
 
 import enkit
 from enkit.cli import main
+from enkit.eqio import parse_equation
+from enkit.pipeline import master_witness
+from enkit.reductions import build_reduction
 
 SRC = str(Path(enkit.__file__).resolve().parents[1])
 
@@ -83,6 +86,24 @@ def test_info_equation(workdir, capsys):
     assert "card halved_Z = 81" in out
     assert "card full_N = 625 (delta = 4)" in out
     assert "n compact_Z = 3" in out
+
+
+@pytest.mark.parametrize("equation", ["x1 = 1", "x1 = 2", "2*x1 = 3",
+                                      "x1^2 = x1", "x1 = x2"])
+def test_info_cards_match_built_systems(workdir, capsys, equation):
+    assert main(["info", "--equation", equation]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    cards = dict(line[len("card "):].split(" = ", 1) for line in lines
+                 if line.startswith("card "))
+    d = parse_equation(equation).normalized
+    for mode in ("full_Z", "halved_Z", "full_N"):
+        built, cert = build_reduction(d, mode)
+        if mode == "full_N":
+            # the family spans [0, delta]: its largest coefficient is delta
+            delta = max(poly.max_abs_coeff() for poly in cert.defs.values())
+            assert cards[mode] == f"{built.n} (delta = {delta})"
+        else:
+            assert cards[mode] == str(built.n)
 
 
 def test_info_rep(workdir, capsys):
@@ -161,10 +182,29 @@ def test_fn_system_integer_ring(workdir):
     assert main(["info", "--rep", "const5.rep", "--ring", "z"]) == 0
     assert main(["fn-system", "--rep", "const5.rep", "--ring", "z",
                  "--n", "300", "--out", "zc"]) == 0
-    code = main(["verify-pin", "--system", "zc.ens", "--cert", "zc.cert",
-                 "--layout", "zc.layout", "--expected", "5", "--ring", "z",
-                 "--radius", "1"])
-    assert code == 0
+    pin = ["verify-pin", "--system", "zc.ens", "--cert", "zc.cert",
+           "--layout", "zc.layout", "--expected", "5", "--ring", "z",
+           "--radius", "1"]
+    witness = ",".join(map(str, master_witness((5, 300), 2)))
+    assert main(pin + ["--witness", witness]) == 0
+    # x1 = 5 lies outside the radius-1 box: nothing was checked
+    assert main(pin) == 1
+
+
+def test_verify_pin_without_solutions_or_witness_fails(workdir, capsys):
+    write(workdir / "square.rep", "REP r=2\nx1 - x2*x2\n")
+    assert main(["fn-system", "--rep", "square.rep", "--ring", "z",
+                 "--n", "2000", "--out", "sq"]) == 0
+    pin = ["verify-pin", "--system", "sq.ens", "--cert", "sq.cert",
+           "--layout", "sq.layout", "--expected", "4000000", "--ring", "z",
+           "--radius", "1", "--report", "pin.json"]
+    capsys.readouterr()
+    assert main(pin) == 1
+    assert capsys.readouterr().out == "solutions 0 offending 0\nFAIL\n"
+    assert json.loads((workdir / "pin.json").read_text())["passed"] is False
+    witness = ",".join(map(str, master_witness((4000000, 2000), 2)))
+    assert main(pin + ["--witness", witness]) == 0
+    assert capsys.readouterr().out == "solutions 0 offending 0\nPASS\n"
 
 
 def test_verify_pin_bare_system_runs(workdir):

@@ -209,6 +209,15 @@ def test_equivalence_catches_broken_certificate():
     assert not report.lifted_ok
 
 
+def test_equivalence_catches_certificate_missing_a_definition():
+    d = P("x1 - x2")
+    system, cert = build_compact_z(d)
+    del cert.defs[3]
+    report = check_equivalence(d, system, cert, Box.cube(2, 1), "Z")
+    assert not report.passed and not report.lifted_ok
+    assert report.failures[0] == "lift of (-1, -1) leaves x3 unassigned"
+
+
 def test_equivalence_parallel_matches_serial():
     d = P("x1 - x2")
     system, cert = build_compact_z(d)

@@ -8,7 +8,7 @@ from enkit.poly import Polynomial
 from enkit.reductions import (FamilyDescriptor, build_compact_n,
                               build_compact_z, build_full_n, build_full_z,
                               build_halved_z, build_master_z, b_polynomial,
-                              card_nonneg, card_symmetric, enumerate_t,
+                              enumerate_t, family_descriptor,
                               master_arity, parse_certificate,
                               serialize_certificate, split_signs)
 from enkit.system import Add, Mul, One, add_eq, validate
@@ -22,9 +22,26 @@ def P(text, arity=None):
 # family counting and enumeration
 
 def test_card_examples():
-    assert card_symmetric(2, (1,)) == 25
-    assert card_symmetric(0, (3, 3)) == 1
-    assert card_nonneg(4, (1, 1)) == 625
+    assert FamilyDescriptor(1, -2, 2, (1,)).cardinality() == 25
+    assert FamilyDescriptor(2, 0, 0, (3, 3)).cardinality() == 1
+    assert FamilyDescriptor(2, 0, 4, (1, 1)).cardinality() == 625
+
+
+def test_family_descriptor_modes():
+    d = P("x1 - x2")
+    desc, anchored = family_descriptor(d, "full_Z")
+    assert desc == FamilyDescriptor(2, -2, 2, (1, 1))
+    assert anchored == [d.scaled(2)]
+    desc, anchored = family_descriptor(d, "halved_Z")
+    assert desc == FamilyDescriptor(2, -1, 1, (1, 1))
+    assert anchored == [d]
+    # B = 3*x1 + 3*x2 and A = D + B = 4*x1 + 2*x2
+    desc, anchored = family_descriptor(d, "full_N")
+    assert desc == FamilyDescriptor(2, 0, 4, (1, 1))
+    assert anchored == [Polynomial.zero(2), P("4*x1 + 2*x2"),
+                        P("3*x1 + 3*x2")]
+    with pytest.raises(ValueError):
+        family_descriptor(d, "compact_Z")
 
 
 def test_enumerate_constants():

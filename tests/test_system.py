@@ -3,8 +3,9 @@ import random
 import pytest
 
 from enkit.errors import FormatError
-from enkit.system import (Add, EnSystem, Mul, One, add_eq, check_assignment,
-                          deserialize, mul_eq, serialize, validate)
+from enkit.oracle import check_assignment
+from enkit.system import (Add, EnSystem, Mul, One, add_eq, deserialize, mul_eq,
+                          serialize, validate)
 
 
 def test_validate_index_out_of_range():

@@ -247,10 +247,6 @@ def format_polynomial(poly: Polynomial) -> str:
     return " ".join(pieces)
 
 
-def format_equation(eq: EquationSource) -> str:
-    return f"{format_polynomial(eq.lhs)} = {format_polynomial(eq.rhs)}"
-
-
 # --------------------------------------------------------------------------
 # representation files (.rep)
 

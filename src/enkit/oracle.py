@@ -216,70 +216,44 @@ class _Propagator:
         return True
 
     def _apply(self, t, queue, trail) -> bool:
+        # One pass suffices: a slot is derived only while it is unknown, so
+        # its index differs from the two known ones and the derived value
+        # satisfies the equation by construction.
         eq = self.equations[t]
-        values = self.values
-        if isinstance(eq, One):
+        if type(eq) is One:
             return self._set(eq.i, 1, eq, queue, trail)
-        if isinstance(eq, Add):
-            i, j, k = eq
-            if i == j == k:
-                return self._set(i, 0, eq, queue, trail)
-            while True:
-                vi, vj, vk = values.get(i), values.get(j), values.get(k)
-                if vi is not None and vj is not None and vk is not None:
-                    if vi + vj != vk:
-                        self.conflict_equation = eq
-                        return False
-                    return True
-                if vi is not None and vj is not None:
-                    if not self._set(k, vi + vj, eq, queue, trail):
-                        return False
-                elif vi is not None and vk is not None:
-                    if not self._set(j, vk - vi, eq, queue, trail):
-                        return False
-                elif vj is not None and vk is not None:
-                    if not self._set(i, vk - vj, eq, queue, trail):
-                        return False
-                else:
-                    return True
-        # Mul
+        add = type(eq) is Add
         i, j, k = eq
-        while True:
-            vi, vj, vk = values.get(i), values.get(j), values.get(k)
-            if vi is not None and vj is not None and vk is not None:
-                if vi * vj != vk:
-                    self.conflict_equation = eq
-                    return False
+        if add and i == j == k:
+            return self._set(i, 0, eq, queue, trail)
+        values = self.values
+        vi, vj, vk = values.get(i), values.get(j), values.get(k)
+        if vi is not None and vj is not None:
+            result = vi + vj if add else vi * vj
+            if vk is None:
+                return self._set(k, result, eq, queue, trail)
+            if result == vk:
                 return True
-            if vi is not None and vj is not None:
-                if not self._set(k, vi * vj, eq, queue, trail):
-                    return False
-            elif vk is not None and vi is not None:
-                if vi == 0:
-                    if vk != 0:
-                        self.conflict_equation = eq
-                        return False
-                    return True  # 0 * x_j = 0: x_j stays undetermined
-                quot, rem = divmod(vk, vi)
-                if rem:
-                    self.conflict_equation = eq
-                    return False
-                if not self._set(j, quot, eq, queue, trail):
-                    return False
-            elif vk is not None and vj is not None:
-                if vj == 0:
-                    if vk != 0:
-                        self.conflict_equation = eq
-                        return False
-                    return True
-                quot, rem = divmod(vk, vj)
-                if rem:
-                    self.conflict_equation = eq
-                    return False
-                if not self._set(i, quot, eq, queue, trail):
-                    return False
+        elif vk is None:
+            return True
+        else:
+            if vi is not None:
+                known, other = vi, j
+            elif vj is not None:
+                known, other = vj, i
             else:
                 return True
+            if add:
+                return self._set(other, vk - known, eq, queue, trail)
+            if known == 0:
+                if vk == 0:
+                    return True  # 0 * x = 0: x stays undetermined
+            else:
+                quot, rem = divmod(vk, known)
+                if not rem:
+                    return self._set(other, quot, eq, queue, trail)
+        self.conflict_equation = eq
+        return False
 
     def _run(self, queue, trail) -> bool:
         while queue:
@@ -289,7 +263,12 @@ class _Propagator:
         return True
 
     def start(self, seed: dict[int, int]) -> tuple[bool, list[int]]:
-        """Seed values and scan every equation once; returns (ok, trail)."""
+        """Seed values and scan every equation once; returns (ok, trail).
+
+        Undoing the trail restores the state before the call, so one
+        propagator can be started again and again from different seeds.
+        """
+        self.conflict_equation = None
         trail: list[int] = []
         queue: list[int] = []
         for index, value in seed.items():
@@ -381,38 +360,57 @@ def solve_bounded(system: EnSystem, domain: str = DOMAIN_Z, radius: int = 8,
     ok, _ = prop.start(dict(seed or {}))
     if not ok:
         return SearchOutcome(solutions=[], exhausted=True, nodes=0)
-    lo = 0 if domain == DOMAIN_N else -radius
+    return _search(prop, radius, limits, collect_limit)
+
+
+def _search(prop: _Propagator, radius: int, limits: OracleLimits,
+            collect_limit: int | None = None) -> SearchOutcome:
+    """The search of `solve_bounded`, from the propagator's current state.
+
+    Iterative, so the depth is bounded by the variable count rather than
+    the interpreter's recursion limit.  On return the propagator holds the
+    values it held on entry.
+    """
+    lo = 0 if prop.domain == DOMAIN_N else -radius
     deadline = time.monotonic() + limits.seconds
+    values = prop.values
     solutions: list[dict[int, int]] = []
     nodes = 0
     truncated = False
-
-    def next_undetermined() -> int | None:
-        for i in range(1, system.n + 1):
-            if i not in prop.values:
-                return i
-        return None
-
-    def dfs() -> bool:
-        """Returns False when the search must stop (budget or collect cap)."""
-        nonlocal nodes, truncated
+    # One frame per open node: [branching index, next value to try, trail
+    # of the value pushed now].  Every index below a frame's branching index
+    # is determined in all of its subtrees.
+    stack: list[list] = []
+    index = 1
+    while True:
         nodes += 1
         if nodes > limits.search_nodes or time.monotonic() > deadline:
             truncated = True
-            return False
-        index = next_undetermined()
-        if index is None:
-            solutions.append(dict(prop.values))
-            return collect_limit is None or len(solutions) < collect_limit
-        for value in range(lo, radius + 1):
-            ok, trail = prop.push(index, value)
-            keep_going = dfs() if ok else True
-            prop.undo(trail)
-            if not keep_going:
-                return False
-        return True
-
-    dfs()
+            break
+        while index <= prop.n and index in values:
+            index += 1
+        if index > prop.n:
+            solutions.append(dict(values))
+            if collect_limit is not None and len(solutions) >= collect_limit:
+                break
+        else:
+            stack.append([index, lo, []])
+        while stack:  # step to the next child that propagates consistently
+            frame = stack[-1]
+            prop.undo(frame[2])
+            value = frame[1]
+            if value > radius:
+                stack.pop()
+                continue
+            frame[1] = value + 1
+            ok, frame[2] = prop.push(frame[0], value)
+            if ok:
+                index = frame[0] + 1
+                break
+        else:
+            break
+    for frame in reversed(stack):
+        prop.undo(frame[2])
     exhausted = not truncated and (
         collect_limit is None or len(solutions) < collect_limit)
     return SearchOutcome(solutions=solutions, exhausted=exhausted, nodes=nodes)
@@ -463,11 +461,11 @@ class EquivalenceReport:
 
 def _check_points(d, system, cert, points, domain, limits):
     report = EquivalenceReport(domain=domain)
+    prop = _Propagator(system, domain)
     for point in points:
         report.base_points += 1
-        value = d.eval_at(point)
-        seed = {i + 1: v for i, v in enumerate(point)}
-        if value == 0:
+        root = d.eval_at(point) == 0
+        if root:
             report.base_roots.append(point)
             lifted = lift(cert, point)
             result = check_assignment(system, lifted, domain)
@@ -482,45 +480,40 @@ def _check_points(d, system, cert, points, domain, limits):
                 report.failures.append(f"lift of {point} {problem}")
                 continue
             report.system_solutions += 1
-            outcome = propagate(system, seed, domain)
-            if isinstance(outcome, Solved):
-                if outcome.values != lifted:
-                    report.unique_extension = False
-                    report.failures.append(
-                        f"propagation from {point} disagrees with the lift")
-            elif isinstance(outcome, Stuck):
-                report.unique_extension = False
-                report.stuck_roots += 1
-            else:
+        ok, trail = prop.start({i + 1: v for i, v in enumerate(point)})
+        undetermined = prop.n - len(prop.values)
+        if root:
+            if not ok:
                 report.unique_extension = False
                 report.failures.append(
                     f"propagation from root {point} hit a contradiction "
-                    f"on {outcome.equation}")
+                    f"on {prop.conflict_equation}")
+            elif undetermined:
+                report.unique_extension = False
+                report.stuck_roots += 1
+            elif prop.values != lifted:
+                report.unique_extension = False
+                report.failures.append(
+                    f"propagation from {point} disagrees with the lift")
+        elif not ok:
+            report.refuted_by_propagation += 1
+        elif not undetermined:
+            report.spurious.append(point)
+            report.failures.append(f"non-root {point} extends to a solution")
+        elif (2 * limits.residual_radius + 1) ** undetermined > limits.points:
+            report.inconclusive.append(point)
         else:
-            outcome = propagate(system, seed, domain)
-            if isinstance(outcome, Conflict):
-                report.refuted_by_propagation += 1
-            elif isinstance(outcome, Solved):
+            found = _search(prop, limits.residual_radius, limits,
+                            collect_limit=1)
+            if found.solutions:
                 report.spurious.append(point)
                 report.failures.append(
                     f"non-root {point} extends to a solution")
+            elif found.exhausted:
+                report.refuted_by_search += 1
             else:
-                undetermined = outcome.undetermined
-                space = (2 * limits.residual_radius + 1) ** len(undetermined)
-                if space > limits.points:
-                    report.inconclusive.append(point)
-                    continue
-                found = solve_bounded(
-                    system, domain, limits.residual_radius, seed=seed,
-                    limits=limits, collect_limit=1)
-                if found.solutions:
-                    report.spurious.append(point)
-                    report.failures.append(
-                        f"non-root {point} extends to a solution")
-                elif found.exhausted:
-                    report.refuted_by_search += 1
-                else:
-                    report.inconclusive.append(point)
+                report.inconclusive.append(point)
+        prop.undo(trail)
     return report
 
 
@@ -622,13 +615,14 @@ def verify_pinning(assembled, expected: int, *, box_radius: int = 2,
     if domain is None:
         domain = DOMAIN_N if assembled.mode == "N" else DOMAIN_Z
     report = PinningReport(n=n, expected=expected)
-    outcome = propagate(system, {}, domain)
-    if isinstance(outcome, Conflict):
+    prop = _Propagator(system, domain)
+    ok, _ = prop.start({})
+    if not ok:
         report.consistent_propagation = False
         return report
-    values = outcome.values
+    values = prop.values
     report.x2_forced = values.get(2) == n
-    if isinstance(outcome, Solved):
+    if len(values) == system.n:
         report.propagation_complete = True
         report.solutions_found = 1
         if values[1] != expected:
@@ -637,12 +631,11 @@ def verify_pinning(assembled, expected: int, *, box_radius: int = 2,
         cert = getattr(assembled, "certificate", None)
         if cert is not None:
             solutions = _pinned_solutions_via_cert(
-                assembled, values, box_radius, domain, limits)
+                assembled, prop, box_radius, limits)
             report.solutions_found = len(solutions)
             report.offending = [s for s in solutions if s[1] != expected]
         else:
-            found = solve_bounded(system, domain, box_radius, seed={},
-                                  limits=limits)
+            found = _search(prop, box_radius, limits)
             report.search_exhausted = found.exhausted
             report.solutions_found = len(found.solutions)
             report.offending = [
@@ -657,7 +650,7 @@ def verify_pinning(assembled, expected: int, *, box_radius: int = 2,
     return report
 
 
-def _pinned_solutions_via_cert(assembled, forced, box_radius, domain, limits):
+def _pinned_solutions_via_cert(assembled, prop, box_radius, limits):
     """Enumerate bounded solutions through the certificate.
 
     Chain equations hold under any lift by construction, so a bounded
@@ -666,34 +659,26 @@ def _pinned_solutions_via_cert(assembled, forced, box_radius, domain, limits):
     propagation already forced.
     """
     cert = assembled.certificate
-    anchor = anchor_polynomial(cert)
+    domain = prop.domain
+    forced = prop.values
     fixed = {i: forced[i] for i in range(1, cert.p + 1) if i in forced}
     free = [i for i in range(1, cert.p + 1) if i not in forced]
     if not free:
         # All base variables forced yet propagation stalled elsewhere; the
         # generic search handles this (it should not happen for our chains).
-        found = solve_bounded(assembled.system, domain, box_radius, seed={},
-                              limits=limits)
+        found = _search(prop, box_radius, limits)
         if not found.exhausted:
             raise SearchLimit("pinning search truncated")
         return found.solutions
-    residual = anchor.substituted(fixed)
-    bounds = []
-    for i in free:
-        lo = 0 if domain == DOMAIN_N else -box_radius
-        bounds.append((lo, box_radius))
-    # Roots of the residual polynomial in the free variables.
-    terms = residual.sorted_terms()
-    exps_full = tuple(e for e, _ in terms)
-    coeffs = tuple(c for _, c in terms)
-    free_positions = [i - 1 for i in free]
-    exps = tuple(tuple(e[pos] for pos in free_positions) for e in exps_full)
-    lows = tuple(lo for lo, _ in bounds)
-    highs = tuple(hi for _, hi in bounds)
-    count = prod(hi - lo + 1 for lo, hi in bounds)
-    if count > limits.points:
-        raise BoxTooLarge(f"pinning search needs {count} points")
-    roots = kernels.grid_roots(exps, coeffs, lows, highs)
+    if box_radius < 0:
+        return []  # the box is empty; Box rejects empty intervals
+    residual = anchor_polynomial(cert).substituted(fixed)
+    # The same polynomial in the free base variables alone.
+    residual = Polynomial(len(free), {
+        tuple(exps[i - 1] for i in free): coeff
+        for exps, coeff in residual.terms.items()})
+    roots = enumerate_roots(residual, Box.cube(len(free), box_radius),
+                            domain, limits.points)
     solutions = []
     for root in roots:
         base = dict(fixed)

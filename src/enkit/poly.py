@@ -12,7 +12,7 @@ tables is graded lexicographic, highest term first.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .errors import DimensionMismatch
 
@@ -102,9 +102,6 @@ class Polynomial:
 
     def max_abs_coeff(self) -> int:
         return max((abs(c) for c in self.terms.values()), default=0)
-
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
 
     # -- evaluation --------------------------------------------------------
 
@@ -236,10 +233,3 @@ def _aligned(a: Polynomial, b: Polynomial) -> tuple[Polynomial, Polynomial]:
     if a.arity < b.arity:
         return a.extended(b.arity), b
     return a, b.extended(a.arity)
-
-
-def align(polys: Iterable[Polynomial]) -> list[Polynomial]:
-    """Embed all polynomials into the largest ambient arity present."""
-    polys = list(polys)
-    arity = max((p.arity for p in polys), default=0)
-    return [p.extended(arity) for p in polys]

@@ -536,22 +536,8 @@ def build_reduction(d: Polynomial, mode: str, cap: int = DEFAULT_FAMILY_CAP,
 # --------------------------------------------------------------------------
 # the four-square master polynomial
 
-_QUAD_NAMES = ("a", "b", "c", "d", "alpha", "beta", "gamma", "delta")
-
-
 def master_arity(r: int) -> int:
     return r + 8 + 4 * (r - 2)
-
-
-def master_labels(r: int) -> dict[int, str]:
-    """Human-readable names for the master polynomial's variables."""
-    labels = {i: f"x{i}" for i in range(1, r + 1)}
-    for offset, name in enumerate(_QUAD_NAMES):
-        labels[r + offset + 1] = name
-    for i in range(3, r + 1):
-        for j in range(1, 5):
-            labels[r + 8 + 4 * (i - 3) + j] = f"x{i}_{j}"
-    return labels
 
 
 def build_master_z(w: Polynomial) -> Polynomial:

@@ -103,9 +103,6 @@ class EnSystem:
     def __len__(self) -> int:
         return len(self.equations)
 
-    def with_names(self, names: Mapping[int, str]) -> "EnSystem":
-        return EnSystem(self.n, self.equations, names)
-
 
 def validate(system: EnSystem) -> list[str]:
     """Return a list of invariant violations (empty means ok)."""
@@ -147,10 +144,6 @@ def serialize(system: EnSystem) -> str:
         else:
             lines.append(f"MUL {eq.i} {eq.j} {eq.k}")
     return "\n".join(lines) + "\n"
-
-
-def serialize_bytes(system: EnSystem) -> bytes:
-    return serialize(system).encode("ascii")
 
 
 def _parse_indices(parts: list[str], count: int, line_no: int) -> list[int]:

@@ -11,6 +11,7 @@ from enkit.cli import main
 from enkit.eqio import parse_equation
 from enkit.pipeline import master_witness
 from enkit.reductions import build_reduction
+from enkit.system import EnSystem, One, serialize
 
 SRC = str(Path(enkit.__file__).resolve().parents[1])
 
@@ -217,6 +218,18 @@ def test_verify_pin_bare_system_runs(workdir):
     # asking for a witness without the certificate is a usage error
     assert main(["verify-pin", "--system", "bare.ens", "--expected", "10",
                  "--ring", "n", "--witness", "10,10"]) == 2
+
+
+@pytest.mark.parametrize("command, code, out", [
+    (["solve"], 0, "SOLUTION 1" + " 0" * 1299 + "\ncount 1\n"),
+    (["verify-pin", "--expected", "1"], 1, "solutions 1 offending 0\nFAIL\n"),
+], ids=["solve", "verify-pin"])
+def test_search_deeper_than_recursion_limit(workdir, command, code, out):
+    # 1299 variables left to branch on, one level each
+    write(workdir / "wide.ens", serialize(EnSystem(1300, [One(1)])))
+    result = run_cli([], *command, "--system", "wide.ens", "--ring", "n",
+                     "--radius", "0")
+    assert (result.returncode, result.stdout, result.stderr) == (code, out, "")
 
 
 def test_verify_equiv_parallel_jobs(workdir):

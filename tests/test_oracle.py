@@ -4,12 +4,12 @@ import pytest
 
 from enkit.eqio import parse_polynomial
 from enkit.errors import BoxTooLarge, DimensionMismatch
-from enkit.oracle import (Box, Conflict, OracleLimits, Solved, Stuck,
-                          anchor_polynomial, check_equivalence,
+from enkit.oracle import (Box, Conflict, EquivalenceReport, OracleLimits,
+                          Solved, Stuck, anchor_polynomial, check_equivalence,
                           enumerate_roots, foursquare_decompose, lift,
                           propagate, solve_bounded)
 from enkit.reductions import (build_compact_n, build_compact_z, build_full_n,
-                              build_full_z, build_halved_z)
+                              build_full_z, build_halved_z, parse_certificate)
 from enkit.system import Add, EnSystem, Mul, One, add_eq, mul_eq
 
 
@@ -226,6 +226,22 @@ def test_equivalence_parallel_matches_serial():
     assert parallel.base_roots == serial.base_roots
     assert parallel.system_solutions == serial.system_solutions
     assert parallel.passed == serial.passed
+
+
+def test_equivalence_points_leave_no_state_behind():
+    # x2 * x2 = x1 with the lift x2 := 0: the root 0 stays stuck, 1 extends
+    # to the spurious solution x2 = -1, and the other points need the search.
+    d = P("x1")
+    system = EnSystem(2, [Mul(2, 2, 1)])
+    cert = parse_certificate("CERT 1\nmode compact_Z\np 1\nn 2\n"
+                             "2 0\nANCHOR q 1\n")
+    whole = check_equivalence(d, system, cert, Box.cube(1, 3), "Z")
+    assert whole.stuck_roots == 1 and whole.spurious == [(1,)]
+    assert whole.refuted_by_search == 5
+    merged = EquivalenceReport(domain="Z")
+    for v in range(-3, 4):
+        merged.merge(check_equivalence(d, system, cert, Box(((v, v),)), "Z"))
+    assert vars(whole) == vars(merged)
 
 
 # --------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from .reductions import (FamilyDescriptor, ReductionCertificate,
                          build_full_z, build_halved_z, build_master_z,
                          build_reduction, enumerate_t, family_descriptor,
                          validate_certificate)
-from .system import (DOMAIN_N, DOMAIN_Z, Add, EnSystem, Mul, One, add_eq,
-                     deserialize, mul_eq, one_eq, serialize, validate)
+from .system import (DOMAIN_N, DOMAIN_Z, Add, EnSystem, Mul, One,
+                     deserialize, serialize, validate)
 
 __version__ = "0.1.0"

@@ -8,8 +8,10 @@ Grammar (LL(1), whitespace between tokens ignored):
     base       := INT | VAR | '(' expression ')'
 
 INT is an unsigned decimal literal, VAR is `x` followed by a 1-based decimal
-index.  Implicit multiplication is not allowed.  Exponents are capped at
-2**31 - 1; anything larger would produce reductions of absurd size anyway.
+index of at most 1000.  Implicit multiplication is not allowed.  Exponents
+are capped at 2**31 - 1; anything larger would produce reductions of absurd
+size anyway.  The parser builds each polynomial as it goes, at the declared
+arity or the largest index in the text, whichever is larger.
 """
 
 from __future__ import annotations
@@ -20,6 +22,9 @@ from .errors import FormatError, ParseError
 from .poly import Polynomial
 
 MAX_EXPONENT = 2**31 - 1
+# A polynomial in x1..xk stores k exponents per term and the compact chains
+# grow quadratically in k, so one mistyped index could exhaust memory.
+MAX_VARIABLE = 1000
 
 _OPS = frozenset("+-*^()=")
 
@@ -71,6 +76,9 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
             index = int(text[start + 1:i])
             if index < 1:
                 raise ParseError(f"variable index must be >= 1, got x{index}", start)
+            if index > MAX_VARIABLE:
+                raise ParseError(
+                    f"variable index x{index} exceeds {MAX_VARIABLE}", start)
             tokens.append(("var", index, start))
         elif ch in _OPS:
             tokens.append(("op", ch, start))
@@ -82,11 +90,19 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
 
 
 class _Parser:
-    def __init__(self, text: str):
-        self.text = text
+    """Recursive descent building polynomials at one arity: the declared
+    one, raised to the largest variable index among the tokens."""
+
+    def __init__(self, text: str, arity: int | None):
         self.tokens = _tokenize(text)
         self.pos = 0
-        self.max_var = 0
+        self.declared = arity
+        self.largest = max(
+            (value for kind, value, _ in self.tokens if kind == "var"),
+            default=0)
+        self.arity = self.largest if arity is None else max(arity, self.largest)
+        if self.peek()[0] == "end":
+            raise ParseError("empty input", 0)
 
     def peek(self):
         return self.tokens[self.pos]
@@ -102,39 +118,45 @@ class _Parser:
             raise ParseError(f"expected {op!r}", offset)
         return self.advance()
 
-    # Nodes are tuples: ("int", v) ("var", i) ("neg", a)
-    # ("add"/"sub"/"mul", a, b) ("pow", a, k)
+    def finish(self):
+        """Reject trailing input, then an index beyond the declared arity."""
+        kind, _, offset = self.peek()
+        if kind != "end":
+            raise ParseError("trailing input", offset)
+        if self.declared is not None and self.largest > self.declared:
+            raise ParseError(
+                f"variable x{self.largest} exceeds declared arity {self.declared}")
 
-    def expression(self):
+    def expression(self) -> Polynomial:
         kind, value, _ = self.peek()
         negate = False
         if kind == "op" and value in "+-":
             negate = value == "-"
             self.advance()
-        node = self.term()
+        poly = self.term()
         if negate:
-            node = ("neg", node)
+            poly = -poly
         while True:
             kind, value, _ = self.peek()
             if kind == "op" and value in "+-":
                 self.advance()
                 rhs = self.term()
-                node = ("add" if value == "+" else "sub", node, rhs)
+                poly = poly + rhs if value == "+" else poly - rhs
             else:
-                return node
+                return poly
 
-    def term(self):
-        node = self.factor()
+    def term(self) -> Polynomial:
+        poly = self.factor()
         while True:
             kind, value, _ = self.peek()
             if kind == "op" and value == "*":
                 self.advance()
-                node = ("mul", node, self.factor())
+                poly = poly * self.factor()
             else:
-                return node
+                return poly
 
-    def factor(self):
-        node = self.base()
+    def factor(self) -> Polynomial:
+        poly = self.base()
         kind, value, offset = self.peek()
         if kind == "op" and value == "^":
             self.advance()
@@ -144,40 +166,20 @@ class _Parser:
             if value > MAX_EXPONENT:
                 raise ParseError(f"exponent {value} exceeds {MAX_EXPONENT}", offset)
             self.advance()
-            node = ("pow", node, value)
-        return node
+            poly = poly ** value
+        return poly
 
-    def base(self):
+    def base(self) -> Polynomial:
         kind, value, offset = self.advance()
         if kind == "int":
-            return ("int", value)
+            return Polynomial.constant(self.arity, value)
         if kind == "var":
-            self.max_var = max(self.max_var, value)
-            return ("var", value)
+            return Polynomial.variable(self.arity, value)
         if kind == "op" and value == "(":
-            node = self.expression()
+            poly = self.expression()
             self.expect_op(")")
-            return node
+            return poly
         raise ParseError("syntax error", offset)
-
-
-def _build(node, arity: int) -> Polynomial:
-    op = node[0]
-    if op == "int":
-        return Polynomial.constant(arity, node[1])
-    if op == "var":
-        return Polynomial.variable(arity, node[1])
-    if op == "neg":
-        return -_build(node[1], arity)
-    if op == "pow":
-        return _build(node[1], arity) ** node[2]
-    a = _build(node[1], arity)
-    b = _build(node[2], arity)
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    return a * b
 
 
 # --------------------------------------------------------------------------
@@ -185,42 +187,22 @@ def _build(node, arity: int) -> Polynomial:
 
 def parse_polynomial(text: str, arity: int | None = None) -> Polynomial:
     """Parse a polynomial; `arity` defaults to the largest index mentioned."""
-    parser = _Parser(text)
-    if parser.peek()[0] == "end":
-        raise ParseError("empty input", 0)
-    node = parser.expression()
-    kind, _, offset = parser.peek()
-    if kind != "end":
-        raise ParseError("trailing input", offset)
-    if arity is None:
-        arity = parser.max_var
-    elif parser.max_var > arity:
-        raise ParseError(
-            f"variable x{parser.max_var} exceeds declared arity {arity}")
-    return _build(node, arity)
+    parser = _Parser(text, arity)
+    poly = parser.expression()
+    parser.finish()
+    return poly
 
 
 def parse_equation(text: str, arity: int | None = None) -> EquationSource:
     """Parse `P = Q`; the normalized polynomial is P - Q."""
-    parser = _Parser(text)
-    if parser.peek()[0] == "end":
-        raise ParseError("empty input", 0)
-    lhs_node = parser.expression()
+    parser = _Parser(text, arity)
+    lhs = parser.expression()
     kind, value, offset = parser.peek()
     if kind != "op" or value != "=":
         raise ParseError("missing equals sign", offset)
     parser.advance()
-    rhs_node = parser.expression()
-    kind, _, offset = parser.peek()
-    if kind != "end":
-        raise ParseError("trailing input", offset)
-    if arity is None:
-        arity = parser.max_var
-    elif parser.max_var > arity:
-        raise ParseError(
-            f"variable x{parser.max_var} exceeds declared arity {arity}")
-    lhs = _build(lhs_node, arity)
-    rhs = _build(rhs_node, arity)
+    rhs = parser.expression()
+    parser.finish()
     return EquationSource(lhs=lhs, rhs=rhs, normalized=lhs - rhs)
 
 

@@ -356,6 +356,8 @@ def solve_bounded(system: EnSystem, domain: str = DOMAIN_Z, radius: int = 8,
     first, over [-radius, radius] (clamped to N for that domain); values
     that propagation derives are not constrained by the radius.
     """
+    if radius < 0:
+        raise ValueError(f"radius must be non-negative, got {radius}")
     prop = _Propagator(system, domain)
     ok, _ = prop.start(dict(seed or {}))
     if not ok:
@@ -610,6 +612,8 @@ def verify_pinning(assembled, expected: int, *, box_radius: int = 2,
     box_radius through the certificate, which maps the search to root
     enumeration of the anchored polynomial.
     """
+    if box_radius < 0:
+        raise ValueError(f"radius must be non-negative, got {box_radius}")
     system = assembled.system
     n = assembled.n
     if domain is None:
@@ -670,8 +674,6 @@ def _pinned_solutions_via_cert(assembled, prop, box_radius, limits):
         if not found.exhausted:
             raise SearchLimit("pinning search truncated")
         return found.solutions
-    if box_radius < 0:
-        return []  # the box is empty; Box rejects empty intervals
     residual = anchor_polynomial(cert).substituted(fixed)
     # The same polynomial in the free base variables alone.
     residual = Polynomial(len(free), {

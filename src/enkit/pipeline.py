@@ -20,7 +20,7 @@ from .reductions import (DEFAULT_FAMILY_CAP, DEFAULT_PAIR_CAP,
                          ReductionCertificate, build_compact_n,
                          build_compact_z, build_full_n, build_full_z,
                          build_master_z)
-from .system import EnSystem, add_eq, one_eq
+from .system import Add, EnSystem, One
 
 MODE_Z = "Z"
 MODE_N = "N"
@@ -123,16 +123,16 @@ def assemble(psi: PsiSystem, n: int) -> AssembledSystem:
     assert y_index == n, "variable layout must use exactly n indices"
 
     equations = list(psi.system.equations)
-    equations.extend(one_eq(z) for z in padding)
-    equations.append(one_eq(t_chain[0]))
+    equations.extend(One(z) for z in padding)
+    equations.append(One(t_chain[0]))
     for k in range(half - 1):
-        equations.append(add_eq(t_chain[k], t_chain[0], t_chain[k + 1]))
-    equations.append(add_eq(t_chain[-1], t_chain[-1], w_index))
-    equations.append(add_eq(w_index, y_index, 2))
+        equations.append(Add(t_chain[k], t_chain[0], t_chain[k + 1]))
+    equations.append(Add(t_chain[-1], t_chain[-1], w_index))
+    equations.append(Add(w_index, y_index, 2))
     if n % 2 == 0:
-        equations.append(add_eq(y_index, y_index, y_index))
+        equations.append(Add(y_index, y_index, y_index))
     else:
-        equations.append(one_eq(y_index))
+        equations.append(One(y_index))
 
     layout = {i: f"x{i}" for i in range(1, s + 1)}
     layout.update({z: f"z{t + 1}" for t, z in enumerate(padding)})
@@ -163,10 +163,8 @@ def master_witness(root, r: int) -> tuple[int, ...]:
     if any(v < 0 for v in root):
         raise ValueError("representation roots live in N")
     out = list(root)
-    out.extend(foursquare_decompose(root[0]))
-    out.extend(foursquare_decompose(root[1]))
-    for i in range(2, r):
-        out.extend(foursquare_decompose(root[i]))
+    for value in root:
+        out.extend(foursquare_decompose(value))
     return tuple(out)
 
 

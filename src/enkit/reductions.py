@@ -26,7 +26,7 @@ from .eqio import format_polynomial, parse_polynomial
 from .errors import (CertificateMismatch, FamilyTooLarge, FormatError,
                      UnusedVariable, ZeroPolynomial)
 from .poly import Exponents, Polynomial
-from .system import EnEquation, EnSystem, add_eq, mul_eq, one_eq
+from .system import Add, EnEquation, EnSystem, Mul, One
 
 DEFAULT_FAMILY_CAP = 10**6
 # Building the identity family is quadratic in the member count; past this
@@ -252,23 +252,23 @@ class _ChainBuilder:
         return index
 
     def one(self) -> int:
-        return self._node(Polynomial.constant(self.p, 1), one_eq)
+        return self._node(Polynomial.constant(self.p, 1), One)
 
     def zero(self) -> int:
-        return self._node(Polynomial.zero(self.p), lambda s: add_eq(s, s, s))
+        return self._node(Polynomial.zero(self.p), lambda s: Add(s, s, s))
 
     def add(self, a: int, b: int) -> int:
         poly = self.poly_of(a) + self.poly_of(b)
-        return self._node(poly, lambda s: add_eq(a, b, s))
+        return self._node(poly, lambda s: Add(a, b, s))
 
     def sub(self, a: int, b: int) -> int:
         """Node for poly(a) - poly(b), via reversed addition s + b = a."""
         poly = self.poly_of(a) - self.poly_of(b)
-        return self._node(poly, lambda s: add_eq(s, b, a))
+        return self._node(poly, lambda s: Add(s, b, a))
 
     def mul(self, a: int, b: int) -> int:
         poly = self.poly_of(a) * self.poly_of(b)
-        return self._node(poly, lambda s: mul_eq(a, b, s))
+        return self._node(poly, lambda s: Mul(a, b, s))
 
     def constant(self, value: int) -> int:
         """Node for a positive constant, by binary doubling and summing."""
@@ -333,7 +333,7 @@ def build_compact_z(d: Polynomial) -> tuple[EnSystem, ReductionCertificate]:
         raise ZeroPolynomial("compact reduction needs a nonzero polynomial")
     builder = _ChainBuilder(d.arity)
     q = builder.accumulate(d)
-    equations = builder.equations + [add_eq(q, q, q)]
+    equations = builder.equations + [Add(q, q, q)]
     system = EnSystem(builder.n, equations)
     cert = ReductionCertificate(
         mode="compact_Z", p=d.arity, n=builder.n, defs=builder.defs,
@@ -364,7 +364,7 @@ def build_compact_n(d: Polynomial) -> tuple[EnSystem, ReductionCertificate]:
     zero = builder.zero()
     u_pos = zero if pos.is_zero() else builder.accumulate(pos)
     u_neg = zero if neg.is_zero() else builder.accumulate(neg)
-    equations = builder.equations + [add_eq(zero, u_neg, u_pos)]
+    equations = builder.equations + [Add(zero, u_neg, u_pos)]
     system = EnSystem(builder.n, equations)
     cert = ReductionCertificate(
         mode="compact_N", p=d.arity, n=builder.n, defs=builder.defs,
@@ -424,14 +424,14 @@ def _family_system(desc: FamilyDescriptor, *, pinned: list[Polynomial],
 
     one_poly = Polynomial.constant(desc.p, 1)
     equations: list[EnEquation] = [
-        one_eq(assigned[rank]) for rank in range(card)
+        One(assigned[rank]) for rank in range(card)
         if members[rank] == one_poly]
     adds, muls = kernels.family_join(
         vectors, desc.coeff_lo, desc.coeff_hi, basis)
     equations.extend(
-        add_eq(assigned[a], assigned[b], assigned[c]) for a, b, c in adds)
+        Add(assigned[a], assigned[b], assigned[c]) for a, b, c in adds)
     equations.extend(
-        mul_eq(assigned[a], assigned[b], assigned[c]) for a, b, c in muls)
+        Mul(assigned[a], assigned[b], assigned[c]) for a, b, c in muls)
 
     defs = {assigned[rank]: members[rank] for rank in range(card)
             if assigned[rank] > desc.p}
@@ -487,11 +487,11 @@ def _build_full(d: Polynomial, mode: str, cap: int, pair_cap: int):
     nodes = [index_of[poly.key()] for poly in anchored]
     if mode == "full_N":
         zero, a, b = nodes
-        equations.append(add_eq(zero, a, b))
+        equations.append(Add(zero, a, b))
         anchor = {"anchor_zero": zero, "anchor_a": a, "anchor_b": b}
     else:
         (q,) = nodes
-        equations.append(add_eq(q, q, q))
+        equations.append(Add(q, q, q))
         anchor = {"anchor_q": q}
     system = EnSystem(desc.cardinality(), equations)
     cert = ReductionCertificate(
@@ -537,15 +537,15 @@ def build_reduction(d: Polynomial, mode: str, cap: int = DEFAULT_FAMILY_CAP,
 # the four-square master polynomial
 
 def master_arity(r: int) -> int:
-    return r + 8 + 4 * (r - 2)
+    return 5 * r
 
 
 def build_master_z(w: Polynomial) -> Polynomial:
     """Sum-of-squares polynomial whose integer roots are exactly the points
     where W vanishes and every x_i is a sum of four squares (hence >= 0).
 
-    Variable order: x1..xr, then a b c d (for x1), alpha..delta (for x2),
-    then four fresh variables per existential x3..xr.
+    Variable order: x1..xr, then four fresh variables per x_i in order of
+    i, so x_i's quad is x_{r+4(i-1)+1}..x_{r+4i}.
     """
     r = w.arity
     if r < 2:
@@ -554,15 +554,8 @@ def build_master_z(w: Polynomial) -> Polynomial:
     w_ext = w.extended(total)
     master = w_ext * w_ext
     for i in range(1, r + 1):
-        if i == 1:
-            quad = range(r + 1, r + 5)
-        elif i == 2:
-            quad = range(r + 5, r + 9)
-        else:
-            start = r + 8 + 4 * (i - 3) + 1
-            quad = range(start, start + 4)
         gap = Polynomial.variable(total, i)
-        for index in quad:
+        for index in range(r + 4 * (i - 1) + 1, r + 4 * i + 1):
             v = Polynomial.variable(total, index)
             gap = gap - v * v
         master = master + gap * gap

@@ -1,9 +1,10 @@
 """The target language: systems of x_i=1, x_i+x_j=x_k, x_i*x_j=x_k equations.
 
 Equations are value objects with 1-based variable indices.  Addition and
-multiplication are commutative, so Add/Mul constructors canonicalize to
-i <= j; the serialized form is consequently unique and systems written by
-deterministic builders are byte-identical across runs.
+multiplication are commutative, so the Add and Mul constructors store
+i <= j, and an equation's kind is part of its identity (Add(1, 1, 2) is not
+Mul(1, 1, 2)).  The serialized form is consequently unique and systems
+written by deterministic builders are byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -20,43 +21,42 @@ class One(NamedTuple):
     i: int
 
 
-class Add(NamedTuple):
+class _Fields(NamedTuple):
     i: int
     j: int
     k: int
 
 
-class Mul(NamedTuple):
-    i: int
-    j: int
-    k: int
+class _Commutative:
+    """Add and Mul: stored with i <= j, and equal only to their own kind."""
+
+    __slots__ = ()
+
+    def __new__(cls, i: int, j: int, k: int):
+        return tuple.__new__(cls, (i, j, k) if i <= j else (j, i, k))
+
+    def __eq__(self, other) -> bool:
+        return type(self) is type(other) and tuple.__eq__(self, other)
+
+    def __ne__(self, other) -> bool:
+        return type(self) is not type(other) or tuple.__ne__(self, other)
+
+    __hash__ = tuple.__hash__
+
+
+class Add(_Commutative, _Fields):
+    """x_i + x_j = x_k."""
+
+    __slots__ = ()
+
+
+class Mul(_Commutative, _Fields):
+    """x_i * x_j = x_k."""
+
+    __slots__ = ()
 
 
 EnEquation = One | Add | Mul
-
-
-def one_eq(i: int) -> One:
-    return One(i)
-
-
-def add_eq(i: int, j: int, k: int) -> Add:
-    """x_i + x_j = x_k, stored with i <= j."""
-    return Add(i, j, k) if i <= j else Add(j, i, k)
-
-
-def mul_eq(i: int, j: int, k: int) -> Mul:
-    """x_i * x_j = x_k, stored with i <= j."""
-    return Mul(i, j, k) if i <= j else Mul(j, i, k)
-
-
-def _canonical(eq: EnEquation) -> EnEquation:
-    if isinstance(eq, One):
-        return eq
-    if isinstance(eq, Add):
-        return add_eq(*eq)
-    if isinstance(eq, Mul):
-        return mul_eq(*eq)
-    raise TypeError(f"not an E_n equation: {eq!r}")
 
 
 def format_eq(eq: EnEquation) -> str:
@@ -76,15 +76,8 @@ class EnSystem:
                  names: Mapping[int, str] | None = None):
         if n < 0:
             raise ValueError("variable count must be non-negative")
-        seen = set()
-        ordered = []
-        for eq in equations:
-            eq = _canonical(eq)
-            if eq not in seen:
-                seen.add(eq)
-                ordered.append(eq)
         self.n = n
-        self.equations = tuple(ordered)
+        self.equations = tuple(dict.fromkeys(equations))
         self.names = dict(names) if names else {}
 
     def __eq__(self, other) -> bool:
@@ -121,11 +114,9 @@ def validate(system: EnSystem) -> list[str]:
 # --------------------------------------------------------------------------
 # serialization (.ens)
 
-_KIND_ORDER = {One: 0, Add: 1, Mul: 2}
-
-
-def sorted_equations(system: EnSystem) -> list[EnEquation]:
-    return sorted(system.equations, key=lambda eq: (_KIND_ORDER[type(eq)], eq))
+_TAGS = {One: "ONE", Add: "ADD", Mul: "MUL"}
+# tag -> (kind, index count)
+_KINDS = {tag: (kind, len(kind._fields)) for kind, tag in _TAGS.items()}
 
 
 def serialize(system: EnSystem) -> str:
@@ -136,13 +127,14 @@ def serialize(system: EnSystem) -> str:
         if not label or any(ch.isspace() for ch in label):
             raise FormatError(f"bad label {label!r} for index {index}")
         lines.append(f"# name {index} {label}")
-    for eq in sorted_equations(system):
-        if isinstance(eq, One):
-            lines.append(f"ONE {eq.i}")
-        elif isinstance(eq, Add):
-            lines.append(f"ADD {eq.i} {eq.j} {eq.k}")
-        else:
-            lines.append(f"MUL {eq.i} {eq.j} {eq.k}")
+    # One kind at a time, so sorting compares plain int tuples and never
+    # calls the kinds' Python-level __eq__.
+    by_kind = {kind: [] for kind in _TAGS}
+    for eq in system.equations:
+        by_kind[type(eq)].append(eq)
+    for kind, tag in _TAGS.items():
+        line = tag + " %d" * len(kind._fields)
+        lines.extend(line % eq for eq in sorted(by_kind[kind]))
     return "\n".join(lines) + "\n"
 
 
@@ -182,15 +174,9 @@ def deserialize(text: str | bytes) -> EnSystem:
             if n is not None:
                 raise FormatError(f"line {line_no}: duplicate 'n' header")
             (n,) = _parse_indices(parts[1:], 1, line_no)
-        elif head == "ONE":
-            (i,) = _parse_indices(parts[1:], 1, line_no)
-            equations.append(One(i))
-        elif head == "ADD":
-            i, j, k = _parse_indices(parts[1:], 3, line_no)
-            equations.append(add_eq(i, j, k))
-        elif head == "MUL":
-            i, j, k = _parse_indices(parts[1:], 3, line_no)
-            equations.append(mul_eq(i, j, k))
+        elif head in _KINDS:
+            kind, count = _KINDS[head]
+            equations.append(kind(*_parse_indices(parts[1:], count, line_no)))
         else:
             raise FormatError(f"line {line_no}: unknown directive {head!r}")
         if head != "n" and n is None:

@@ -4,11 +4,14 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines.  Every tolerance and runtime budget is asserted here, not deferred.
 """
 
+import os
 import random
 import subprocess
 import sys
 import time
+from pathlib import Path
 
+import enkit
 from enkit.eqio import FnRepresentation, format_rep, parse_polynomial, parse_rep
 from enkit.oracle import (Box, Solved, Stuck, check_equivalence, foursquare_decompose,
                           propagate, verify_pinning)
@@ -297,8 +300,12 @@ def test_criterion_10_serialization_roundtrips():
               "from enkit.eqio import parse_polynomial; "
               "sys.stdout.write(serialize(build_full_n("
               "parse_polynomial('x1 - x2'))[0]))")
+    # the child imports the same enkit as this test, installed or not
+    src = str(Path(enkit.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     outputs = {subprocess.run([sys.executable, "-c", script],
-                              capture_output=True, check=True).stdout
+                              capture_output=True, check=True,
+                              env=dict(os.environ, PYTHONPATH=path)).stdout
                for _ in range(2)}
     assert len(outputs) == 1
     passed(10, "serialization of .ens/.cert/.rep byte-identical across "

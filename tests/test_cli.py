@@ -9,7 +9,7 @@ import pytest
 import enkit
 from enkit.cli import main
 from enkit.eqio import parse_equation
-from enkit.pipeline import master_witness
+from enkit.pipeline import master_witness, parse_layout
 from enkit.reductions import build_reduction
 from enkit.system import EnSystem, One, serialize
 
@@ -143,6 +143,24 @@ def test_fn_system_and_verify_pin(workdir, capsys):
     assert code == 1
 
 
+def test_verify_pin_rejects_scaffold_with_mul_for_add(workdir, capsys):
+    write(workdir / "id.rep", IDENTITY_REP)
+    assert main(["fn-system", "--rep", "id.rep", "--ring", "n", "--n", "40",
+                 "--out", "sys"]) == 0
+    labels = {label: index for index, label in
+              parse_layout((workdir / "sys.layout").read_text())[3].items()}
+    t1, t2 = labels["t1"], labels["t2"]
+    # With t1 * t1 = t2 the t-chain is 1, 1, 2, ... and the system pins
+    # x1 = x2 = 38; the layout's scaffold no longer matches.
+    tamper(workdir / "sys.ens", f"\nADD {t1} {t1} {t2}\n",
+           f"\nMUL {t1} {t1} {t2}\n", workdir / "bad.ens")
+    capsys.readouterr()
+    assert main(["verify-pin", "--system", "bad.ens", "--cert", "sys.cert",
+                 "--layout", "sys.layout", "--expected", "40", "--ring", "n",
+                 "--witness", "40,40"]) == 2
+    assert "does not match the layout's scaffold" in capsys.readouterr().err
+
+
 def test_verify_equiv_pass_and_fail(workdir, capsys):
     assert main(["reduce", "--ring", "z", "x1 = x2", "--out", "cz"]) == 0
     code = main(["verify-equiv", "--equation", "x1 = x2", "--system",
@@ -167,6 +185,27 @@ def test_solve_output(workdir, capsys):
     assert len(lines) == 4
     assert all(ln.split()[1:3] in (["1", "6"], ["2", "3"], ["3", "2"],
                                    ["6", "1"]) for ln in lines)
+
+
+def test_solve_tells_add_from_mul(workdir, capsys):
+    # x1 = 1 and x1 + x1 = x2 force x2 = 2, which x1 * x1 = x2 refutes
+    write(workdir / "mix.ens", "ENSYS 1\nn 2\nONE 1\nADD 1 1 2\nMUL 1 1 2\n")
+    assert main(["solve", "--system", "mix.ens", "--ring", "z",
+                 "--radius", "3"]) == 0
+    assert capsys.readouterr().out == "count 0\n"
+
+
+@pytest.mark.parametrize("command", [
+    ["solve", "--system", "sq.ens"],
+    ["verify-pin", "--system", "sq.ens", "--expected", "2"],
+], ids=["solve", "verify-pin"])
+def test_negative_radius_is_an_input_error(workdir, capsys, command):
+    assert main(["reduce", "--ring", "z", "x1^2 = 4", "--out", "sq"]) == 0
+    capsys.readouterr()
+    assert main(command + ["--ring", "z", "--radius", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: radius must be non-negative, got -1\n"
 
 
 def test_reports_have_no_timings(workdir):

@@ -2,8 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from enkit.eqio import (format_polynomial, format_rep, parse_equation,
-                        parse_polynomial, parse_rep)
+from enkit.eqio import (MAX_VARIABLE, format_polynomial, format_rep,
+                        parse_equation, parse_polynomial, parse_rep)
 from enkit.errors import FormatError, ParseError
 from enkit.poly import Polynomial
 
@@ -41,6 +41,28 @@ def test_parse_rejects_bad_variables():
         parse_polynomial("x")
     with pytest.raises(ParseError):
         parse_polynomial("x3", arity=2)
+
+
+def test_parse_rejects_variable_past_bound():
+    assert MAX_VARIABLE == 1000
+    assert parse_polynomial("x1000").arity == 1000
+    with pytest.raises(ParseError) as err:
+        parse_polynomial("x1 + x1001")
+    assert err.value.position == 5
+    assert "exceeds 1000" in str(err.value)
+    for text in ("x100000000000 = 1", "2-x101717171702="):
+        with pytest.raises(ParseError) as err:
+            parse_equation(text)
+        assert "exceeds 1000" in str(err.value)
+
+
+def test_parse_reports_syntax_before_declared_arity():
+    with pytest.raises(ParseError) as err:
+        parse_polynomial("x5 +", arity=2)
+    assert err.value.position == 4
+    with pytest.raises(ParseError) as err:
+        parse_equation("x5 = x1", arity=2)
+    assert str(err.value) == "variable x5 exceeds declared arity 2"
 
 
 def test_parse_rejects_huge_exponent():

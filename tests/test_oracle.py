@@ -10,7 +10,7 @@ from enkit.oracle import (Box, Conflict, EquivalenceReport, OracleLimits,
                           propagate, solve_bounded)
 from enkit.reductions import (build_compact_n, build_compact_z, build_full_n,
                               build_full_z, build_halved_z, parse_certificate)
-from enkit.system import Add, EnSystem, Mul, One, add_eq, mul_eq
+from enkit.system import Add, EnSystem, Mul, One
 
 
 def P(text, arity=None):
@@ -109,10 +109,10 @@ def test_propagate_confluence_under_reordering():
                 equations.append(One(rng.randint(1, n)))
             elif kind < 0.6:
                 equations.append(
-                    add_eq(*(rng.randint(1, n) for _ in range(3))))
+                    Add(*(rng.randint(1, n) for _ in range(3))))
             else:
                 equations.append(
-                    mul_eq(*(rng.randint(1, n) for _ in range(3))))
+                    Mul(*(rng.randint(1, n) for _ in range(3))))
         seed = {rng.randint(1, n): rng.randint(-3, 3)}
         reference = propagate(EnSystem(n, equations), seed)
         for _ in range(5):

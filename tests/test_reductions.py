@@ -11,7 +11,7 @@ from enkit.reductions import (FamilyDescriptor, build_compact_n,
                               enumerate_t, family_descriptor,
                               master_arity, parse_certificate,
                               serialize_certificate, split_signs)
-from enkit.system import Add, Mul, One, add_eq, validate
+from enkit.system import Add, Mul, One, serialize, validate
 
 
 def P(text, arity=None):
@@ -80,13 +80,32 @@ def test_full_z_difference():
     assert system.n == 625
     assert cert.mode == "full_Z"
     assert cert.defs[cert.anchor_q] == d.scaled(2)
-    assert add_eq(cert.anchor_q, cert.anchor_q, cert.anchor_q) in set(
+    assert Add(cert.anchor_q, cert.anchor_q, cert.anchor_q) in set(
         system.equations)
     assert validate(system) == []
     # tau is injective and hits the whole family minus the variables
     assert len(cert.defs) == 623
     keys = {poly.key() for poly in cert.defs.values()}
     assert len(keys) == 623
+
+
+@pytest.mark.parametrize("build", [build_full_z, build_full_n])
+def test_full_family_keeps_mul_beside_equal_add(build):
+    # 0 + 0 = 0 and 0 * 0 = 0 are two identities of the zero member, and so
+    # are 2 + 2 = 4 and 2 * 2 = 4 of the constants 2 and 4 (members of the
+    # full_N family [0, 4] of x1 - x2).
+    system, cert = build(P("x1 - x2"))
+    index = {poly.key(): i for i, poly in cert.defs.items()}
+    z = index[Polynomial.zero(2).key()]
+    expected = [f"ADD {z} {z} {z}", f"MUL {z} {z} {z}"]
+    if build is build_full_n:
+        two = index[Polynomial.constant(2, 2).key()]
+        four = index[Polynomial.constant(2, 4).key()]
+        assert (z, two, four) == (3, 251, 501)
+        expected += ["ADD 251 251 501", "MUL 251 251 501"]
+    lines = serialize(system).splitlines()
+    for line in expected:
+        assert line in lines
 
 
 def _assert_identities(system, cert, rng, points, equations):
@@ -110,12 +129,12 @@ def test_full_family_identity_soundness():
     # polynomial identity under the naming, at 100 random points.
     d = P("x1 - x2")
     system, cert = build_halved_z(d)
-    anchor = add_eq(cert.anchor_q, cert.anchor_q, cert.anchor_q)
+    anchor = Add(cert.anchor_q, cert.anchor_q, cert.anchor_q)
     equations = [eq for eq in system.equations if eq != anchor]
     _assert_identities(system, cert, rng, 100, equations)
     # The 625-member family is checked on a sample of its equations.
     system, cert = build_full_z(d)
-    anchor = add_eq(cert.anchor_q, cert.anchor_q, cert.anchor_q)
+    anchor = Add(cert.anchor_q, cert.anchor_q, cert.anchor_q)
     equations = [eq for eq in system.equations if eq != anchor]
     _assert_identities(system, cert, rng, 20, rng.sample(equations, 500))
 

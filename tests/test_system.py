@@ -4,8 +4,8 @@ import pytest
 
 from enkit.errors import FormatError
 from enkit.oracle import check_assignment
-from enkit.system import (Add, EnSystem, Mul, One, add_eq, deserialize, mul_eq,
-                          serialize, validate)
+from enkit.system import (Add, EnSystem, Mul, One, deserialize, serialize,
+                          validate)
 
 
 def test_validate_index_out_of_range():
@@ -19,12 +19,23 @@ def test_validate_ok():
     assert validate(EnSystem(1, [Mul(1, 1, 1)])) == []
 
 
-def test_commutative_canonicalization():
-    assert add_eq(3, 2, 1) == Add(2, 3, 1)
-    assert mul_eq(5, 4, 2) == Mul(4, 5, 2)
-    # the constructor canonicalizes raw NamedTuples too
+def test_constructors_store_commutative_order():
+    # the constructors store i <= j
+    assert tuple(Add(3, 2, 1)) == (2, 3, 1)
+    assert tuple(Mul(5, 4, 2)) == (4, 5, 2)
+    assert Add(3, 2, 1) == Add(2, 3, 1)
     s = EnSystem(3, [Add(3, 2, 1), Add(2, 3, 1)])
-    assert len(s.equations) == 1
+    assert s.equations == (Add(2, 3, 1),)
+
+
+def test_kind_is_part_of_identity():
+    assert Add(1, 1, 2) != Mul(1, 1, 2)
+    assert not Add(1, 1, 2) == Mul(1, 1, 2)
+    s = EnSystem(2, [One(1), Add(1, 1, 2), Mul(1, 1, 2), Add(1, 1, 2)])
+    assert s.equations == (One(1), Add(1, 1, 2), Mul(1, 1, 2))
+    text = serialize(s)
+    assert text == "ENSYS 1\nn 2\nONE 1\nADD 1 1 2\nMUL 1 1 2\n"
+    assert deserialize(text).equations == s.equations
 
 
 def test_check_assignment_examples():
@@ -105,9 +116,9 @@ def random_system(rng):
         if kind == "one":
             equations.append(One(rng.randint(1, n)))
         elif kind == "add":
-            equations.append(add_eq(*(rng.randint(1, n) for _ in range(3))))
+            equations.append(Add(*(rng.randint(1, n) for _ in range(3))))
         else:
-            equations.append(mul_eq(*(rng.randint(1, n) for _ in range(3))))
+            equations.append(Mul(*(rng.randint(1, n) for _ in range(3))))
     names = {}
     if rng.random() < 0.5:
         names[rng.randint(1, n)] = rng.choice(["w", "y", "t1", "z2"])

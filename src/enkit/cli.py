@@ -149,33 +149,44 @@ def _cmd_fn_system(args) -> int:
 def _cmd_info(args) -> int:
     if not args.rep and not args.equation:
         raise ParseError("info needs --rep or --equation")
+    # Every line is formatted before any is printed, so a value too large
+    # to print leaves stdout empty.
+    lines = []
     if args.equation:
         d = eqio.parse_equation(args.equation).normalized
         if d.is_zero():
             raise ParseError("equation normalizes to 0 = 0")
-        print(f"p = {d.arity}")
-        print(f"degree bounds = {list(d.degree_bounds())}")
+        lines.append(_info_line("p", d.arity))
+        lines.append(_info_line("degree bounds", list(d.degree_bounds())))
         for mode in ("full_Z", "halved_Z", "full_N"):
             desc, _ = reductions.family_descriptor(d, mode)
-            delta = f" (delta = {desc.coeff_hi})" if mode == "full_N" else ""
-            print(f"card {mode} = {desc.cardinality()}{delta}")
+            line = _info_line(f"card {mode}", desc.cardinality())
+            if mode == "full_N":
+                line += " (" + _info_line("delta", desc.coeff_hi) + ")"
+            lines.append(line)
         compact_z, _ = reductions.build_compact_z(d)
         compact_n, _ = reductions.build_compact_n(d)
-        print(f"n compact_Z = {compact_z.n}")
-        print(f"n compact_N = {compact_n.n}")
+        lines.append(_info_line("n compact_Z", compact_z.n))
+        lines.append(_info_line("n compact_N", compact_n.n))
     if args.rep:
         rep = _load_rep(args.rep)
         mode = "Z" if args.ring == "z" else "N"
         family = "full" if args.mode == "full" else "compact"
         psi = pipeline.build_psi(rep, mode, family=family, cap=args.cap,
                                  pair_cap=args.pair_cap)
-        print(f"s = {psi.s}")
-        bound = pipeline.threshold(psi.s)
-        if mode == "Z":
-            print(f"m(f) = {bound}")
-        else:
-            print(f"w(f) = {bound}")
+        lines.append(_info_line("s", psi.s))
+        lines.append(_info_line("m(f)" if mode == "Z" else "w(f)",
+                                pipeline.threshold(psi.s)))
+    print("\n".join(lines))
     return EXIT_OK
+
+
+def _info_line(name: str, value) -> str:
+    try:
+        return f"{name} = {value}"
+    except ValueError:  # Python's digit limit for int-to-str conversion
+        raise ValueError(f"{name} is too large to print (more than "
+                         f"{sys.get_int_max_str_digits()} digits)") from None
 
 
 def _cmd_solve(args) -> int:

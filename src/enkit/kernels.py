@@ -11,7 +11,12 @@ its result file records `BACKEND`.
 
 from __future__ import annotations
 
+# `math.prod`, not `from math import prod`: CPython 3.11 compiles method
+# calls on a local named like a module-level import (family_join's
+# `prod`) as plain attribute loads, about 20% slower there.
+import math
 from itertools import product
+from operator import add
 
 from .system import Add, One
 
@@ -24,38 +29,121 @@ def grid_roots(exps, coeffs, lows, highs):
     exps: sequence of exponent tuples; coeffs: matching coefficients;
     lows/highs: per-variable inclusive bounds.  Points come out in
     lexicographic order.
+
+    Variables that share no monomial are evaluated apart.  The polynomial
+    splits into groups: variables joined by a common monomial, plus one
+    group of the variables in no term, whose value is always 0.  Every
+    group but the one with the largest box is tabulated value -> points;
+    the largest is streamed and each of its points looks up the rest of the
+    target, so the cost is the sum of the group boxes, not their product.
+    A polynomial that does not split streams its box and builds no table.
+    """
+    if any(lo > hi for lo, hi in zip(lows, highs)):
+        return []
+    constant = sum(c for e, c in zip(exps, coeffs) if not any(e))
+    groups = _variable_groups(len(lows), exps, coeffs)
+    if len(groups) <= 1:
+        # One group streams the whole box, already in lex order.
+        return [tuple(map(add, lows, offs))
+                for offs, value in _box_values(exps, coeffs, range(len(lows)),
+                                               lows, highs)
+                if value == -constant]
+    size = lambda group: math.prod(highs[v] - lows[v] + 1 for v in group)
+    groups.sort(key=size, reverse=True)
+    tables = []
+    for group in groups[1:]:
+        base = [lows[v] for v in group]
+        table = {}
+        for offs, value in _box_values(exps, coeffs, group, lows, highs):
+            table.setdefault(value, []).append(tuple(map(add, base, offs)))
+        tables.append(table)
+    # ahead[t]: every sum the tables after table t can reach; a partial
+    # join whose remaining target is not in it leads to no root.
+    ahead = [tables[-1]]
+    for table in reversed(tables[1:-1]):
+        ahead.append({a + b for a in table for b in ahead[-1]})
+    ahead.reverse()
+    last = tables[-1]
+    columns = [v for group in groups for v in group]
+    order = sorted(range(len(columns)), key=columns.__getitem__)
+    stream_lows = [lows[v] for v in groups[0]]
+    roots = []
+    for offs, value in _box_values(exps, coeffs, groups[0], lows, highs):
+        partial = [((), -constant - value)]
+        for table, reach in zip(tables[:-1], ahead):
+            partial = [(prefix + point, rest)
+                       for prefix, target in partial
+                       for key, points in table.items()
+                       if (rest := target - key) in reach
+                       for point in points]
+        for prefix, target in partial:
+            for point in last.get(target, ()):
+                flat = tuple(map(add, stream_lows, offs)) + prefix + point
+                roots.append(tuple(map(flat.__getitem__, order)))
+    roots.sort()
+    return roots
+
+
+def _variable_groups(arity, exps, coeffs):
+    """Variables joined by shared monomials, each group in increasing order.
+
+    The variables that occur in no term form one more group.
+    """
+    parent = list(range(arity))
+
+    def find(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    used = [False] * arity
+    for e, c in zip(exps, coeffs):
+        members = [v for v, k in enumerate(e) if k]
+        if not (c and members):
+            continue
+        root = find(members[0])
+        for v in members:
+            used[v] = True
+            parent[find(v)] = root
+    groups = {}
+    for v in range(arity):
+        groups.setdefault(find(v) if used[v] else -1, []).append(v)
+    return list(groups.values())
+
+
+def _box_values(exps, coeffs, group, lows, highs):
+    """(offsets, value) for every point of the group's sub-box, in lex order.
+
+    Only the terms over the group's variables count; offsets are relative
+    to the group's lower bounds.
     """
     arity = len(lows)
-    if arity == 0:
-        value = sum(coeffs)
-        return [()] if value == 0 else []
-    for lo, hi in zip(lows, highs):
-        if lo > hi:
-            return []
-    # Per-variable power tables, indexed by (value - lo, exponent).
-    max_exp = [max((e[i] for e in exps), default=0) for i in range(arity)]
-    pows = []
-    for i in range(arity):
-        table = []
-        for v in range(lows[i], highs[i] + 1):
-            table.append([v**e for e in range(max_exp[i] + 1)])
-        pows.append(table)
-    terms = list(zip(exps, coeffs))
-    roots = []
-    offsets = [range(highs[i] - lows[i] + 1) for i in range(arity)]
-    base = tuple(lows)
-    for offs in product(*offsets):
+    # (position, column of powers) per (variable, exponent), shared by terms
+    powers = {}
+    terms = []
+    supports = []
+    for e, c in zip(exps, coeffs):
+        members = [v for v, k in enumerate(e) if k]
+        if not (c and members and members[0] in group):
+            continue
+        factors = []
+        for v in members:
+            key = e[v] * arity + v
+            if key not in powers:
+                powers[key] = (group.index(v), [x**e[v] for x in
+                                               range(lows[v], highs[v] + 1)])
+            factors.append(powers[key])
+        terms.append(c)
+        supports.append(tuple(factors))
+    del powers  # the supports hold every column still needed
+    for offs in product(*(range(highs[v] - lows[v] + 1) for v in group)):
         total = 0
-        for e, c in terms:
-            term = c
-            for i in range(arity):
-                ei = e[i]
-                if ei:
-                    term *= pows[i][offs[i]][ei]
+        for term, factors in zip(terms, supports):
+            for t, column in factors:
+                term *= column[offs[t]]
             total += term
-        if total == 0:
-            roots.append(tuple(base[i] + offs[i] for i in range(arity)))
-    return roots
+        yield offs, total
 
 
 def check_equations(equations, values):

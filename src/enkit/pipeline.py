@@ -13,13 +13,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .eqio import FnRepresentation
+from .eqio import MAX_VARIABLE, FnRepresentation
 from .errors import FormatError
 from .oracle import foursquare_decompose, lift
 from .reductions import (DEFAULT_FAMILY_CAP, DEFAULT_PAIR_CAP,
                          ReductionCertificate, build_compact_n,
                          build_compact_z, build_full_n, build_full_z,
-                         build_master_z)
+                         build_master_z, master_arity)
 from .system import Add, EnSystem, One
 
 MODE_Z = "Z"
@@ -83,6 +83,14 @@ def build_psi(rep: FnRepresentation, mode: str, family: str = "compact",
     if family not in ("compact", "full"):
         raise ValueError(f"family must be 'compact' or 'full', got {family!r}")
     if mode == MODE_Z:
+        # The certificate names every master variable, and the parser that
+        # reads it back stops at eqio.MAX_VARIABLE.
+        arity = master_arity(rep.w.arity)
+        if arity > MAX_VARIABLE:
+            raise FormatError(
+                f"r = {rep.w.arity} needs {arity} master variables over Z; "
+                f"certificates hold at most {MAX_VARIABLE} (r <= "
+                f"{MAX_VARIABLE // master_arity(1)})")
         source = build_master_z(rep.w)
         if family == "compact":
             system, cert = build_compact_z(source)

@@ -115,6 +115,31 @@ def test_info_rep(workdir, capsys):
     assert "w(f) = 10" in out
 
 
+def test_info_value_too_large_to_print(workdir, capsys):
+    # card full_Z = 5^200001 has far more digits than Python will print
+    assert main(["info", "--equation", "x1^200000 = 2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: card full_Z is too large to print "
+                            f"(more than {sys.get_int_max_str_digits()} "
+                            "digits)\n")
+
+
+@pytest.mark.parametrize("command", [
+    ["fn-system", "--n", "5000", "--out", "big"],
+    ["info"],
+], ids=["fn-system", "info"])
+def test_z_master_too_wide_for_a_certificate(workdir, capsys, command):
+    # 5r master variables: r = 201 needs 1005, past eqio.MAX_VARIABLE
+    write(workdir / "wide.rep", "REP r=201\nx1 - x2\n")
+    assert main(command + ["--rep", "wide.rep", "--ring", "z"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: r = 201 needs 1005 master variables over "
+                            "Z; certificates hold at most 1000 (r <= 200)\n")
+    assert sorted(p.name for p in workdir.iterdir()) == ["wide.rep"]
+
+
 def test_fn_system_below_threshold(workdir, capsys):
     write(workdir / "identity.rep", IDENTITY_REP)
     code = main(["fn-system", "--rep", "identity.rep", "--ring", "n",
@@ -245,6 +270,30 @@ def test_verify_pin_without_solutions_or_witness_fails(workdir, capsys):
     witness = ",".join(map(str, master_witness((4000000, 2000), 2)))
     assert main(pin + ["--witness", witness]) == 0
     assert capsys.readouterr().out == "solutions 0 offending 0\nPASS\n"
+
+
+def test_verify_pin_z_identity_at_radius_2(workdir, capsys, monkeypatch):
+    # 9 free base variables: 5^9 box points, split into groups of 5 and 4
+    monkeypatch.delenv("ENKIT_POINT_LIMIT", raising=False)
+    write(workdir / "identity.rep", IDENTITY_REP)
+    assert main(["fn-system", "--rep", "identity.rep", "--ring", "z",
+                 "--n", "268", "--out", "id"]) == 0
+    pin = ["verify-pin", "--system", "id.ens", "--cert", "id.cert",
+           "--layout", "id.layout", "--expected", "268", "--ring", "z"]
+    capsys.readouterr()
+    assert main(pin + ["--radius", "2"]) == 1
+    assert capsys.readouterr().out == "solutions 0 offending 0\nFAIL\n"
+    witness = master_witness((268, 268), 2)
+    assert witness[:2] == (268, 268)
+    assert main(pin + ["--radius", "2",
+                       "--witness", ",".join(map(str, witness))]) == 0
+    assert capsys.readouterr().out == "solutions 0 offending 0\nPASS\n"
+    # the point limit still counts the whole box, not the group boxes
+    assert main(pin + ["--radius", "4"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: box holds 387420489 points, "
+                            "limit is 100000000\n")
 
 
 def test_verify_pin_bare_system_runs(workdir):

@@ -30,56 +30,38 @@ def grid_roots(exps, coeffs, lows, highs):
     lows/highs: per-variable inclusive bounds.  Points come out in
     lexicographic order.
 
-    Variables that share no monomial are evaluated apart.  The polynomial
-    splits into groups: variables joined by a common monomial, plus one
-    group of the variables in no term, whose value is always 0.  Every
-    group but the one with the largest box is tabulated value -> points;
-    the largest is streamed and each of its points looks up the rest of the
-    target, so the cost is the sum of the group boxes, not their product.
-    A polynomial that does not split streams its box and builds no table.
+    The variables split into groups: variables joined by a common monomial,
+    plus one group of the variables in no term, whose value is always 0.
+    When there are exactly two groups, the one with the smaller box is
+    tabulated value -> points and the larger one is streamed, each of its
+    points looking up the rest of the target.  The cost is then the sum of
+    the two group boxes, not their product, and the table holds at most the
+    square root of the box.  Any other polynomial streams its whole box and
+    builds no table.
     """
     if any(lo > hi for lo, hi in zip(lows, highs)):
         return []
     constant = sum(c for e, c in zip(exps, coeffs) if not any(e))
     groups = _variable_groups(len(lows), exps, coeffs)
-    if len(groups) <= 1:
-        # One group streams the whole box, already in lex order.
+    if len(groups) != 2:
+        # The whole box streams in lex order.
         return [tuple(map(add, lows, offs))
                 for offs, value in _box_values(exps, coeffs, range(len(lows)),
                                                lows, highs)
                 if value == -constant]
     size = lambda group: math.prod(highs[v] - lows[v] + 1 for v in group)
-    groups.sort(key=size, reverse=True)
-    tables = []
-    for group in groups[1:]:
-        base = [lows[v] for v in group]
-        table = {}
-        for offs, value in _box_values(exps, coeffs, group, lows, highs):
-            table.setdefault(value, []).append(tuple(map(add, base, offs)))
-        tables.append(table)
-    # ahead[t]: every sum the tables after table t can reach; a partial
-    # join whose remaining target is not in it leads to no root.
-    ahead = [tables[-1]]
-    for table in reversed(tables[1:-1]):
-        ahead.append({a + b for a in table for b in ahead[-1]})
-    ahead.reverse()
-    last = tables[-1]
-    columns = [v for group in groups for v in group]
-    order = sorted(range(len(columns)), key=columns.__getitem__)
-    stream_lows = [lows[v] for v in groups[0]]
+    streamed, tabulated = sorted(groups, key=size, reverse=True)
+    base = [lows[v] for v in tabulated]
+    table = {}
+    for offs, value in _box_values(exps, coeffs, tabulated, lows, highs):
+        table.setdefault(value, []).append(tuple(map(add, base, offs)))
+    order = sorted(range(len(lows)), key=(streamed + tabulated).__getitem__)
+    base = [lows[v] for v in streamed]
     roots = []
-    for offs, value in _box_values(exps, coeffs, groups[0], lows, highs):
-        partial = [((), -constant - value)]
-        for table, reach in zip(tables[:-1], ahead):
-            partial = [(prefix + point, rest)
-                       for prefix, target in partial
-                       for key, points in table.items()
-                       if (rest := target - key) in reach
-                       for point in points]
-        for prefix, target in partial:
-            for point in last.get(target, ()):
-                flat = tuple(map(add, stream_lows, offs)) + prefix + point
-                roots.append(tuple(map(flat.__getitem__, order)))
+    for offs, value in _box_values(exps, coeffs, streamed, lows, highs):
+        for point in table.get(-constant - value, ()):
+            flat = tuple(map(add, base, offs)) + point
+            roots.append(tuple(map(flat.__getitem__, order)))
     roots.sort()
     return roots
 

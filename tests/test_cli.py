@@ -115,6 +115,8 @@ def test_info_rep(workdir, capsys):
     assert "w(f) = 10" in out
 
 
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="no int-to-str digit limit before Python 3.10.7")
 def test_info_value_too_large_to_print(workdir, capsys):
     # card full_Z = 5^200001 has far more digits than Python will print
     assert main(["info", "--equation", "x1^200000 = 2"]) == 2

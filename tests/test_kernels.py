@@ -4,6 +4,8 @@ import random
 from itertools import product
 from math import prod
 
+import pytest
+
 from enkit import kernels
 from enkit.reductions import FamilyDescriptor
 from enkit.system import Add, Mul, One
@@ -31,11 +33,20 @@ def test_grid_roots_box_past_int64():
     assert kernels.grid_roots(((1,),), (1,), (big,), (big + 3,)) == []
 
 
-def test_grid_roots_lex_order_across_groups():
-    # x1 and x2 share no monomial, so they are enumerated apart and joined
-    exps = ((2, 0), (0, 2), (0, 0))
-    assert kernels.grid_roots(exps, (1, 1, -2), (-2, -2), (2, 2)) == [
-        (-1, -1), (-1, 1), (1, -1), (1, 1)]
+@pytest.mark.parametrize("exps, coeffs, roots", [
+    # two groups: x2 is tabulated, x1 streamed, and the join is sorted
+    (((2, 0), (0, 2), (0, 0)), (1, 1, -2),
+     [(-1, -1), (-1, 1), (1, -1), (1, 1)]),
+    # three groups: the whole box is streamed
+    (((2, 0, 0), (0, 2, 0), (0, 0, 2), (0, 0, 0)), (1, 1, 1, -2),
+     [(-1, -1, 0), (-1, 0, -1), (-1, 0, 1), (-1, 1, 0),
+      (0, -1, -1), (0, -1, 1), (0, 1, -1), (0, 1, 1),
+      (1, -1, 0), (1, 0, -1), (1, 0, 1), (1, 1, 0)]),
+], ids=["two", "three"])
+def test_grid_roots_lex_order_across_groups(exps, coeffs, roots):
+    arity = len(exps[0])
+    assert kernels.grid_roots(exps, coeffs, (-2,) * arity,
+                              (2,) * arity) == roots
 
 
 def _value(exps, coeffs, point):

@@ -321,7 +321,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="family size limit for full modes")
         p.add_argument("--pair-cap", type=int,
                        default=_env_int("ENKIT_PAIR_CAP", reductions.DEFAULT_PAIR_CAP),
-                       help="member limit for the quadratic pair enumeration")
+                       help="member limit for full-family closure, whose "
+                            "identity set grows quadratically")
         p.add_argument("--point-limit", type=int,
                        default=_env_int("ENKIT_POINT_LIMIT", oracle.DEFAULT_POINT_LIMIT),
                        help="box enumeration budget")

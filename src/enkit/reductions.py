@@ -29,8 +29,10 @@ from .poly import Exponents, Polynomial
 from .system import Add, EnEquation, EnSystem, Mul, One
 
 DEFAULT_FAMILY_CAP = 10**6
-# Building the identity family is quadratic in the member count; past this
-# many members the full modes refuse instead of grinding.
+# Closing a family costs about as much as the identities it emits, but
+# those still grow quadratically in the member count (67,435 equations at
+# 625 members); past this many members the full modes refuse instead of
+# grinding.
 DEFAULT_PAIR_CAP = 2000
 
 MODES = ("full_Z", "halved_Z", "compact_Z", "full_N", "compact_N")

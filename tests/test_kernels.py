@@ -17,9 +17,119 @@ def test_family_join_known_family():
     adds, muls = kernels.family_join(
         list(desc.iter_vectors()), desc.coeff_lo, desc.coeff_hi, desc.basis())
     # vectors: 0 -> -1, 1 -> 0, 2 -> 1
-    assert set(adds) == {(0, 1, 0), (0, 2, 1), (1, 1, 1), (1, 2, 2)}
-    assert set(muls) == {(0, 0, 2), (0, 1, 1), (0, 2, 0), (1, 1, 1),
-                         (1, 2, 1), (2, 2, 2)}
+    assert adds == [(0, 1, 0), (0, 2, 1), (1, 1, 1), (1, 2, 2)]
+    assert muls == [(0, 0, 2), (0, 1, 1), (0, 2, 0), (1, 1, 1),
+                    (1, 2, 1), (2, 2, 2)]
+
+
+def _pairwise_join(vectors, lo, hi, basis):
+    """Reference closure: every member pair is added and multiplied out."""
+    width = len(basis)
+    index_of = {vec: t for t, vec in enumerate(vectors)}
+    basis_pos = {e: t for t, e in enumerate(basis)}
+    prod_exp = [[tuple(x + y for x, y in zip(e1, e2)) for e2 in basis]
+                for e1 in basis]
+    nonzero = [tuple((t, c) for t, c in enumerate(vec) if c) for vec in vectors]
+    adds = []
+    muls = []
+    count = len(vectors)
+    in_range = lambda c: lo <= c <= hi
+    for a in range(count):
+        va = vectors[a]
+        nza = nonzero[a]
+        for b in range(a, count):
+            s = tuple(x + y for x, y in zip(va, vectors[b]))
+            if all(map(in_range, s)):
+                c = index_of.get(s)
+                if c is not None:
+                    adds.append((a, b, c))
+            product_terms: dict = {}
+            for t1, c1 in nza:
+                row = prod_exp[t1]
+                for t2, c2 in nonzero[b]:
+                    e = row[t2]
+                    product_terms[e] = product_terms.get(e, 0) + c1 * c2
+            vec = [0] * width
+            member = True
+            for e, c in product_terms.items():
+                if not c:
+                    continue
+                pos = basis_pos.get(e)
+                if pos is None or not in_range(c):
+                    member = False
+                    break
+                vec[pos] = c
+            if member:
+                c = index_of.get(tuple(vec))
+                if c is not None:
+                    muls.append((a, b, c))
+    return adds, muls
+
+
+def _random_family(rng, box):
+    """A family of at most 300 members whose coefficient box has this shape."""
+    while True:
+        p = rng.randint(1, 3)
+        bounds = tuple(rng.randint(0, 2) for _ in range(p))
+        if box == "symmetric":
+            hi = rng.randint(1, 3)
+            lo = -hi
+        elif box == "from zero":
+            lo, hi = 0, rng.randint(1, 4)
+        elif box == "positive":
+            lo = rng.randint(1, 2)
+            hi = lo + rng.randint(0, 2)
+        elif box == "negative":
+            hi = rng.randint(-2, -1)
+            lo = hi - rng.randint(0, 2)
+        elif box == "skewed":
+            lo = rng.randint(-2, 0)
+            hi = lo + rng.randint(1, 4)
+        else:
+            lo = hi = 0
+        desc = FamilyDescriptor(p, lo, hi, bounds)
+        if desc.cardinality() <= 300:
+            return desc
+
+
+def test_family_join_matches_pairwise_reference():
+    rng = random.Random(20261018)
+    boxes = ("symmetric", "from zero", "positive", "negative", "skewed",
+             "zero")
+    totals = {box: [0, 0] for box in boxes}
+    for trial in range(200):
+        box = boxes[trial % len(boxes)]
+        desc = _random_family(rng, box)
+        args = (list(desc.iter_vectors()), desc.coeff_lo, desc.coeff_hi,
+                desc.basis())
+        adds, muls = kernels.family_join(*args)
+        assert (adds, muls) == _pairwise_join(*args), desc
+        totals[box][0] += len(adds)
+        totals[box][1] += len(muls)
+    # Every box shape closes under addition somewhere, and every one but
+    # the all-negative box under multiplication: a product of negative
+    # coefficients is positive.
+    for box, (adds, muls) in totals.items():
+        assert adds > 0 and (muls > 0) == (box != "negative"), box
+
+
+def test_family_join_refuses_other_layouts():
+    desc = FamilyDescriptor(2, -1, 1, (1, 0))
+    vectors = list(desc.iter_vectors())
+    basis = desc.basis()
+    kernels.family_join(vectors, -1, 1, basis)
+    swapped = vectors[:]
+    swapped[3], swapped[4] = swapped[4], swapped[3]
+    for bad in (swapped, vectors[:-1], vectors[::-1], vectors + vectors[:1],
+                [list(v) for v in vectors]):
+        with pytest.raises(ValueError):
+            kernels.family_join(bad, -1, 1, basis)
+    with pytest.raises(ValueError):
+        kernels.family_join(vectors, -1, 0, basis)
+    with pytest.raises(ValueError):
+        kernels.family_join(vectors, -1, 1, basis[::-1])
+    with pytest.raises(ValueError):
+        kernels.family_join(vectors, -1, 1, [(0,), (2,)])
 
 
 def test_grid_roots_coefficients_past_int64():

@@ -139,6 +139,37 @@ def test_full_family_identity_soundness():
     _assert_identities(system, cert, rng, 20, rng.sample(equations, 500))
 
 
+@pytest.mark.parametrize("text, build, members", [
+    ("x1 - x2", build_halved_z, 81),
+    ("x1^2 - 2", build_halved_z, 125),
+    ("x1 - 1", build_full_n, 25),
+], ids=["halved_Z(x1 - x2)", "halved_Z(x1^2 - 2)", "full_N(x1 - 1)"])
+def test_full_family_identity_completeness(text, build, members):
+    # Under the certificate's naming, every atomic identity among the
+    # members, found by Polynomial arithmetic over all pairs, is an
+    # equation, and the anchor is the only other one.
+    system, cert = build(P(text))
+    assert system.n == members
+    name = {i: Polynomial.variable(cert.p, i) for i in range(1, cert.p + 1)}
+    name.update(cert.defs)
+    index = {poly: i for i, poly in name.items()}
+    identities = {One(i) for i, poly in name.items()
+                  if poly == Polynomial.constant(cert.p, 1)}
+    for i in range(1, members + 1):
+        for j in range(i, members + 1):
+            for kind, value in ((Add, name[i] + name[j]),
+                                (Mul, name[i] * name[j])):
+                k = index.get(value)
+                if k is not None:
+                    identities.add(kind(i, j, k))
+    if cert.anchor_q is not None:
+        anchor = Add(cert.anchor_q, cert.anchor_q, cert.anchor_q)
+    else:
+        anchor = Add(cert.anchor_zero, cert.anchor_a, cert.anchor_b)
+    assert anchor not in identities
+    assert set(system.equations) == identities | {anchor}
+
+
 def test_full_z_rejects_degenerate():
     with pytest.raises(ZeroPolynomial):
         build_full_z(Polynomial.zero(2))

@@ -17,6 +17,7 @@ ENKIT_JOBS.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -30,16 +31,6 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_LIMIT = 3
-
-
-def _env_int(name: str, default: int) -> int:
-    value = os.environ.get(name)
-    return int(value) if value else default
-
-
-def _env_float(name: str, default: float) -> float:
-    value = os.environ.get(name)
-    return float(value) if value else default
 
 
 def _parse_box_spec(spec: str, dim: int) -> oracle.Box:
@@ -164,8 +155,8 @@ def _cmd_info(args) -> int:
             if mode == "full_N":
                 line += " (" + _info_line("delta", desc.coeff_hi) + ")"
             lines.append(line)
-        compact_z, _ = reductions.build_compact_z(d)
-        compact_n, _ = reductions.build_compact_n(d)
+        compact_z, _ = reductions.build_compact_z(d, args.cap)
+        compact_n, _ = reductions.build_compact_n(d, args.cap)
         lines.append(_info_line("n compact_Z", compact_z.n))
         lines.append(_info_line("n compact_N", compact_n.n))
     if args.rep:
@@ -315,24 +306,20 @@ def build_parser() -> argparse.ArgumentParser:
                     "/ x_i*x_j=x_k systems and verify the reductions.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, box_default="-8..8"):
+    # Defaults stay None here; _resolve_defaults fills them in per call.
+    def common(p):
         p.add_argument("--cap", type=int,
-                       default=_env_int("ENKIT_CAP", reductions.DEFAULT_FAMILY_CAP),
-                       help="family size limit for full modes")
+                       help="variable limit: family size for full modes, "
+                            "a bound on chain length for compact modes")
         p.add_argument("--pair-cap", type=int,
-                       default=_env_int("ENKIT_PAIR_CAP", reductions.DEFAULT_PAIR_CAP),
                        help="member limit for full-family closure, whose "
                             "identity set grows quadratically")
         p.add_argument("--point-limit", type=int,
-                       default=_env_int("ENKIT_POINT_LIMIT", oracle.DEFAULT_POINT_LIMIT),
                        help="box enumeration budget")
         p.add_argument("--time-budget", type=float,
-                       default=_env_float("ENKIT_TIME_BUDGET", 60.0),
                        help="soft seconds budget per check")
-        p.add_argument("--box", default=os.environ.get("ENKIT_BOX", box_default),
-                       help="box spec lo..hi[,lo..hi...]")
+        p.add_argument("--box", help="box spec lo..hi[,lo..hi...]")
         p.add_argument("--jobs", type=int,
-                       default=_env_int("ENKIT_JOBS", 1),
                        help="worker processes for verification")
 
     p = sub.add_parser("reduce", help="equation -> .ens + .cert")
@@ -395,10 +382,36 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# flag -> (environment variable, type, default) for the options that
+# `common` adds
+_DEFAULTS = {
+    "cap": ("ENKIT_CAP", int, reductions.DEFAULT_FAMILY_CAP),
+    "pair_cap": ("ENKIT_PAIR_CAP", int, reductions.DEFAULT_PAIR_CAP),
+    "point_limit": ("ENKIT_POINT_LIMIT", int, oracle.DEFAULT_POINT_LIMIT),
+    "time_budget": ("ENKIT_TIME_BUDGET", float, 60.0),
+    "box": ("ENKIT_BOX", str, "-8..8"),
+    "jobs": ("ENKIT_JOBS", int, 1),
+}
+
+
+def _resolve_defaults(args):
+    """Fill each flag left unset from its environment variable, read now."""
+    for flag, (name, kind, default) in _DEFAULTS.items():
+        if getattr(args, flag) is None:
+            value = os.environ.get(name)
+            setattr(args, flag, kind(value) if value else default)
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # Parsing leaves the parser unchanged, so one serves every call.
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
+        _resolve_defaults(args)
         return args.run(args)
     except (FamilyTooLarge, BoxTooLarge, SearchLimit) as exc:
         _note(f"error: {exc}")

@@ -24,8 +24,8 @@ class UnusedVariable(EnkitError):
 class FamilyTooLarge(EnkitError):
     """The candidate family exceeds the configured size or work limit."""
 
-    def __init__(self, card, cap, what="family"):
-        super().__init__(f"{what} cardinality {card} exceeds limit {cap}")
+    def __init__(self, card, cap, what="family cardinality"):
+        super().__init__(f"{what} {card} exceeds limit {cap}")
         self.card = card
         self.cap = cap
 

@@ -1,12 +1,14 @@
-"""The hot loops: box-root enumeration, family closure, bulk equation checks.
+"""The hot loops: box-root enumeration, family closure, bulk equation checks
+and straight-line schedule runs.
 
 One pure-Python implementation with exact arbitrary-precision arithmetic,
 so there is no overflow story to manage.  The end-to-end benchmark
 (`e2ebench/run.py --trace 1`) reports the self time of each kernel per
 layer; a compiled variant belongs here only if those numbers justify it.
 
-The benchmark's tracer wraps the three kernels by their names here, and
-its result file records `BACKEND`.
+The benchmark's tracer wraps `grid_roots`, `family_join` and
+`check_equations` by their names here, and its result file records
+`BACKEND`.
 """
 
 from __future__ import annotations
@@ -145,6 +147,21 @@ def check_equations(equations, values):
             if values[i] * values[j] != values[k]:
                 return t
     return -1
+
+
+def run_schedule(template, steps, point):
+    """Values of a straight-line schedule run from a base point.
+
+    template: the n + 1 starting values (index 0 unused), holding the
+    schedule's constants; point: the values of x_1..x_p; steps: tuples
+    (op, a, b, k) with op a two-argument function, each setting
+    values[k] = op(values[a], values[b]) in order.
+    """
+    values = template.copy()
+    values[1:len(point) + 1] = point
+    for op, a, b, k in steps:
+        values[k] = op(values[a], values[b])
+    return values
 
 
 def family_join(vectors, lo, hi, basis):

@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from itertools import compress
 from itertools import product as iproduct
 from math import isqrt, prod
+from operator import add, mul, sub
 from typing import Mapping
 
 from . import kernels
@@ -20,7 +22,7 @@ from .errors import (BoxTooLarge, CertificateMismatch, DimensionMismatch,
                      SearchLimit)
 from .poly import Polynomial
 from .reductions import ReductionCertificate
-from .system import DOMAIN_N, DOMAIN_Z, Add, EnEquation, EnSystem, One
+from .system import DOMAIN_N, DOMAIN_Z, Add, EnEquation, EnSystem, Mul, One
 
 DEFAULT_POINT_LIMIT = 10**8
 
@@ -294,18 +296,136 @@ class _Propagator:
     def undetermined(self) -> tuple[int, ...]:
         return tuple(i for i in range(1, self.n + 1) if i not in self.values)
 
+    def outcome(self, ok: bool) -> PropagationResult:
+        """The result of the last `start` or `push`, given what it returned.
+
+        Values are copied, so the result survives `undo`.
+        """
+        if not ok:
+            return Conflict(self.conflict_equation)
+        undetermined = self.undetermined()
+        if undetermined:
+            return Stuck(values=dict(self.values), undetermined=undetermined)
+        return Solved(values=dict(self.values))
+
 
 def propagate(system: EnSystem, seed: dict[int, int] | None = None,
               domain: str = DOMAIN_Z) -> PropagationResult:
     """Run propagation to its fixed point from a (possibly empty) seed."""
     prop = _Propagator(system, domain)
     ok, _ = prop.start(dict(seed or {}))
-    if not ok:
-        return Conflict(prop.conflict_equation)
-    undetermined = prop.undetermined()
-    if undetermined:
-        return Stuck(values=dict(prop.values), undetermined=undetermined)
-    return Solved(values=dict(prop.values))
+    return prop.outcome(ok)
+
+
+# --------------------------------------------------------------------------
+# straight-line schedules
+
+@dataclass(frozen=True, eq=False)
+class Schedule:
+    """Every variable of a system derived from x_1..x_p in a fixed order.
+
+    Which slot an equation determines from which others does not depend on
+    the values as long as only these of the propagator's rules are used:
+      x_i = 1            assigns 1
+      x_i + x_i = x_i    assigns 0
+      Add, two known     determines the third slot
+      Mul, factors known determines the product
+    `derive` assigns the constants, then sweeps the equations in order,
+    marking slots known, until every variable is; each derivation becomes a
+    step.  `extend` runs the steps on a flat value list and checks the
+    equations no step used.
+
+    Every derived value is forced by its equation, so a base point extends
+    to a solution exactly when the derived values pass those checks (and,
+    over N, are non-negative), and then the extension is unique.  That is
+    the propagator's verdict from the same seed: its rules include these,
+    so from a point it ends in a conflict or solved, never stuck.
+    """
+
+    p: int
+    domain: str
+    template: list[int]          # constants by index, 0 elsewhere
+    steps: list[tuple]           # (op, a, b, k): x_k = op(x_a, x_b)
+    checks: list[EnEquation]     # the equations no step used
+
+    @classmethod
+    def derive(cls, system: EnSystem, p: int,
+               domain: str = DOMAIN_Z) -> "Schedule | None":
+        """The schedule from x_1..x_p, or None if a variable stays unknown.
+
+        Sweeps stop as soon as all n variables are known.
+        """
+        n = system.n
+        if not 0 <= p <= n:
+            raise ValueError(f"base variable count {p} outside [0, {n}]")
+        equations = system.equations
+        known = [False] + [True] * p + [False] * (n - p)
+        template = [0] * (n + 1)
+        unused = bytearray(b"\x01") * len(equations)
+        count = p
+        # Constants first: x_i = 1 and x_i + x_i = x_i need no known slot.
+        for t, eq in enumerate(equations):
+            i = eq[0]
+            if (eq[-1] == i and not known[i]
+                    and (type(eq) is One or type(eq) is Add and eq[1] == i)):
+                known[i] = True
+                template[i] = 1 if type(eq) is One else 0
+                unused[t] = 0
+                count += 1
+        steps: list[tuple] = []
+        pending = range(len(equations))
+        while count < n:
+            before = count
+            unresolved = []
+            for t in pending:
+                eq = equations[t]
+                if type(eq) is One:
+                    continue
+                i, j, k = eq
+                if known[i] and known[j]:
+                    if known[k]:
+                        continue  # left to the checks
+                    slot = k
+                    steps.append((add if type(eq) is Add else mul, i, j, k))
+                elif type(eq) is Mul or not known[k]:
+                    unresolved.append(t)
+                    continue
+                elif known[i]:
+                    slot = j
+                    steps.append((sub, k, i, j))
+                elif known[j]:
+                    slot = i
+                    steps.append((sub, k, j, i))
+                else:
+                    unresolved.append(t)
+                    continue
+                known[slot] = True
+                unused[t] = 0
+                count += 1
+                if count == n:
+                    break
+            if count == before:
+                return None
+            pending = unresolved
+        checks = list(compress(equations, unused))
+        return cls(p, domain, template, steps, checks)
+
+    def extend(self, point) -> Solved | Conflict:
+        """The unique solution extending a base point, or the conflict:
+        the first violated check, or no equation for a negative value over N.
+        """
+        if len(point) != self.p:
+            raise DimensionMismatch(
+                f"base point of length {len(point)} for p = {self.p}")
+        values = kernels.run_schedule(self.template, self.steps, point)
+        if self.domain == DOMAIN_N and min(values) < 0:
+            return Conflict(None)
+        bad = kernels.check_equations(self.checks, values)
+        if bad != -1:
+            return Conflict(self.checks[bad])
+        solution = dict(enumerate(values))
+        del solution[0]
+        return Solved(values=solution)
 
 
 # --------------------------------------------------------------------------
@@ -462,8 +582,11 @@ class EquivalenceReport:
 
 
 def _check_points(d, system, cert, points, domain, limits):
+    """Classify each point; propagation runs only when no schedule exists."""
     report = EquivalenceReport(domain=domain)
-    prop = _Propagator(system, domain)
+    schedule = Schedule.derive(system, cert.p, domain)
+    if schedule is None:
+        prop = _Propagator(system, domain)
     for point in points:
         report.base_points += 1
         root = d.eval_at(point) == 0
@@ -482,27 +605,35 @@ def _check_points(d, system, cert, points, domain, limits):
                 report.failures.append(f"lift of {point} {problem}")
                 continue
             report.system_solutions += 1
-        ok, trail = prop.start({i + 1: v for i, v in enumerate(point)})
-        undetermined = prop.n - len(prop.values)
+            if schedule is not None:
+                # Every scheduled value is forced, so the schedule run from
+                # a root reproduces its verified lift.
+                continue
+        if schedule is not None:
+            outcome = schedule.extend(point)
+        else:
+            ok, trail = prop.start({i + 1: v for i, v in enumerate(point)})
+            outcome = prop.outcome(ok)
         if root:
-            if not ok:
+            if isinstance(outcome, Conflict):
                 report.unique_extension = False
                 report.failures.append(
                     f"propagation from root {point} hit a contradiction "
-                    f"on {prop.conflict_equation}")
-            elif undetermined:
+                    f"on {outcome.equation}")
+            elif isinstance(outcome, Stuck):
                 report.unique_extension = False
                 report.stuck_roots += 1
-            elif prop.values != lifted:
+            elif outcome.values != lifted:
                 report.unique_extension = False
                 report.failures.append(
                     f"propagation from {point} disagrees with the lift")
-        elif not ok:
+        elif isinstance(outcome, Conflict):
             report.refuted_by_propagation += 1
-        elif not undetermined:
+        elif isinstance(outcome, Solved):
             report.spurious.append(point)
             report.failures.append(f"non-root {point} extends to a solution")
-        elif (2 * limits.residual_radius + 1) ** undetermined > limits.points:
+        elif ((2 * limits.residual_radius + 1) ** len(outcome.undetermined)
+              > limits.points):
             report.inconclusive.append(point)
         else:
             found = _search(prop, limits.residual_radius, limits,
@@ -515,7 +646,8 @@ def _check_points(d, system, cert, points, domain, limits):
                 report.refuted_by_search += 1
             else:
                 report.inconclusive.append(point)
-        prop.undo(trail)
+        if schedule is None:
+            prop.undo(trail)
     return report
 
 
@@ -532,7 +664,10 @@ def check_equivalence(d: Polynomial, system: EnSystem,
 
     Every root of D in the box must lift to a verified solution that
     propagation reproduces uniquely; every non-root must be refuted by
-    propagation or by exhaustive search over the stuck residue.
+    propagation or by exhaustive search over the stuck residue.  Points are
+    run through the system's `Schedule` when it has one, which reaches the
+    same verdicts as propagation; otherwise one propagator is restarted
+    from each point.
     """
     if box.dim != d.arity or cert.p != d.arity:
         raise DimensionMismatch("box, polynomial, and certificate disagree")

@@ -93,12 +93,12 @@ def build_psi(rep: FnRepresentation, mode: str, family: str = "compact",
                 f"{MAX_VARIABLE // master_arity(1)})")
         source = build_master_z(rep.w)
         if family == "compact":
-            system, cert = build_compact_z(source)
+            system, cert = build_compact_z(source, cap)
         else:
             system, cert = build_full_z(source, cap, pair_cap)
     else:
         if family == "compact":
-            system, cert = build_compact_n(rep.w)
+            system, cert = build_compact_n(rep.w, cap)
         else:
             system, cert = build_full_n(rep.w, cap, pair_cap)
     return PsiSystem(system=system, s=system.n, mode=mode, certificate=cert)

@@ -325,14 +325,39 @@ class _ChainBuilder:
         return self._next - 1
 
 
-def build_compact_z(d: Polynomial) -> tuple[EnSystem, ReductionCertificate]:
+def compact_bound(d: Polynomial) -> int:
+    """An upper bound on the variable count of D's compact_Z or compact_N
+    chain, cheap to find without building it.
+
+    Beyond x_1..x_p, the zero node and the negated first term, a term
+    c * x^e adds at most deg(e) - 1 products along its monomial path,
+    bit_count(|c|) - 1 partial sums of `constant`, the product of the two
+    and the sum folding it in; the powers of two up to the widest
+    coefficient are shared by every term.
+    """
+    terms = d.sorted_terms()
+    width = max(abs(coeff).bit_length() for _, coeff in terms)
+    return (d.arity + 2 + width
+            + sum(sum(exps) + abs(coeff).bit_count() for exps, coeff in terms))
+
+
+def _refuse_long_chain(d: Polynomial, cap: int):
+    bound = compact_bound(d)
+    if bound > cap:
+        raise FamilyTooLarge(bound, cap, what="compact chain variable bound")
+
+
+def build_compact_z(d: Polynomial, cap: int = DEFAULT_FAMILY_CAP
+                    ) -> tuple[EnSystem, ReductionCertificate]:
     """Straight-line reduction of D = 0 over the integers.
 
     The chain computes D node by node; the anchor x_q + x_q = x_q forces
-    the final node, hence D itself, to vanish.
+    the final node, hence D itself, to vanish.  Refuses, before building
+    it, a chain whose `compact_bound` exceeds `cap`.
     """
     if d.is_zero():
         raise ZeroPolynomial("compact reduction needs a nonzero polynomial")
+    _refuse_long_chain(d, cap)
     builder = _ChainBuilder(d.arity)
     q = builder.accumulate(d)
     equations = builder.equations + [Add(q, q, q)]
@@ -350,17 +375,20 @@ def split_signs(d: Polynomial) -> tuple[Polynomial, Polynomial]:
     return (Polynomial._raw(d.arity, pos), Polynomial._raw(d.arity, neg))
 
 
-def build_compact_n(d: Polynomial) -> tuple[EnSystem, ReductionCertificate]:
+def build_compact_n(d: Polynomial, cap: int = DEFAULT_FAMILY_CAP
+                    ) -> tuple[EnSystem, ReductionCertificate]:
     """Straight-line reduction of D = 0 over the non-negative integers.
 
     Write D = P - N with P, N having non-negative coefficients; both sides
     are chained using additions and multiplications only, so every node
     value is non-negative at a non-negative base point.  A zero node and
     the anchor z + u_N = u_P close the system: it holds exactly when
-    P = N, i.e. D = 0.
+    P = N, i.e. D = 0.  Refuses, before building it, a chain whose
+    `compact_bound` exceeds `cap`.
     """
     if d.is_zero():
         raise ZeroPolynomial("compact reduction needs a nonzero polynomial")
+    _refuse_long_chain(d, cap)
     pos, neg = split_signs(d)
     builder = _ChainBuilder(d.arity)
     zero = builder.zero()
@@ -400,7 +428,8 @@ def _family_system(desc: FamilyDescriptor, *, pinned: list[Polynomial],
     if card > pair_cap:
         raise FamilyTooLarge(
             card, pair_cap,
-            what="full-family construction (quadratic pair enumeration)")
+            what="full-family construction (emitted identity set grows "
+                 "quadratically) cardinality")
     basis = desc.basis()
     vectors = list(desc.iter_vectors())
     members = [desc.vector_to_poly(v, basis) for v in vectors]
@@ -527,11 +556,11 @@ def build_reduction(d: Polynomial, mode: str, cap: int = DEFAULT_FAMILY_CAP,
     if mode == "halved_Z":
         return build_halved_z(d, cap, pair_cap)
     if mode == "compact_Z":
-        return build_compact_z(d)
+        return build_compact_z(d, cap)
     if mode == "full_N":
         return build_full_n(d, cap, pair_cap)
     if mode == "compact_N":
-        return build_compact_n(d)
+        return build_compact_n(d, cap)
     raise ValueError(f"unknown mode {mode!r}")
 
 

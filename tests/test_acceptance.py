@@ -13,8 +13,8 @@ from pathlib import Path
 
 import enkit
 from enkit.eqio import FnRepresentation, format_rep, parse_polynomial, parse_rep
-from enkit.oracle import (Box, Solved, Stuck, check_equivalence, foursquare_decompose,
-                          propagate, verify_pinning)
+from enkit.oracle import (Box, Schedule, Solved, Stuck, check_equivalence,
+                          foursquare_decompose, propagate, verify_pinning)
 from enkit.pipeline import assemble, build_psi, master_witness, threshold
 from enkit.poly import Polynomial
 from enkit.reductions import (FamilyDescriptor, build_compact_n,
@@ -155,10 +155,14 @@ def test_criterion_04_compact_battery():
 
 
 def _projection(system, base_box, domain):
+    schedule = Schedule.derive(system, base_box.dim, domain)
     members = set()
     for point in base_box.iter_points(domain):
-        outcome = propagate(system, {i + 1: v for i, v in enumerate(point)},
-                            domain)
+        if schedule is not None:
+            outcome = schedule.extend(point)
+        else:
+            outcome = propagate(
+                system, {i + 1: v for i, v in enumerate(point)}, domain)
         assert not isinstance(outcome, Stuck), "projection undecided"
         if isinstance(outcome, Solved):
             members.add(point)

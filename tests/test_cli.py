@@ -2,11 +2,13 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import enkit
+from enkit import cli
 from enkit.cli import main
 from enkit.eqio import parse_equation
 from enkit.pipeline import master_witness, parse_layout
@@ -73,6 +75,31 @@ def test_reduce_family_too_large_exits_3(workdir):
     assert code == 3
     assert not (workdir / "huge.ens").exists()
     assert not (workdir / "huge.cert").exists()
+
+
+def test_reduce_pair_cap_names_the_quadratic_identity_set(workdir, capsys):
+    assert main(["reduce", "--ring", "z", "--mode", "full", "x1*x2 = 2",
+                 "--out", "wide"]) == 3
+    assert capsys.readouterr().err == (
+        "error: full-family construction (emitted identity set grows "
+        "quadratically) cardinality 6561 exceeds limit 2000\n")
+
+
+@pytest.mark.parametrize("command", [
+    ["reduce", "x1^3000000 = 2", "--ring", "z"],
+    ["reduce", "x1^3000000 = 2", "--ring", "n"],
+    ["fn-system", "--rep", "huge.rep", "--ring", "n", "--n", "100"],
+], ids=["compact_Z", "compact_N", "fn-system"])
+def test_compact_chain_over_cap_exits_3_at_once(workdir, capsys, command):
+    write(workdir / "huge.rep", "REP r=2\nx1 - x2^3000000\n")
+    started = time.monotonic()
+    assert main(command + ["--out", "huge"]) == 3
+    assert time.monotonic() - started < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: compact chain variable bound ")
+    assert captured.err.endswith(" exceeds limit 1000000\n")
+    assert list(workdir.glob("huge.*")) == [workdir / "huge.rep"]
 
 
 def test_reduce_rejects_zero_polynomial(workdir):
@@ -334,6 +361,25 @@ def test_env_overrides(workdir, monkeypatch):
     code = main(["reduce", "--ring", "n", "--mode", "full", "x1 = x2",
                  "--out", "capped"])
     assert code == 3
+
+
+def test_parser_built_once_and_environment_read_per_call(workdir,
+                                                         monkeypatch):
+    calls = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser",
+                        lambda: calls.append(1) or build())
+    cli._parser.cache_clear()
+    reduce = ["reduce", "--ring", "n", "--mode", "full", "x1 = x2",
+              "--out", "capped"]
+    monkeypatch.setenv("ENKIT_CAP", "10")
+    assert main(reduce) == 3
+    monkeypatch.delenv("ENKIT_CAP")
+    assert main(reduce) == 0
+    monkeypatch.setenv("ENKIT_CAP", "ten")
+    assert main(reduce) == 2
+    assert calls == [1]
+    cli._parser.cache_clear()
 
 
 def test_usage_error_exit_code(workdir):

@@ -1,3 +1,4 @@
+import operator
 import random
 
 import pytest
@@ -5,9 +6,11 @@ import pytest
 from enkit.eqio import parse_polynomial
 from enkit.errors import BoxTooLarge, DimensionMismatch
 from enkit.oracle import (Box, Conflict, EquivalenceReport, OracleLimits,
-                          Solved, Stuck, anchor_polynomial, check_equivalence,
-                          enumerate_roots, foursquare_decompose, lift,
-                          propagate, solve_bounded)
+                          Schedule, Solved, Stuck, anchor_polynomial,
+                          check_equivalence, enumerate_roots,
+                          foursquare_decompose, lift, propagate,
+                          solve_bounded)
+from enkit.poly import Polynomial
 from enkit.reductions import (build_compact_n, build_compact_z, build_full_n,
                               build_full_z, build_halved_z, parse_certificate)
 from enkit.system import Add, EnSystem, Mul, One
@@ -285,3 +288,164 @@ def test_foursquare_lexicographic_minimality():
             for c in range(b, 23) for d in range(c, 23)
             if a * a + b * b + c * c + d * d == m)
         assert got == best
+
+
+# --------------------------------------------------------------------------
+# schedules: one derivation per system, one straight run per point
+
+def _propagated(monkeypatch, *args):
+    """check_equivalence forced onto the propagator path."""
+    with monkeypatch.context() as patch:
+        patch.setattr(Schedule, "derive",
+                      classmethod(lambda cls, *rest, **kw: None))
+        return check_equivalence(*args)
+
+
+def _random_polynomial(rng, p):
+    terms = {}
+    for _ in range(rng.randint(1, 4)):
+        exps = tuple(rng.randint(0, 2) for _ in range(p))
+        terms[exps] = terms.get(exps, 0) + rng.choice([-4, -3, -2, -1,
+                                                       1, 2, 3, 4])
+    return Polynomial(p, terms)
+
+
+def _wrong(d, rng):
+    return d + Polynomial.constant(d.arity, rng.choice([-2, -1, 1, 2]))
+
+
+def test_schedule_matches_propagation_on_compact_battery(monkeypatch):
+    # compact-battery style: the system's own equation and a shifted one,
+    # so roots, refutations, failed lifts and spurious points all occur
+    rng = random.Random(808)
+    compared = 0
+    while compared < 60:
+        p = rng.randint(1, 3)
+        d = _random_polynomial(rng, p)
+        if d.is_zero():
+            continue
+        radius = 3 if p < 3 else 1
+        for build, box, domain in (
+                (build_compact_z, Box.cube(p, radius), "Z"),
+                (build_compact_n, Box.cube_nonneg(p, 2 * radius), "N")):
+            system, cert = build(d)
+            assert Schedule.derive(system, p, domain) is not None
+            for source in (d, _wrong(d, rng)):
+                args = (source, system, cert, box, domain)
+                assert vars(check_equivalence(*args)) == \
+                    vars(_propagated(monkeypatch, *args)), (d, source, domain)
+                compared += 1
+
+
+@pytest.mark.parametrize("build, box, domain", [
+    (build_full_z, Box.cube(2, 2), "Z"),
+    (build_halved_z, Box.cube(2, 3), "Z"),
+    (build_full_n, Box.cube_nonneg(2, 3), "N"),
+], ids=["full_Z", "halved_Z", "full_N"])
+def test_schedule_matches_propagation_on_full_families(monkeypatch, build,
+                                                        box, domain):
+    d = P("x1 - x2")
+    system, cert = build(d)
+    assert Schedule.derive(system, 2, domain) is not None
+    for source in (d, P("x1 - x2 + 1")):
+        args = (source, system, cert, box, domain)
+        report = check_equivalence(*args)
+        assert vars(report) == vars(_propagated(monkeypatch, *args))
+    assert report.base_roots and report.spurious
+
+
+def test_schedule_matches_propagation_with_coinciding_indices(monkeypatch):
+    # x2 = 2*x1 by Add(i, i, k), x3 = 0 by Add(i, j, i), x4 = x2^2 by
+    # Mul(i, i, k); Add(2, 3, 2) and Mul(3, 4, 3) only check; the anchor
+    # 0 + 4 = x4 holds exactly when x1 = +-1.
+    system = EnSystem(7, [Add(1, 1, 2), Add(1, 3, 1), Mul(2, 2, 4), One(5),
+                          Add(5, 5, 6), Add(6, 6, 7), Add(2, 3, 2),
+                          Mul(3, 4, 3), Add(3, 7, 4)])
+    cert = parse_certificate("CERT 1\nmode compact_N\np 1\nn 7\n"
+                             "2 2*x1\n3 0\n4 4*x1^2\n5 1\n6 2\n7 4\n"
+                             "ANCHOR N 3 4 7\n")
+    d = anchor_polynomial(cert)
+    assert d == P("4*x1^2 - 4")
+    schedule = Schedule.derive(system, 1)
+    assert schedule is not None and len(schedule.checks) == 3
+    for box, domain in ((Box.cube(1, 3), "Z"), (Box.cube_nonneg(1, 3), "N")):
+        report = check_equivalence(d, system, cert, box, domain)
+        assert vars(report) == \
+            vars(_propagated(monkeypatch, d, system, cert, box, domain))
+        assert report.passed
+    assert check_equivalence(d, system, cert, Box.cube(1, 3)).base_roots == \
+        [(-1,), (1,)]
+
+
+def test_schedule_negative_value_over_n(monkeypatch):
+    # compact_Z chains subtract: the first step derives x3 = x1 - x2, which
+    # goes negative below the diagonal and refutes the point over N before
+    # any check runs
+    d = P("x1 - x2 - 1")
+    system, cert = build_compact_z(d)
+    schedule = Schedule.derive(system, 2, "N")
+    assert schedule.steps == [(operator.sub, 1, 2, 3)]
+    assert schedule.extend((1, 3)) == Conflict(None)
+    assert isinstance(propagate(system, {1: 1, 2: 3}, "N"), Conflict)
+    assert isinstance(Schedule.derive(system, 2, "Z").extend((1, 3)),
+                      Conflict)
+    args = (d, system, cert, Box.cube_nonneg(2, 3), "N")
+    report = check_equivalence(*args)
+    assert vars(report) == vars(_propagated(monkeypatch, *args))
+    assert report.refuted_by_propagation == 13 and report.passed
+
+
+def test_schedule_incomplete_falls_back_to_propagation(monkeypatch):
+    # x3 is reachable only by dividing x2 = x1^2 by x1
+    system = EnSystem(5, [Mul(1, 1, 2), Mul(1, 3, 2), One(4), Add(5, 4, 2),
+                          Add(5, 5, 5)])
+    cert = parse_certificate("CERT 1\nmode compact_Z\np 1\nn 5\n"
+                             "2 x1^2\n3 x1\n4 1\n5 x1^2 - 1\nANCHOR q 5\n")
+    d = P("x1^2 - 1")
+    assert Schedule.derive(system, 1) is None
+    args = (d, system, cert, Box.cube(1, 2), "Z")
+    report = check_equivalence(*args)
+    assert vars(report) == vars(_propagated(monkeypatch, *args)) == {
+        "domain": "Z", "base_points": 5, "base_roots": [(-1,), (1,)],
+        "lifted_ok": True, "unique_extension": True, "stuck_roots": 0,
+        "spurious": [], "refuted_by_propagation": 3, "refuted_by_search": 0,
+        "inconclusive": [], "system_solutions": 2, "failures": []}
+    # stuck roots, spurious points and the residual search stay as they were
+    system = EnSystem(2, [Mul(2, 2, 1)])
+    cert = parse_certificate("CERT 1\nmode compact_Z\np 1\nn 2\n"
+                             "2 0\nANCHOR q 1\n")
+    assert Schedule.derive(system, 1) is None
+    report = check_equivalence(P("x1"), system, cert, Box.cube(1, 3), "Z")
+    assert (report.stuck_roots, report.spurious, report.refuted_by_search,
+            report.refuted_by_propagation) == (1, [(1,)], 5, 0)
+
+
+def _random_soup(rng):
+    """A small system of random equations, indices free to coincide."""
+    n = rng.randint(2, 6)
+    equations = []
+    for _ in range(rng.randint(1, 2 * n)):
+        kind = rng.choice([One, Add, Add, Mul])
+        indices = [rng.randint(1, n) for _ in range(len(kind._fields))]
+        equations.append(kind(*indices))
+    return EnSystem(n, equations)
+
+
+@pytest.mark.parametrize("domain", ["Z", "N"])
+def test_schedule_extension_is_the_propagators_verdict(domain):
+    rng = random.Random(5 if domain == "Z" else 6)
+    complete = 0
+    for _ in range(3000):
+        system = _random_soup(rng)
+        p = rng.randint(0, min(2, system.n))
+        schedule = Schedule.derive(system, p, domain)
+        if schedule is None:
+            continue
+        complete += 1
+        for point in Box.cube(p, 2).iter_points(domain):
+            got = schedule.extend(point)
+            want = propagate(system, dict(enumerate(point, 1)), domain)
+            assert type(got) is type(want), (system.equations, point)
+            if isinstance(got, Solved):
+                assert got.values == want.values
+    assert complete > 500

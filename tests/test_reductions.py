@@ -8,7 +8,7 @@ from enkit.poly import Polynomial
 from enkit.reductions import (FamilyDescriptor, build_compact_n,
                               build_compact_z, build_full_n, build_full_z,
                               build_halved_z, build_master_z, b_polynomial,
-                              enumerate_t, family_descriptor,
+                              compact_bound, enumerate_t, family_descriptor,
                               master_arity, parse_certificate,
                               serialize_certificate, split_signs)
 from enkit.system import Add, Mul, One, serialize, validate
@@ -302,6 +302,48 @@ def test_compact_chain_linear_growth():
     d = P("7*x1^2*x2 - 5*x1*x2^2 + 3*x2 - 11")
     system, _ = build_compact_z(d)
     assert system.n < 40
+
+
+def _compact_corpus():
+    yield from map(P, [
+        "x1 - x2", "x1", "-x1", "x1^2 - 2", "7 - x1", "-7 + x1*x2",
+        # constants sharing low bits share partial sums (7: 3, 7; 15: 3,
+        # 7, 15; 13: 5, 13; 45: 13, 45)
+        "7*x1 + 15*x2 - 13", "45*x1^3 - 13*x1 + 7 - 15*x2",
+        "x1^5*x2^3 - x1^5*x2 + x1^2*x2^4 - 3*x2^4 + 1024*x1"])
+    rng = random.Random(41)
+    for _ in range(300):
+        p = rng.randint(1, 3)
+        terms = {}
+        for _ in range(rng.randint(1, 6)):
+            exps = tuple(rng.randint(0, 3) for _ in range(p))
+            coeff = rng.choice([1, 2, 3, 7, 13, 15, 45, 64, 127,
+                                rng.randint(1, 5000)])
+            terms[exps] = terms.get(exps, 0) + rng.choice([-1, 1]) * coeff
+        if any(terms.values()):
+            yield Polynomial(p, terms)
+
+
+def test_compact_bound_covers_the_built_chain():
+    for d in _compact_corpus():
+        for build in (build_compact_z, build_compact_n):
+            system, _ = build(d)
+            assert system.n <= compact_bound(d), (str(d), build.__name__)
+
+
+@pytest.mark.parametrize("build", [build_compact_z, build_compact_n],
+                         ids=["compact_Z", "compact_N"])
+def test_compact_cap_refuses_before_building(build):
+    d = P("x1^3 - 5*x1*x2 + 2")
+    bound = compact_bound(d)
+    assert build(d, cap=bound)[0].n <= bound
+    with pytest.raises(FamilyTooLarge) as refused:
+        build(d, cap=bound - 1)
+    assert str(refused.value) == \
+        f"compact chain variable bound {bound} exceeds limit {bound - 1}"
+    # three million multiplications would be needed; the bound is instant
+    with pytest.raises(FamilyTooLarge):
+        build(P("x1^3000000 - 2"), cap=10**6)
 
 
 @pytest.mark.parametrize("text,builder,domain,radius", [

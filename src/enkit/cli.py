@@ -254,6 +254,11 @@ def _cmd_verify_pin(args) -> int:
         assembled = pipeline.assemble(psi, n)
         if set(assembled.system.equations) != set(target.equations):
             raise ParseError("system does not match the layout's scaffold")
+        if labels != assembled.layout:
+            index = min(i for i in labels.keys() | assembled.layout.keys()
+                        if labels.get(i) != assembled.layout.get(i))
+            raise ParseError(f"layout label of index {index} does not "
+                             f"match the scaffold")
     else:
         if cert is not None:
             raise ParseError("--cert needs --layout to locate the scaffold")

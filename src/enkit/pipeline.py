@@ -198,7 +198,7 @@ def parse_layout(text: str) -> tuple[int, int, str, dict[int, str]]:
         key, _, value = line.partition(" ")
         if key in ("n", "s", "mode"):
             header[key] = value
-        elif key.isdigit():
+        elif key.isascii() and key.isdigit():
             labels[int(key)] = value
         else:
             raise FormatError(f"bad layout line {line!r}")

@@ -9,6 +9,9 @@ written by deterministic builders are byte-identical across runs.
 
 from __future__ import annotations
 
+import gc
+from itertools import compress, count, pairwise, repeat
+from operator import gt, itemgetter, ne
 from typing import Iterable, Mapping, NamedTuple
 
 from .errors import FormatError
@@ -34,6 +37,13 @@ class _Commutative:
 
     def __new__(cls, i: int, j: int, k: int):
         return tuple.__new__(cls, (i, j, k) if i <= j else (j, i, k))
+
+    @classmethod
+    def from_columns(cls, i: list[int], j: list[int], k: list[int]):
+        """Iterate cls(i[t], j[t], k[t]) for each t, made in bulk."""
+        if any(map(gt, i, j)):
+            i, j = map(min, i, j), map(max, i, j)
+        return map(tuple.__new__, repeat(cls), zip(i, j, k))
 
     def __eq__(self, other) -> bool:
         return type(self) is type(other) and tuple.__eq__(self, other)
@@ -117,6 +127,13 @@ def validate(system: EnSystem) -> list[str]:
 _TAGS = {One: "ONE", Add: "ADD", Mul: "MUL"}
 # tag -> (kind, index count)
 _KINDS = {tag: (kind, len(kind._fields)) for kind, tag in _TAGS.items()}
+# first four characters of a run of equation lines -> their kind
+_RUN_KINDS = {tag + " ": kind for kind, tag in _TAGS.items()}
+_NAME_RUN = "# na"
+_HEAD = itemgetter(slice(0, 4))
+# Lines are read this many at a time, so the bulk reader holds the tokens of
+# one chunk, not the four string objects per line of a whole file.
+_CHUNK = 4096
 
 
 def serialize(system: EnSystem) -> str:
@@ -124,7 +141,7 @@ def serialize(system: EnSystem) -> str:
     lines = ["ENSYS 1", f"n {system.n}"]
     for index in sorted(system.names):
         label = system.names[index]
-        if not label or any(ch.isspace() for ch in label):
+        if label.split() != [label]:
             raise FormatError(f"bad label {label!r} for index {index}")
         lines.append(f"# name {index} {label}")
     # One kind at a time, so sorting compares plain int tuples and never
@@ -138,53 +155,147 @@ def serialize(system: EnSystem) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _ascii_ints(tokens: list[str]) -> list[int] | None:
+    """The tokens as ints if each is a run of ASCII digits, else None."""
+    digits = "".join(tokens)
+    if digits.isascii() and digits.isdigit():
+        try:
+            return list(map(int, tokens))
+        except ValueError:  # more digits than int() converts
+            pass
+    return None
+
+
 def _parse_indices(parts: list[str], count: int, line_no: int) -> list[int]:
     if len(parts) != count:
         raise FormatError(f"line {line_no}: expected {count} indices")
-    out = []
-    for part in parts:
-        if not part.isdigit():
-            raise FormatError(f"line {line_no}: bad index {part!r}")
-        out.append(int(part))
-    return out
+    values = _ascii_ints(parts)
+    if values is None:
+        bad = next(part for part in parts if _ascii_ints([part]) is None)
+        raise FormatError(f"line {line_no}: bad index {bad!r}")
+    return values
+
+
+class _Reader:
+    """What the lines of one .ens text read so far have declared."""
+
+    __slots__ = ("n", "equations", "names", "in_range")
+
+    def __init__(self):
+        self.n: int | None = None
+        self.equations: list[EnEquation] = []
+        self.names: dict[int, str] = {}
+        self.in_range = True  # every equation index read lies in [1, n]
+
+    def read_chunk(self, lines: list[str], line_no: int):
+        """Read lines, the first of which is line number line_no.
+
+        Each run of lines beginning with the same four characters that one
+        of the bulk readers accepts is read in bulk; any other run is read
+        line by line, which raises the first format error in it.
+        """
+        heads = list(map(_HEAD, lines))
+        bounds = [0, *compress(count(1), map(ne, heads, heads[1:])),
+                  len(lines)]
+        for start, stop in pairwise(bounds):
+            run = lines[start:stop]
+            head = heads[start]
+            if head in _RUN_KINDS:
+                done = self._bulk_equations(run, _RUN_KINDS[head])
+            else:
+                done = head == _NAME_RUN and self._bulk_names(run)
+            if not done:
+                self.read_lines(run, line_no + start)
+
+    def _bulk_equations(self, lines: list[str], kind) -> bool:
+        """Read lines that all begin with kind's tag and a space, or return
+        False, having read nothing, unless every line is well formed."""
+        width = len(kind._fields) + 1
+        tokens = " ".join(lines).split()
+        if (self.n is None or len(tokens) != width * len(lines)
+                or tokens[::width].count(_TAGS[kind]) != len(lines)):
+            return False
+        del tokens[::width]
+        values = _ascii_ints(tokens)
+        if values is None:
+            return False
+        if min(values) < 1 or max(values) > self.n:
+            self.in_range = False
+        if kind is One:
+            self.equations.extend(map(tuple.__new__, repeat(One), zip(values)))
+        else:
+            self.equations.extend(
+                kind.from_columns(values[::3], values[1::3], values[2::3]))
+        return True
+
+    def _bulk_names(self, lines: list[str]) -> bool:
+        """Read lines that all begin "# na" as name lines, or return False,
+        having read nothing, unless every one is a well-formed name line."""
+        tokens = " ".join(lines).split()
+        if (len(tokens) != 4 * len(lines)
+                or tokens[::4].count("#") != len(lines)
+                or tokens[1::4].count("name") != len(lines)):
+            return False
+        indices = _ascii_ints(tokens[2::4])
+        if indices is None:
+            return False
+        self.names.update(zip(indices, tokens[3::4]))
+        return True
+
+    def read_lines(self, lines: list[str], line_no: int):
+        """Read lines one at a time; the first is line number line_no."""
+        for line_no, line in enumerate(lines, start=line_no):
+            parts = line.split()
+            if not parts:
+                continue
+            if line.startswith("#"):
+                if len(parts) >= 2 and parts[1] == "name":
+                    if len(parts) != 4 or _ascii_ints(parts[2:3]) is None:
+                        raise FormatError(f"line {line_no}: bad name line")
+                    self.names[int(parts[2])] = parts[3]
+                continue
+            head = parts[0]
+            if head == "n":
+                if self.n is not None:
+                    raise FormatError(f"line {line_no}: duplicate 'n' header")
+                (self.n,) = _parse_indices(parts[1:], 1, line_no)
+            elif head in _KINDS:
+                kind, arity = _KINDS[head]
+                values = _parse_indices(parts[1:], arity, line_no)
+                if self.n is None:
+                    raise FormatError(
+                        f"line {line_no}: equation before 'n' header")
+                if min(values) < 1 or max(values) > self.n:
+                    self.in_range = False
+                self.equations.append(kind(*values))
+            else:
+                raise FormatError(f"line {line_no}: unknown directive {head!r}")
 
 
 def deserialize(text: str | bytes) -> EnSystem:
+    """Parse .ens text; any format error or index out of range raises
+    FormatError (range problems only once the whole text is well formed)."""
     if isinstance(text, bytes):
         text = text.decode("ascii")
     lines = text.splitlines()
     if not lines or lines[0] != "ENSYS 1":
         raise FormatError("missing 'ENSYS 1' header")
-    n = None
-    names: dict[int, str] = {}
-    equations: list[EnEquation] = []
-    for line_no, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        if line.startswith("#"):
-            parts = line.split()
-            if len(parts) >= 2 and parts[1] == "name":
-                if len(parts) != 4 or not parts[2].isdigit():
-                    raise FormatError(f"line {line_no}: bad name line")
-                names[int(parts[2])] = parts[3]
-            continue
-        parts = line.split()
-        head = parts[0]
-        if head == "n":
-            if n is not None:
-                raise FormatError(f"line {line_no}: duplicate 'n' header")
-            (n,) = _parse_indices(parts[1:], 1, line_no)
-        elif head in _KINDS:
-            kind, count = _KINDS[head]
-            equations.append(kind(*_parse_indices(parts[1:], count, line_no)))
-        else:
-            raise FormatError(f"line {line_no}: unknown directive {head!r}")
-        if head != "n" and n is None:
-            raise FormatError(f"line {line_no}: equation before 'n' header")
+    reader = _Reader()
+    # The parse makes no reference cycles, yet each gen-2 collection during
+    # it would walk every Add and Mul made so far: tuple subclasses are
+    # never untracked.
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        for start in range(1, len(lines), _CHUNK):
+            reader.read_chunk(lines[start:start + _CHUNK], start + 1)
+    finally:
+        if collecting:
+            gc.enable()
+    n, names = reader.n, reader.names
     if n is None:
         raise FormatError("missing 'n <count>' header")
-    system = EnSystem(n, equations, names)
-    problems = validate(system)
-    if problems:
-        raise FormatError("; ".join(problems))
+    system = EnSystem(n, reader.equations, names)
+    if not reader.in_range or (names and (min(names) < 1 or max(names) > n)):
+        raise FormatError("; ".join(validate(system)))
     return system

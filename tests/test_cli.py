@@ -215,6 +215,33 @@ def test_verify_pin_rejects_scaffold_with_mul_for_add(workdir, capsys):
     assert "does not match the layout's scaffold" in capsys.readouterr().err
 
 
+
+@pytest.mark.parametrize("old, new", [
+    ("\n1 x1\n", "\n1 x9\n"),            # tampered label
+    ("\n2 x2\n", "\n2 x2\n1 x9\n"),     # duplicated index line
+    ("\n1 x1\n", "\n"),                  # missing label
+])
+def test_verify_pin_checks_layout_labels(workdir, capsys, old, new):
+    write(workdir / "id.rep", IDENTITY_REP)
+    assert main(["fn-system", "--rep", "id.rep", "--ring", "n", "--n", "12",
+                 "--out", "sys"]) == 0
+    tamper(workdir / "sys.layout", old, new, workdir / "bad.layout")
+    capsys.readouterr()
+    assert main(["verify-pin", "--system", "sys.ens", "--cert", "sys.cert",
+                 "--layout", "bad.layout", "--expected", "12", "--ring", "n",
+                 "--witness", "12,12"]) == 2
+    assert ("layout label of index 1 does not match the scaffold"
+            in capsys.readouterr().err)
+
+
+def test_python_dash_m_enkit(workdir):
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-m", "enkit", "--help"],
+                            capture_output=True, text=True,
+                            env=dict(os.environ, PYTHONPATH=path))
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.startswith("usage: enkit ")
+
 def test_verify_equiv_pass_and_fail(workdir, capsys):
     assert main(["reduce", "--ring", "z", "x1 = x2", "--out", "cz"]) == 0
     code = main(["verify-equiv", "--equation", "x1 = x2", "--system",

@@ -1,6 +1,7 @@
 import pytest
 
 from enkit.eqio import FnRepresentation, parse_polynomial
+from enkit.errors import FormatError
 from enkit.oracle import (Box, Solved, Stuck, enumerate_roots, propagate,
                           solve_bounded, verify_pinning)
 from enkit.pipeline import (assemble, build_pipeline, build_psi,
@@ -176,3 +177,11 @@ def test_layout_roundtrip():
     assert labels[asm.w_index] == "w"
     assert labels[asm.y_index] == "y"
     assert labels[asm.padding[0]].startswith("z")
+
+
+@pytest.mark.parametrize("line", ["\u00b2 x2", "\u0663 x3", "-1 x1", "x1 1"])
+def test_layout_index_must_be_ascii_digits(line):
+    text = f"LAYOUT 1\nn 13\ns 4\nmode N\n1 x1\n{line}\n"
+    with pytest.raises(FormatError) as err:
+        parse_layout(text)
+    assert str(err.value) == f"bad layout line {line!r}"

@@ -1,7 +1,12 @@
+import gc
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from enkit import system as system_module
 from enkit.errors import FormatError
 from enkit.oracle import check_assignment
 from enkit.system import (Add, EnSystem, Mul, One, deserialize, serialize,
@@ -133,3 +138,211 @@ def test_roundtrip_random_systems():
         back = deserialize(text)
         assert back == s
         assert serialize(back) == text
+
+
+# --------------------------------------------------------------------------
+# .ens parser: bulk runs, chunk boundaries, per-line errors
+
+CHUNK = system_module._CHUNK
+# line numbers: inside the first chunk, first line of the second chunk,
+# inside the second chunk
+POSITIONS = [5, CHUNK + 2, CHUNK + 50]
+
+
+def ens(body_before, bad, body_after, *, header="ENSYS 1\nn 5\n"):
+    return header + "".join(body_before) + bad + "\n" + "".join(body_after)
+
+
+def equations_until(line_no):
+    """Filler after the two header lines, so the next is line line_no."""
+    return ["ADD 1 2 3\n"] * (line_no - 3)
+
+
+def names_until(line_no):
+    """Filler after the one header line, so the next is line line_no."""
+    return ["# name 1 x\n"] * (line_no - 2)
+
+
+MALFORMED = [
+    # (bad line, message at line `at`)
+    ("n 5", "line {at}: duplicate 'n' header"),
+    ("ADD 1 2", "line {at}: expected 3 indices"),
+    ("MUL 1 2 3 4", "line {at}: expected 3 indices"),
+    ("ONE", "line {at}: expected 1 indices"),
+    ("ADD 1 x 3", "line {at}: bad index 'x'"),
+    ("ADD -1 2 3", "line {at}: bad index '-1'"),
+    ("ADD 1 2 ³", "line {at}: bad index '³'"),
+    ("ADD 1 2 ٣", "line {at}: bad index '٣'"),
+    ("ONE 1.0", "line {at}: bad index '1.0'"),
+    ("SUB 1 2 3", "line {at}: unknown directive 'SUB'"),
+    ("  # name 1 x", "line {at}: unknown directive '#'"),
+    ("# name x y", "line {at}: bad name line"),
+    ("# name 1", "line {at}: bad name line"),
+    ("# name 1 a b", "line {at}: bad name line"),
+    ("# name ² x", "line {at}: bad name line"),
+]
+
+
+@pytest.mark.parametrize("at", POSITIONS)
+@pytest.mark.parametrize("bad, message", MALFORMED)
+def test_malformed_line_message(bad, message, at):
+    after = ["ADD 1 2 3\n", "SUB 9\n"]  # a later error must not win
+    text = ens(equations_until(at), bad, after)
+    with pytest.raises(FormatError) as err:
+        deserialize(text)
+    assert str(err.value) == message.format(at=at)
+
+
+@pytest.mark.parametrize("at", POSITIONS)
+def test_equation_before_n(at):
+    text = ens(names_until(at), "ADD 1 2 3", ["n 5\n"], header="ENSYS 1\n")
+    with pytest.raises(FormatError) as err:
+        deserialize(text)
+    assert str(err.value) == f"line {at}: equation before 'n' header"
+
+
+@pytest.mark.parametrize("at", POSITIONS)
+def test_missing_n(at):
+    text = ens(names_until(at), "# name 2 y", [], header="ENSYS 1\n")
+    with pytest.raises(FormatError) as err:
+        deserialize(text)
+    assert str(err.value) == "missing 'n <count>' header"
+
+
+@pytest.mark.parametrize("text", ["", "\n", "n 3\nADD 1 2 3\n", "ENSYS 2\nn 1\n",
+                                  " ENSYS 1\nn 1\n"])
+def test_missing_header(text):
+    with pytest.raises(FormatError) as err:
+        deserialize(text)
+    assert str(err.value) == "missing 'ENSYS 1' header"
+
+
+@pytest.mark.parametrize("at", POSITIONS)
+def test_out_of_range_joined_after_format_errors(at):
+    before = equations_until(at)
+    before[1] = "MUL 0 4 2\n"
+    after = ["ADD 7 1 2\n", "# name 6 w\n", "ONE 5\n"]
+    text = ens(before, "ADD 9 2 1", after)
+    with pytest.raises(FormatError) as err:
+        deserialize(text)
+    assert str(err.value) == (
+        "index 0 out of range [1, 5] in x0 * x4 = x2; "
+        "index 9 out of range [1, 5] in x2 + x9 = x1; "
+        "index 7 out of range [1, 5] in x1 + x7 = x2; "
+        "named index 6 out of range [1, 5]")
+    # a format error anywhere wins over range problems
+    with pytest.raises(FormatError) as err:
+        deserialize(text + "ADD 1 2\n")
+    assert str(err.value).endswith("expected 3 indices")
+
+
+def test_index_longer_than_int_converts():
+    with pytest.raises(FormatError):
+        deserialize("ENSYS 1\nn 3\nADD 1 2 " + "9" * 5000 + "\n")
+
+
+def per_line(text):
+    """The parse of text with every line read on the line-by-line path."""
+    reader = system_module._Reader()
+    lines = text.splitlines()
+    reader.read_lines(lines[1:], 2)
+    return reader
+
+
+def kinds(equations):
+    return [(type(eq), tuple(eq)) for eq in equations]
+
+
+WHITESPACE_VARIANTS = [
+    "ADD\t1\t2\t3",
+    "ADD  1 2  3",
+    "ADD 1 2 3   ",
+    "ADD 1 2 3\t",
+    "MUL 2 1 3",
+    "ONE 4",
+    "ONE\t4",
+    "",
+    "   ",
+    "# a comment",
+    "#name 1 q",
+    "# name\t2 w",
+    "#  name 3 v",
+    "# nah, a comment",
+    "ADD 01 2 003",
+]
+
+
+@pytest.mark.parametrize("variant", WHITESPACE_VARIANTS)
+@pytest.mark.parametrize("at", POSITIONS)
+def test_whitespace_and_order_variants_match_per_line(variant, at):
+    before = equations_until(at)
+    before[0] = "ONE 1\n"
+    after = ["MUL 1 1 1\n", "ADD 2 2 4\n", "# name 4 t4\n", "ONE 2\n"] * 3
+    text = ens(before, variant, after, header="ENSYS 1\r\nn 5\r\n")
+    parsed = deserialize(text)
+    reference = per_line(text)
+    assert parsed.n == reference.n == 5
+    assert kinds(parsed.equations) == kinds(dict.fromkeys(reference.equations))
+    assert list(parsed.names.items()) == list(reference.names.items())
+
+
+def test_interleaved_kinds_keep_file_order():
+    lines = ["ADD 2 1 3", "MUL 1 1 1", "ONE 2", "ADD 1 1 2", "MUL 3 2 1",
+             "ONE 1", "ADD 1 1 2"] * 700
+    text = "ENSYS 1\nn 3\n" + "\n".join(lines) + "\n"
+    parsed = deserialize(text)
+    assert kinds(parsed.equations) == [
+        (Add, (1, 2, 3)), (Mul, (1, 1, 1)), (One, (2,)), (Add, (1, 1, 2)),
+        (Mul, (2, 3, 1)), (One, (1,))]
+    assert kinds(parsed.equations) == kinds(
+        dict.fromkeys(per_line(text).equations))
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_gc_state_restored(enabled):
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        deserialize("ENSYS 1\nn 2\nADD 1 1 2\n")
+        assert gc.isenabled() is enabled
+        with pytest.raises(FormatError):
+            deserialize("ENSYS 1\nn 2\nADD 1 1\n")
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+@st.composite
+def systems(draw):
+    n = draw(st.integers(1, 30))
+    index = st.integers(1, n)
+    equation = st.one_of(
+        st.builds(One, index),
+        st.builds(Add, index, index, index),
+        st.builds(Mul, index, index, index))
+    equations = draw(st.lists(equation, max_size=60))
+    labels = st.text(st.characters(exclude_categories=("Cs", "Z", "Cc")),
+                     min_size=1, max_size=4).filter(lambda s: s.split() == [s])
+    names = draw(st.dictionaries(index, labels, max_size=5))
+    return EnSystem(n, equations, names)
+
+
+@settings(max_examples=200, deadline=None)
+@given(systems(), st.sampled_from([1, 2, 3, 5, CHUNK]))
+def test_roundtrip_keeps_kinds_order_and_names(s, chunk):
+    text = serialize(s)
+    with mock.patch.object(system_module, "_CHUNK", chunk):
+        back = deserialize(text)
+    order = {One: 0, Add: 1, Mul: 2}
+    canonical = sorted(s.equations, key=lambda eq: (order[type(eq)], eq))
+    assert back.n == s.n
+    assert kinds(back.equations) == kinds(canonical)
+    assert list(back.names.items()) == sorted(s.names.items())
+    assert serialize(back) == text
+
+
+def test_serialize_rejects_labels_with_whitespace():
+    for label in ["", "a b", "a\tb", "x\n", " "]:
+        with pytest.raises(FormatError) as err:
+            serialize(EnSystem(1, [], {1: label}))
+        assert str(err.value) == f"bad label {label!r} for index 1"

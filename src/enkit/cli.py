@@ -254,11 +254,13 @@ def _cmd_verify_pin(args) -> int:
         assembled = pipeline.assemble(psi, n)
         if set(assembled.system.equations) != set(target.equations):
             raise ParseError("system does not match the layout's scaffold")
-        if labels != assembled.layout:
-            index = min(i for i in labels.keys() | assembled.layout.keys()
-                        if labels.get(i) != assembled.layout.get(i))
-            raise ParseError(f"layout label of index {index} does not "
-                             f"match the scaffold")
+        for what, names in (("layout label", labels),
+                            (".ens name", target.names)):
+            if names != assembled.layout:
+                index = min(i for i in names.keys() | assembled.layout.keys()
+                            if names.get(i) != assembled.layout.get(i))
+                raise ParseError(f"{what} of index {index} does not match "
+                                 f"the scaffold")
     else:
         if cert is not None:
             raise ParseError("--cert needs --layout to locate the scaffold")

@@ -10,6 +10,7 @@ its budget reports "inconclusive" rather than passing.
 from __future__ import annotations
 
 import time
+from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import compress
 from itertools import product as iproduct
@@ -185,6 +186,11 @@ class _Propagator:
     plus consistency checks: fully-known equations are verified, a zero
     factor with a nonzero known product conflicts, and over N any negative
     value conflicts.
+
+    Each derived value is forced by the values it came from, so the fixed
+    point, and whether a conflict is reached at all, does not depend on the
+    order in which the rules fire; only the equation a conflict names does.
+    `start` must come before `push`.
     """
 
     __slots__ = ("equations", "by_var", "values", "domain", "n",
@@ -196,11 +202,6 @@ class _Propagator:
         self.domain = domain
         self.values: dict[int, int] = {}
         self.conflict_equation: EnEquation | None = None
-        by_var: list[list[int]] = [[] for _ in range(system.n + 1)]
-        for t, eq in enumerate(self.equations):
-            for index in set(eq):
-                by_var[index].append(t)
-        self.by_var = by_var
 
     def _set(self, index, value, eq, queue, trail) -> bool:
         existing = self.values.get(index)
@@ -214,7 +215,7 @@ class _Propagator:
             return False
         self.values[index] = value
         trail.append(index)
-        queue.extend(self.by_var[index])
+        queue.extend(self.by_var.get(index, ()))
         return True
 
     def _apply(self, t, queue, trail) -> bool:
@@ -265,21 +266,88 @@ class _Propagator:
         return True
 
     def start(self, seed: dict[int, int]) -> tuple[bool, list[int]]:
-        """Seed values and scan every equation once; returns (ok, trail).
+        """Seed values and propagate to the fixed point; returns (ok, trail).
 
-        Undoing the trail restores the state before the call, so one
-        propagator can be started again and again from different seeds.
+        One sweep in equation order applies the value-independent rules
+        (the two constants, an Add with two slots known, a Mul with both
+        factors known) and checks every equation whose slots are all known.
+        The equations it leaves with an unknown slot are open: only they
+        enter the queue, which applies every rule, and only they are
+        watched by later pushes, since a closed equation holds no unknown
+        variable.  Undoing the trail restores the state before the call, so
+        one propagator can be started again and again from different seeds.
         """
         self.conflict_equation = None
+        by_var = self.by_var = defaultdict(list)
         trail: list[int] = []
-        queue: list[int] = []
         for index, value in seed.items():
             if not 1 <= index <= self.n:
                 raise ValueError(f"seed index {index} out of range")
-            if not self._set(index, value, None, queue, trail):
+            if not self._set(index, value, None, [], trail):
                 return False, trail
-        queue.extend(range(len(self.equations)))
+        queue = self._sweep(trail)
+        if queue is None:
+            return False, trail
+        values, equations = self.values, self.equations
+        for t in queue:
+            for index in equations[t]:
+                if index not in values:
+                    by_var[index].append(t)
         return self._run(queue, trail), trail
+
+    def _sweep(self, trail) -> list[int] | None:
+        """The sweep of `start`: the open equations' positions, or None
+        after a conflict."""
+        values = self.values
+        get = values.get
+        nat = self.domain == DOMAIN_N
+        opened: list[int] = []
+        for t, eq in enumerate(self.equations):
+            kind = type(eq)
+            if kind is One:
+                i = eq[0]
+                vi = get(i)
+                if vi is None:
+                    values[i] = 1
+                    trail.append(i)
+                elif vi != 1:
+                    break
+                continue
+            i, j, k = eq
+            vi, vj, vk = get(i), get(j), get(k)
+            if vi is not None and vj is not None:
+                # Over N both are non-negative, so is the result.
+                result = vi + vj if kind is Add else vi * vj
+                if vk is None:
+                    values[k] = result
+                    trail.append(k)
+                elif vk != result:
+                    break
+                continue
+            if kind is Add:
+                if vk is not None:
+                    # The unknown slot differs from the two known ones.
+                    if vi is not None:
+                        other, value = j, vk - vi
+                    elif vj is not None:
+                        other, value = i, vk - vj
+                    else:
+                        opened.append(t)
+                        continue
+                    if nat and value < 0:
+                        break
+                    values[other] = value
+                    trail.append(other)
+                    continue
+                if i == j == k:
+                    values[i] = 0
+                    trail.append(i)
+                    continue
+            opened.append(t)
+        else:
+            return opened
+        self.conflict_equation = eq
+        return None
 
     def push(self, index: int, value: int) -> tuple[bool, list[int]]:
         """Assign one variable and propagate; returns (ok, trail)."""
@@ -330,10 +398,13 @@ class Schedule:
       x_i + x_i = x_i    assigns 0
       Add, two known     determines the third slot
       Mul, factors known determines the product
-    `derive` assigns the constants, then sweeps the equations in order,
-    marking slots known, until every variable is; each derivation becomes a
-    step.  `extend` runs the steps on a flat value list and checks the
-    equations no step used.
+    `derive` assigns the constants, then sweeps the equations once in
+    order, marking slots known; an equation the sweep leaves unresolved is
+    visited once more, and after that whenever one of its unknown slots
+    becomes known, so the derivation takes linear time in any equation
+    order.  Each derivation
+    becomes a step.  `extend` runs the steps on a flat value list and
+    checks the equations no step used.
 
     Every derived value is forced by its equation, so a base point extends
     to a solution exactly when the derived values pass those checks (and,
@@ -353,7 +424,7 @@ class Schedule:
                domain: str = DOMAIN_Z) -> "Schedule | None":
         """The schedule from x_1..x_p, or None if a variable stays unknown.
 
-        Sweeps stop as soon as all n variables are known.
+        Derivation stops as soon as all n variables are known.
         """
         n = system.n
         if not 0 <= p <= n:
@@ -373,10 +444,14 @@ class Schedule:
                 unused[t] = 0
                 count += 1
         steps: list[tuple] = []
+        # The first pass sweeps every equation once.  The second visits the
+        # ones it left unresolved; one still unresolved then waits on its
+        # unknown slots and is visited again when one becomes known.
         pending = range(len(equations))
+        unresolved: list[int] = []
+        watch: dict[int, list[int]] | None = None
+        waiting = bytearray(len(equations))
         while count < n:
-            before = count
-            unresolved = []
             for t in pending:
                 eq = equations[t]
                 if type(eq) is One:
@@ -387,26 +462,34 @@ class Schedule:
                         continue  # left to the checks
                     slot = k
                     steps.append((add if type(eq) is Add else mul, i, j, k))
-                elif type(eq) is Mul or not known[k]:
-                    unresolved.append(t)
-                    continue
-                elif known[i]:
-                    slot = j
-                    steps.append((sub, k, i, j))
-                elif known[j]:
-                    slot = i
-                    steps.append((sub, k, j, i))
+                elif type(eq) is Add and known[k] and (known[i] or known[j]):
+                    if known[i]:
+                        slot = j
+                        steps.append((sub, k, i, j))
+                    else:
+                        slot = i
+                        steps.append((sub, k, j, i))
                 else:
-                    unresolved.append(t)
+                    if watch is None:
+                        unresolved.append(t)
+                    elif not waiting[t]:
+                        waiting[t] = 1
+                        for index in {i, j, k}:
+                            if not known[index]:
+                                watch.setdefault(index, []).append(t)
                     continue
                 known[slot] = True
                 unused[t] = 0
                 count += 1
                 if count == n:
                     break
-            if count == before:
-                return None
-            pending = unresolved
+                if watch:
+                    pending.extend(watch.pop(slot, ()))
+            if watch is not None:
+                break
+            watch, pending = {}, unresolved
+        if count < n:
+            return None
         checks = list(compress(equations, unused))
         return cls(p, domain, template, steps, checks)
 

@@ -12,6 +12,7 @@ t-chain, w, and the parity variable y.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 
 from .eqio import MAX_VARIABLE, FnRepresentation
 from .errors import FormatError
@@ -130,11 +131,13 @@ def assemble(psi: PsiSystem, n: int) -> AssembledSystem:
     y_index = w_index + 1
     assert y_index == n, "variable layout must use exactly n indices"
 
+    first = t_chain[0]
     equations = list(psi.system.equations)
-    equations.extend(One(z) for z in padding)
-    equations.append(One(t_chain[0]))
-    for k in range(half - 1):
-        equations.append(Add(t_chain[k], t_chain[0], t_chain[k + 1]))
+    equations += map(tuple.__new__, repeat(One), zip(padding))
+    equations.append(One(first))
+    # t_{k+1} = t_k + t_1, stored as Add(t_1, t_k, t_{k+1})
+    equations += Add.from_columns([first] * (half - 1), t_chain[:-1],
+                                  t_chain[1:])
     equations.append(Add(t_chain[-1], t_chain[-1], w_index))
     equations.append(Add(w_index, y_index, 2))
     if n % 2 == 0:
@@ -142,9 +145,9 @@ def assemble(psi: PsiSystem, n: int) -> AssembledSystem:
     else:
         equations.append(One(y_index))
 
-    layout = {i: f"x{i}" for i in range(1, s + 1)}
-    layout.update({z: f"z{t + 1}" for t, z in enumerate(padding)})
-    layout.update({t: f"t{k + 1}" for k, t in enumerate(t_chain)})
+    layout = dict(zip(range(1, s + 1), map("x%d".__mod__, range(1, s + 1))))
+    layout.update(zip(padding, map("z%d".__mod__, range(1, pad_count + 1))))
+    layout.update(zip(t_chain, map("t%d".__mod__, range(1, half + 1))))
     layout[w_index] = "w"
     layout[y_index] = "y"
 
@@ -202,7 +205,8 @@ def parse_layout(text: str) -> tuple[int, int, str, dict[int, str]]:
             labels[int(key)] = value
         else:
             raise FormatError(f"bad layout line {line!r}")
-    try:
-        return int(header["n"]), int(header["s"]), header["mode"], labels
-    except (KeyError, ValueError) as exc:
-        raise FormatError("bad layout header") from exc
+    n, s, mode = (header.get(key, "") for key in ("n", "s", "mode"))
+    if not (n.isascii() and n.isdigit() and s.isascii() and s.isdigit()
+            and mode in (MODE_Z, MODE_N)):
+        raise FormatError("bad layout header")
+    return int(n), int(s), mode, labels

@@ -234,6 +234,48 @@ def test_verify_pin_checks_layout_labels(workdir, capsys, old, new):
             in capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("old, new", [
+    ("# name 1 x1\n", "# name 1 evil\n"),   # tampered name
+    ("# name 1 x1\n", ""),                  # missing name
+])
+def test_verify_pin_checks_ens_names(workdir, capsys, old, new):
+    write(workdir / "id.rep", IDENTITY_REP)
+    assert main(["fn-system", "--rep", "id.rep", "--ring", "n", "--n", "12",
+                 "--out", "sys"]) == 0
+    tamper(workdir / "sys.ens", old, new, workdir / "bad.ens")
+    capsys.readouterr()
+    assert main(["verify-pin", "--system", "bad.ens", "--cert", "sys.cert",
+                 "--layout", "sys.layout", "--expected", "12", "--ring", "n",
+                 "--witness", "12,12"]) == 2
+    assert (".ens name of index 1 does not match the scaffold"
+            in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("ring", ["n", "z"])
+def test_verify_pin_report_does_not_depend_on_equation_order(workdir, capsys,
+                                                            ring):
+    write(workdir / "id.rep", IDENTITY_REP)
+    assert main(["fn-system", "--rep", "id.rep", "--ring", ring,
+                 "--n", "2000", "--out", "sys"]) == 0
+    lines = (workdir / "sys.ens").read_text().splitlines(keepends=True)
+    body = [line for line in lines if line.startswith(("ONE", "ADD", "MUL"))]
+    head = lines[:len(lines) - len(body)]
+    write(workdir / "rev.ens", "".join(head + body[::-1]))
+    witness = (2000, 2000) if ring == "n" else master_witness((2000, 2000), 2)
+    results = []
+    for name in ("sys", "rev"):
+        capsys.readouterr()
+        code = main(["verify-pin", "--system", f"{name}.ens", "--cert",
+                     "sys.cert", "--layout", "sys.layout", "--expected",
+                     "2000", "--ring", ring, "--radius", "1", "--witness",
+                     ",".join(map(str, witness)), "--report",
+                     f"{name}.json"])
+        results.append((code, capsys.readouterr().out,
+                        (workdir / f"{name}.json").read_text()))
+    assert results[0] == results[1]
+    assert results[0][0] == 0
+
+
 def test_python_dash_m_enkit(workdir):
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     result = subprocess.run([sys.executable, "-m", "enkit", "--help"],

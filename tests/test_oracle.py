@@ -1,15 +1,18 @@
 import operator
 import random
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from enkit.eqio import parse_polynomial
 from enkit.errors import BoxTooLarge, DimensionMismatch
 from enkit.oracle import (Box, Conflict, EquivalenceReport, OracleLimits,
-                          Schedule, Solved, Stuck, anchor_polynomial,
-                          check_equivalence, enumerate_roots,
-                          foursquare_decompose, lift, propagate,
-                          solve_bounded)
+                          SearchOutcome, Schedule, Solved, Stuck, _Propagator,
+                          _search, anchor_polynomial, check_equivalence,
+                          enumerate_roots, foursquare_decompose, lift,
+                          propagate, solve_bounded)
 from enkit.poly import Polynomial
 from enkit.reductions import (build_compact_n, build_compact_z, build_full_n,
                               build_full_z, build_halved_z, parse_certificate)
@@ -449,3 +452,140 @@ def test_schedule_extension_is_the_propagators_verdict(domain):
             if isinstance(got, Solved):
                 assert got.values == want.values
     assert complete > 500
+
+
+def test_schedule_derivation_is_linear_in_the_equation_order():
+    # x1^20000 = 1 compiles to the chain x_{k+1} = x_1 * x_k.  Reversed,
+    # sweeping the equations until nothing changes resolves one link per
+    # sweep: about 2 * 10^8 equation visits.
+    d = P("x1^20000 - 1")
+    system, cert = build_compact_z(d, 10**6)
+    reversed_system = EnSystem(system.n, system.equations[::-1])
+    box = Box.cube(1, 2)
+    started = time.monotonic()
+    schedule = Schedule.derive(reversed_system, 1)
+    report = check_equivalence(d, reversed_system, cert, box)
+    assert time.monotonic() - started < 10
+    assert len(schedule.steps) == system.n - 3  # all but x1 and 2 constants
+    assert vars(report) == vars(check_equivalence(d, system, cert, box))
+    assert report.passed and report.base_roots == [(-1,), (1,)]
+
+
+# --------------------------------------------------------------------------
+# propagation: the one-sweep start against the fixed-point reference
+
+class _FixedPointPropagator(_Propagator):
+    """The reference start: every equation queued, each watched by all of
+    its variables, and the queue run to its fixed point."""
+
+    __slots__ = ()
+
+    def start(self, seed):
+        self.conflict_equation = None
+        self.by_var = {}
+        for t, eq in enumerate(self.equations):
+            for index in set(eq):
+                self.by_var.setdefault(index, []).append(t)
+        trail, queue = [], []
+        for index, value in seed.items():
+            if not 1 <= index <= self.n:
+                raise ValueError(f"seed index {index} out of range")
+            if not self._set(index, value, None, queue, trail):
+                return False, trail
+        queue.extend(range(len(self.equations)))
+        return self._run(queue, trail), trail
+
+
+@st.composite
+def _ordered_systems(draw):
+    """A small system with coinciding indices allowed, as drawn, reversed
+    or shuffled, a domain and a seed inside it."""
+    n = draw(st.integers(1, 6))
+    index = st.integers(1, n)
+    equation = st.one_of(st.builds(One, index),
+                         st.builds(Add, index, index, index),
+                         st.builds(Mul, index, index, index))
+    equations = draw(st.lists(equation, max_size=3 * n))
+    order = draw(st.sampled_from(["drawn", "reversed", "shuffled"]))
+    if order == "reversed":
+        equations.reverse()
+    elif order == "shuffled":
+        equations = draw(st.permutations(equations))
+    domain = draw(st.sampled_from(["Z", "N"]))
+    value = st.integers(0 if domain == "N" else -3, 6)
+    seed = draw(st.dictionaries(index, value, max_size=3))
+    return EnSystem(n, equations), domain, seed
+
+
+def _assert_same_state(prop, ref):
+    assert prop.values == ref.values
+    assert prop.undetermined() == ref.undetermined()
+
+
+@settings(max_examples=400, deadline=None)
+@given(_ordered_systems(), st.data())
+def test_sweep_start_matches_fixed_point_reference(case, data):
+    system, domain, seed = case
+    prop, ref = _Propagator(system, domain), _FixedPointPropagator(system,
+                                                                   domain)
+    ok, trail = prop.start(dict(seed))
+    ref_ok, ref_trail = ref.start(dict(seed))
+    assert ok == ref_ok
+    outcome, ref_outcome = prop.outcome(ok), ref.outcome(ref_ok)
+    assert type(outcome) is type(ref_outcome)
+    if not ok:
+        # Which values were set before the conflict depends on the order.
+        prop.undo(trail)
+        ref.undo(ref_trail)
+        assert prop.values == ref.values == {}
+        return
+    assert vars(outcome) == vars(ref_outcome)
+    # The same search state after every push and undo.
+    trails = []
+    index = st.integers(1, system.n)
+    for _ in range(data.draw(st.integers(0, 8))):
+        if trails and data.draw(st.booleans()):
+            mine, theirs = trails.pop()
+            prop.undo(mine)
+            ref.undo(theirs)
+            _assert_same_state(prop, ref)
+            continue
+        at, value = data.draw(index), data.draw(st.integers(-3, 6))
+        ok, mine = prop.push(at, value)
+        ref_ok, theirs = ref.push(at, value)
+        assert ok == ref_ok
+        if ok:
+            _assert_same_state(prop, ref)
+            trails.append((mine, theirs))
+        else:
+            prop.undo(mine)
+            ref.undo(theirs)
+            _assert_same_state(prop, ref)
+    # Bounded search from the seed finds the same solutions in the same
+    # order after the same number of nodes.
+    limits = OracleLimits()
+    ref = _FixedPointPropagator(system, domain)
+    if ref.start(dict(seed))[0]:
+        want = _search(ref, 1, limits)
+    else:
+        want = SearchOutcome(solutions=[], exhausted=True, nodes=0)
+    assert vars(solve_bounded(system, domain, 1, dict(seed), limits)) == \
+        vars(want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ordered_systems(), st.integers(0, 2))
+def test_schedule_verdicts_do_not_depend_on_the_equation_order(case, p):
+    system, domain, _ = case
+    p = min(p, system.n)
+    drawn = Schedule.derive(system, p, domain)
+    reversed_system = EnSystem(system.n, system.equations[::-1])
+    again = Schedule.derive(reversed_system, p, domain)
+    assert (drawn is None) == (again is None)
+    if drawn is None:
+        return
+    for point in Box.cube(p, 2).iter_points(domain):
+        got, want = drawn.extend(point), again.extend(point)
+        assert type(got) is type(want)
+        if isinstance(got, Solved):
+            assert got.values == want.values

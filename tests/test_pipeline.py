@@ -185,3 +185,19 @@ def test_layout_index_must_be_ascii_digits(line):
     with pytest.raises(FormatError) as err:
         parse_layout(text)
     assert str(err.value) == f"bad layout line {line!r}"
+
+
+@pytest.mark.parametrize("header", [
+    "n ١٢\ns 4\nmode N",   # Arabic-Indic digits
+    "n 13\ns 1_0\nmode N",          # int() would read 10
+    "n 13\ns 4\nmode Q",
+    "n +13\ns 4\nmode N",
+    "n 13\ns -4\nmode N",
+    "n 13\ns 4\nmode z",
+    "n 13\nmode N",
+    "n 13\ns 4",
+])
+def test_layout_header_must_be_ascii_digits_and_a_mode(header):
+    with pytest.raises(FormatError) as err:
+        parse_layout(f"LAYOUT 1\n{header}\n1 x1\n")
+    assert str(err.value) == "bad layout header"

@@ -4,14 +4,15 @@ Subcommands: reduce, fn-system, info, solve, verify-equiv, verify-pin.
 Exit codes: 0 success / verification passed, 1 verification failed,
 2 usage or input error, 3 resource limit hit.
 
-Output files are written atomically after the whole command succeeded, so
-a failing invocation leaves no partial files behind.  Reports never embed
+Output files are written only after the whole command succeeded, and a
+failing write leaves no partial files behind.  Reports never embed
 timings (identical invocations produce byte-identical files); timing lines
 go to stderr.
 
 Limits can also be set through environment variables mirroring the flags:
-ENKIT_CAP, ENKIT_PAIR_CAP, ENKIT_BOX, ENKIT_POINT_LIMIT, ENKIT_TIME_BUDGET,
-ENKIT_JOBS.
+ENKIT_CAP, ENKIT_PAIR_CAP, ENKIT_BOX, ENKIT_POINT_LIMIT, ENKIT_TIME_BUDGET.
+Verification runs in one process: `--jobs` is accepted, for callers that
+pass it, and ignored.
 """
 
 from __future__ import annotations
@@ -33,6 +34,19 @@ EXIT_USAGE = 2
 EXIT_LIMIT = 3
 
 
+def integer(text: str) -> int:
+    """An optional '-' and a run of ASCII digits, as an int.
+
+    Integer flags, their environment variables, `--box` and `--witness`
+    follow the rule of `eqio.ascii_ints`; `int` alone would also take
+    `٣`, `+3` and `0_5`.
+    """
+    value = eqio.ascii_int(text.removeprefix("-"))
+    if value is None:
+        raise ValueError(f"bad integer {text!r}")
+    return -value if text.startswith("-") else value
+
+
 def _parse_box_spec(spec: str, dim: int) -> oracle.Box:
     """'-3..3' (every variable) or '-3..3,0..5,...' (one range per variable)."""
     parts = spec.split(",")
@@ -46,7 +60,8 @@ def _parse_box_spec(spec: str, dim: int) -> oracle.Box:
         if not sep:
             raise ParseError(f"bad range {part!r} (expected lo..hi)")
         try:
-            bounds.append((int(lo_text), int(hi_text)))
+            bounds.append((integer(lo_text.strip()),
+                           integer(hi_text.strip())))
         except ValueError as exc:
             raise ParseError(f"bad range {part!r}") from exc
     return oracle.Box(tuple(bounds))
@@ -62,11 +77,24 @@ class _Outputs:
         self.pending.append((path, text))
 
     def commit(self):
-        for path, text in self.pending:
-            tmp = path + ".tmp"
-            with open(tmp, "w", encoding="ascii") as handle:
-                handle.write(text)
-            os.replace(tmp, path)
+        """Write every temp file, then move each onto its target.  On any
+        failure, remove the temp files and the targets this call created."""
+        made: list[str] = []
+        try:
+            for path, _ in self.pending:
+                if not os.path.lexists(path):
+                    made.append(path)
+            for path, text in self.pending:
+                with open(path + ".tmp", "w", encoding="ascii") as handle:
+                    made.append(path + ".tmp")
+                    handle.write(text)
+            for path, _ in self.pending:
+                os.replace(path + ".tmp", path)
+        except BaseException:
+            for path in made:
+                if os.path.isfile(path):
+                    os.remove(path)
+            raise
 
 
 def _load_rep(path: str) -> eqio.FnRepresentation:
@@ -211,7 +239,7 @@ def _cmd_verify_equiv(args) -> int:
     box = _parse_box_spec(args.box, d.arity)
     started = time.monotonic()
     report = oracle.check_equivalence(d, target, cert, box, domain,
-                                      limits=_limits(args), jobs=args.jobs)
+                                      limits=_limits(args))
     _note(f"checked {report.base_points} base points "
           f"in {time.monotonic() - started:.2f}s")
     payload = {
@@ -267,7 +295,10 @@ def _cmd_verify_pin(args) -> int:
         assembled = _BareSystem(target)
     witness = None
     if args.witness:
-        witness = tuple(int(v) for v in args.witness.split(","))
+        try:
+            witness = tuple(map(integer, args.witness.split(",")))
+        except ValueError as exc:
+            raise ParseError(f"bad witness {args.witness!r}") from exc
     report = oracle.verify_pinning(
         assembled, args.expected, box_radius=args.radius, domain=domain,
         witness_base=witness, limits=_limits(args))
@@ -315,19 +346,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     # Defaults stay None here; _resolve_defaults fills them in per call.
     def common(p):
-        p.add_argument("--cap", type=int,
+        p.add_argument("--cap", type=integer,
                        help="variable limit: family size for full modes, "
                             "a bound on chain length for compact modes")
-        p.add_argument("--pair-cap", type=int,
+        p.add_argument("--pair-cap", type=integer,
                        help="member limit for full-family closure, whose "
                             "identity set grows quadratically")
-        p.add_argument("--point-limit", type=int,
+        p.add_argument("--point-limit", type=integer,
                        help="box enumeration budget")
         p.add_argument("--time-budget", type=float,
                        help="soft seconds budget per check")
         p.add_argument("--box", help="box spec lo..hi[,lo..hi...]")
-        p.add_argument("--jobs", type=int,
-                       help="worker processes for verification")
+        p.add_argument("--jobs", type=integer,
+                       help="accepted and ignored: verification runs in "
+                            "one process")
 
     p = sub.add_parser("reduce", help="equation -> .ens + .cert")
     p.add_argument("equation")
@@ -341,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fn-system", help=".rep + n -> .ens + .cert + .layout")
     p.add_argument("--rep", required=True)
     p.add_argument("--ring", choices=("z", "n"), required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=integer, required=True)
     p.add_argument("--mode", choices=("compact", "full"), default="compact")
     p.add_argument("--out", default="system", help="output path prefix")
     common(p)
@@ -358,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="bounded search over an .ens system")
     p.add_argument("--system", required=True)
     p.add_argument("--ring", choices=("z", "n"), default="z")
-    p.add_argument("--radius", type=int, default=8,
+    p.add_argument("--radius", type=integer, default=8,
                    help="branching radius for undetermined variables")
     common(p)
     p.set_defaults(run=_cmd_solve)
@@ -378,9 +410,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--system", required=True)
     p.add_argument("--cert")
     p.add_argument("--layout")
-    p.add_argument("--expected", type=int, required=True)
+    p.add_argument("--expected", type=integer, required=True)
     p.add_argument("--ring", choices=("z", "n"), required=True)
-    p.add_argument("--radius", type=int, default=2)
+    p.add_argument("--radius", type=integer, default=2)
     p.add_argument("--witness", help="comma-separated base point")
     p.add_argument("--report", help="write a JSON report here")
     common(p)
@@ -392,12 +424,12 @@ def build_parser() -> argparse.ArgumentParser:
 # flag -> (environment variable, type, default) for the options that
 # `common` adds
 _DEFAULTS = {
-    "cap": ("ENKIT_CAP", int, reductions.DEFAULT_FAMILY_CAP),
-    "pair_cap": ("ENKIT_PAIR_CAP", int, reductions.DEFAULT_PAIR_CAP),
-    "point_limit": ("ENKIT_POINT_LIMIT", int, oracle.DEFAULT_POINT_LIMIT),
+    "cap": ("ENKIT_CAP", integer, reductions.DEFAULT_FAMILY_CAP),
+    "pair_cap": ("ENKIT_PAIR_CAP", integer, reductions.DEFAULT_PAIR_CAP),
+    "point_limit": ("ENKIT_POINT_LIMIT", integer,
+                    oracle.DEFAULT_POINT_LIMIT),
     "time_budget": ("ENKIT_TIME_BUDGET", float, 60.0),
     "box": ("ENKIT_BOX", str, "-8..8"),
-    "jobs": ("ENKIT_JOBS", int, 1),
 }
 
 

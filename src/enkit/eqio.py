@@ -7,11 +7,12 @@ Grammar (LL(1), whitespace between tokens ignored):
     factor     := base [ '^' INT ]
     base       := INT | VAR | '(' expression ')'
 
-INT is an unsigned decimal literal, VAR is `x` followed by a 1-based decimal
-index of at most 1000.  Implicit multiplication is not allowed.  Exponents
-are capped at 2**31 - 1; anything larger would produce reductions of absurd
-size anyway.  The parser builds each polynomial as it goes, at the declared
-arity or the largest index in the text, whichever is larger.
+INT is a run of ASCII digits, VAR is `x` followed by a 1-based index of at
+most 1000 written the same way.  Implicit multiplication is not allowed.
+Exponents are capped at 2**31 - 1; anything larger would produce reductions
+of absurd size anyway.  Parentheses nest at most MAX_NESTING deep.  The
+parser builds each polynomial as it goes, at the declared arity or the
+largest index in the text, whichever is larger.
 """
 
 from __future__ import annotations
@@ -25,6 +26,10 @@ MAX_EXPONENT = 2**31 - 1
 # A polynomial in x1..xk stores k exponents per term and the compact chains
 # grow quadratically in k, so one mistyped index could exhaust memory.
 MAX_VARIABLE = 1000
+# Each level of parentheses costs the recursive descent four stack frames,
+# so 100 levels stay far below Python's default recursion limit of 1000
+# whatever the caller's own depth.
+MAX_NESTING = 100
 
 _OPS = frozenset("+-*^()=")
 
@@ -50,6 +55,35 @@ class FnRepresentation:
 
 
 # --------------------------------------------------------------------------
+# integers
+
+def ascii_ints(tokens: list[str]) -> list[int] | None:
+    """The tokens as ints if each is a run of ASCII digits, else None.
+
+    This is the one rule for every integer an enkit reader takes: `int`
+    alone would also accept `٣`, `+3`, `0_5` and surrounding whitespace,
+    none of which any enkit format writes.
+    """
+    digits = "".join(tokens)
+    if digits.isascii() and digits.isdigit():
+        try:
+            return list(map(int, tokens))
+        except ValueError:  # more digits than int() converts
+            pass
+    return None
+
+
+def ascii_int(token: str) -> int | None:
+    """One token under the rule of `ascii_ints`, without building lists."""
+    if token.isascii() and token.isdigit():
+        try:
+            return int(token)
+        except ValueError:  # more digits than int() converts
+            pass
+    return None
+
+
+# --------------------------------------------------------------------------
 # tokenizer
 
 def _tokenize(text: str) -> list[tuple[str, object, int]]:
@@ -66,14 +100,20 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
         if ch.isdigit():
             while i < n and text[i].isdigit():
                 i += 1
-            tokens.append(("int", int(text[start:i]), start))
+            value = ascii_int(text[start:i])
+            if value is None:
+                raise ParseError(f"bad integer {text[start:i]!r}", start)
+            tokens.append(("int", value, start))
         elif ch == "x":
             i += 1
             if i >= n or not text[i].isdigit():
                 raise ParseError("expected variable index after 'x'", start)
             while i < n and text[i].isdigit():
                 i += 1
-            index = int(text[start + 1:i])
+            index = ascii_int(text[start + 1:i])
+            if index is None:
+                raise ParseError(
+                    f"bad variable index {text[start:i]!r}", start)
             if index < 1:
                 raise ParseError(f"variable index must be >= 1, got x{index}", start)
             if index > MAX_VARIABLE:
@@ -94,8 +134,12 @@ class _Parser:
     one, raised to the largest variable index among the tokens."""
 
     def __init__(self, text: str, arity: int | None):
+        if arity is not None and arity > MAX_VARIABLE:
+            # Every term would carry `arity` exponents.
+            raise ParseError(f"declared arity {arity} exceeds {MAX_VARIABLE}")
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0  # parentheses open around the current position
         self.declared = arity
         self.largest = max(
             (value for kind, value, _ in self.tokens if kind == "var"),
@@ -176,8 +220,13 @@ class _Parser:
         if kind == "var":
             return Polynomial.variable(self.arity, value)
         if kind == "op" and value == "(":
+            if self.depth == MAX_NESTING:
+                raise ParseError(
+                    f"parentheses nested deeper than {MAX_NESTING}", offset)
+            self.depth += 1
             poly = self.expression()
             self.expect_op(")")
+            self.depth -= 1
             return poly
         raise ParseError("syntax error", offset)
 
@@ -244,10 +293,9 @@ def parse_rep(text: str) -> FnRepresentation:
     spec = header[4:].strip()
     if not spec.startswith("r="):
         raise FormatError("representation header must declare r=<count>")
-    try:
-        r = int(spec[2:])
-    except ValueError as exc:
-        raise FormatError(f"bad variable count {spec[2:]!r}") from exc
+    r = ascii_int(spec[2:])
+    if r is None:
+        raise FormatError(f"bad variable count {spec[2:]!r}")
     if r < 2:
         raise FormatError("a representation needs at least x1 and x2 (r >= 2)")
     if len(lines) != 2:

@@ -650,27 +650,32 @@ class EquivalenceReport:
                 and not self.spurious and not self.inconclusive
                 and self.counts_equal and not self.failures)
 
-    def merge(self, other: "EquivalenceReport"):
-        self.base_points += other.base_points
-        self.base_roots.extend(other.base_roots)
-        self.lifted_ok &= other.lifted_ok
-        self.unique_extension &= other.unique_extension
-        self.stuck_roots += other.stuck_roots
-        self.spurious.extend(other.spurious)
-        self.refuted_by_propagation += other.refuted_by_propagation
-        self.refuted_by_search += other.refuted_by_search
-        self.inconclusive.extend(other.inconclusive)
-        self.system_solutions += other.system_solutions
-        self.failures.extend(other.failures)
 
+def check_equivalence(d: Polynomial, system: EnSystem,
+                      cert: ReductionCertificate, box: Box,
+                      domain: str = DOMAIN_Z,
+                      limits: OracleLimits = DEFAULT_LIMITS
+                      ) -> EquivalenceReport:
+    """Exercise the reduction against brute force over a finite box.
 
-def _check_points(d, system, cert, points, domain, limits):
-    """Classify each point; propagation runs only when no schedule exists."""
+    Every root of D in the box must lift to a verified solution that
+    propagation reproduces uniquely; every non-root must be refuted by
+    propagation or by exhaustive search over the stuck residue.  The check
+    runs in one process and reads the box point by point, so its memory
+    does not grow with the box.  Points are run through the system's
+    `Schedule` when it has one, which reaches the same verdicts as
+    propagation; otherwise one propagator is restarted from each point.
+    """
+    if box.dim != d.arity or cert.p != d.arity:
+        raise DimensionMismatch("box, polynomial, and certificate disagree")
+    count = box.point_count(domain)
+    if count > limits.points:
+        raise BoxTooLarge(f"box holds {count} points, limit {limits.points}")
     report = EquivalenceReport(domain=domain)
     schedule = Schedule.derive(system, cert.p, domain)
     if schedule is None:
         prop = _Propagator(system, domain)
-    for point in points:
+    for point in box.iter_points(domain):
         report.base_points += 1
         root = d.eval_at(point) == 0
         if root:
@@ -732,43 +737,6 @@ def _check_points(d, system, cert, points, domain, limits):
         if schedule is None:
             prop.undo(trail)
     return report
-
-
-def _equiv_chunk(args):
-    return _check_points(*args)
-
-
-def check_equivalence(d: Polynomial, system: EnSystem,
-                      cert: ReductionCertificate, box: Box,
-                      domain: str = DOMAIN_Z,
-                      limits: OracleLimits = DEFAULT_LIMITS,
-                      jobs: int = 1) -> EquivalenceReport:
-    """Exercise the reduction against brute force over a finite box.
-
-    Every root of D in the box must lift to a verified solution that
-    propagation reproduces uniquely; every non-root must be refuted by
-    propagation or by exhaustive search over the stuck residue.  Points are
-    run through the system's `Schedule` when it has one, which reaches the
-    same verdicts as propagation; otherwise one propagator is restarted
-    from each point.
-    """
-    if box.dim != d.arity or cert.p != d.arity:
-        raise DimensionMismatch("box, polynomial, and certificate disagree")
-    count = box.point_count(domain)
-    if count > limits.points:
-        raise BoxTooLarge(f"box holds {count} points, limit {limits.points}")
-    points = list(box.iter_points(domain))
-    if jobs > 1 and len(points) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        chunk = (len(points) + jobs - 1) // jobs
-        tasks = [(d, system, cert, points[i:i + chunk], domain, limits)
-                 for i in range(0, len(points), chunk)]
-        report = EquivalenceReport(domain=domain)
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for partial in pool.map(_equiv_chunk, tasks):
-                report.merge(partial)
-        return report
-    return _check_points(d, system, cert, points, domain, limits)
 
 
 # --------------------------------------------------------------------------

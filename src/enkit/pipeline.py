@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import repeat
 
-from .eqio import MAX_VARIABLE, FnRepresentation
+from .eqio import MAX_VARIABLE, FnRepresentation, ascii_int, ascii_ints
 from .errors import FormatError
 from .oracle import foursquare_decompose, lift
 from .reductions import (DEFAULT_FAMILY_CAP, DEFAULT_PAIR_CAP,
@@ -190,23 +190,34 @@ def serialize_layout(assembled: AssembledSystem) -> str:
     return "\n".join(lines) + "\n"
 
 
+_LAYOUT_HEADER = ("n", "s", "mode")
+
+
 def parse_layout(text: str) -> tuple[int, int, str, dict[int, str]]:
     """Returns (n, s, mode, labels)."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0] != "LAYOUT 1":
         raise FormatError("missing 'LAYOUT 1' header")
     header: dict[str, str] = {}
-    labels: dict[int, str] = {}
+    keys: list[str] = []
+    names: list[str] = []
     for line in lines[1:]:
         key, _, value = line.partition(" ")
-        if key in ("n", "s", "mode"):
+        if key in _LAYOUT_HEADER:
             header[key] = value
-        elif key.isascii() and key.isdigit():
-            labels[int(key)] = value
         else:
-            raise FormatError(f"bad layout line {line!r}")
-    n, s, mode = (header.get(key, "") for key in ("n", "s", "mode"))
-    if not (n.isascii() and n.isdigit() and s.isascii() and s.isdigit()
-            and mode in (MODE_Z, MODE_N)):
+            keys.append(key)
+            names.append(value)
+    # One integer check for all the label keys; the first bad one is
+    # looked for only on failure.
+    indices = ascii_ints(keys) if keys else []
+    if indices is None:
+        bad = next(line for line in lines[1:]
+                   if line.partition(" ")[0] not in _LAYOUT_HEADER
+                   and ascii_int(line.partition(" ")[0]) is None)
+        raise FormatError(f"bad layout line {bad!r}")
+    n, s = (ascii_int(header.get(key, "")) for key in ("n", "s"))
+    mode = header.get("mode")
+    if n is None or s is None or mode not in (MODE_Z, MODE_N):
         raise FormatError("bad layout header")
-    return int(n), int(s), mode, labels
+    return n, s, mode, dict(zip(indices, names))

@@ -219,13 +219,6 @@ class Polynomial:
         from .eqio import format_polynomial
         return f"Polynomial({self.arity}, {format_polynomial(self)!r})"
 
-    def __getstate__(self):
-        return (self.arity, self.terms)
-
-    def __setstate__(self, state):
-        self.arity, self.terms = state
-        self._key = None
-
 
 def _aligned(a: Polynomial, b: Polynomial) -> tuple[Polynomial, Polynomial]:
     if a.arity == b.arity:

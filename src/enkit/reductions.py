@@ -22,7 +22,7 @@ from itertools import product
 from math import prod
 
 from . import kernels
-from .eqio import format_polynomial, parse_polynomial
+from .eqio import ascii_int, ascii_ints, format_polynomial, parse_polynomial
 from .errors import (CertificateMismatch, FamilyTooLarge, FormatError,
                      UnusedVariable, ZeroPolynomial)
 from .poly import Exponents, Polynomial
@@ -160,37 +160,41 @@ def parse_certificate(text: str) -> ReductionCertificate:
     for line in lines[1:4]:
         key, _, value = line.partition(" ")
         header[key] = value
-    try:
-        mode = header["mode"]
-        p = int(header["p"])
-        n = int(header["n"])
-    except (KeyError, ValueError) as exc:
-        raise FormatError("bad certificate header") from exc
+    for key in ("mode", "p", "n"):
+        if key not in header:
+            raise FormatError(f"certificate header has no {key!r} line")
+    mode = header["mode"]
+    p, n = ascii_int(header["p"]), ascii_int(header["n"])
+    for key, value in (("p", p), ("n", n)):
+        if value is None:
+            raise FormatError(
+                f"bad certificate header line {key + ' ' + header[key]!r}")
     defs: dict[int, Polynomial] = {}
     anchor = None
     for line in lines[4:]:
         if line.startswith("ANCHOR "):
             if anchor is not None:
                 raise FormatError("duplicate ANCHOR line")
-            anchor = line.split()
+            anchor = line
             continue
         if anchor is not None:
             raise FormatError("definition after ANCHOR line")
         index_text, _, poly_text = line.partition(" ")
-        try:
-            index = int(index_text)
-        except ValueError as exc:
-            raise FormatError(f"bad definition line {line!r}") from exc
+        index = ascii_int(index_text)
+        if index is None:
+            raise FormatError(f"bad definition line {line!r}")
         defs[index] = parse_polynomial(poly_text, arity=p)
     if anchor is None:
         raise FormatError("missing ANCHOR line")
     cert = ReductionCertificate(mode=mode, p=p, n=n, defs=defs)
-    if anchor[1] == "q" and len(anchor) == 3:
-        cert.anchor_q = int(anchor[2])
-    elif anchor[1] == "N" and len(anchor) == 5:
-        cert.anchor_zero, cert.anchor_a, cert.anchor_b = map(int, anchor[2:])
+    parts = anchor.split()
+    values = ascii_ints(parts[2:]) or []
+    if parts[1:2] == ["q"] and len(values) == 1:
+        (cert.anchor_q,) = values
+    elif parts[1:2] == ["N"] and len(values) == 3:
+        cert.anchor_zero, cert.anchor_a, cert.anchor_b = values
     else:
-        raise FormatError(f"bad ANCHOR line {' '.join(anchor)!r}")
+        raise FormatError(f"bad ANCHOR line {anchor!r}")
     return cert
 
 

@@ -14,6 +14,7 @@ from itertools import compress, count, pairwise, repeat
 from operator import gt, itemgetter, ne
 from typing import Iterable, Mapping, NamedTuple
 
+from .eqio import ascii_int, ascii_ints
 from .errors import FormatError
 
 DOMAIN_Z = "Z"
@@ -155,23 +156,12 @@ def serialize(system: EnSystem) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _ascii_ints(tokens: list[str]) -> list[int] | None:
-    """The tokens as ints if each is a run of ASCII digits, else None."""
-    digits = "".join(tokens)
-    if digits.isascii() and digits.isdigit():
-        try:
-            return list(map(int, tokens))
-        except ValueError:  # more digits than int() converts
-            pass
-    return None
-
-
 def _parse_indices(parts: list[str], count: int, line_no: int) -> list[int]:
     if len(parts) != count:
         raise FormatError(f"line {line_no}: expected {count} indices")
-    values = _ascii_ints(parts)
+    values = ascii_ints(parts)
     if values is None:
-        bad = next(part for part in parts if _ascii_ints([part]) is None)
+        bad = next(part for part in parts if ascii_int(part) is None)
         raise FormatError(f"line {line_no}: bad index {bad!r}")
     return values
 
@@ -216,7 +206,7 @@ class _Reader:
                 or tokens[::width].count(_TAGS[kind]) != len(lines)):
             return False
         del tokens[::width]
-        values = _ascii_ints(tokens)
+        values = ascii_ints(tokens)
         if values is None:
             return False
         if min(values) < 1 or max(values) > self.n:
@@ -236,7 +226,7 @@ class _Reader:
                 or tokens[::4].count("#") != len(lines)
                 or tokens[1::4].count("name") != len(lines)):
             return False
-        indices = _ascii_ints(tokens[2::4])
+        indices = ascii_ints(tokens[2::4])
         if indices is None:
             return False
         self.names.update(zip(indices, tokens[3::4]))
@@ -250,7 +240,7 @@ class _Reader:
                 continue
             if line.startswith("#"):
                 if len(parts) >= 2 and parts[1] == "name":
-                    if len(parts) != 4 or _ascii_ints(parts[2:3]) is None:
+                    if len(parts) != 4 or ascii_ints(parts[2:3]) is None:
                         raise FormatError(f"line {line_no}: bad name line")
                     self.names[int(parts[2])] = parts[3]
                 continue

@@ -418,11 +418,112 @@ def test_search_deeper_than_recursion_limit(workdir, command, code, out):
     assert (result.returncode, result.stdout, result.stderr) == (code, out, "")
 
 
-def test_verify_equiv_parallel_jobs(workdir):
-    main(["reduce", "--ring", "z", "x1 = x2", "--out", "cz"])
-    assert main(["verify-equiv", "--equation", "x1 = x2", "--system",
-                 "cz.ens", "--cert", "cz.cert", "--ring", "z",
-                 "--box=-2..2", "--jobs", "2"]) == 0
+@pytest.mark.parametrize("equation, code", [("x1 = x2", 0),
+                                            ("x1 = x2 + 1", 1)])
+def test_verify_equiv_ignores_jobs(workdir, capsys, monkeypatch, equation,
+                                   code):
+    import concurrent.futures
+    import concurrent.futures.process
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("verification started a process pool")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+    monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor",
+                        refuse)
+    assert main(["reduce", "--ring", "z", "x1 = x2", "--out", "cz"]) == 0
+    capsys.readouterr()
+    seen = []
+    for jobs in ("1", "4"):
+        got = main(["verify-equiv", "--equation", equation, "--system",
+                    "cz.ens", "--cert", "cz.cert", "--ring", "z",
+                    "--box=-3..3", "--jobs", jobs, "--report", "eq.json"])
+        seen.append((got, capsys.readouterr().out,
+                     (workdir / "eq.json").read_bytes()))
+    assert seen[0][0] == code
+    assert seen[0] == seen[1]
+
+
+def assert_exit_2(capsys, argv, *needles):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    error = captured.err.splitlines()[-1]
+    assert captured.out == "" and error.startswith("error: "), captured
+    for needle in needles:
+        assert needle in error, error
+
+
+@pytest.mark.parametrize("depth", [300, 10_000])
+def test_deep_parentheses_exit_2(workdir, capsys, depth):
+    nested = "(" * depth + "x1" + ")" * depth
+    assert_exit_2(capsys, ["info", "--equation", f"{nested} = 1"],
+                  "nested deeper than 100 at offset 100")
+    write(workdir / "deep.rep", f"REP r=2\n{nested} - x2\n")
+    assert_exit_2(capsys, ["info", "--rep", "deep.rep"],
+                  "nested deeper than 100")
+
+
+def test_deep_parentheses_in_a_subprocess(workdir):
+    nested = "(" * 300 + "x1" + ")" * 300
+    result = run_cli([], "info", "--equation", f"{nested} = 1")
+    assert_input_error(result)
+    assert "nested deeper than 100" in result.stderr
+
+
+def test_integers_are_ascii_digits(workdir, capsys, monkeypatch):
+    assert_exit_2(capsys, ["info", "--equation", "x\u0661 = \u0663"],
+                  "'x\u0661'")
+    assert main(["reduce", "--ring", "z", "x1 = x2", "--out", "cz"]) == 0
+    capsys.readouterr()
+    equiv = ["verify-equiv", "--equation", "x1 = x2", "--system", "cz.ens",
+             "--ring", "z"]
+    assert_exit_2(capsys, equiv + ["--cert", "cz.cert",
+                                   "--box=\u0661..\u0663"],
+                  "bad range '\u0661..\u0663'")
+    assert_exit_2(capsys, equiv + ["--cert", "cz.cert", "--box=-1..+2"],
+                  "bad range '-1..+2'")
+    anchor = (workdir / "cz.cert").read_text().splitlines()[-1]
+    for bad in ("ANCHOR ", "ANCHOR q +3"):
+        tamper(workdir / "cz.cert", anchor, bad, workdir / "bad.cert")
+        assert_exit_2(capsys, equiv + ["--cert", "bad.cert", "--box=-1..1"],
+                      f"bad ANCHOR line {bad!r}")
+    with pytest.raises(SystemExit) as err:
+        main(equiv + ["--cert", "cz.cert", "--point-limit", "\u0661\u0660"])
+    assert err.value.code == 2
+    assert "invalid integer value" in capsys.readouterr().err
+    monkeypatch.setenv("ENKIT_POINT_LIMIT", "1_0")
+    assert_exit_2(capsys, equiv + ["--cert", "cz.cert"], "bad integer '1_0'")
+
+
+def test_witness_values_are_ascii_digits(workdir, capsys):
+    write(workdir / "id.rep", IDENTITY_REP)
+    assert main(["fn-system", "--rep", "id.rep", "--ring", "n", "--n", "12",
+                 "--out", "sys"]) == 0
+    capsys.readouterr()
+    assert_exit_2(capsys, ["verify-pin", "--system", "sys.ens", "--cert",
+                           "sys.cert", "--layout", "sys.layout", "--expected",
+                           "12", "--ring", "n", "--witness", "12,\u0661\u0662"],
+                  "bad witness '12,\u0661\u0662'")
+
+
+def test_failed_commit_leaves_no_partial_outputs(workdir, capsys):
+    # The last move fails: the target is a directory.
+    (workdir / "c.cert").mkdir()
+    assert_exit_2(capsys, ["reduce", "--ring", "z", "x1 = x2", "--out", "c"],
+                  "c.cert")
+    assert sorted(p.name for p in workdir.iterdir()) == ["c.cert"]
+    (workdir / "c.cert").rmdir()
+    # A temp file cannot be written: nothing is moved at all.
+    (workdir / "c.cert.tmp").mkdir()
+    assert_exit_2(capsys, ["reduce", "--ring", "z", "x1 = x2", "--out", "c"],
+                  "c.cert.tmp")
+    assert sorted(p.name for p in workdir.iterdir()) == ["c.cert.tmp"]
+    (workdir / "c.cert.tmp").rmdir()
+    # A target that was there before the call is not removed.
+    write(workdir / "c.ens", "old\n")
+    (workdir / "c.cert").mkdir()
+    assert_exit_2(capsys, ["reduce", "--ring", "z", "x1 = x2", "--out", "c"])
+    assert sorted(p.name for p in workdir.iterdir()) == ["c.cert", "c.ens"]
 
 
 def test_env_overrides(workdir, monkeypatch):

@@ -2,8 +2,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from enkit.eqio import (MAX_VARIABLE, format_polynomial, format_rep,
-                        parse_equation, parse_polynomial, parse_rep)
+from enkit.eqio import (MAX_NESTING, MAX_VARIABLE, ascii_int, ascii_ints,
+                        format_polynomial, format_rep, parse_equation,
+                        parse_polynomial, parse_rep)
 from enkit.errors import FormatError, ParseError
 from enkit.poly import Polynomial
 
@@ -54,6 +55,63 @@ def test_parse_rejects_variable_past_bound():
         with pytest.raises(ParseError) as err:
             parse_equation(text)
         assert "exceeds 1000" in str(err.value)
+
+
+def test_parse_rejects_huge_declared_arity():
+    assert parse_polynomial("x1", arity=MAX_VARIABLE).arity == MAX_VARIABLE
+    with pytest.raises(ParseError) as err:
+        parse_polynomial("x1", arity=10**11)
+    assert "declared arity 100000000000 exceeds 1000" in str(err.value)
+
+
+def nested(depth: int, inner: str = "x1") -> str:
+    return "(" * depth + inner + ")" * depth
+
+
+def test_parentheses_nest_up_to_the_limit():
+    assert MAX_NESTING == 100
+    assert parse_polynomial(nested(MAX_NESTING)) == parse_polynomial("x1")
+    with pytest.raises(ParseError) as err:
+        parse_polynomial(nested(MAX_NESTING + 1))
+    assert err.value.position == MAX_NESTING
+    assert "nested deeper than 100" in str(err.value)
+
+
+@pytest.mark.parametrize("depth", [300, 10_000])
+def test_deep_parentheses_are_a_parse_error(depth):
+    for parse in (parse_polynomial, parse_equation):
+        with pytest.raises(ParseError) as err:
+            parse(nested(depth) + " = 1")
+        assert err.value.position == MAX_NESTING
+    with pytest.raises(ParseError) as err:
+        parse_rep(f"REP r=2\n{nested(depth, 'x1 - x2')}\n")
+    assert err.value.position == MAX_NESTING
+    # Nesting counts open parentheses, not their total.
+    flat = " + ".join(["(x1)"] * depth)
+    assert parse_polynomial(flat) == parse_polynomial(f"{depth}*x1")
+
+
+def test_ascii_ints():
+    assert ascii_ints(["0", "12", "007"]) == [0, 12, 7]
+    assert ascii_int("42") == 42
+    for bad in ("", "+3", "-3", "0_5", " 3", "3 ", "\u0663", "\u00b2",
+                "1" * 5000):
+        assert ascii_int(bad) is None, bad
+        assert ascii_ints(["1", bad]) is None, bad
+
+
+@pytest.mark.parametrize("text, offset, token", [
+    ("x\u0661 = \u0663", 0, "'x\u0661'"),
+    ("x1 = \u0663", 5, "'\u0663'"),
+    ("x1 = 1\u0663", 5, "'1\u0663'"),
+    ("x1^\u0662 = 1", 3, "'\u0662'"),
+    ("x1\u00b2 = 1", 0, "'x1\u00b2'"),
+])
+def test_non_ascii_digits_are_a_parse_error(text, offset, token):
+    with pytest.raises(ParseError) as err:
+        parse_equation(text)
+    assert err.value.position == offset
+    assert token in str(err.value)
 
 
 def test_parse_reports_syntax_before_declared_arity():
@@ -145,6 +203,9 @@ def test_parse_rep_comments_and_roundtrip():
     "REP r=2\n",
     "REP r=2\nx1 - x2\nx1\n",
     "REP r=2\nx1 - x3\n",
+    "REP r=0_2\nx1 - x2\n",   # int() would read 2
+    "REP r= +2\nx1 - x2\n",
+    "REP r=\u0662\nx1 - x2\n",
 ])
 def test_parse_rep_rejects(text):
     with pytest.raises((FormatError, ParseError)):

@@ -1,0 +1,191 @@
+"""Fuzz the text readers: each either returns or raises an input error.
+
+`cli.main` turns EnkitError and ValueError into exit code 2 with a one-line
+message; any other exception would reach the user as a traceback.  The
+texts are drawn from each format's own tokens, together with the tokens
+that `int` or `str.isdigit` would wrongly take (`+3`, `1_0`, `²`, `٣`),
+parentheses nested past the limit, tabs, CRLF line ends and truncated
+lines.
+"""
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from enkit.eqio import (MAX_NESTING, parse_equation, parse_polynomial,
+                        parse_rep)
+from enkit.errors import EnkitError
+from enkit.pipeline import build_pipeline, parse_layout, serialize_layout
+from enkit.reductions import (build_compact_n, build_compact_z,
+                              parse_certificate, serialize_certificate)
+from enkit.system import Add, EnSystem, Mul, One, deserialize, serialize
+
+DEEP = MAX_NESTING + 1
+ODD = ["+", "-", "_", "+3", "-1", "1_0", "0_5", "²", "٣",
+       "x١", "\t", "", "007", "99999999999999", "(" * DEEP,
+       ")" * DEEP, "(" * 10_000, "#"]
+POLY_TOKENS = ["x1", "x2", "x3", "x12", "x", "x0", "x1001", "0", "1", "2",
+               "+", "-", "*", "^", "(", ")", "2*x1", "x1^2", "(x1", "x2)"]
+INTS = ["0", "1", "2", "3", "4", "5", "12"]
+SEPARATORS = st.sampled_from([" ", "\t", "  "])
+# Integer fields: well formed, or what `int` or `str.isdigit` would take.
+INT_TEXT = st.sampled_from([*INTS, "+3", "-1", "0_5", "1_0", "²", "٣", "١٢",
+                            "99999999999999", "", " 3"])
+# A polynomial in parentheses nested up to well past the limit.
+NESTED = st.builds(lambda depth, inner: "(" * depth + inner + ")" * depth,
+                   st.integers(0, 3 * MAX_NESTING) | st.just(10_000),
+                   st.sampled_from(["x1", "x1 - x2", "2"]))
+
+
+@st.composite
+def soup(draw, tokens, max_size=30):
+    """Tokens joined by whitespace, so no two digit runs merge."""
+    words = draw(st.lists(st.sampled_from(tokens), max_size=max_size))
+    out = ""
+    for word in words:
+        out += draw(SEPARATORS) + word
+    return out
+
+
+@st.composite
+def mutated(draw, samples, tokens, line):
+    """A sample text with a few lines edited, truncated, deleted,
+    duplicated, replaced or inserted (new lines drawn from `line`), and
+    its line ends rewritten."""
+    lines = draw(st.sampled_from(samples)).splitlines()
+    for _ in range(draw(st.integers(1, 2))):
+        # Counted from either end, so that the body lines are edited about
+        # as often as the header.
+        t = draw(st.integers(0, len(lines)))
+        if draw(st.booleans()):
+            t = len(lines) - t
+        op = draw(st.sampled_from(
+            ["token", "truncate", "delete", "duplicate", "replace", "insert"]))
+        if op == "insert" or t == len(lines):
+            lines.insert(t, draw(line))
+        elif op == "replace":
+            lines[t] = draw(line)
+        elif op == "token":
+            parts = lines[t].split(" ")
+            k = draw(st.integers(0, len(parts) - 1))
+            parts[k] = draw(st.one_of(st.sampled_from(tokens),
+                                      st.sampled_from(ODD)))
+            lines[t] = draw(SEPARATORS).join(parts)
+        elif op == "truncate":
+            # at any character, or just after a field separator
+            cuts = [i + 1 for i, ch in enumerate(lines[t]) if ch == " "]
+            lines[t] = lines[t][:draw(st.one_of(
+                st.integers(0, len(lines[t])), st.sampled_from(cuts or [0])))]
+        elif op == "delete":
+            del lines[t]
+        else:
+            lines.insert(t, lines[t])
+    text = draw(st.sampled_from(["\n", "\r\n"])).join(lines)
+    if draw(st.booleans()):
+        text += "\n"
+    return text
+
+
+def lines_of(heads, tokens, max_size=6):
+    """One line: a head, then a few tokens (format tokens or ODD ones)."""
+    return st.builds(str.__add__, st.sampled_from(heads),
+                     soup([*tokens, *ODD], max_size=max_size))
+
+
+def accepted(parse, text) -> bool:
+    """Whether the reader returns; an input error means False, any other
+    exception fails the test."""
+    try:
+        parse(text)
+    except (EnkitError, ValueError):
+        return False
+    return True
+
+
+def ascii_outside(text, skip) -> bool:
+    """Every line not starting with one of `skip` is ASCII."""
+    return all(line.isascii() for line in text.splitlines()
+               if not line.lstrip().startswith(skip))
+
+
+FUZZ = settings(max_examples=200, deadline=None,
+                suppress_health_check=[HealthCheck.too_slow])
+
+EQUATIONS = ["x1 = x2", "2*x1^2*x2 - 3*x2 + 7 = (x1 + 1)^2",
+             "-(x1 - x2)*x3 = 0"]
+REPS = ["REP r=2\nx1 - x2\n", "# square\nREP r=3\nx1 - x2^2*x3 + 1\n"]
+CERTS = [serialize_certificate(build(parse_polynomial(text))[1])
+         for build, text in ((build_compact_z, "x1^2 - 2*x2 + 3"),
+                             (build_compact_n, "x1 - x2^2"))]
+LAYOUTS = [serialize_layout(build_pipeline(parse_rep(REPS[0]), "N", 12))]
+SYSTEMS = [serialize(EnSystem(4, [One(1), Add(1, 1, 2), Mul(2, 2, 3),
+                                  Add(2, 3, 4)], names={1: "x1", 4: "y"})),
+           serialize(EnSystem(2, [One(1), One(2)]))]
+POLY_TEXT = soup([*POLY_TOKENS, *ODD], max_size=12) | NESTED
+
+
+@FUZZ
+@given(soup([*POLY_TOKENS, "=", *ODD])
+       | st.builds("{} = {}".format, POLY_TEXT, POLY_TEXT)
+       | mutated(EQUATIONS, POLY_TOKENS, POLY_TEXT))
+def test_fuzz_parse_equation(text):
+    if accepted(parse_equation, text):
+        assert text.isascii()
+
+
+@FUZZ
+@given(mutated(REPS, [*POLY_TOKENS, "REP", "r=2", "r="],
+               lines_of(["REP r=", "REP", "", "#"],
+                        [*POLY_TOKENS, "2", "3", "="], 12))
+       | st.builds("REP r={}\n{}\n".format, INT_TEXT, POLY_TEXT))
+def test_fuzz_parse_rep(text):
+    if accepted(parse_rep, text):
+        assert ascii_outside(text, "#")
+
+
+@FUZZ
+@given(mutated(CERTS, [*POLY_TOKENS, "CERT", "mode", "p", "n", "ANCHOR", "q",
+                       "N", *INTS],
+               lines_of(["3", "5", "p", "n", "mode", "ANCHOR", "ANCHOR q",
+                         "ANCHOR N", ""], [*POLY_TOKENS, "q", "N", *INTS],
+                        12))
+       | st.builds("CERT 1\nmode compact_Z\np {}\nn {}\n{} {}\nANCHOR {}\n"
+                   .format, INT_TEXT, INT_TEXT, INT_TEXT, POLY_TEXT,
+                   soup(["q", "N", *INTS, *ODD], max_size=4)))
+def test_fuzz_parse_certificate(text):
+    if accepted(parse_certificate, text):
+        assert ascii_outside(text, "mode")
+
+
+@FUZZ
+@given(mutated(LAYOUTS, ["LAYOUT", "n", "s", "mode", "Z", "N", "x1", "z1",
+                         "w", *INTS],
+               lines_of(["n", "s", "mode", "1", "12", ""],
+                        ["Z", "N", "x1", "z1", *INTS]))
+       | st.builds("LAYOUT 1\nn {}\ns {}\nmode N\n{} x1\n".format,
+                   INT_TEXT, INT_TEXT, INT_TEXT))
+def test_fuzz_parse_layout(text):
+    accepted(parse_layout, text)
+
+
+@FUZZ
+@given(mutated(SYSTEMS, ["ENSYS", "n", "ONE", "ADD", "MUL", "name", *INTS],
+               lines_of(["ONE", "ADD", "MUL", "n", "# name", "#", ""],
+                        ["name", "y", *INTS]))
+       | st.builds("ENSYS 1\nn {}\n{} {} {} {}\n# name {} y\n".format,
+                   INT_TEXT, st.sampled_from(["ONE", "ADD", "MUL"]),
+                   INT_TEXT, INT_TEXT, INT_TEXT, INT_TEXT))
+def test_fuzz_deserialize(text):
+    accepted(deserialize, text)
+
+
+@pytest.mark.parametrize("parse, text", [
+    (parse_equation, "(" * 10_000 + "x1" + ")" * 10_000 + " = 1"),
+    (parse_rep, "REP r=٢\nx1 - x2\n"),
+    (parse_certificate, CERTS[0].rsplit("ANCHOR", 1)[0] + "ANCHOR \n"),
+    (parse_layout, LAYOUTS[0].replace("n 12", "n 1_2")),
+    (deserialize, SYSTEMS[0].replace("n 4", "n ٤")),
+])
+def test_known_bad_texts_are_input_errors(parse, text):
+    with pytest.raises(EnkitError):
+        parse(text)

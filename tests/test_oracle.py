@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from enkit.eqio import parse_polynomial
 from enkit.errors import BoxTooLarge, DimensionMismatch
-from enkit.oracle import (Box, Conflict, EquivalenceReport, OracleLimits,
+from enkit.oracle import (Box, Conflict, OracleLimits,
                           SearchOutcome, Schedule, Solved, Stuck, _Propagator,
                           _search, anchor_polynomial, check_equivalence,
                           enumerate_roots, foursquare_decompose, lift,
@@ -224,14 +224,31 @@ def test_equivalence_catches_certificate_missing_a_definition():
     assert report.failures[0] == "lift of (-1, -1) leaves x3 unassigned"
 
 
-def test_equivalence_parallel_matches_serial():
+def test_equivalence_checks_each_point_as_the_box_yields_it(monkeypatch):
     d = P("x1 - x2")
     system, cert = build_compact_z(d)
-    serial = check_equivalence(d, system, cert, Box.cube(2, 3), "Z")
-    parallel = check_equivalence(d, system, cert, Box.cube(2, 3), "Z", jobs=2)
-    assert parallel.base_roots == serial.base_roots
-    assert parallel.system_solutions == serial.system_solutions
-    assert parallel.passed == serial.passed
+    box = Box.cube(2, 3)
+    drawn, checked = [], []
+    iter_points = Box.iter_points
+    extend = Schedule.extend
+
+    def drawing(self, domain="Z"):
+        for point in iter_points(self, domain):
+            drawn.append(point)
+            yield point
+
+    def checking(self, point):
+        checked.append((point, len(drawn)))
+        return extend(self, point)
+
+    monkeypatch.setattr(Box, "iter_points", drawing)
+    monkeypatch.setattr(Schedule, "extend", checking)
+    report = check_equivalence(d, system, cert, box, "Z")
+    assert report.passed and report.base_points == 49
+    # Each non-root is checked before the box yields the next point.
+    points = list(iter_points(box, "Z"))
+    assert checked == [(point, t + 1) for t, point in enumerate(points)
+                       if point[0] != point[1]]
 
 
 def test_equivalence_points_leave_no_state_behind():
@@ -244,10 +261,19 @@ def test_equivalence_points_leave_no_state_behind():
     whole = check_equivalence(d, system, cert, Box.cube(1, 3), "Z")
     assert whole.stuck_roots == 1 and whole.spurious == [(1,)]
     assert whole.refuted_by_search == 5
-    merged = EquivalenceReport(domain="Z")
-    for v in range(-3, 4):
-        merged.merge(check_equivalence(d, system, cert, Box(((v, v),)), "Z"))
-    assert vars(whole) == vars(merged)
+    parts = [vars(check_equivalence(d, system, cert, Box(((v, v),)), "Z"))
+             for v in range(-3, 4)]
+    # The whole-box report is the per-point reports summed field by field.
+    for name, value in vars(whole).items():
+        values = [part[name] for part in parts]
+        if name == "domain":
+            assert values == [value] * len(parts)
+        elif isinstance(value, bool):
+            assert value == all(values), name
+        elif isinstance(value, int):
+            assert value == sum(values), name
+        else:
+            assert value == [item for v in values for item in v], name
 
 
 # --------------------------------------------------------------------------

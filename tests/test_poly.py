@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -143,3 +144,11 @@ class TestIdentity:
         fixed = p.substituted({1: 2})
         assert fixed == Polynomial(2, {(0, 1): 8, (0, 0): -3})
         assert fixed.substituted({2: 5}).eval_at((0, 0)) == 37
+
+    @settings(max_examples=50, deadline=None)
+    @given(polynomials())
+    def test_pickle_roundtrip(self, p):
+        hash(p)  # fills the cached key, which must survive the round trip
+        back = pickle.loads(pickle.dumps(p))
+        assert back == p and back.arity == p.arity
+        assert hash(back) == hash(p) and back.key() == p.key()

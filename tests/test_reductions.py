@@ -3,7 +3,8 @@ import random
 import pytest
 
 from enkit.eqio import parse_polynomial
-from enkit.errors import FamilyTooLarge, UnusedVariable, ZeroPolynomial
+from enkit.errors import (FamilyTooLarge, FormatError, ParseError,
+                          UnusedVariable, ZeroPolynomial)
 from enkit.poly import Polynomial
 from enkit.reductions import (FamilyDescriptor, build_compact_n,
                               build_compact_z, build_full_n, build_full_z,
@@ -381,6 +382,48 @@ def test_certificate_roundtrip(build, source):
     back = parse_certificate(text)
     assert back == cert
     assert serialize_certificate(back) == text
+
+
+CERT_HEAD = "CERT 1\nmode compact_Z\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    # int() would read p = 1, n = 5 and a definition of index 3
+    (CERT_HEAD + "p \u0661\nn 0_5\n\u0663 x1\nANCHOR q 3\n",
+     "bad certificate header line 'p \u0661'"),
+    (CERT_HEAD + "p 1\nn 0_5\n3 x1\nANCHOR q 3\n",
+     "bad certificate header line 'n 0_5'"),
+    (CERT_HEAD + "p 1\nn +3\n3 x1\nANCHOR q 3\n",
+     "bad certificate header line 'n +3'"),
+    (CERT_HEAD + "p 1\nx 3\n3 x1\nANCHOR q 3\n",
+     "certificate header has no 'n' line"),
+    (CERT_HEAD + "p 1\nn 3\n\u0663 x1\nANCHOR q 3\n",
+     "bad definition line '\u0663 x1'"),
+    (CERT_HEAD + "p 1\nn 3\n+3 x1\nANCHOR q 3\n",
+     "bad definition line '+3 x1'"),
+    (CERT_HEAD + "p 1\nn 3\n3 x1\nANCHOR q +3\n",
+     "bad ANCHOR line 'ANCHOR q +3'"),
+    (CERT_HEAD + "p 1\nn 3\n3 x1\nANCHOR q \u0663\n",
+     "bad ANCHOR line 'ANCHOR q \u0663'"),
+    (CERT_HEAD + "p 1\nn 3\n3 x1\nANCHOR N 1 2 3_0\n",
+     "bad ANCHOR line 'ANCHOR N 1 2 3_0'"),
+    (CERT_HEAD + "p 1\nn 3\n3 x1\nANCHOR \n", "bad ANCHOR line 'ANCHOR '"),
+    (CERT_HEAD + "p 1\nn 3\n3 x1\nANCHOR q\t\n",
+     "bad ANCHOR line 'ANCHOR q\\t'"),
+])
+def test_certificate_integers_are_ascii_digits(text, message):
+    with pytest.raises(FormatError) as err:
+        parse_certificate(text)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("depth", [300, 10_000])
+def test_certificate_with_deep_parentheses(depth):
+    text = (CERT_HEAD + "p 1\nn 2\n2 " + "(" * depth + "x1" + ")" * depth
+            + "\nANCHOR q 2\n")
+    with pytest.raises(ParseError) as err:
+        parse_certificate(text)
+    assert "nested deeper than 100" in str(err.value)
 
 
 # --------------------------------------------------------------------------

@@ -6,13 +6,14 @@ from .eqio import (EquationSource, FnRepresentation, format_polynomial,
                    parse_equation, parse_polynomial, parse_rep)
 from .errors import (BoxTooLarge, CertificateMismatch, DimensionMismatch,
                      EnkitError, FamilyTooLarge, FormatError, ParseError,
-                     SearchLimit, UnusedVariable, ZeroPolynomial)
+                     UnusedVariable, ZeroPolynomial)
 from .oracle import (Box, Conflict, EquivalenceReport, OracleLimits,
                      PinningReport, Solved, Stuck, check_assignment,
                      check_equivalence, enumerate_roots, foursquare_decompose,
                      lift, propagate, solve_bounded, verify_pinning)
 from .pipeline import (AssembledSystem, PsiSystem, assemble, build_psi,
-                       build_pipeline, master_witness, threshold)
+                       build_pipeline, check_assembled, master_witness,
+                       threshold)
 from .poly import Polynomial
 from .reductions import (FamilyDescriptor, ReductionCertificate,
                          build_compact_n, build_compact_z, build_full_n,

@@ -20,13 +20,13 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 import time
 
 from . import eqio, oracle, pipeline, reductions, system
-from .errors import (BoxTooLarge, EnkitError, FamilyTooLarge, ParseError,
-                     SearchLimit)
+from .errors import BoxTooLarge, EnkitError, FamilyTooLarge, ParseError
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -45,6 +45,22 @@ def integer(text: str) -> int:
     if value is None:
         raise ValueError(f"bad integer {text!r}")
     return -value if text.startswith("-") else value
+
+
+def seconds(text: str) -> float:
+    """ASCII digits with an optional fraction, as a finite float.
+
+    `--time-budget` and its environment variable follow this rule; `float`
+    alone would also take `nan`, `inf`, `1e400`, `-1` and `١`.
+    """
+    whole, dot, fraction = text.partition(".")
+    if (eqio.ascii_int(whole) is None
+            or dot and eqio.ascii_int(fraction) is None):
+        raise ValueError(f"bad seconds value {text!r}")
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"seconds value {text!r} is too large")
+    return value
 
 
 def _parse_box_spec(spec: str, dim: int) -> oracle.Box:
@@ -102,9 +118,14 @@ def _load_rep(path: str) -> eqio.FnRepresentation:
         return eqio.parse_rep(handle.read())
 
 
-def _load_system(path: str) -> system.EnSystem:
+def _load_system(path: str, cap: int) -> system.EnSystem:
+    """Read an .ens file whose n the variable limit `cap` bounds, so that
+    nothing of size n is built for a system over the limit."""
     with open(path, encoding="ascii") as handle:
-        return system.deserialize(handle.read())
+        target = system.deserialize(handle.read())
+    if target.n > cap:
+        raise FamilyTooLarge(target.n, cap, "system variable count")
+    return target
 
 
 def _load_cert(path: str) -> reductions.ReductionCertificate:
@@ -209,7 +230,7 @@ def _info_line(name: str, value) -> str:
 
 
 def _cmd_solve(args) -> int:
-    target = _load_system(args.system)
+    target = _load_system(args.system, args.cap)
     domain = "Z" if args.ring == "z" else "N"
     outcome = oracle.solve_bounded(target, domain, args.radius,
                                    limits=_limits(args))
@@ -232,7 +253,7 @@ def _report_out(args, payload: dict):
 
 def _cmd_verify_equiv(args) -> int:
     d = eqio.parse_equation(args.equation).normalized
-    target = _load_system(args.system)
+    target = _load_system(args.system, args.cap)
     cert = _load_cert(args.cert)
     reductions.validate_certificate(cert, target.n)
     domain = "Z" if args.ring == "z" else "N"
@@ -264,31 +285,15 @@ def _cmd_verify_equiv(args) -> int:
 
 
 def _cmd_verify_pin(args) -> int:
-    target = _load_system(args.system)
+    target = _load_system(args.system, args.cap)
     cert = _load_cert(args.cert) if args.cert else None
     domain = "Z" if args.ring == "z" else "N"
     if args.layout:
         with open(args.layout, encoding="ascii") as handle:
-            n, s, mode, labels = pipeline.parse_layout(handle.read())
-        if n != target.n:
-            raise ParseError("layout and system disagree on n")
-        if cert is not None:
-            # fn-system certificates describe psi, whose n is the layout's s.
-            reductions.validate_certificate(cert, s)
-        psi = pipeline.PsiSystem(
-            system=system.EnSystem(s, [eq for eq in target.equations
-                                       if max(eq) <= s]),
-            s=s, mode=mode, certificate=cert)
-        assembled = pipeline.assemble(psi, n)
-        if set(assembled.system.equations) != set(target.equations):
-            raise ParseError("system does not match the layout's scaffold")
-        for what, names in (("layout label", labels),
-                            (".ens name", target.names)):
-            if names != assembled.layout:
-                index = min(i for i in names.keys() | assembled.layout.keys()
-                            if names.get(i) != assembled.layout.get(i))
-                raise ParseError(f"{what} of index {index} does not match "
-                                 f"the scaffold")
+            assembled = pipeline.check_assembled(target, cert, handle.read())
+        if assembled.mode != domain:
+            raise ParseError(f"--ring {args.ring} contradicts the layout's "
+                             f"mode {assembled.mode}")
     else:
         if cert is not None:
             raise ParseError("--cert needs --layout to locate the scaffold")
@@ -348,14 +353,16 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--cap", type=integer,
                        help="variable limit: family size for full modes, "
-                            "a bound on chain length for compact modes")
+                            "a bound on chain length for compact modes, "
+                            "and the n of every system read")
         p.add_argument("--pair-cap", type=integer,
                        help="member limit for full-family closure, whose "
                             "identity set grows quadratically")
         p.add_argument("--point-limit", type=integer,
                        help="box enumeration budget")
-        p.add_argument("--time-budget", type=float,
-                       help="soft seconds budget per check")
+        p.add_argument("--time-budget", type=seconds,
+                       help="soft seconds budget per check: ASCII digits "
+                            "with an optional fraction")
         p.add_argument("--box", help="box spec lo..hi[,lo..hi...]")
         p.add_argument("--jobs", type=integer,
                        help="accepted and ignored: verification runs in "
@@ -428,7 +435,7 @@ _DEFAULTS = {
     "pair_cap": ("ENKIT_PAIR_CAP", integer, reductions.DEFAULT_PAIR_CAP),
     "point_limit": ("ENKIT_POINT_LIMIT", integer,
                     oracle.DEFAULT_POINT_LIMIT),
-    "time_budget": ("ENKIT_TIME_BUDGET", float, 60.0),
+    "time_budget": ("ENKIT_TIME_BUDGET", seconds, 60.0),
     "box": ("ENKIT_BOX", str, "-8..8"),
 }
 
@@ -452,7 +459,7 @@ def main(argv=None) -> int:
     try:
         _resolve_defaults(args)
         return args.run(args)
-    except (FamilyTooLarge, BoxTooLarge, SearchLimit) as exc:
+    except (FamilyTooLarge, BoxTooLarge) as exc:
         _note(f"error: {exc}")
         return EXIT_LIMIT
     except (EnkitError, OSError, ValueError) as exc:

@@ -50,7 +50,3 @@ class CertificateMismatch(FormatError):
 
 class BoxTooLarge(EnkitError):
     """An enumeration box exceeds the configured point budget."""
-
-
-class SearchLimit(EnkitError):
-    """A bounded search exceeded its node or time budget."""

@@ -19,8 +19,7 @@ from operator import add, mul, sub
 from typing import Mapping
 
 from . import kernels
-from .errors import (BoxTooLarge, CertificateMismatch, DimensionMismatch,
-                     SearchLimit)
+from .errors import BoxTooLarge, CertificateMismatch, DimensionMismatch
 from .poly import Polynomial
 from .reductions import ReductionCertificate
 from .system import DOMAIN_N, DOMAIN_Z, Add, EnEquation, EnSystem, Mul, One
@@ -573,7 +572,9 @@ def _search(prop: _Propagator, radius: int, limits: OracleLimits,
     """The search of `solve_bounded`, from the propagator's current state.
 
     Iterative, so the depth is bounded by the variable count rather than
-    the interpreter's recursion limit.  On return the propagator holds the
+    the interpreter's recursion limit.  The node and time budgets are
+    checked at every node below the root, so a state with nothing left to
+    branch on is never truncated.  On return the propagator holds the
     values it held on entry.
     """
     lo = 0 if prop.domain == DOMAIN_N else -radius
@@ -589,7 +590,8 @@ def _search(prop: _Propagator, radius: int, limits: OracleLimits,
     index = 1
     while True:
         nodes += 1
-        if nodes > limits.search_nodes or time.monotonic() > deadline:
+        if stack and (nodes > limits.search_nodes
+                      or time.monotonic() > deadline):
             truncated = True
             break
         while index <= prop.n and index in values:
@@ -607,12 +609,16 @@ def _search(prop: _Propagator, radius: int, limits: OracleLimits,
             if value > radius:
                 stack.pop()
                 continue
+            if time.monotonic() > deadline:  # children that fail count too
+                frame[2] = []
+                truncated = True
+                break
             frame[1] = value + 1
             ok, frame[2] = prop.push(frame[0], value)
             if ok:
                 index = frame[0] + 1
                 break
-        else:
+        if truncated or not stack:
             break
     for frame in reversed(stack):
         prop.undo(frame[2])
@@ -793,10 +799,15 @@ def verify_pinning(assembled, expected: int, *, box_radius: int = 2,
     x1 = expected, and (optionally) that a supplied representation root
     lifts to an explicit witness solution.
 
-    Propagation must fix x2 = n on its own.  The remaining free variables
-    are the certificate's base variables; they are enumerated within
-    box_radius through the certificate, which maps the search to root
-    enumeration of the anchored polynomial.
+    Propagation from the empty seed must fix x2 = n on its own.  The
+    bounded solutions are then enumerated by one rule.  When a certificate
+    exists and propagation left some of its base variables free, those are
+    enumerated within box_radius through the certificate, which maps the
+    search to root enumeration of the anchored polynomial.  Every other
+    state, with or without a certificate, is searched from where
+    propagation left it (a complete propagation is that search's only
+    solution); a truncated search leaves `search_exhausted` false and the
+    check fails.
     """
     if box_radius < 0:
         raise ValueError(f"radius must be non-negative, got {box_radius}")
@@ -812,24 +823,19 @@ def verify_pinning(assembled, expected: int, *, box_radius: int = 2,
         return report
     values = prop.values
     report.x2_forced = values.get(2) == n
-    if len(values) == system.n:
-        report.propagation_complete = True
-        report.solutions_found = 1
-        if values[1] != expected:
-            report.offending.append(values)
+    report.propagation_complete = len(values) == system.n
+    cert = assembled.certificate
+    free = [] if cert is None else [
+        i for i in range(1, cert.p + 1) if i not in values]
+    if free:
+        solutions = _pinned_solutions_via_cert(assembled, prop, free,
+                                               box_radius, limits)
     else:
-        cert = getattr(assembled, "certificate", None)
-        if cert is not None:
-            solutions = _pinned_solutions_via_cert(
-                assembled, prop, box_radius, limits)
-            report.solutions_found = len(solutions)
-            report.offending = [s for s in solutions if s[1] != expected]
-        else:
-            found = _search(prop, box_radius, limits)
-            report.search_exhausted = found.exhausted
-            report.solutions_found = len(found.solutions)
-            report.offending = [
-                s for s in found.solutions if s[1] != expected]
+        found = _search(prop, box_radius, limits)
+        report.search_exhausted = found.exhausted
+        solutions = found.solutions
+    report.solutions_found = len(solutions)
+    report.offending = [s for s in solutions if s[1] != expected]
     if witness_base is not None:
         report.witness_checked = True
         witness = assembled.witness_assignment(witness_base)
@@ -840,8 +846,9 @@ def verify_pinning(assembled, expected: int, *, box_radius: int = 2,
     return report
 
 
-def _pinned_solutions_via_cert(assembled, prop, box_radius, limits):
-    """Enumerate bounded solutions through the certificate.
+def _pinned_solutions_via_cert(assembled, prop, free, box_radius, limits):
+    """Enumerate bounded solutions through the certificate, whose base
+    variables `free` propagation left undetermined.
 
     Chain equations hold under any lift by construction, so a bounded
     assignment solves the system exactly when the anchored polynomial
@@ -849,17 +856,8 @@ def _pinned_solutions_via_cert(assembled, prop, box_radius, limits):
     propagation already forced.
     """
     cert = assembled.certificate
-    domain = prop.domain
-    forced = prop.values
+    domain, forced = prop.domain, prop.values
     fixed = {i: forced[i] for i in range(1, cert.p + 1) if i in forced}
-    free = [i for i in range(1, cert.p + 1) if i not in forced]
-    if not free:
-        # All base variables forced yet propagation stalled elsewhere; the
-        # generic search handles this (it should not happen for our chains).
-        found = _search(prop, box_radius, limits)
-        if not found.exhausted:
-            raise SearchLimit("pinning search truncated")
-        return found.solutions
     residual = anchor_polynomial(cert).substituted(fixed)
     # The same polynomial in the free base variables alone.
     residual = Polynomial(len(free), {
@@ -870,8 +868,7 @@ def _pinned_solutions_via_cert(assembled, prop, box_radius, limits):
     solutions = []
     for root in roots:
         base = dict(fixed)
-        for i, v in zip(free, root):
-            base[i] = v
+        base.update(zip(free, root))
         point = tuple(base[i] for i in range(1, cert.p + 1))
         solution = assembled.witness_assignment(point)
         # Chain equations hold under any lift by construction, so a lift

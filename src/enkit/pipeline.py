@@ -15,12 +15,12 @@ from dataclasses import dataclass
 from itertools import repeat
 
 from .eqio import MAX_VARIABLE, FnRepresentation, ascii_int, ascii_ints
-from .errors import FormatError
+from .errors import FormatError, ParseError
 from .oracle import foursquare_decompose, lift
 from .reductions import (DEFAULT_FAMILY_CAP, DEFAULT_PAIR_CAP,
                          ReductionCertificate, build_compact_n,
                          build_compact_z, build_full_n, build_full_z,
-                         build_master_z, master_arity)
+                         build_master_z, master_arity, validate_certificate)
 from .system import Add, EnSystem, One
 
 MODE_Z = "Z"
@@ -33,10 +33,6 @@ class PsiSystem:
     s: int
     mode: str  # "Z" | "N"
     certificate: ReductionCertificate
-
-    def __post_init__(self):
-        if self.s < 3:
-            raise ValueError(f"psi needs s >= 3, got {self.s}")
 
 
 @dataclass
@@ -156,6 +152,40 @@ def assemble(psi: PsiSystem, n: int) -> AssembledSystem:
         system=system, n=n, s=s, mode=psi.mode,
         certificate=psi.certificate, layout=layout, padding=padding,
         t_chain=t_chain, w_index=w_index, y_index=y_index)
+
+
+def check_assembled(system: EnSystem,
+                    certificate: ReductionCertificate | None,
+                    layout_text: str) -> AssembledSystem:
+    """The assembled system that `.layout` text describes, checked to be
+    exactly `system`, with `certificate` (or None) as its psi certificate.
+
+    The layout's n must be the system's.  Psi is taken to be the
+    equations on indices 1..s (an fn-system certificate describes psi, so
+    its n is the layout's s); the scaffold is rebuilt around it by
+    `assemble` and must hold the system's equations, no more and no fewer,
+    and both the layout labels and the system's `# name` labels must be
+    the scaffold's.  Any difference raises ParseError naming it.
+    """
+    n, s, mode, labels = parse_layout(layout_text)
+    if n != system.n:
+        raise ParseError("layout and system disagree on n")
+    if certificate is not None:
+        validate_certificate(certificate, s)
+    psi = PsiSystem(
+        system=EnSystem(s, [eq for eq in system.equations if max(eq) <= s]),
+        s=s, mode=mode, certificate=certificate)
+    assembled = assemble(psi, n)
+    if set(assembled.system.equations) != set(system.equations):
+        raise ParseError("system does not match the layout's scaffold")
+    for what, names in (("layout label", labels),
+                        (".ens name", system.names)):
+        if names != assembled.layout:
+            index = min(i for i in names.keys() | assembled.layout.keys()
+                        if names.get(i) != assembled.layout.get(i))
+            raise ParseError(f"{what} of index {index} does not match "
+                             f"the scaffold")
+    return assembled
 
 
 def build_pipeline(rep: FnRepresentation, mode: str, n: int,

@@ -201,22 +201,32 @@ def parse_certificate(text: str) -> ReductionCertificate:
 def validate_certificate(cert: ReductionCertificate, n: int):
     """Check that a certificate can describe a system on x_1..x_n.
 
-    The certificate must name the same n, define exactly the auxiliary
-    indices p+1..n and anchor on indices in [1, n]; otherwise its lift
-    would leave or miss variables of the system.
+    The certificate must name the same n, have p <= n, define exactly
+    the auxiliary indices p+1..n and anchor on indices in [1, n];
+    otherwise its lift would leave or miss variables of the system.
     """
     if cert.n != n:
         raise CertificateMismatch(
             f"certificate has n {cert.n}, the system has {n} variables")
-    auxiliary = set(range(cert.p + 1, n + 1))
-    stray = sorted(set(cert.defs) - auxiliary)
+    p = cert.p
+    if p > n:
+        raise CertificateMismatch(
+            f"certificate has p {p}, more than its n {n}")
+    # Coverage by bounds and count, so nothing of size n is built: the
+    # definitions' indices are distinct, so once all lie in (p, n] they
+    # cover it exactly when there are n - p of them.
+    stray = [index for index in cert.defs if not p < index <= n]
     if stray:
         raise CertificateMismatch(
-            f"certificate defines index {stray[0]} outside ({cert.p}, {n}]")
-    missing = sorted(auxiliary - set(cert.defs))
-    if missing:
+            f"certificate defines index {min(stray)} outside ({p}, {n}]")
+    if len(cert.defs) < n - p:
+        missing = p + 1
+        for index in sorted(cert.defs):
+            if index != missing:
+                break
+            missing += 1
         raise CertificateMismatch(
-            f"certificate has no definition for index {missing[0]}")
+            f"certificate has no definition for index {missing}")
     for index in cert.anchor_indices():
         if not 1 <= index <= n:
             raise CertificateMismatch(

@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -597,3 +598,116 @@ def test_certificate_validated_against_system(workdir, flags):
                      "--cert", "s.cert", "--layout", "sys.layout",
                      "--expected", "12", "--ring", "n")
     assert_input_error(result)
+
+
+HUGE = 10**11
+
+
+def run_cli_limited(*argv, address_space=10**9):
+    """Run the CLI in a fresh interpreter whose address space is capped, so
+    that building anything of a declared size 10^11 fails at once."""
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
+
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    env = {k: v for k, v in os.environ.items() if not k.startswith("ENKIT_")}
+    return subprocess.run([sys.executable, "-m", "enkit.cli", *argv],
+                          capture_output=True, text=True, preexec_fn=limit,
+                          env=dict(env, PYTHONPATH=path))
+
+
+def test_declared_size_over_the_cap_exits_3(workdir, capsys):
+    write(workdir / "huge.ens", f"ENSYS 1\nn {HUGE}\nONE 1\n")
+    write(workdir / "huge.cert",
+          f"CERT 1\nmode compact_Z\np 1\nn {HUGE}\nANCHOR q 1\n")
+    write(workdir / "huge.layout", f"LAYOUT 1\nn {HUGE}\ns 5\nmode N\n")
+    message = f"error: system variable count {HUGE} exceeds limit 1000000\n"
+    for argv in (["verify-equiv", "--equation", "x1 = 1", "--system",
+                  "huge.ens", "--cert", "huge.cert", "--ring", "z",
+                  "--box=-1..1"],
+                 ["verify-pin", "--system", "huge.ens", "--layout",
+                  "huge.layout", "--expected", "1", "--ring", "n"]):
+        result = run_cli_limited(*argv)
+        assert (result.returncode, result.stdout, result.stderr) == \
+            (3, "", message)
+    assert main(["solve", "--system", "huge.ens", "--ring", "n"]) == 3
+    assert capsys.readouterr().err == message
+    # the same limit as the constructions: flag or environment variable
+    write(workdir / "small.ens", "ENSYS 1\nn 3\nADD 1 2 3\n")
+    assert main(["solve", "--system", "small.ens", "--ring", "n",
+                 "--radius", "0", "--cap", "2"]) == 3
+    assert "system variable count 3 exceeds limit 2" in capsys.readouterr().err
+    assert main(["solve", "--system", "small.ens", "--ring", "n",
+                 "--radius", "0", "--cap", "3"]) == 0
+
+
+def test_certificate_coverage_checked_without_sets(workdir):
+    # Under the cap, a certificate with one definition for n = 10^11 is
+    # refused by count, not by building the set of its indices.
+    write(workdir / "huge.ens", f"ENSYS 1\nn {HUGE}\nONE 1\n")
+    write(workdir / "huge.cert",
+          f"CERT 1\nmode compact_Z\np 1\nn {HUGE}\nANCHOR q 1\n")
+    result = run_cli_limited("verify-equiv", "--equation", "x1 = 1",
+                             "--system", "huge.ens", "--cert", "huge.cert",
+                             "--ring", "z", "--box=-1..1", "--cap", str(HUGE))
+    assert_input_error(result)
+    assert "certificate has no definition for index 2" in result.stderr
+
+
+@pytest.mark.parametrize("value", [
+    "nan", "inf", "1e400", "١", "-1", "+1", "1_0", ".5", "5.", "1.5.0", "",
+    pytest.param("9" * 400 + ".0", id="400-digits")])
+def test_time_budget_is_ascii_digits_and_finite(workdir, capsys,
+                                                monkeypatch, value):
+    write(workdir / "free.ens", "ENSYS 1\nn 3\nADD 1 2 3\n")
+    solve = ["solve", "--system", "free.ens", "--ring", "n", "--radius", "2"]
+    with pytest.raises(SystemExit) as err:
+        main(solve + [f"--time-budget={value}"])
+    assert err.value.code == 2
+    assert "invalid seconds value" in capsys.readouterr().err
+    if value:  # an empty variable means "unset"
+        monkeypatch.setenv("ENKIT_TIME_BUDGET", value)
+        assert_exit_2(capsys, solve, "seconds value")
+
+
+@pytest.mark.parametrize("value, code", [("0", 3), ("0.0", 3), ("60", 0),
+                                         ("2.5", 0)])
+def test_time_budget_accepts_digits(workdir, capsys, monkeypatch, value,
+                                    code):
+    write(workdir / "free.ens", "ENSYS 1\nn 3\nADD 1 2 3\n")
+    solve = ["solve", "--system", "free.ens", "--ring", "n", "--radius", "2"]
+    assert main(solve + ["--time-budget", value]) == code
+    monkeypatch.setenv("ENKIT_TIME_BUDGET", value)
+    assert main(solve) == code
+
+
+@pytest.mark.parametrize("built, asked", [("z", "n"), ("n", "z")])
+def test_verify_pin_ring_must_match_the_layout_mode(workdir, capsys, built,
+                                                    asked):
+    write(workdir / "c5.rep", "REP r=2\nx1 - 5\n")
+    n = 300 if built == "z" else 20
+    assert main(["fn-system", "--rep", "c5.rep", "--ring", built,
+                 "--n", str(n), "--out", "sys"]) == 0
+    witness = master_witness((5, n), 2) if built == "z" else (5, n)
+    pin = ["verify-pin", "--system", "sys.ens", "--cert", "sys.cert",
+           "--layout", "sys.layout", "--expected", "5", "--radius", "1",
+           "--witness", ",".join(map(str, witness))]
+    capsys.readouterr()
+    assert main(pin + ["--ring", built]) == 0
+    assert capsys.readouterr().out.endswith("PASS\n")
+    mode = built.upper()
+    assert_exit_2(capsys, pin + ["--ring", asked],
+                  f"--ring {asked} contradicts the layout's mode {mode}")
+
+
+def test_verify_pin_refuses_a_certificate_with_p_above_n(workdir, capsys):
+    write(workdir / "id.rep", IDENTITY_REP)
+    assert main(["fn-system", "--rep", "id.rep", "--ring", "n", "--n", "12",
+                 "--out", "sys"]) == 0
+    write(workdir / "bad.cert",
+          f"CERT 1\nmode compact_N\np {HUGE}\nn 3\nANCHOR N 3 1 2\n")
+    capsys.readouterr()
+    assert_exit_2(capsys, ["verify-pin", "--system", "sys.ens", "--cert",
+                           "bad.cert", "--layout", "sys.layout",
+                           "--expected", "12", "--ring", "n"],
+                  f"certificate has p {HUGE}, more than its n 3")

@@ -5,13 +5,18 @@ message; any other exception would reach the user as a traceback.  The
 texts are drawn from each format's own tokens, together with the tokens
 that `int` or `str.isdigit` would wrongly take (`+3`, `1_0`, `²`, `٣`),
 parentheses nested past the limit, tabs, CRLF line ends and truncated
-lines.
+lines.  `test_fuzz_cli` runs the CLI itself on edited input files with
+random flag values: every run ends in an exit code from 0 to 3.
 """
+
+import contextlib
+import io
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from enkit import cli
 from enkit.eqio import (MAX_NESTING, parse_equation, parse_polynomial,
                         parse_rep)
 from enkit.errors import EnkitError
@@ -189,3 +194,117 @@ def test_fuzz_deserialize(text):
 def test_known_bad_texts_are_input_errors(parse, text):
     with pytest.raises(EnkitError):
         parse(text)
+
+
+# --------------------------------------------------------------------------
+# the command line
+
+def _cli_inputs():
+    """A small fn-system and a compact reduction, as file texts."""
+    asm = build_pipeline(parse_rep(REPS[0]), "N", 12)
+    system, cert = build_compact_z(parse_polynomial("x1 - x2"))
+    return {"sys.ens": serialize(asm.system),
+            "sys.cert": serialize_certificate(asm.certificate),
+            "sys.layout": serialize_layout(asm),
+            "cz.ens": serialize(system),
+            "cz.cert": serialize_certificate(cert)}
+
+
+CLI_INPUTS = _cli_inputs()
+COMMANDS = [
+    ["solve", "--system", "cz.ens", "--ring", "z"],
+    ["solve", "--system", "sys.ens", "--ring", "n"],
+    ["verify-equiv", "--equation", "x1 = x2", "--system", "cz.ens",
+     "--cert", "cz.cert", "--ring", "z", "--box=-1..1"],
+    ["verify-pin", "--system", "sys.ens", "--cert", "sys.cert", "--layout",
+     "sys.layout", "--expected", "12", "--ring", "n", "--witness", "12,12"],
+    ["verify-pin", "--system", "sys.ens", "--expected", "12", "--ring", "n"],
+]
+# Integers up to 10^11, where a declared size would exhaust memory.
+BIG_INT = st.integers(0, 10**11).map(str)
+
+
+def _small_or_invalid(text: str) -> bool:
+    """A budget the CLI refuses, or one short enough for a fuzz run."""
+    whole, _, fraction = text.partition(".")
+    valid = whole.isascii() and whole.isdigit() and (
+        not fraction or fraction.isascii() and fraction.isdigit())
+    return not valid or float(text) <= 0.05
+
+
+# flag -> values: random integers and floats, the time budget kept short
+# whenever the CLI would accept it.
+FLAG_VALUES = {
+    "--cap": st.integers(-3, 5000) | st.floats().map(repr),
+    "--radius": st.integers(-3, 6) | st.just(10**11) | st.floats().map(repr),
+    "--point-limit": st.integers(-3, 10**5) | st.just(10**11),
+    "--time-budget": (st.floats(allow_nan=True, allow_infinity=True)
+                      .map(repr).filter(_small_or_invalid)),
+}
+PIN_FLAG_VALUES = {**FLAG_VALUES,
+                   "--expected": st.integers(-10**11, 10**11)}
+
+
+@st.composite
+def cli_case(draw):
+    """A command, its input files with one of them edited, and flags.
+
+    The edits: tokens swapped between lines, lines dropped or duplicated,
+    and integers up to 10^11 put in place of any token (`n`, `s`, `p`,
+    indices)."""
+    command = draw(st.sampled_from(COMMANDS))
+    files = dict(CLI_INPUTS)
+    name = draw(st.sampled_from([arg for arg in command if arg in files]))
+    lines = files[name].splitlines()
+    for _ in range(draw(st.integers(1, 3))):
+        if not lines:
+            break
+        t = draw(st.sampled_from(range(len(lines))))
+        if draw(st.booleans()):  # the header as often as the body
+            t = min(t, 4)
+        op = draw(st.sampled_from(["swap", "drop", "duplicate", "integer"]))
+        if op == "drop":
+            del lines[t]
+        elif op == "duplicate":
+            lines.insert(t, lines[t])
+        else:
+            parts = lines[t].split(" ")
+            k = draw(st.sampled_from(range(len(parts))))
+            if op == "integer":
+                parts[k] = draw(BIG_INT)
+            else:
+                other = draw(st.sampled_from(range(len(lines))))
+                donor = lines[other].split(" ")
+                m = draw(st.sampled_from(range(len(donor))))
+                parts[k], donor[m] = donor[m], parts[k]
+                lines[other] = " ".join(donor)
+            lines[t] = " ".join(parts)
+    files[name] = "".join(line + "\n" for line in lines)
+    # A short budget and a small cap first; a flag drawn after them
+    # overrides either.
+    flags = ["--time-budget", draw(st.sampled_from(["0.02", "0"])),
+             "--cap", str(draw(st.integers(-3, 5000)))]
+    values = PIN_FLAG_VALUES if command[0] == "verify-pin" else FLAG_VALUES
+    for flag in draw(st.lists(st.sampled_from(sorted(values)), max_size=2,
+                              unique=True)):
+        flags.append(f"{flag}={draw(values[flag])}")
+    return command + flags, files
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(cli_case())
+def test_fuzz_cli(tmp_path_factory, case):
+    argv, files = case
+    work = tmp_path_factory.getbasetemp() / "fuzz-cli"
+    work.mkdir(exist_ok=True)
+    for name, text in files.items():
+        (work / name).write_text(text, encoding="ascii")
+    argv = [str(work / arg) if arg in files else arg for arg in argv]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exit_:  # argparse refusing a flag value
+            code = exit_.code
+    assert code in (0, 1, 2, 3), out.getvalue()

@@ -294,6 +294,28 @@ def test_solve_bounded_truncation_is_visible():
     assert not outcome.exhausted
 
 
+@pytest.mark.parametrize("limits", [OracleLimits(search_nodes=0),
+                                    OracleLimits(seconds=0)])
+def test_budgets_stop_branching_not_a_complete_state(limits):
+    complete = solve_bounded(EnSystem(2, [One(1), Add(1, 1, 2)]), "N", 1,
+                             limits=limits)
+    assert complete.exhausted and complete.solutions == [{1: 1, 2: 2}]
+    open_state = solve_bounded(EnSystem(3, [Add(1, 2, 3)]), "N", 1,
+                               limits=limits)
+    assert not open_state.exhausted and open_state.solutions == []
+
+
+def test_time_budget_bounds_children_that_fail():
+    # x2 + x2 = 1 has no integer root, so every value tried for x2
+    # conflicts and the search never reaches a node below the root.
+    system = EnSystem(2, [One(1), Add(2, 2, 1)])
+    started = time.monotonic()
+    outcome = solve_bounded(system, "Z", 10**11,
+                            limits=OracleLimits(seconds=0.05))
+    assert not outcome.exhausted and outcome.solutions == []
+    assert time.monotonic() - started < 10
+
+
 # --------------------------------------------------------------------------
 # four squares
 

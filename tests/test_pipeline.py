@@ -1,14 +1,17 @@
+from types import SimpleNamespace
+
 import pytest
 
 from enkit.eqio import FnRepresentation, parse_polynomial
-from enkit.errors import FormatError
-from enkit.oracle import (Box, Solved, Stuck, enumerate_roots, propagate,
-                          solve_bounded, verify_pinning)
-from enkit.pipeline import (assemble, build_pipeline, build_psi,
-                            master_witness, parse_layout, serialize_layout,
-                            threshold)
-from enkit.reductions import build_master_z
-from enkit.system import Add, Mul, One, validate
+from enkit.errors import FormatError, ParseError
+from enkit.oracle import (Box, OracleLimits, Solved, Stuck, enumerate_roots,
+                          propagate, solve_bounded, verify_pinning)
+from enkit.pipeline import (PsiSystem, assemble, build_pipeline, build_psi,
+                            check_assembled, master_witness, parse_layout,
+                            serialize_layout, threshold)
+from enkit.poly import Polynomial
+from enkit.reductions import ReductionCertificate, build_master_z
+from enkit.system import Add, EnSystem, Mul, One, validate
 
 IDENTITY = FnRepresentation(w=parse_polynomial("x1 - x2", 2), r=2)
 SQUARE = FnRepresentation(w=parse_polynomial("x1 - x2*x2", 2), r=2)
@@ -136,17 +139,96 @@ def test_pipeline_constant_z():
 
 
 def test_pinning_cert_path_matches_generic_search():
-    rep = FnRepresentation(w=parse_polynomial("x1 - 5", 2), r=2)
-    psi = build_psi(rep, "Z")
-    asm = assemble(psi, threshold(psi.s))
-    via_cert = verify_pinning(asm, 5, box_radius=1)
-    out = propagate(asm.system, {}, "Z")
-    assert isinstance(out, Stuck)
-    generic = solve_bounded(asm.system, "Z", 1)
+    # x3 occurs in no equation, so propagation leaves that base variable
+    # free and every point of its radius-2 range is a root.
+    rep = FnRepresentation(w=parse_polynomial("x1 - x2 + 0*x3", 3), r=3)
+    asm = build_pipeline(rep, "N", 12)
+    out = propagate(asm.system, {}, "N")
+    assert isinstance(out, Stuck) and out.undetermined == (3,)
+    via_cert = verify_pinning(asm, 12, box_radius=2)
+    generic = solve_bounded(asm.system, "N", 2)
     assert generic.exhausted
-    assert via_cert.solutions_found == len(generic.solutions)
-    for solution in generic.solutions:
-        assert solution[1] == 5
+    assert via_cert.solutions_found == len(generic.solutions) == 3
+    assert sorted(s[3] for s in generic.solutions) == [0, 1, 2]
+    assert via_cert.offending == [] and via_cert.search_exhausted
+    assert via_cert.passed
+
+
+def test_pinning_propagation_conflict_fails():
+    # W = x2 + 1 has no root over N: with x2 = n forced, psi conflicts.
+    rep = FnRepresentation(w=parse_polynomial("x2 + 1", 2), r=2)
+    psi = build_psi(rep, "N")
+    asm = assemble(psi, threshold(psi.s))
+    report = verify_pinning(asm, 0, witness_base=(0, asm.n))
+    assert not report.consistent_propagation
+    assert report.solutions_found == 0 and not report.witness_checked
+    assert not report.passed
+
+
+def _psi_with_free_auxiliary():
+    """Psi on x1..x4 with x1 = x2 and 0 * x4 = 0: every base variable is
+    forced once x2 is, and the auxiliary x4 never is."""
+    cert = ReductionCertificate(
+        mode="compact_N", p=2, n=4,
+        defs={3: Polynomial.constant(2, 0), 4: Polynomial.constant(2, 0)},
+        anchor_zero=3, anchor_a=1, anchor_b=2)
+    system = EnSystem(4, [Add(3, 3, 3), Add(3, 2, 1), Mul(3, 4, 3)])
+    return PsiSystem(system=system, s=4, mode="N", certificate=cert)
+
+
+def test_pinning_searches_when_every_base_variable_is_forced():
+    asm = assemble(_psi_with_free_auxiliary(), 12)
+    report = verify_pinning(asm, 12, box_radius=2)
+    assert report.x2_forced and not report.propagation_complete
+    assert report.search_exhausted
+    assert report.solutions_found == 3 and report.offending == []
+    assert report.passed
+    truncated = verify_pinning(asm, 12, box_radius=2,
+                               limits=OracleLimits(search_nodes=0))
+    assert not truncated.search_exhausted
+    assert not truncated.passed
+
+
+def test_pinning_searches_a_bare_stuck_system():
+    # x1 = 1, x3 = 2, x2 = 4 and x4 free; no certificate to enumerate by
+    bare = SimpleNamespace(
+        system=EnSystem(4, [One(1), Add(1, 1, 3), Add(3, 3, 2)]), n=4,
+        mode="N", certificate=None)
+    report = verify_pinning(bare, 1, box_radius=1)
+    assert report.x2_forced and not report.propagation_complete
+    assert report.search_exhausted
+    assert report.solutions_found == 2 and report.offending == []
+    assert report.passed
+    wrong = verify_pinning(bare, 2, box_radius=1)
+    assert sorted(s[4] for s in wrong.offending) == [0, 1]
+    assert not wrong.passed
+
+
+def test_complete_propagation_is_never_truncated():
+    # The search from a complete propagation has nothing to branch on, so
+    # no budget cuts it short.
+    asm = build_pipeline(IDENTITY, "N", 12)
+    report = verify_pinning(asm, 12, limits=OracleLimits(seconds=0,
+                                                         search_nodes=0))
+    assert report.propagation_complete and report.search_exhausted
+    assert report.solutions_found == 1 and report.passed
+
+
+def test_check_assembled_rebuilds_the_scaffold():
+    asm = build_pipeline(SQUARE, "N", 17)
+    text = serialize_layout(asm)
+    checked = check_assembled(asm.system, asm.certificate, text)
+    assert checked.system == asm.system and checked.layout == asm.layout
+    assert (checked.n, checked.s, checked.mode) == (17, 4, "N")
+    assert checked.certificate is asm.certificate
+    with pytest.raises(ParseError, match="layout and system disagree on n"):
+        check_assembled(EnSystem(18, asm.system.equations), None, text)
+    extra = EnSystem(17, asm.system.equations + (Add(5, 5, 6),),
+                     asm.system.names)
+    with pytest.raises(ParseError, match="does not match the layout's"):
+        check_assembled(extra, None, text)
+    with pytest.raises(ValueError, match="threshold needs s >= 3, got 2"):
+        check_assembled(asm.system, None, text.replace("\ns 4\n", "\ns 2\n"))
 
 
 def test_pinning_detects_wrong_expectation():

@@ -1,17 +1,19 @@
 import random
+import re
 
 import pytest
 
 from enkit.eqio import parse_polynomial
-from enkit.errors import (FamilyTooLarge, FormatError, ParseError,
-                          UnusedVariable, ZeroPolynomial)
+from enkit.errors import (CertificateMismatch, FamilyTooLarge, FormatError,
+                          ParseError, UnusedVariable, ZeroPolynomial)
 from enkit.poly import Polynomial
 from enkit.reductions import (FamilyDescriptor, build_compact_n,
                               build_compact_z, build_full_n, build_full_z,
                               build_halved_z, build_master_z, b_polynomial,
                               compact_bound, enumerate_t, family_descriptor,
                               master_arity, parse_certificate,
-                              serialize_certificate, split_signs)
+                              serialize_certificate, split_signs,
+                              validate_certificate)
 from enkit.system import Add, Mul, One, serialize, validate
 
 
@@ -460,3 +462,30 @@ def test_master_existential_blocks():
 def test_master_needs_two_variables():
     with pytest.raises(ValueError):
         build_master_z(P("x1"))
+
+
+@pytest.mark.parametrize("defs, message", [
+    ({}, "no definition for index 2"),
+    ({2: 0, 3: 0, 5: 0}, "no definition for index 4"),
+    ({2: 0, 10**11 + 1: 0}, "defines index 100000000001 outside (1, "),
+    ({1: 0, 7: 0}, "defines index 1 outside (1, "),
+])
+def test_validate_certificate_counts_instead_of_building_sets(defs, message):
+    # n = 10^11: a set of the auxiliary indices would not fit in memory
+    cert = build_compact_z(P("x1 - 1"))[1]
+    cert.n = 10**11
+    cert.defs = {index: Polynomial.constant(1, value)
+                 for index, value in defs.items()}
+    with pytest.raises(CertificateMismatch, match=re.escape(message)):
+        validate_certificate(cert, 10**11)
+
+
+def test_validate_certificate_refuses_p_above_n():
+    # With no definitions and p > n, nothing else would be out of place,
+    # and a search over x1..xp would never end.
+    cert = build_compact_z(P("x1 - 1"))[1]
+    cert.p, cert.defs = 10**11, {}
+    with pytest.raises(CertificateMismatch,
+                       match="certificate has p 100000000000, more than its "
+                             "n 3"):
+        validate_certificate(cert, 3)

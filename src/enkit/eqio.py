@@ -278,6 +278,49 @@ def format_polynomial(poly: Polynomial) -> str:
     return " ".join(pieces)
 
 
+def parse_canonical(text: str, arity: int) -> Polynomial | None:
+    """The polynomial in x1..x_arity that format_polynomial writes as
+    exactly `text`, or None if there is none.
+
+    A fast reader for what enkit wrote, with no tokens and no polynomial
+    arithmetic: terms split at ` + ` and ` - `, factors at `*`.  Whatever
+    it returns formats back to `text`, so `parse_polynomial(text, arity)`
+    reads the same polynomial; any other text, errors included, is left
+    to `parse_polynomial`.
+    """
+    if not 0 <= arity <= MAX_VARIABLE:
+        return None
+    if text == "0":
+        return Polynomial.zero(arity)
+    terms: dict[tuple[int, ...], int] = {}
+    try:
+        for term in text.replace(" - ", " + -").split(" + "):
+            coeff = 1
+            if term[:1] == "-":
+                coeff, term = -1, term[1:]
+            exps = [0] * arity
+            for factor in term.split("*"):
+                if factor[:1] != "x":
+                    coeff *= int(factor)
+                    continue
+                index, _, exponent = factor[1:].partition("^")
+                index = int(index)
+                exponent = int(exponent) if exponent else 1
+                # The format would write these back; the parser refuses them.
+                if not (0 < index <= arity and 0 < exponent <= MAX_EXPONENT):
+                    return None
+                exps[index - 1] += exponent
+            if not coeff:  # `-0*x1` would format back as itself
+                return None
+            terms[tuple(exps)] = coeff
+        poly = Polynomial._raw(arity, terms)
+        if format_polynomial(poly) == text:
+            return poly
+    except ValueError:  # not an integer, or too long to convert either way
+        pass
+    return None
+
+
 # --------------------------------------------------------------------------
 # representation files (.rep)
 

@@ -12,7 +12,8 @@ t-chain, w, and the parity variable y.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import compress, repeat
+from operator import is_, itemgetter
 
 from .eqio import MAX_VARIABLE, FnRepresentation, ascii_int, ascii_ints
 from .errors import FormatError, ParseError
@@ -108,50 +109,92 @@ def threshold(s: int) -> int:
     return 4 + 2 * s
 
 
-def assemble(psi: PsiSystem, n: int) -> AssembledSystem:
-    """Surround Psi with the scaffold forcing x2 = n, using n variables.
+@dataclass(frozen=True)
+class Scaffold:
+    """Where the counting scaffold of an n-variable system around an
+    s-variable psi puts its variables, and the equations it adds.
 
-    Layout: Psi's variables keep indices 1..s, then n - [n/2] - 2 - s
-    padding variables (each pinned to 1), the t-chain t_1..t_[n/2], w,
-    and finally y (0 if n is even via y + y = y, else 1 via y = 1).
+    Psi keeps indices 1..s, then come n - [n/2] - 2 - s padding variables
+    z_i (each pinned to 1), the t-chain t_1..t_[n/2] (t_1 = 1 and
+    t_{k+1} = t_1 + t_k), w = t_[n/2] + t_[n/2], and finally y (0 if n is
+    even via y + y = y, else 1 via y = 1), tied to x2 by w + y = x2.
     """
-    s = psi.s
-    minimum = threshold(s)
-    if n < minimum:
-        raise ValueError(f"n below threshold {minimum}")
-    half = n // 2
-    pad_count = n - half - 2 - s
-    padding = tuple(range(s + 1, s + 1 + pad_count))
-    t_chain = tuple(range(s + 1 + pad_count, s + 1 + pad_count + half))
-    w_index = s + pad_count + half + 1
-    y_index = w_index + 1
-    assert y_index == n, "variable layout must use exactly n indices"
 
-    first = t_chain[0]
+    n: int
+    s: int
+    padding: tuple[int, ...]
+    t_chain: tuple[int, ...]
+    w_index: int
+    y_index: int
+
+    @classmethod
+    def of(cls, n: int, s: int) -> "Scaffold":
+        minimum = threshold(s)
+        if n < minimum:
+            raise ValueError(f"n below threshold {minimum}")
+        first = n - n // 2 - 1  # t_1: after psi and n - [n/2] - 2 - s padding
+        # Each index is made once here; the equations and labels built from
+        # these tuples share its int object.
+        return cls(n=n, s=s, padding=tuple(range(s + 1, first)),
+                   t_chain=tuple(range(first, n - 1)), w_index=n - 1,
+                   y_index=n)
+
+    def one_indices(self) -> list[int]:
+        """The i of every x_i = 1 the scaffold adds, in increasing order."""
+        ones = [*self.padding, self.t_chain[0]]
+        if self.n % 2:
+            ones.append(self.y_index)
+        return ones
+
+    def add_columns(self) -> tuple[list[int], list[int], list[int]]:
+        """The (i, j, k) columns, with i <= j, of the x_i + x_j = x_k
+        equations the scaffold adds, in increasing k: w + y = x2, the
+        t-chain, t_[n/2] + t_[n/2] = w and, for even n, y + y = y."""
+        t, w, y = self.t_chain, self.w_index, self.y_index
+        i = [w, *repeat(t[0], len(t) - 1), t[-1]]
+        j = [y, *t[:-1], t[-1]]
+        k = [2, *t[1:], w]
+        if self.n % 2 == 0:
+            i.append(y)
+            j.append(y)
+            k.append(y)
+        return i, j, k
+
+    def labels(self) -> list[str]:
+        """The labels of x1..xn in index order: x1..xs, z1.., t1.., w, y."""
+        s, pad, half = self.s, len(self.padding), len(self.t_chain)
+        # Each group numbers from 1, so one list of numerals serves all.
+        numerals = list(map(str, range(1, max(s, pad, half) + 1)))
+        return [*map("x".__add__, numerals[:s]),
+                *map("z".__add__, numerals[:pad]),
+                *map("t".__add__, numerals[:half]), "w", "y"]
+
+    def layout(self) -> dict[int, str]:
+        """Index -> label, for x1..xn."""
+        indices = (*range(1, self.s + 1), *self.padding, *self.t_chain,
+                   self.w_index, self.y_index)
+        return dict(zip(indices, self.labels()))
+
+    def assembled(self, system: EnSystem, mode: str,
+                  certificate: ReductionCertificate | None,
+                  labels: dict[int, str]) -> AssembledSystem:
+        return AssembledSystem(
+            system=system, n=self.n, s=self.s, mode=mode,
+            certificate=certificate, layout=labels,
+            padding=self.padding, t_chain=self.t_chain,
+            w_index=self.w_index, y_index=self.y_index)
+
+
+def assemble(psi: PsiSystem, n: int) -> AssembledSystem:
+    """Surround Psi with the scaffold forcing x2 = n, using n variables;
+    `Scaffold` describes the layout."""
+    scaffold = Scaffold.of(n, psi.s)
     equations = list(psi.system.equations)
-    equations += map(tuple.__new__, repeat(One), zip(padding))
-    equations.append(One(first))
-    # t_{k+1} = t_k + t_1, stored as Add(t_1, t_k, t_{k+1})
-    equations += Add.from_columns([first] * (half - 1), t_chain[:-1],
-                                  t_chain[1:])
-    equations.append(Add(t_chain[-1], t_chain[-1], w_index))
-    equations.append(Add(w_index, y_index, 2))
-    if n % 2 == 0:
-        equations.append(Add(y_index, y_index, y_index))
-    else:
-        equations.append(One(y_index))
-
-    layout = dict(zip(range(1, s + 1), map("x%d".__mod__, range(1, s + 1))))
-    layout.update(zip(padding, map("z%d".__mod__, range(1, pad_count + 1))))
-    layout.update(zip(t_chain, map("t%d".__mod__, range(1, half + 1))))
-    layout[w_index] = "w"
-    layout[y_index] = "y"
-
-    system = EnSystem(n, equations, names=layout)
-    return AssembledSystem(
-        system=system, n=n, s=s, mode=psi.mode,
-        certificate=psi.certificate, layout=layout, padding=padding,
-        t_chain=t_chain, w_index=w_index, y_index=y_index)
+    equations += map(tuple.__new__, repeat(One), zip(scaffold.one_indices()))
+    equations += Add.from_columns(*scaffold.add_columns())
+    layout = scaffold.layout()
+    return scaffold.assembled(EnSystem(n, equations, names=layout),
+                              psi.mode, psi.certificate, layout)
 
 
 def check_assembled(system: EnSystem,
@@ -162,30 +205,44 @@ def check_assembled(system: EnSystem,
 
     The layout's n must be the system's.  Psi is taken to be the
     equations on indices 1..s (an fn-system certificate describes psi, so
-    its n is the layout's s); the scaffold is rebuilt around it by
-    `assemble` and must hold the system's equations, no more and no fewer,
-    and both the layout labels and the system's `# name` labels must be
-    the scaffold's.  Any difference raises ParseError naming it.
+    its n is the layout's s).  Every scaffold equation has an index above
+    s, so the system's equations with an index above s must be exactly
+    the scaffold's: their plain-int columns are compared with what
+    `Scaffold` derives from (n, s), with no equation rebuilt.  Both the
+    layout labels and the system's `# name` labels must be the
+    scaffold's.  Any difference raises ParseError naming it.
     """
     n, s, mode, labels = parse_layout(layout_text)
     if n != system.n:
         raise ParseError("layout and system disagree on n")
     if certificate is not None:
         validate_certificate(certificate, s)
-    psi = PsiSystem(
-        system=EnSystem(s, [eq for eq in system.equations if max(eq) <= s]),
-        s=s, mode=mode, certificate=certificate)
-    assembled = assemble(psi, n)
-    if set(assembled.system.equations) != set(system.equations):
+    scaffold = Scaffold.of(n, s)
+    equations = system.equations
+    outside = list(compress(equations, map(s.__lt__, map(max, equations))))
+    kinds = list(map(type, outside))
+    ones = sorted(map(itemgetter(0),
+                      compress(outside, map(is_, kinds, repeat(One)))))
+    adds = sorted(compress(outside, map(is_, kinds, repeat(Add))),
+                  key=itemgetter(2))
+    # No two scaffold additions share a k, so sorted by k the additions
+    # above s are the scaffold's exactly when their columns are; a Mul
+    # above s is neither kind.
+    if (len(ones) + len(adds) != len(outside)
+            or ones != scaffold.one_indices()
+            or tuple(map(list, zip(*adds))) != scaffold.add_columns()):
         raise ParseError("system does not match the layout's scaffold")
+    expected = scaffold.labels()
     for what, names in (("layout label", labels),
                         (".ens name", system.names)):
-        if names != assembled.layout:
-            index = min(i for i in names.keys() | assembled.layout.keys()
-                        if names.get(i) != assembled.layout.get(i))
+        if (len(names) != n
+                or list(map(names.get, range(1, n + 1))) != expected):
+            layout = dict(zip(range(1, n + 1), expected))
+            index = min(i for i in names.keys() | layout.keys()
+                        if names.get(i) != layout.get(i))
             raise ParseError(f"{what} of index {index} does not match "
                              f"the scaffold")
-    return assembled
+    return scaffold.assembled(system, mode, certificate, labels)
 
 
 def build_pipeline(rep: FnRepresentation, mode: str, n: int,
@@ -221,10 +278,41 @@ def serialize_layout(assembled: AssembledSystem) -> str:
 
 
 _LAYOUT_HEADER = ("n", "s", "mode")
+# Every ASCII character but whitespace, deleted to leave a text's
+# whitespace in order.
+_NOT_WHITESPACE = bytes(b for b in range(128) if not chr(b).isspace())
 
 
 def parse_layout(text: str) -> tuple[int, int, str, dict[int, str]]:
-    """Returns (n, s, mode, labels)."""
+    """Returns (n, s, mode, labels).
+
+    Text laid out as serialize_layout writes it is read in bulk; any
+    other text goes to the line-by-line reader, which raises every format
+    error.  A header key or an index given twice is an error.
+    """
+    head = text.split("\n", 4)
+    if len(head) == 5 and head[0] == "LAYOUT 1":
+        header = dict(line.partition(" ")[::2] for line in head[1:4])
+        block = head[4]
+        tokens = block.split()
+        count = len(tokens) // 2
+        # An ASCII block whose whitespace is one space and one newline on
+        # each of `count` lines: no line holds more than two tokens, so
+        # with 2 * count of them each line is `<token> <token>`.
+        if (list(header) == list(_LAYOUT_HEADER) and block.isascii()
+                and block.encode().translate(None, _NOT_WHITESPACE)
+                == b" \n" * count):
+            n, s = ascii_int(header["n"]), ascii_int(header["s"])
+            indices = ascii_ints(tokens[::2]) if tokens else []
+            if (n is not None and s is not None and indices is not None
+                    and header["mode"] in (MODE_Z, MODE_N)):
+                labels = dict(zip(indices, tokens[1::2]))
+                if len(labels) == count:  # no index given twice
+                    return n, s, header["mode"], labels
+    return _read_layout_lines(text)
+
+
+def _read_layout_lines(text: str) -> tuple[int, int, str, dict[int, str]]:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0] != "LAYOUT 1":
         raise FormatError("missing 'LAYOUT 1' header")
@@ -234,6 +322,8 @@ def parse_layout(text: str) -> tuple[int, int, str, dict[int, str]]:
     for line in lines[1:]:
         key, _, value = line.partition(" ")
         if key in _LAYOUT_HEADER:
+            if key in header:
+                raise FormatError(f"duplicate layout line {line!r}")
             header[key] = value
         else:
             keys.append(key)
@@ -250,4 +340,9 @@ def parse_layout(text: str) -> tuple[int, int, str, dict[int, str]]:
     mode = header.get("mode")
     if n is None or s is None or mode not in (MODE_Z, MODE_N):
         raise FormatError("bad layout header")
-    return n, s, mode, dict(zip(indices, names))
+    labels: dict[int, str] = {}
+    for index, name in zip(indices, names):
+        if index in labels:
+            raise FormatError(f"duplicate layout label of index {index}")
+        labels[index] = name
+    return n, s, mode, labels

@@ -22,7 +22,8 @@ from itertools import product
 from math import prod
 
 from . import kernels
-from .eqio import ascii_int, ascii_ints, format_polynomial, parse_polynomial
+from .eqio import (ascii_int, ascii_ints, format_polynomial, parse_canonical,
+                   parse_polynomial)
 from .errors import (CertificateMismatch, FamilyTooLarge, FormatError,
                      UnusedVariable, ZeroPolynomial)
 from .poly import Exponents, Polynomial
@@ -183,7 +184,12 @@ def parse_certificate(text: str) -> ReductionCertificate:
         index = ascii_int(index_text)
         if index is None:
             raise FormatError(f"bad definition line {line!r}")
-        defs[index] = parse_polynomial(poly_text, arity=p)
+        if index in defs:
+            raise FormatError(f"certificate defines index {index} twice")
+        # Lines serialize_certificate wrote take the canonical reader.
+        poly = parse_canonical(poly_text, p)
+        defs[index] = (parse_polynomial(poly_text, arity=p) if poly is None
+                       else poly)
     if anchor is None:
         raise FormatError("missing ANCHOR line")
     cert = ReductionCertificate(mode=mode, p=p, n=n, defs=defs)

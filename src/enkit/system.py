@@ -220,7 +220,8 @@ class _Reader:
 
     def _bulk_names(self, lines: list[str]) -> bool:
         """Read lines that all begin "# na" as name lines, or return False,
-        having read nothing, unless every one is a well-formed name line."""
+        having read nothing, unless every one is a well-formed name line
+        naming an index not named before."""
         tokens = " ".join(lines).split()
         if (len(tokens) != 4 * len(lines)
                 or tokens[::4].count("#") != len(lines)
@@ -229,7 +230,11 @@ class _Reader:
         indices = ascii_ints(tokens[2::4])
         if indices is None:
             return False
-        self.names.update(zip(indices, tokens[3::4]))
+        names = dict(zip(indices, tokens[3::4]))
+        # An index named twice leaves fewer names than lines.
+        if len(names) != len(lines) or not self.names.keys().isdisjoint(names):
+            return False
+        self.names.update(names)
         return True
 
     def read_lines(self, lines: list[str], line_no: int):
@@ -242,7 +247,11 @@ class _Reader:
                 if len(parts) >= 2 and parts[1] == "name":
                     if len(parts) != 4 or ascii_ints(parts[2:3]) is None:
                         raise FormatError(f"line {line_no}: bad name line")
-                    self.names[int(parts[2])] = parts[3]
+                    index = int(parts[2])
+                    if index in self.names:
+                        raise FormatError(
+                            f"line {line_no}: duplicate name of index {index}")
+                    self.names[index] = parts[3]
                 continue
             head = parts[0]
             if head == "n":

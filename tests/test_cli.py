@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import enkit
-from enkit import cli
+from enkit import cli, pipeline
 from enkit.cli import main
 from enkit.eqio import parse_equation
 from enkit.pipeline import master_witness, parse_layout
@@ -219,7 +219,6 @@ def test_verify_pin_rejects_scaffold_with_mul_for_add(workdir, capsys):
 
 @pytest.mark.parametrize("old, new", [
     ("\n1 x1\n", "\n1 x9\n"),            # tampered label
-    ("\n2 x2\n", "\n2 x2\n1 x9\n"),     # duplicated index line
     ("\n1 x1\n", "\n"),                  # missing label
 ])
 def test_verify_pin_checks_layout_labels(workdir, capsys, old, new):
@@ -233,6 +232,32 @@ def test_verify_pin_checks_layout_labels(workdir, capsys, old, new):
                  "--witness", "12,12"]) == 2
     assert ("layout label of index 1 does not match the scaffold"
             in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("suffix, old, new, message", [
+    pytest.param(".layout", "\n2 x2\n", "\n2 x2\n1 x9\n",
+                 "duplicate layout label of index 1", id="layout-label"),
+    pytest.param(".layout", "\nn 12\n", "\nn 5\nn 12\n",
+                 "duplicate layout line 'n 12'", id="layout-header"),
+    pytest.param(".ens", "# name 1 x1\n", "# name 1 x1\n# name 1 x9\n",
+                 "line 4: duplicate name of index 1", id="ens-name"),
+    pytest.param(".cert", "\n3 0\n", "\n3 0\n3 1\n",
+                 "certificate defines index 3 twice", id="cert-definition"),
+])
+def test_verify_pin_refuses_duplicate_lines(workdir, capsys, suffix, old, new,
+                                            message):
+    # A second line for the same key or index is refused, naming it.
+    write(workdir / "id.rep", IDENTITY_REP)
+    assert main(["fn-system", "--rep", "id.rep", "--ring", "n", "--n", "12",
+                 "--out", "sys"]) == 0
+    tamper(workdir / f"sys{suffix}", old, new, workdir / f"bad{suffix}")
+    files = {kind: ("bad" if kind == suffix else "sys") + kind
+             for kind in (".ens", ".cert", ".layout")}
+    capsys.readouterr()
+    assert main(["verify-pin", "--system", files[".ens"], "--cert",
+                 files[".cert"], "--layout", files[".layout"], "--expected",
+                 "12", "--ring", "n", "--witness", "12,12"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("old, new", [
@@ -250,6 +275,35 @@ def test_verify_pin_checks_ens_names(workdir, capsys, old, new):
                  "--witness", "12,12"]) == 2
     assert (".ens name of index 1 does not match the scaffold"
             in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("ring, n", [("n", 41), ("z", 300)])
+def test_verify_pin_neither_rebuilds_nor_compares_equations(
+        workdir, capsys, monkeypatch, ring, n):
+    # The scaffold check compares plain-int columns with the geometry, so
+    # with assemble and Add/Mul equality made to raise the bytes are the
+    # same.
+    write(workdir / "id.rep", IDENTITY_REP)
+    assert main(["fn-system", "--rep", "id.rep", "--ring", ring,
+                 "--n", str(n), "--out", "sys"]) == 0
+    witness = (n, n) if ring == "n" else master_witness((n, n), 2)
+    argv = ["verify-pin", "--system", "sys.ens", "--cert", "sys.cert",
+            "--layout", "sys.layout", "--expected", str(n), "--ring", ring,
+            "--radius", "1", "--witness", ",".join(map(str, witness)),
+            "--report", "pin.json"]
+    results = []
+    for patched in (False, True):
+        if patched:
+            def refuse(*args):
+                raise AssertionError("verify-pin rebuilt or compared")
+            monkeypatch.setattr(pipeline, "assemble", refuse)
+            for name in ("__eq__", "__ne__"):
+                monkeypatch.setattr(enkit.system._Commutative, name, refuse)
+        capsys.readouterr()
+        results.append((main(argv), capsys.readouterr().out,
+                        (workdir / "pin.json").read_bytes()))
+    assert results[0] == results[1]
+    assert results[0][0] == 0 and results[0][1].endswith("PASS\n")
 
 
 @pytest.mark.parametrize("ring", ["n", "z"])

@@ -3,8 +3,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from enkit.eqio import (MAX_NESTING, MAX_VARIABLE, ascii_int, ascii_ints,
-                        format_polynomial, format_rep, parse_equation,
-                        parse_polynomial, parse_rep)
+                        format_polynomial, format_rep, parse_canonical,
+                        parse_equation, parse_polynomial, parse_rep)
 from enkit.errors import FormatError, ParseError
 from enkit.poly import Polynomial
 
@@ -179,6 +179,87 @@ def test_roundtrip(poly):
 
 def test_whitespace_insensitive():
     assert parse_polynomial("  2*x1   -3 ") == parse_polynomial("2*x1 - 3")
+
+
+# -- the canonical reader ---------------------------------------------------
+
+def read_canonical_first(text, arity):
+    """How parse_certificate reads a definition: the canonical reader,
+    then parse_polynomial for whatever it leaves."""
+    poly = parse_canonical(text, arity)
+    return parse_polynomial(text, arity=arity) if poly is None else poly
+
+
+def outcome(read, text, arity):
+    try:
+        poly = read(text, arity)
+    except Exception as exc:  # the type and message are compared
+        return type(exc), str(exc)
+    return poly.arity, poly.terms
+
+
+# Edits that make canonical text non-canonical, or canonical text the
+# parser refuses: (old, new) applied at one occurrence of old.
+EDITS = [("x1", "x0"), ("x1", "x11"), ("x2", "x2^0"), ("x2", "x2^1"),
+         ("x", "1*x"), ("x", "0*x"), ("x", "-0*x"), ("x", "2*3*x"),
+         ("1", "01"), ("2", "02"), ("^2", "^2147483648"), ("^", "^+"),
+         ("^2", "^-2"), ("x3", "x3*x1"), ("x3", "x3*x3"), (" ", "  "),
+         (" - ", " + -"), (" + ", " - -"), ("-", "--"), ("*", " * "),
+         ("1", "١"), ("x", "x_"), ("^", "^^")]
+
+
+@st.composite
+def near_canonical(draw):
+    """format_polynomial of a polynomial in at most 10 variables, with up
+    to two edits, its terms reordered or repeated, or a space added."""
+    poly = draw(polynomials(max_arity=10, max_exp=4, max_coeff=10**4,
+                            max_terms=6))
+    text = format_polynomial(poly)
+    for _ in range(draw(st.integers(0, 2))):
+        old, new = draw(st.sampled_from(EDITS))
+        at = [i for i in range(len(text)) if text.startswith(old, i)]
+        if at:
+            i = draw(st.sampled_from(at))
+            text = text[:i] + new + text[i + len(old):]
+    terms = text.replace(" - ", " + -").split(" + ")
+    shape = draw(st.sampled_from(["keep", "reverse", "repeat", "trailing"]))
+    if shape == "reverse" and len(terms) > 1:
+        text = " + ".join(terms[::-1]).replace(" + -", " - ")
+    elif shape == "repeat":
+        text = text + " + " + draw(st.sampled_from(terms))
+    elif shape == "trailing":
+        text += " "
+    arity = poly.arity + draw(st.sampled_from([0, 0, 0, 1, -1]))
+    return text, max(arity, 0)
+
+
+@settings(max_examples=400, deadline=None)
+@given(near_canonical())
+def test_canonical_reader_agrees_with_the_parser(case):
+    text, arity = case
+    got = outcome(read_canonical_first, text, arity)
+    assert got == outcome(parse_polynomial, text, arity)
+    poly = parse_canonical(text, arity)
+    if poly is not None:
+        assert format_polynomial(poly) == text
+
+
+@pytest.mark.parametrize("text, arity", [
+    ("0", 3), ("1", 0), ("-7", 2), ("x1", 1), ("-x2^3", 2),
+    ("12*x1^2*x3 - x2 + 5", 3), ("x1^2147483647", 1)])
+def test_canonical_reader_takes_formatted_text(text, arity):
+    poly = parse_canonical(text, arity)
+    assert poly is not None and poly == parse_polynomial(text, arity=arity)
+
+
+@pytest.mark.parametrize("text, arity", [
+    ("-0", 1), ("0*x1", 1), ("-0*x1", 1), ("x0", 1), ("x2", 1), ("1*x1", 1),
+    ("x1^1", 1), ("x1^0", 1), ("x1^-1", 1), ("x1^2147483648", 1), ("01", 1),
+    ("x2 + x1", 2), ("x1 + x1", 1), ("x1 + -x2", 2), ("x2*x1", 2),
+    ("x1*x1", 1), ("x1  - 1", 1), ("x1 ", 1), ("١", 1), ("", 1),
+    ("x1", MAX_VARIABLE + 1), ("x1", -1)])
+def test_canonical_reader_leaves_other_text(text, arity):
+    assert parse_canonical(text, arity) is None
 
 
 # -- representation files ---------------------------------------------------

@@ -1,17 +1,23 @@
+import functools
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from enkit.eqio import FnRepresentation, parse_polynomial
 from enkit.errors import FormatError, ParseError
 from enkit.oracle import (Box, OracleLimits, Solved, Stuck, enumerate_roots,
                           propagate, solve_bounded, verify_pinning)
-from enkit.pipeline import (PsiSystem, assemble, build_pipeline, build_psi,
-                            check_assembled, master_witness, parse_layout,
-                            serialize_layout, threshold)
+from enkit.pipeline import (PsiSystem, _read_layout_lines, assemble,
+                            build_pipeline, build_psi, check_assembled,
+                            master_witness, parse_layout, serialize_layout,
+                            threshold)
 from enkit.poly import Polynomial
-from enkit.reductions import ReductionCertificate, build_master_z
-from enkit.system import Add, EnSystem, Mul, One, validate
+from enkit.reductions import (ReductionCertificate, build_master_z,
+                              validate_certificate)
+from enkit.system import (Add, EnSystem, Mul, One, deserialize, serialize,
+                          validate)
 
 IDENTITY = FnRepresentation(w=parse_polynomial("x1 - x2", 2), r=2)
 SQUARE = FnRepresentation(w=parse_polynomial("x1 - x2*x2", 2), r=2)
@@ -227,6 +233,16 @@ def test_check_assembled_rebuilds_the_scaffold():
                      asm.system.names)
     with pytest.raises(ParseError, match="does not match the layout's"):
         check_assembled(extra, None, text)
+    moved = EnSystem(17, [One(asm.t_chain[1]) if eq == One(asm.padding[0])
+                          else eq for eq in asm.system.equations],
+                     asm.system.names)
+    with pytest.raises(ParseError, match="does not match the layout's"):
+        check_assembled(moved, None, text)
+    t1, t2 = asm.t_chain[:2]
+    extra = EnSystem(17, asm.system.equations + (Mul(t1, t1, t2),),
+                     asm.system.names)
+    with pytest.raises(ParseError, match="does not match the layout's"):
+        check_assembled(extra, None, text)
     with pytest.raises(ValueError, match="threshold needs s >= 3, got 2"):
         check_assembled(asm.system, None, text.replace("\ns 4\n", "\ns 2\n"))
 
@@ -283,3 +299,158 @@ def test_layout_header_must_be_ascii_digits_and_a_mode(header):
     with pytest.raises(FormatError) as err:
         parse_layout(f"LAYOUT 1\n{header}\n1 x1\n")
     assert str(err.value) == "bad layout header"
+
+
+# -- check_assembled against rebuilding the scaffold ------------------------
+
+def rebuilt(psi, n):
+    """The reference assembly, built equation by equation and label by
+    label without `Scaffold`."""
+    s = psi.s
+    minimum = threshold(s)
+    if n < minimum:
+        raise ValueError(f"n below threshold {minimum}")
+    half = n // 2
+    pad_count = n - half - 2 - s
+    padding = tuple(range(s + 1, s + 1 + pad_count))
+    t_chain = tuple(range(s + 1 + pad_count, s + 1 + pad_count + half))
+    w_index = s + pad_count + half + 1
+    y_index = w_index + 1
+    first = t_chain[0]
+    equations = list(psi.system.equations)
+    equations += [One(z) for z in padding]
+    equations.append(One(first))
+    equations += [Add(first, t, u) for t, u in zip(t_chain, t_chain[1:])]
+    equations.append(Add(t_chain[-1], t_chain[-1], w_index))
+    equations.append(Add(w_index, y_index, 2))
+    equations.append(Add(y_index, y_index, y_index) if n % 2 == 0
+                     else One(y_index))
+    layout = {i: f"x{i}" for i in range(1, s + 1)}
+    layout.update({z: f"z{k}" for k, z in enumerate(padding, start=1)})
+    layout.update({t: f"t{k}" for k, t in enumerate(t_chain, start=1)})
+    layout[w_index] = "w"
+    layout[y_index] = "y"
+    return SimpleNamespace(
+        system=EnSystem(n, equations, names=layout), n=n, s=s,
+        mode=psi.mode, certificate=psi.certificate, layout=layout,
+        padding=padding, t_chain=t_chain, w_index=w_index, y_index=y_index)
+
+
+def check_by_rebuilding(system, certificate, layout_text):
+    """The reference scaffold check: rebuild around psi, compare sets."""
+    n, s, mode, labels = parse_layout(layout_text)
+    if n != system.n:
+        raise ParseError("layout and system disagree on n")
+    if certificate is not None:
+        validate_certificate(certificate, s)
+    psi = PsiSystem(
+        system=EnSystem(s, [eq for eq in system.equations if max(eq) <= s]),
+        s=s, mode=mode, certificate=certificate)
+    assembled = rebuilt(psi, n)
+    if set(assembled.system.equations) != set(system.equations):
+        raise ParseError("system does not match the layout's scaffold")
+    for what, names in (("layout label", labels),
+                        (".ens name", system.names)):
+        if names != assembled.layout:
+            index = min(i for i in names.keys() | assembled.layout.keys()
+                        if names.get(i) != assembled.layout.get(i))
+            raise ParseError(f"{what} of index {index} does not match "
+                             f"the scaffold")
+    return assembled
+
+
+def check_outcome(check, system, certificate, layout_text):
+    try:
+        a = check(system, certificate, layout_text)
+    except Exception as exc:  # the type and message are compared
+        return type(exc), str(exc)
+    return (a.system, a.n, a.s, a.mode, a.certificate, a.layout, a.padding,
+            a.t_chain, a.w_index, a.y_index)
+
+
+# fn-system outputs over N and Z, for odd and even n.
+FN_CASES = [(IDENTITY, "N", 12), (SQUARE, "N", 17), (IDENTITY, "Z", 268),
+            (IDENTITY, "Z", 271)]
+
+
+@functools.cache
+def fn_outputs(case):
+    asm = build_pipeline(*FN_CASES[case])
+    return serialize(asm.system), asm.certificate, serialize_layout(asm)
+
+
+LABELS = ["x1", "x2", "z1", "t1", "t2", "w", "y", "q"]
+
+
+@st.composite
+def edited_line(draw, text, n):
+    """text with one line deleted or repeated, or with one field of a line
+    or of a copy of it replaced by a nearby index, a label or another
+    equation kind."""
+    lines = text.splitlines()
+    # Equation lines half of the time, since most .ens lines are names.
+    equations = [t for t, line in enumerate(lines)
+                 if line.startswith(("ONE", "ADD", "MUL"))]
+    t = draw(st.sampled_from(equations) if equations and draw(st.booleans())
+             else st.integers(1, len(lines) - 1))
+    op = draw(st.sampled_from(["delete", "repeat", "field", "copy"]))
+    if op == "delete":
+        del lines[t]
+    elif op in ("repeat", "copy"):
+        lines.insert(t, lines[t])
+    if op in ("field", "copy"):
+        fields = lines[t].split(" ")
+        k = draw(st.integers(0, len(fields) - 1))
+        fields[k] = draw(st.sampled_from(["ONE", "ADD", "MUL", *LABELS])
+                         | st.integers(0, n + 1).map(str))
+        lines[t] = " ".join(fields)
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, len(FN_CASES) - 1), st.sampled_from([".ens", ".layout"]),
+       st.booleans(), st.data())
+def test_check_assembled_agrees_with_rebuilding(case, suffix, with_cert,
+                                                data):
+    ens_text, cert, layout_text = fn_outputs(case)
+    n = FN_CASES[case][2]
+    if suffix == ".ens":
+        ens_text = data.draw(edited_line(ens_text, n))
+    else:
+        layout_text = data.draw(edited_line(layout_text, n))
+    try:
+        system = deserialize(ens_text)
+    except FormatError:
+        return  # no system to check
+    cert = cert if with_cert else None
+    got = check_outcome(check_assembled, system, cert, layout_text)
+    assert got == check_outcome(check_by_rebuilding, system, cert,
+                                layout_text)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, len(FN_CASES) - 1), st.data())
+def test_layout_bulk_reader_agrees_with_lines(case, data):
+    text = fn_outputs(case)[2]
+    for _ in range(data.draw(st.integers(0, 2))):
+        text = data.draw(edited_line(text, FN_CASES[case][2]))
+    # Whitespace, a line break or a non-ASCII letter put in, most often
+    # next to a separator, or a line break taken out.
+    for _ in range(data.draw(st.integers(0, 2))):
+        at = data.draw(st.sampled_from([i for i, ch in enumerate(text)
+                                        if ch in " \n"])
+                       | st.integers(0, len(text)))
+        if data.draw(st.integers(0, 3)):
+            text = text[:at] + data.draw(st.sampled_from(
+                [" ", "\t", "\r", "\x0b", "\x1c", "\x85", "\u2028", "\n",
+                 "\u00e9"])) + text[at:]
+        else:
+            text = text[:at] + text[at:].replace("\n", "", 1)
+
+    def read(parse):
+        try:
+            return parse(text)
+        except FormatError as exc:
+            return str(exc)
+
+    assert read(parse_layout) == read(_read_layout_lines)

@@ -159,8 +159,9 @@ def equations_until(line_no):
 
 
 def names_until(line_no):
-    """Filler after the one header line, so the next is line line_no."""
-    return ["# name 1 x\n"] * (line_no - 2)
+    """Filler after the one header line, so the next is line line_no; it
+    names indices from 10 up, each once."""
+    return [f"# name {index} x\n" for index in range(10, 8 + line_no)]
 
 
 MALFORMED = [
@@ -207,6 +208,19 @@ def test_missing_n(at):
     with pytest.raises(FormatError) as err:
         deserialize(text)
     assert str(err.value) == "missing 'n <count>' header"
+
+
+@pytest.mark.parametrize("at", POSITIONS)
+def test_name_given_twice(at):
+    # Index 10 is named on line 2, in the first chunk; the bulk reader and
+    # the line-by-line reader refuse the second name at the same line.
+    text = ens(names_until(at), "# name 10 y", ["n 5000\n"],
+               header="ENSYS 1\n")
+    message = f"line {at}: duplicate name of index 10"
+    with pytest.raises(FormatError, match=f"^{message}$"):
+        deserialize(text)
+    with pytest.raises(FormatError, match=f"^{message}$"):
+        per_line(text)
 
 
 @pytest.mark.parametrize("text", ["", "\n", "n 3\nADD 1 2 3\n", "ENSYS 2\nn 1\n",
@@ -277,7 +291,8 @@ WHITESPACE_VARIANTS = [
 def test_whitespace_and_order_variants_match_per_line(variant, at):
     before = equations_until(at)
     before[0] = "ONE 1\n"
-    after = ["MUL 1 1 1\n", "ADD 2 2 4\n", "# name 4 t4\n", "ONE 2\n"] * 3
+    after = [line for index in (1, 4, 5) for line in (
+        "MUL 1 1 1\n", "ADD 2 2 4\n", f"# name {index} t4\n", "ONE 2\n")]
     text = ens(before, variant, after, header="ENSYS 1\r\nn 5\r\n")
     parsed = deserialize(text)
     reference = per_line(text)

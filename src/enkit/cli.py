@@ -2,7 +2,7 @@
 
 Subcommands: reduce, fn-system, info, solve, verify-equiv, verify-pin.
 Exit codes: 0 success / verification passed, 1 verification failed,
-2 usage or input error, 3 resource limit hit.
+2 usage or input error, 3 resource limit hit, 4 internal error.
 
 Output files are written only after the whole command succeeded, and a
 failing write leaves no partial files behind.  Reports never embed
@@ -32,6 +32,7 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_LIMIT = 3
+EXIT_INTERNAL = 4
 
 
 def integer(text: str) -> int:
@@ -457,14 +458,18 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        _resolve_defaults(args)
-        return args.run(args)
+        with system.collector_paused():
+            _resolve_defaults(args)
+            return args.run(args)
     except (FamilyTooLarge, BoxTooLarge) as exc:
         _note(f"error: {exc}")
         return EXIT_LIMIT
     except (EnkitError, OSError, ValueError) as exc:
         _note(f"error: {exc}")
         return EXIT_USAGE
+    except Exception as exc:  # a bug: one line and its own exit code
+        _note(f"error: internal error: {type(exc).__name__}: {exc}")
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -10,6 +10,7 @@ written by deterministic builders are byte-identical across runs.
 from __future__ import annotations
 
 import gc
+from contextlib import contextmanager
 from itertools import compress, count, pairwise, repeat
 from operator import gt, itemgetter, ne
 from typing import Iterable, Mapping, NamedTuple
@@ -122,6 +123,24 @@ def validate(system: EnSystem) -> list[str]:
     return problems
 
 
+@contextmanager
+def collector_paused():
+    """Pause the cyclic garbage collector, and restore the caller's state
+    on every exit.
+
+    enkit's commands and readers make no reference cycles, yet each
+    collection would walk every live Add and Mul: tuple subclasses are
+    never untracked.
+    """
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if collecting:
+            gc.enable()
+
+
 # --------------------------------------------------------------------------
 # serialization (.ens)
 
@@ -169,13 +188,22 @@ def _parse_indices(parts: list[str], count: int, line_no: int) -> list[int]:
 class _Reader:
     """What the lines of one .ens text read so far have declared."""
 
-    __slots__ = ("n", "equations", "names", "in_range")
+    __slots__ = ("n", "equations", "names", "in_range", "line_count",
+                 "numerals")
 
-    def __init__(self):
+    def __init__(self, line_count: int = 0):
         self.n: int | None = None
         self.equations: list[EnEquation] = []
         self.names: dict[int, str] = {}
         self.in_range = True  # every equation index read lies in [1, n]
+        self.line_count = line_count
+        # str(i) -> i for every index i in [1, n], built with the 'n'
+        # header.  Every numeral it holds is ASCII digits naming an index in
+        # range, so one lookup replaces the digit check, int() and the range
+        # check; a token it lacks sends its run to ascii_ints.  It stays
+        # empty when n is more than three times the line count, so its
+        # memory is proportional to the text.
+        self.numerals: dict[str, int] = {}
 
     def read_chunk(self, lines: list[str], line_no: int):
         """Read lines, the first of which is line number line_no.
@@ -206,11 +234,13 @@ class _Reader:
                 or tokens[::width].count(_TAGS[kind]) != len(lines)):
             return False
         del tokens[::width]
-        values = ascii_ints(tokens)
+        values = self._table_ints(tokens)
         if values is None:
-            return False
-        if min(values) < 1 or max(values) > self.n:
-            self.in_range = False
+            values = ascii_ints(tokens)
+            if values is None:
+                return False
+            if min(values) < 1 or max(values) > self.n:
+                self.in_range = False
         if kind is One:
             self.equations.extend(map(tuple.__new__, repeat(One), zip(values)))
         else:
@@ -227,7 +257,7 @@ class _Reader:
                 or tokens[::4].count("#") != len(lines)
                 or tokens[1::4].count("name") != len(lines)):
             return False
-        indices = ascii_ints(tokens[2::4])
+        indices = self._table_ints(tokens[2::4]) or ascii_ints(tokens[2::4])
         if indices is None:
             return False
         names = dict(zip(indices, tokens[3::4]))
@@ -236,6 +266,14 @@ class _Reader:
             return False
         self.names.update(names)
         return True
+
+    def _table_ints(self, tokens: list[str]) -> list[int] | None:
+        """The tokens as ints if the numeral table holds every one, else
+        None (the caller then checks them by the rule of ascii_ints)."""
+        try:
+            return list(map(self.numerals.__getitem__, tokens))
+        except KeyError:
+            return None
 
     def read_lines(self, lines: list[str], line_no: int):
         """Read lines one at a time; the first is line number line_no."""
@@ -258,6 +296,9 @@ class _Reader:
                 if self.n is not None:
                     raise FormatError(f"line {line_no}: duplicate 'n' header")
                 (self.n,) = _parse_indices(parts[1:], 1, line_no)
+                if self.n <= 3 * self.line_count:
+                    self.numerals = dict(zip(
+                        map(str, range(1, self.n + 1)), range(1, self.n + 1)))
             elif head in _KINDS:
                 kind, arity = _KINDS[head]
                 values = _parse_indices(parts[1:], arity, line_no)
@@ -279,18 +320,10 @@ def deserialize(text: str | bytes) -> EnSystem:
     lines = text.splitlines()
     if not lines or lines[0] != "ENSYS 1":
         raise FormatError("missing 'ENSYS 1' header")
-    reader = _Reader()
-    # The parse makes no reference cycles, yet each gen-2 collection during
-    # it would walk every Add and Mul made so far: tuple subclasses are
-    # never untracked.
-    collecting = gc.isenabled()
-    gc.disable()
-    try:
+    reader = _Reader(len(lines))
+    with collector_paused():
         for start in range(1, len(lines), _CHUNK):
             reader.read_chunk(lines[start:start + _CHUNK], start + 1)
-    finally:
-        if collecting:
-            gc.enable()
     n, names = reader.n, reader.names
     if n is None:
         raise FormatError("missing 'n <count>' header")

@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import resource
@@ -765,3 +766,125 @@ def test_verify_pin_refuses_a_certificate_with_p_above_n(workdir, capsys):
                            "bad.cert", "--layout", "sys.layout",
                            "--expected", "12", "--ring", "n"],
                   f"certificate has p {HUGE}, more than its n 3")
+
+
+@pytest.fixture(params=[True, False], ids=["enabled", "disabled"])
+def collector(request):
+    """The cyclic collector as the caller leaves it: enabled or disabled."""
+    was = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if was else gc.disable)()
+
+
+def raise_from_builder(monkeypatch, exc):
+    """Make `reduce` fail inside its builder, noting the collector state."""
+    seen = []
+
+    def broken(*args, **kwargs):
+        seen.append(gc.isenabled())
+        raise exc
+
+    monkeypatch.setattr(cli.reductions, "build_reduction", broken)
+    return seen
+
+
+@pytest.mark.parametrize("exc", [RuntimeError("boom"),
+                                 RecursionError("too deep")])
+def test_internal_error_exits_4_in_one_line(workdir, capsys, monkeypatch,
+                                            exc):
+    seen = raise_from_builder(monkeypatch, exc)
+    assert main(["reduce", "--ring", "z", "x1 = x2", "--out", "r"]) == \
+        cli.EXIT_INTERNAL == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: internal error: {type(exc).__name__}: {exc}\n"
+    assert seen == [False]  # the command runs with the collector paused
+    assert not (workdir / "r.ens").exists()
+
+
+@pytest.mark.parametrize("exc", [KeyboardInterrupt, SystemExit])
+def test_interrupt_and_exit_pass_through(workdir, monkeypatch, exc):
+    raise_from_builder(monkeypatch, exc)
+    with pytest.raises(exc):
+        main(["reduce", "--ring", "z", "x1 = x2", "--out", "r"])
+
+
+REDUCE_Z = ["reduce", "--ring", "z", "x1 = x2", "--out", "cz"]
+EXIT_CASES = {
+    "0": (REDUCE_Z, 0),
+    "1": (["verify-equiv", "--equation", "x1 = x2 + 1", "--system", "cz.ens",
+           "--cert", "cz.cert", "--ring", "z", "--box=-3..3"], 1),
+    "2": (["reduce", "--ring", "z", "x1 = ", "--out", "bad"], 2),
+    "3": (["reduce", "--ring", "z", "--mode", "full", "x1^9*x2^9 = 5",
+           "--out", "huge"], 3),
+    "argparse": (["reduce", "--ring", "q", "x1 = x2"], "exit 2"),
+    "4": (["reduce", "--ring", "n", "x1 = 1", "--out", "r"], 4),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EXIT_CASES))
+def test_collector_state_restored_after_main(workdir, capsys, monkeypatch,
+                                             collector, case):
+    assert main(REDUCE_Z) == 0
+    argv, expected = EXIT_CASES[case]
+    if expected == 4:
+        raise_from_builder(monkeypatch, RuntimeError("boom"))
+    try:
+        code = main(argv)
+    except SystemExit as exit_:
+        code = f"exit {exit_.code}"
+    assert code == expected
+    assert gc.isenabled() is collector
+
+
+def _pin_inputs(workdir):
+    write(workdir / "id.rep", IDENTITY_REP)
+    assert main(["fn-system", "--rep", "id.rep", "--ring", "n", "--n", "12",
+                 "--out", "pin"]) == 0
+
+
+def _full_inputs(workdir):
+    assert main(["reduce", "--ring", "z", "--mode", "full", "x1 = x2",
+                 "--out", "full"]) == 0
+
+
+def _solve_inputs(workdir):
+    assert main(["reduce", "--ring", "n", "x1*x2 = 6", "--out", "m"]) == 0
+
+
+EQUIV = ["verify-equiv", "--system", "full.ens", "--cert", "full.cert",
+         "--ring", "z", "--box=-2..2", "--equation"]
+COMMANDS = {
+    "reduce-full": (None, ["reduce", "--ring", "z", "--mode", "full",
+                           "x1*x2 = 1", "--out", "rf"], 0),
+    "verify-equiv-pass": (_full_inputs, EQUIV + ["x1 = x2"], 0),
+    "verify-equiv-fail": (_full_inputs, EQUIV + ["x1 = x2 + 1"], 1),
+    "solve": (_solve_inputs, ["solve", "--system", "m.ens", "--ring", "n",
+                              "--radius", "6"], 0),
+    "fn-system": (None, ["fn-system", "--rep", "id.rep", "--ring", "n",
+                         "--n", "12", "--out", "fn"], 0),
+    "verify-pin": (_pin_inputs, ["verify-pin", "--system", "pin.ens",
+                                 "--cert", "pin.cert", "--layout",
+                                 "pin.layout", "--expected", "12", "--ring",
+                                 "n", "--witness", "12,12"], 0),
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_commands_leave_no_cyclic_garbage(workdir, capsys, command):
+    # Pausing the collector for a whole command frees nothing later only
+    # if the command makes no reference cycles.
+    make_inputs, argv, code = COMMANDS[command]
+    write(workdir / "id.rep", IDENTITY_REP)
+    if make_inputs:
+        make_inputs(workdir)
+    assert main(argv) == code  # warm-up: the first call makes one-time objects
+    was = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        assert main(argv) == code
+        assert gc.collect() == 0
+    finally:
+        (gc.enable if was else gc.disable)()

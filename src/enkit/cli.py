@@ -464,6 +464,9 @@ def main(argv=None) -> int:
     except (FamilyTooLarge, BoxTooLarge) as exc:
         _note(f"error: {exc}")
         return EXIT_LIMIT
+    except MemoryError:
+        _note("error: out of memory")
+        return EXIT_LIMIT
     except (EnkitError, OSError, ValueError) as exc:
         _note(f"error: {exc}")
         return EXIT_USAGE

@@ -154,6 +154,10 @@ _HEAD = itemgetter(slice(0, 4))
 # Lines are read this many at a time, so the bulk reader holds the tokens of
 # one chunk, not the four string objects per line of a whole file.
 _CHUNK = 4096
+# The numeral table is built once the bulk runs have held this many index
+# tokens per index: twice the 3-4 at which it was measured to break even.
+# Full-family texts hold 300-480, fn-system and compact texts 2-3.
+_TOKENS_PER_NUMERAL = 8
 
 
 def serialize(system: EnSystem) -> str:
@@ -188,21 +192,21 @@ def _parse_indices(parts: list[str], count: int, line_no: int) -> list[int]:
 class _Reader:
     """What the lines of one .ens text read so far have declared."""
 
-    __slots__ = ("n", "equations", "names", "in_range", "line_count",
+    __slots__ = ("n", "equations", "names", "in_range", "tokens_read",
                  "numerals")
 
-    def __init__(self, line_count: int = 0):
+    def __init__(self):
         self.n: int | None = None
         self.equations: list[EnEquation] = []
         self.names: dict[int, str] = {}
         self.in_range = True  # every equation index read lies in [1, n]
-        self.line_count = line_count
-        # str(i) -> i for every index i in [1, n], built with the 'n'
-        # header.  Every numeral it holds is ASCII digits naming an index in
-        # range, so one lookup replaces the digit check, int() and the range
-        # check; a token it lacks sends its run to ascii_ints.  It stays
-        # empty when n is more than three times the line count, so its
-        # memory is proportional to the text.
+        self.tokens_read = 0  # index tokens of the bulk runs read so far
+        # str(i) -> i for every index i in [1, n].  Every numeral it holds
+        # is ASCII digits naming an index in range, so one lookup replaces
+        # the digit check, int() and the range check; a token it lacks
+        # sends its run to ascii_ints.  It is built once the bulk runs have
+        # held _TOKENS_PER_NUMERAL index tokens per entry, so its memory is
+        # bounded by the text and its cost by the conversions already done.
         self.numerals: dict[str, int] = {}
 
     def read_chunk(self, lines: list[str], line_no: int):
@@ -270,6 +274,13 @@ class _Reader:
     def _table_ints(self, tokens: list[str]) -> list[int] | None:
         """The tokens as ints if the numeral table holds every one, else
         None (the caller then checks them by the rule of ascii_ints)."""
+        self.tokens_read += len(tokens)
+        if not self.numerals:
+            if (self.n is None
+                    or self.n * _TOKENS_PER_NUMERAL > self.tokens_read):
+                return None
+            self.numerals = dict(zip(map(str, range(1, self.n + 1)),
+                                     range(1, self.n + 1)))
         try:
             return list(map(self.numerals.__getitem__, tokens))
         except KeyError:
@@ -296,9 +307,6 @@ class _Reader:
                 if self.n is not None:
                     raise FormatError(f"line {line_no}: duplicate 'n' header")
                 (self.n,) = _parse_indices(parts[1:], 1, line_no)
-                if self.n <= 3 * self.line_count:
-                    self.numerals = dict(zip(
-                        map(str, range(1, self.n + 1)), range(1, self.n + 1)))
             elif head in _KINDS:
                 kind, arity = _KINDS[head]
                 values = _parse_indices(parts[1:], arity, line_no)
@@ -320,7 +328,7 @@ def deserialize(text: str | bytes) -> EnSystem:
     lines = text.splitlines()
     if not lines or lines[0] != "ENSYS 1":
         raise FormatError("missing 'ENSYS 1' header")
-    reader = _Reader(len(lines))
+    reader = _Reader()
     with collector_paused():
         for start in range(1, len(lines), _CHUNK):
             reader.read_chunk(lines[start:start + _CHUNK], start + 1)

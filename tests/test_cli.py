@@ -685,6 +685,15 @@ def test_declared_size_over_the_cap_exits_3(workdir, capsys):
         result = run_cli_limited(*argv)
         assert (result.returncode, result.stdout, result.stderr) == \
             (3, "", message)
+    # Blank lines declare nothing, so they let the reader build nothing of
+    # the declared size: 10^7 of them and n = 3 * 10^7 still exit by count.
+    padded = 3 * 10**7
+    write(workdir / "padded.ens",
+          f"ENSYS 1\nn {padded}\n" + "\n" * 10**7 + "ONE 1\n")
+    result = run_cli_limited("solve", "--system", "padded.ens", "--ring", "n")
+    assert (result.returncode, result.stdout, result.stderr) == \
+        (3, "", f"error: system variable count {padded} exceeds limit "
+                "1000000\n")
     assert main(["solve", "--system", "huge.ens", "--ring", "n"]) == 3
     assert capsys.readouterr().err == message
     # the same limit as the constructions: flag or environment variable
@@ -800,6 +809,13 @@ def test_internal_error_exits_4_in_one_line(workdir, capsys, monkeypatch,
     assert out == ""
     assert err == f"error: internal error: {type(exc).__name__}: {exc}\n"
     assert seen == [False]  # the command runs with the collector paused
+    assert not (workdir / "r.ens").exists()
+
+
+def test_out_of_memory_is_a_resource_limit(workdir, capsys, monkeypatch):
+    raise_from_builder(monkeypatch, MemoryError())
+    assert main(["reduce", "--ring", "z", "x1 = x2", "--out", "r"]) == 3
+    assert capsys.readouterr() == ("", "error: out of memory\n")
     assert not (workdir / "r.ens").exists()
 
 

@@ -1,7 +1,8 @@
 """The .ens reader's numeral table against the reader it replaced.
 
-`deserialize` converts the indices of bulk runs through a table of the
-numerals of 1..n and sends any run holding another token to `ascii_ints`.
+Once a text's bulk runs hold enough index tokens, `deserialize` converts
+their indices through a table of the numerals of 1..n and sends any run
+holding another token to `ascii_ints`.
 `reference_deserialize` below is the reader before the table: every bulk
 run goes through `ascii_ints` and a min/max range check.  The two must give
 the same system and names, or the same FormatError text, on any text.
@@ -166,22 +167,25 @@ def outcome(parse, text):
 
 
 def numerals(n):
-    """Index tokens: mostly numerals of 1..n, sometimes ones the table
-    lacks (leading zeros, 0, n + 1, signs, underscores, other digits,
-    tokens longer than int() converts)."""
+    """Index tokens for one run: numerals of 1..n only, of 1..n + 1, or
+    mixed with ones the table lacks (leading zeros, 0, n + 1, signs,
+    underscores, other digits, tokens longer than int() converts)."""
     odd = st.sampled_from(["01", "007", "0", str(n), str(n + 1), "+3",
                            "1_0", "٣", "9" * 5000, "1" + "0" * 4999])
     valid = st.integers(1, max(n, 1)).map(str)
-    return st.one_of(valid, valid, odd)
+    return st.sampled_from([
+        valid, st.integers(1, n + 1).map(str), st.one_of(valid, odd)])
 
 
 @st.composite
 def ens_texts(draw):
-    n = draw(st.one_of(st.integers(0, 40), st.just(10**6), st.just(10**11)))
-    index = numerals(n)
+    # mostly small n, for which runs are read through the table
+    n = draw(st.integers(0, 42))
+    n = {41: 10**6, 42: 10**11}.get(n, n)
     blocks = []
     for _ in range(draw(st.integers(0, 6))):
         kind = draw(st.sampled_from(["ONE", "ADD", "MUL", "name", "other"]))
+        index = draw(numerals(n))
         lines = []
         for _ in range(draw(st.integers(1, 8))):
             if kind == "name":
@@ -208,11 +212,19 @@ def ens_texts(draw):
     return "ENSYS 1\n" + "".join(line + "\n" for line in body)
 
 
+PER_NUMERAL = system_module._TOKENS_PER_NUMERAL
+
+
 @settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(ens_texts(), st.sampled_from([1, 2, 3, 5, CHUNK]))
-def test_numeral_table_matches_reference_reader(text, chunk):
-    with mock.patch.object(system_module, "_CHUNK", chunk):
+@given(ens_texts(), st.sampled_from([1, 2, 3, 5, CHUNK]),
+       st.sampled_from([1 / 16, 1, PER_NUMERAL]))
+def test_numeral_table_matches_reference_reader(text, chunk, per_numeral):
+    # 1/16 token per numeral builds the table at the first bulk run for
+    # every n up to 40, and never for n = 10^6 or 10^11.
+    with mock.patch.object(system_module, "_CHUNK", chunk), \
+            mock.patch.object(system_module, "_TOKENS_PER_NUMERAL",
+                              per_numeral):
         got = outcome(deserialize, text)
     assert got == outcome(lambda t: reference_deserialize(t, chunk), text)
 
@@ -229,13 +241,19 @@ def test_runs_across_the_chunk_boundary_match_reference():
     assert parsed[0] == 9 and len(parsed[1]) == 8
 
 
-def test_table_only_for_n_at_most_three_per_line():
-    reader = system_module._Reader(3)
-    reader.read_lines(["n 9"], 2)
-    assert reader.numerals == {str(i): i for i in range(1, 10)}
-    reader = system_module._Reader(3)
-    reader.read_lines(["n 10"], 2)
+def test_table_built_once_bulk_runs_hold_enough_tokens():
+    # n = 4 needs 4 * PER_NUMERAL index tokens in bulk runs; padding,
+    # comments and line-by-line reads add none.
+    reader = system_module._Reader()
+    reader.read_chunk(["n 4", "", "# pad", "ADD\t1 2 3"], 2)
+    assert reader.tokens_read == 0 and reader.numerals == {}
+    below = (4 * PER_NUMERAL - 1) // 3
+    reader.read_chunk(["ADD 1 2 3"] * below + [""], 6)
+    assert reader.tokens_read == 3 * below < 4 * PER_NUMERAL
     assert reader.numerals == {}
+    reader.read_chunk(["MUL 1 2 4"], 7 + below)
+    assert reader.numerals == {str(i): i for i in range(1, 5)}
+    assert len(reader.equations) == below + 2
 
 
 def test_huge_n_builds_no_table():

@@ -173,10 +173,6 @@ def _cmd_fn_system(args) -> int:
     family = "full" if args.mode == "full" else "compact"
     psi = pipeline.build_psi(rep, mode, family=family, cap=args.cap,
                              pair_cap=args.pair_cap)
-    minimum = pipeline.threshold(psi.s)
-    if args.n < minimum:
-        _note(f"error: n below threshold {minimum}")
-        return EXIT_USAGE
     assembled = pipeline.assemble(psi, args.n)
     out = _Outputs()
     out.add(args.out + ".ens", system.serialize(assembled.system))
@@ -295,19 +291,19 @@ def _cmd_verify_pin(args) -> int:
         if assembled.mode != domain:
             raise ParseError(f"--ring {args.ring} contradicts the layout's "
                              f"mode {assembled.mode}")
-    else:
-        if cert is not None:
-            raise ParseError("--cert needs --layout to locate the scaffold")
-        assembled = _BareSystem(target)
+    elif cert is not None:
+        raise ParseError("--cert needs --layout to locate the scaffold")
     witness = None
     if args.witness:
         try:
             witness = tuple(map(integer, args.witness.split(",")))
         except ValueError as exc:
             raise ParseError(f"bad witness {args.witness!r}") from exc
+        if cert is None:
+            raise ParseError("witness checking needs --cert and --layout")
     report = oracle.verify_pinning(
-        assembled, args.expected, box_radius=args.radius, domain=domain,
-        witness_base=witness, limits=_limits(args))
+        target, args.expected, domain=domain, certificate=cert,
+        box_radius=args.radius, witness_base=witness, limits=_limits(args))
     payload = {
         "n": report.n,
         "expected": report.expected,
@@ -325,19 +321,6 @@ def _cmd_verify_pin(args) -> int:
           f"{len(report.offending)}")
     print("PASS" if report.passed else "FAIL")
     return EXIT_OK if report.passed else EXIT_VERIFY_FAILED
-
-
-class _BareSystem:
-    """Adapter so verify_pinning can run on a raw .ens file."""
-
-    def __init__(self, target: system.EnSystem):
-        self.system = target
-        self.n = target.n
-        self.mode = "Z"
-        self.certificate = None
-
-    def witness_assignment(self, base):
-        raise ParseError("witness checking needs --cert and --layout")
 
 
 # --------------------------------------------------------------------------

@@ -564,11 +564,13 @@ def solve_bounded(system: EnSystem, domain: str = DOMAIN_Z, radius: int = 8,
     ok, _ = prop.start(dict(seed or {}))
     if not ok:
         return SearchOutcome(solutions=[], exhausted=True, nodes=0)
-    return _search(prop, radius, limits, collect_limit)
+    return _search(prop, radius, limits, time.monotonic() + limits.seconds,
+                   collect_limit)
 
 
 def _search(prop: _Propagator, radius: int, limits: OracleLimits,
-            collect_limit: int | None = None) -> SearchOutcome:
+            deadline: float, collect_limit: int | None = None
+            ) -> SearchOutcome:
     """The search of `solve_bounded`, from the propagator's current state.
 
     Iterative, so the depth is bounded by the variable count rather than
@@ -578,7 +580,6 @@ def _search(prop: _Propagator, radius: int, limits: OracleLimits,
     values it held on entry.
     """
     lo = 0 if prop.domain == DOMAIN_N else -radius
-    deadline = time.monotonic() + limits.seconds
     values = prop.values
     solutions: list[dict[int, int]] = []
     nodes = 0
@@ -671,12 +672,16 @@ def check_equivalence(d: Polynomial, system: EnSystem,
     does not grow with the box.  Points are run through the system's
     `Schedule` when it has one, which reaches the same verdicts as
     propagation; otherwise one propagator is restarted from each point.
+    The searches over stuck residues share one deadline, `limits.seconds`
+    after the check starts; a point whose search it cuts short is
+    inconclusive.
     """
     if box.dim != d.arity or cert.p != d.arity:
         raise DimensionMismatch("box, polynomial, and certificate disagree")
     count = box.point_count(domain)
     if count > limits.points:
         raise BoxTooLarge(f"box holds {count} points, limit {limits.points}")
+    deadline = time.monotonic() + limits.seconds
     report = EquivalenceReport(domain=domain)
     schedule = Schedule.derive(system, cert.p, domain)
     if schedule is None:
@@ -730,7 +735,7 @@ def check_equivalence(d: Polynomial, system: EnSystem,
               > limits.points):
             report.inconclusive.append(point)
         else:
-            found = _search(prop, limits.residual_radius, limits,
+            found = _search(prop, limits.residual_radius, limits, deadline,
                             collect_limit=1)
             if found.solutions:
                 report.spurious.append(point)
@@ -792,12 +797,13 @@ class PinningReport:
         return self.witness_ok is not False
 
 
-def verify_pinning(assembled, expected: int, *, box_radius: int = 2,
-                   domain: str | None = None, witness_base=None,
+def verify_pinning(system: EnSystem, expected: int, *, domain: str,
+                   certificate: ReductionCertificate | None = None,
+                   box_radius: int = 2, witness_base=None,
                    limits: OracleLimits = DEFAULT_LIMITS) -> PinningReport:
-    """Check that every bounded solution of an assembled system pins
-    x1 = expected, and (optionally) that a supplied representation root
-    lifts to an explicit witness solution.
+    """Check that every bounded solution of an n-variable system pins
+    x1 = expected, and (optionally) that a supplied base point of the
+    certificate lifts to an explicit witness solution.
 
     Propagation from the empty seed must fix x2 = n on its own.  The
     bounded solutions are then enumerated by one rule.  When a certificate
@@ -807,14 +813,15 @@ def verify_pinning(assembled, expected: int, *, box_radius: int = 2,
     state, with or without a certificate, is searched from where
     propagation left it (a complete propagation is that search's only
     solution); a truncated search leaves `search_exhausted` false and the
-    check fails.
+    check fails.  The witness, like every solution found through the
+    certificate, is the propagated values overlaid with the certificate's
+    lift of its base point.
     """
     if box_radius < 0:
         raise ValueError(f"radius must be non-negative, got {box_radius}")
-    system = assembled.system
-    n = assembled.n
-    if domain is None:
-        domain = DOMAIN_N if assembled.mode == "N" else DOMAIN_Z
+    if witness_base is not None and certificate is None:
+        raise ValueError("witness checking needs a certificate")
+    n = system.n
     report = PinningReport(n=n, expected=expected)
     prop = _Propagator(system, domain)
     ok, _ = prop.start({})
@@ -823,22 +830,22 @@ def verify_pinning(assembled, expected: int, *, box_radius: int = 2,
         return report
     values = prop.values
     report.x2_forced = values.get(2) == n
-    report.propagation_complete = len(values) == system.n
-    cert = assembled.certificate
-    free = [] if cert is None else [
-        i for i in range(1, cert.p + 1) if i not in values]
+    report.propagation_complete = len(values) == n
+    free = [] if certificate is None else [
+        i for i in range(1, certificate.p + 1) if i not in values]
     if free:
-        solutions = _pinned_solutions_via_cert(assembled, prop, free,
-                                               box_radius, limits)
+        solutions = _pinned_solutions_via_cert(system, certificate, prop,
+                                               free, box_radius, limits)
     else:
-        found = _search(prop, box_radius, limits)
+        found = _search(prop, box_radius, limits,
+                        time.monotonic() + limits.seconds)
         report.search_exhausted = found.exhausted
         solutions = found.solutions
     report.solutions_found = len(solutions)
     report.offending = [s for s in solutions if s[1] != expected]
     if witness_base is not None:
         report.witness_checked = True
-        witness = assembled.witness_assignment(witness_base)
+        witness = {**values, **lift(certificate, witness_base)}
         result = check_assignment(system, witness, domain)
         report.witness_ok = (result.satisfied
                              and witness[1] == expected
@@ -846,16 +853,15 @@ def verify_pinning(assembled, expected: int, *, box_radius: int = 2,
     return report
 
 
-def _pinned_solutions_via_cert(assembled, prop, free, box_radius, limits):
+def _pinned_solutions_via_cert(system, cert, prop, free, box_radius, limits):
     """Enumerate bounded solutions through the certificate, whose base
     variables `free` propagation left undetermined.
 
     Chain equations hold under any lift by construction, so a bounded
     assignment solves the system exactly when the anchored polynomial
-    vanishes at its base part and the scaffold values agree with what
-    propagation already forced.
+    vanishes at its base part and agrees with what propagation already
+    forced.
     """
-    cert = assembled.certificate
     domain, forced = prop.domain, prop.values
     fixed = {i: forced[i] for i in range(1, cert.p + 1) if i in forced}
     residual = anchor_polynomial(cert).substituted(fixed)
@@ -870,10 +876,10 @@ def _pinned_solutions_via_cert(assembled, prop, free, box_radius, limits):
         base = dict(fixed)
         base.update(zip(free, root))
         point = tuple(base[i] for i in range(1, cert.p + 1))
-        solution = assembled.witness_assignment(point)
+        solution = {**forced, **lift(cert, point)}
         # Chain equations hold under any lift by construction, so a lift
         # that fails means the certificate does not belong to the system.
-        if not check_assignment(assembled.system, solution, domain).satisfied:
+        if not check_assignment(system, solution, domain).satisfied:
             raise CertificateMismatch(
                 f"certificate lift of {point} does not solve the system")
         solutions.append(solution)

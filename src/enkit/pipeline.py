@@ -17,7 +17,9 @@ from operator import is_, itemgetter
 
 from .eqio import MAX_VARIABLE, FnRepresentation, ascii_int, ascii_ints
 from .errors import FormatError, ParseError
-from .oracle import foursquare_decompose, lift
+# Unused here: e2ebench/spans.py wraps `pipeline.lift` by name, and
+# tests/test_e2ebench.py checks that every name it wraps resolves.
+from .oracle import foursquare_decompose, lift  # noqa: F401
 from .reductions import (DEFAULT_FAMILY_CAP, DEFAULT_PAIR_CAP,
                          ReductionCertificate, build_compact_n,
                          build_compact_z, build_full_n, build_full_z,
@@ -31,39 +33,12 @@ MODE_N = "N"
 @dataclass
 class PsiSystem:
     system: EnSystem
-    s: int
     mode: str  # "Z" | "N"
     certificate: ReductionCertificate
 
-
-@dataclass
-class AssembledSystem:
-    system: EnSystem
-    n: int
-    s: int
-    mode: str
-    certificate: ReductionCertificate
-    layout: dict[int, str]
-    padding: tuple[int, ...]
-    t_chain: tuple[int, ...]
-    w_index: int
-    y_index: int
-
-    def scaffold_values(self) -> dict[int, int]:
-        """The values the scaffold forces in any solution."""
-        half = self.n // 2
-        values = {z: 1 for z in self.padding}
-        for position, t in enumerate(self.t_chain, start=1):
-            values[t] = position
-        values[self.w_index] = 2 * half
-        values[self.y_index] = self.n - 2 * half
-        return values
-
-    def witness_assignment(self, base) -> dict[int, int]:
-        """Total assignment from a base point of the certificate."""
-        values = lift(self.certificate, base)
-        values.update(self.scaffold_values())
-        return values
+    @property
+    def s(self) -> int:
+        return self.system.n
 
 
 def build_psi(rep: FnRepresentation, mode: str, family: str = "compact",
@@ -99,7 +74,7 @@ def build_psi(rep: FnRepresentation, mode: str, family: str = "compact",
             system, cert = build_compact_n(rep.w, cap)
         else:
             system, cert = build_full_n(rep.w, cap, pair_cap)
-    return PsiSystem(system=system, s=system.n, mode=mode, certificate=cert)
+    return PsiSystem(system=system, mode=mode, certificate=cert)
 
 
 def threshold(s: int) -> int:
@@ -175,14 +150,16 @@ class Scaffold:
                    self.w_index, self.y_index)
         return dict(zip(indices, self.labels()))
 
-    def assembled(self, system: EnSystem, mode: str,
-                  certificate: ReductionCertificate | None,
-                  labels: dict[int, str]) -> AssembledSystem:
-        return AssembledSystem(
-            system=system, n=self.n, s=self.s, mode=mode,
-            certificate=certificate, layout=labels,
-            padding=self.padding, t_chain=self.t_chain,
-            w_index=self.w_index, y_index=self.y_index)
+
+@dataclass
+class AssembledSystem:
+    """An n-variable system: psi on x1..xs inside `scaffold`.  The labels
+    are the system's names."""
+
+    system: EnSystem
+    scaffold: Scaffold
+    mode: str
+    certificate: ReductionCertificate | None
 
 
 def assemble(psi: PsiSystem, n: int) -> AssembledSystem:
@@ -192,9 +169,8 @@ def assemble(psi: PsiSystem, n: int) -> AssembledSystem:
     equations = list(psi.system.equations)
     equations += map(tuple.__new__, repeat(One), zip(scaffold.one_indices()))
     equations += Add.from_columns(*scaffold.add_columns())
-    layout = scaffold.layout()
-    return scaffold.assembled(EnSystem(n, equations, names=layout),
-                              psi.mode, psi.certificate, layout)
+    return AssembledSystem(EnSystem(n, equations, names=scaffold.layout()),
+                           scaffold, psi.mode, psi.certificate)
 
 
 def check_assembled(system: EnSystem,
@@ -242,7 +218,7 @@ def check_assembled(system: EnSystem,
                         if names.get(i) != layout.get(i))
             raise ParseError(f"{what} of index {index} does not match "
                              f"the scaffold")
-    return scaffold.assembled(system, mode, certificate, labels)
+    return AssembledSystem(system, scaffold, mode, certificate)
 
 
 def build_pipeline(rep: FnRepresentation, mode: str, n: int,
@@ -270,10 +246,11 @@ def master_witness(root, r: int) -> tuple[int, ...]:
 # layout sidecar (.layout)
 
 def serialize_layout(assembled: AssembledSystem) -> str:
-    lines = ["LAYOUT 1", f"n {assembled.n}", f"s {assembled.s}",
+    scaffold, names = assembled.scaffold, assembled.system.names
+    lines = ["LAYOUT 1", f"n {scaffold.n}", f"s {scaffold.s}",
              f"mode {assembled.mode}"]
-    for index in sorted(assembled.layout):
-        lines.append(f"{index} {assembled.layout[index]}")
+    for index in sorted(names):
+        lines.append(f"{index} {names[index]}")
     return "\n".join(lines) + "\n"
 
 

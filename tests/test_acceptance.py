@@ -210,7 +210,8 @@ def test_criterion_06_pipeline_identity_over_z():
         witness = master_witness((n, n), 2)
         assert sum(v * v for v in witness[2:6]) == n    # four squares for x1
         assert sum(v * v for v in witness[6:10]) == n   # four squares for x2
-        report = verify_pinning(asm, n, box_radius=1, domain="Z",
+        report = verify_pinning(asm.system, n, domain="Z",
+                                certificate=asm.certificate, box_radius=1,
                                 witness_base=witness)
         assert report.x2_forced
         assert report.offending == []
@@ -230,7 +231,8 @@ def test_criterion_07_pipeline_square_over_n():
     for n in range(w_f, w_f + 6):
         asm = assemble(psi, n)
         assert asm.system.n == n
-        report = verify_pinning(asm, n * n, domain="N",
+        report = verify_pinning(asm.system, n * n, domain="N",
+                                certificate=asm.certificate,
                                 witness_base=(n * n, n))
         assert report.x2_forced
         assert report.solutions_found >= 1
@@ -251,24 +253,27 @@ def test_criterion_08_gadget_units():
     psi = build_psi(FnRepresentation(w=P("x1 - x2"), r=2), "N")
     for n in range(threshold(psi.s), 201):
         asm = assemble(psi, n)
+        scaffold = asm.scaffold
+        y = scaffold.y_index
         equations = set(asm.system.equations)
         if n % 2:
-            assert One(asm.y_index) in equations
-            assert Add(asm.y_index, asm.y_index, asm.y_index) not in equations
+            assert One(y) in equations
+            assert Add(y, y, y) not in equations
         else:
-            assert Add(asm.y_index, asm.y_index, asm.y_index) in equations
-            assert One(asm.y_index) not in equations
+            assert Add(y, y, y) in equations
+            assert One(y) not in equations
         outcome = propagate(asm.system, {}, "N")
         assert isinstance(outcome, Solved)
         half = n // 2
-        for position, t in enumerate(asm.t_chain, start=1):
+        for position, t in enumerate(scaffold.t_chain, start=1):
             assert outcome.values[t] == position
-        assert outcome.values[asm.w_index] == 2 * half
-        assert outcome.values[asm.y_index] == n - 2 * half
+        assert outcome.values[scaffold.w_index] == 2 * half
+        assert outcome.values[y] == n - 2 * half
         assert outcome.values[2] == n
     for n in range(threshold(psi.s), threshold(psi.s) + 51):
         asm = assemble(psi, n)
-        assert psi.s + len(asm.padding) + len(asm.t_chain) + 2 == n
+        assert (psi.s + len(asm.scaffold.padding)
+                + len(asm.scaffold.t_chain) + 2 == n)
     passed(8, "gadget units: y forcing, parity equation, t-chain up to "
            "n = 200, variable-count identity", time.monotonic() - start, 5)
 

@@ -15,7 +15,7 @@ from enkit.cli import main
 from enkit.eqio import parse_equation
 from enkit.pipeline import master_witness, parse_layout
 from enkit.reductions import build_reduction
-from enkit.system import EnSystem, One, serialize
+from enkit.system import Add, EnSystem, One, serialize
 
 SRC = str(Path(enkit.__file__).resolve().parents[1])
 
@@ -460,6 +460,54 @@ def test_verify_pin_bare_system_runs(workdir):
     # asking for a witness without the certificate is a usage error
     assert main(["verify-pin", "--system", "bare.ens", "--expected", "10",
                  "--ring", "n", "--witness", "10,10"]) == 2
+
+
+@pytest.mark.parametrize("system, layout", [
+    ("sys.ens", []), ("sys.ens", ["--layout", "sys.layout"]),
+    ("conflict.ens", [])], ids=["bare", "layout", "conflict"])
+def test_verify_pin_witness_needs_cert_before_any_search(
+        workdir, capsys, monkeypatch, system, layout):
+    write(workdir / "id.rep", IDENTITY_REP)
+    assert main(["fn-system", "--rep", "id.rep", "--ring", "n", "--n", "12",
+                 "--out", "sys"]) == 0
+    # Propagation conflicts on x1 = 1 and x1 + x1 = x1.
+    write(workdir / "conflict.ens",
+          serialize(EnSystem(2, [One(1), Add(1, 1, 1)])))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify-pin searched")
+
+    monkeypatch.setattr(cli.oracle, "verify_pinning", refuse)
+    pin = ["verify-pin", "--system", system, *layout, "--expected", "12",
+           "--ring", "n"]
+    capsys.readouterr()
+    assert_exit_2(capsys, pin + ["--witness", "12,x"], "bad witness '12,x'")
+    assert main(pin + ["--witness", "12,12"]) == 2
+    assert capsys.readouterr() == (
+        "", "error: witness checking needs --cert and --layout\n")
+
+
+@pytest.mark.parametrize("ring, n", [("n", 20), ("z", 300)])
+def test_verify_pin_flag_subsets_end_in_a_verdict_or_usage_error(
+        workdir, capsys, ring, n):
+    write(workdir / "c5.rep", "REP r=2\nx1 - 5\n")
+    assert main(["fn-system", "--rep", "c5.rep", "--ring", ring,
+                 "--n", str(n), "--out", "sys"]) == 0
+    witness = master_witness((5, n), 2) if ring == "z" else (5, n)
+    flags = [["--cert", "sys.cert"], ["--layout", "sys.layout"],
+             ["--witness", ",".join(map(str, witness))]]
+    for asked in ("n", "z"):
+        for mask in range(8):
+            argv = ["verify-pin", "--system", "sys.ens", "--expected", "5",
+                    "--ring", asked, "--radius", "1"]
+            for bit, flag in enumerate(flags):
+                if mask >> bit & 1:
+                    argv += flag
+            capsys.readouterr()
+            code = main(argv)
+            err = capsys.readouterr().err
+            assert code in (0, 1, 2), (argv, code, err)
+            assert "internal error" not in err, (argv, err)
 
 
 @pytest.mark.parametrize("command, code, out", [

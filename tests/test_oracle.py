@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from enkit import oracle
 from enkit.eqio import parse_polynomial
 from enkit.errors import BoxTooLarge, DimensionMismatch
 from enkit.oracle import (Box, Conflict, OracleLimits,
@@ -316,6 +317,36 @@ def test_time_budget_bounds_children_that_fail():
     assert time.monotonic() - started < 10
 
 
+def test_equivalence_searches_share_one_deadline(monkeypatch):
+    # x1 = x4^2 + (x2^2 + x3^2) with every def 0: from a negative x1,
+    # propagation leaves x2..x8 stuck, so each point needs a search.
+    system = EnSystem(8, [Add(5, 6, 8), Add(7, 8, 1), Mul(2, 2, 5),
+                          Mul(3, 3, 6), Mul(4, 4, 7)])
+    cert = parse_certificate("CERT 1\nmode compact_Z\np 1\nn 8\n"
+                             + "".join(f"{i} 0\n" for i in range(2, 9))
+                             + "ANCHOR q 1\n")
+    # A clock that stands still inside a search and moves one second
+    # after each.
+    clock = [0.0]
+    search = oracle._search
+
+    def timed(*args, **kwargs):
+        outcome = search(*args, **kwargs)
+        clock[0] += 1.0
+        return outcome
+
+    monkeypatch.setattr(oracle.time, "monotonic", lambda: clock[0])
+    monkeypatch.setattr(oracle, "_search", timed)
+    report = check_equivalence(P("x1 - 100"), system, cert,
+                               Box(((-6, -1),)), "Z",
+                               OracleLimits(seconds=2.5, residual_radius=1))
+    # Searches start at 0, 1 and 2 seconds inside the budget; the rest
+    # start past it.
+    assert report.refuted_by_search == 3
+    assert report.inconclusive == [(-3,), (-2,), (-1,)]
+    assert not report.passed
+
+
 # --------------------------------------------------------------------------
 # four squares
 
@@ -614,7 +645,7 @@ def test_sweep_start_matches_fixed_point_reference(case, data):
     limits = OracleLimits()
     ref = _FixedPointPropagator(system, domain)
     if ref.start(dict(seed))[0]:
-        want = _search(ref, 1, limits)
+        want = _search(ref, 1, limits, time.monotonic() + limits.seconds)
     else:
         want = SearchOutcome(solutions=[], exhausted=True, nodes=0)
     assert vars(solve_bounded(system, domain, 1, dict(seed), limits)) == \

@@ -70,10 +70,11 @@ def test_threshold():
 
 def test_assemble_even():
     asm = assemble(build_psi(IDENTITY, "N"), 10)
-    assert asm.n == 10 and asm.system.n == 10
-    assert asm.padding == ()
-    assert asm.t_chain == (4, 5, 6, 7, 8)
-    assert asm.w_index == 9 and asm.y_index == 10
+    scaffold = asm.scaffold
+    assert scaffold.n == 10 and asm.system.n == 10
+    assert scaffold.padding == ()
+    assert scaffold.t_chain == (4, 5, 6, 7, 8)
+    assert scaffold.w_index == 9 and scaffold.y_index == 10
     assert Add(10, 10, 10) in set(asm.system.equations)
     assert validate(asm.system) == []
     out = propagate(asm.system, {}, "N")
@@ -84,12 +85,13 @@ def test_assemble_even():
 
 def test_assemble_odd():
     asm = assemble(build_psi(IDENTITY, "N"), 11)
-    assert len(asm.padding) == 1
-    assert One(asm.padding[0]) in set(asm.system.equations)
-    assert One(asm.y_index) in set(asm.system.equations)
+    scaffold = asm.scaffold
+    assert len(scaffold.padding) == 1
+    assert One(scaffold.padding[0]) in set(asm.system.equations)
+    assert One(scaffold.y_index) in set(asm.system.equations)
     out = propagate(asm.system, {}, "N")
     assert isinstance(out, Solved)
-    assert out.values[2] == 11 and out.values[asm.y_index] == 1
+    assert out.values[2] == 11 and out.values[scaffold.y_index] == 1
 
 
 def test_assemble_below_threshold():
@@ -101,7 +103,8 @@ def test_variable_count_identity():
     psi = build_psi(SQUARE, "N")
     for n in range(threshold(psi.s), threshold(psi.s) + 30):
         asm = assemble(psi, n)
-        assert psi.s + len(asm.padding) + len(asm.t_chain) + 2 == n
+        assert (psi.s + len(asm.scaffold.padding)
+                + len(asm.scaffold.t_chain) + 2 == n)
         assert asm.system.n == n
 
 
@@ -109,14 +112,22 @@ def test_scaffold_values_match_propagation():
     asm = assemble(build_psi(SQUARE, "N"), 17)
     out = propagate(asm.system, {}, "N")
     assert isinstance(out, Solved)
-    scaffold = asm.scaffold_values()
-    for index, value in scaffold.items():
+    scaffold = asm.scaffold
+    half = scaffold.n // 2
+    expected = {z: 1 for z in scaffold.padding}
+    for position, t in enumerate(scaffold.t_chain, start=1):
+        expected[t] = position
+    expected[scaffold.w_index] = 2 * half
+    expected[scaffold.y_index] = scaffold.n - 2 * half
+    for index, value in expected.items():
         assert out.values[index] == value
 
 
 def test_pipeline_identity_n():
     asm = build_pipeline(IDENTITY, "N", 12)
-    report = verify_pinning(asm, 12, witness_base=(12, 12))
+    report = verify_pinning(asm.system, 12, domain="N",
+                            certificate=asm.certificate,
+                            witness_base=(12, 12))
     assert report.x2_forced
     assert report.propagation_complete
     assert report.solutions_found == 1
@@ -127,7 +138,9 @@ def test_pipeline_identity_n():
 
 def test_pipeline_square_n():
     asm = build_pipeline(SQUARE, "N", 14)
-    report = verify_pinning(asm, 196, witness_base=(196, 14))
+    report = verify_pinning(asm.system, 196, domain="N",
+                            certificate=asm.certificate,
+                            witness_base=(196, 14))
     assert report.passed and report.witness_ok
 
 
@@ -138,7 +151,9 @@ def test_pipeline_constant_z():
     n = threshold(psi.s)
     asm = assemble(psi, n)
     witness = master_witness((5, n), 2)
-    report = verify_pinning(asm, 5, box_radius=1, witness_base=witness)
+    report = verify_pinning(asm.system, 5, domain="Z",
+                            certificate=asm.certificate, box_radius=1,
+                            witness_base=witness)
     assert report.x2_forced
     assert report.offending == []
     assert report.witness_ok and report.passed
@@ -151,7 +166,8 @@ def test_pinning_cert_path_matches_generic_search():
     asm = build_pipeline(rep, "N", 12)
     out = propagate(asm.system, {}, "N")
     assert isinstance(out, Stuck) and out.undetermined == (3,)
-    via_cert = verify_pinning(asm, 12, box_radius=2)
+    via_cert = verify_pinning(asm.system, 12, domain="N",
+                              certificate=asm.certificate, box_radius=2)
     generic = solve_bounded(asm.system, "N", 2)
     assert generic.exhausted
     assert via_cert.solutions_found == len(generic.solutions) == 3
@@ -165,7 +181,9 @@ def test_pinning_propagation_conflict_fails():
     rep = FnRepresentation(w=parse_polynomial("x2 + 1", 2), r=2)
     psi = build_psi(rep, "N")
     asm = assemble(psi, threshold(psi.s))
-    report = verify_pinning(asm, 0, witness_base=(0, asm.n))
+    report = verify_pinning(asm.system, 0, domain="N",
+                            certificate=asm.certificate,
+                            witness_base=(0, asm.system.n))
     assert not report.consistent_propagation
     assert report.solutions_found == 0 and not report.witness_checked
     assert not report.passed
@@ -179,17 +197,19 @@ def _psi_with_free_auxiliary():
         defs={3: Polynomial.constant(2, 0), 4: Polynomial.constant(2, 0)},
         anchor_zero=3, anchor_a=1, anchor_b=2)
     system = EnSystem(4, [Add(3, 3, 3), Add(3, 2, 1), Mul(3, 4, 3)])
-    return PsiSystem(system=system, s=4, mode="N", certificate=cert)
+    return PsiSystem(system=system, mode="N", certificate=cert)
 
 
 def test_pinning_searches_when_every_base_variable_is_forced():
     asm = assemble(_psi_with_free_auxiliary(), 12)
-    report = verify_pinning(asm, 12, box_radius=2)
+    report = verify_pinning(asm.system, 12, domain="N",
+                            certificate=asm.certificate, box_radius=2)
     assert report.x2_forced and not report.propagation_complete
     assert report.search_exhausted
     assert report.solutions_found == 3 and report.offending == []
     assert report.passed
-    truncated = verify_pinning(asm, 12, box_radius=2,
+    truncated = verify_pinning(asm.system, 12, domain="N",
+                               certificate=asm.certificate, box_radius=2,
                                limits=OracleLimits(search_nodes=0))
     assert not truncated.search_exhausted
     assert not truncated.passed
@@ -197,25 +217,26 @@ def test_pinning_searches_when_every_base_variable_is_forced():
 
 def test_pinning_searches_a_bare_stuck_system():
     # x1 = 1, x3 = 2, x2 = 4 and x4 free; no certificate to enumerate by
-    bare = SimpleNamespace(
-        system=EnSystem(4, [One(1), Add(1, 1, 3), Add(3, 3, 2)]), n=4,
-        mode="N", certificate=None)
-    report = verify_pinning(bare, 1, box_radius=1)
+    bare = EnSystem(4, [One(1), Add(1, 1, 3), Add(3, 3, 2)])
+    report = verify_pinning(bare, 1, domain="N", box_radius=1)
     assert report.x2_forced and not report.propagation_complete
     assert report.search_exhausted
     assert report.solutions_found == 2 and report.offending == []
     assert report.passed
-    wrong = verify_pinning(bare, 2, box_radius=1)
+    wrong = verify_pinning(bare, 2, domain="N", box_radius=1)
     assert sorted(s[4] for s in wrong.offending) == [0, 1]
     assert not wrong.passed
+    with pytest.raises(ValueError, match="witness checking needs a cert"):
+        verify_pinning(bare, 1, domain="N", witness_base=(1,))
 
 
 def test_complete_propagation_is_never_truncated():
     # The search from a complete propagation has nothing to branch on, so
     # no budget cuts it short.
     asm = build_pipeline(IDENTITY, "N", 12)
-    report = verify_pinning(asm, 12, limits=OracleLimits(seconds=0,
-                                                         search_nodes=0))
+    report = verify_pinning(asm.system, 12, domain="N",
+                            certificate=asm.certificate,
+                            limits=OracleLimits(seconds=0, search_nodes=0))
     assert report.propagation_complete and report.search_exhausted
     assert report.solutions_found == 1 and report.passed
 
@@ -224,8 +245,11 @@ def test_check_assembled_rebuilds_the_scaffold():
     asm = build_pipeline(SQUARE, "N", 17)
     text = serialize_layout(asm)
     checked = check_assembled(asm.system, asm.certificate, text)
-    assert checked.system == asm.system and checked.layout == asm.layout
-    assert (checked.n, checked.s, checked.mode) == (17, 4, "N")
+    assert checked.system == asm.system
+    assert checked.system.names == asm.system.names
+    assert checked.scaffold == asm.scaffold
+    assert (checked.scaffold.n, checked.scaffold.s, checked.mode) == \
+        (17, 4, "N")
     assert checked.certificate is asm.certificate
     with pytest.raises(ParseError, match="layout and system disagree on n"):
         check_assembled(EnSystem(18, asm.system.equations), None, text)
@@ -233,12 +257,14 @@ def test_check_assembled_rebuilds_the_scaffold():
                      asm.system.names)
     with pytest.raises(ParseError, match="does not match the layout's"):
         check_assembled(extra, None, text)
-    moved = EnSystem(17, [One(asm.t_chain[1]) if eq == One(asm.padding[0])
+    scaffold = asm.scaffold
+    moved = EnSystem(17, [One(scaffold.t_chain[1])
+                          if eq == One(scaffold.padding[0])
                           else eq for eq in asm.system.equations],
                      asm.system.names)
     with pytest.raises(ParseError, match="does not match the layout's"):
         check_assembled(moved, None, text)
-    t1, t2 = asm.t_chain[:2]
+    t1, t2 = scaffold.t_chain[:2]
     extra = EnSystem(17, asm.system.equations + (Mul(t1, t1, t2),),
                      asm.system.names)
     with pytest.raises(ParseError, match="does not match the layout's"):
@@ -249,9 +275,13 @@ def test_check_assembled_rebuilds_the_scaffold():
 
 def test_pinning_detects_wrong_expectation():
     asm = build_pipeline(IDENTITY, "N", 12)
-    report = verify_pinning(asm, 11, witness_base=(12, 12))
+    report = verify_pinning(asm.system, 11, domain="N",
+                            certificate=asm.certificate,
+                            witness_base=(12, 12))
     assert report.offending and not report.passed
-    report = verify_pinning(asm, 12, witness_base=(11, 11))
+    report = verify_pinning(asm.system, 12, domain="N",
+                            certificate=asm.certificate,
+                            witness_base=(11, 11))
     assert report.witness_ok is False
 
 
@@ -271,10 +301,10 @@ def test_layout_roundtrip():
     text = serialize_layout(asm)
     n, s, mode, labels = parse_layout(text)
     assert (n, s, mode) == (13, 4, "N")
-    assert labels == asm.layout
-    assert labels[asm.w_index] == "w"
-    assert labels[asm.y_index] == "y"
-    assert labels[asm.padding[0]].startswith("z")
+    assert labels == asm.system.names
+    assert labels[asm.scaffold.w_index] == "w"
+    assert labels[asm.scaffold.y_index] == "y"
+    assert labels[asm.scaffold.padding[0]].startswith("z")
 
 
 @pytest.mark.parametrize("line", ["\u00b2 x2", "\u0663 x3", "-1 x1", "x1 1"])
@@ -331,9 +361,10 @@ def rebuilt(psi, n):
     layout[w_index] = "w"
     layout[y_index] = "y"
     return SimpleNamespace(
-        system=EnSystem(n, equations, names=layout), n=n, s=s,
-        mode=psi.mode, certificate=psi.certificate, layout=layout,
-        padding=padding, t_chain=t_chain, w_index=w_index, y_index=y_index)
+        system=EnSystem(n, equations, names=layout), mode=psi.mode,
+        certificate=psi.certificate,
+        scaffold=SimpleNamespace(n=n, s=s, padding=padding, t_chain=t_chain,
+                                 w_index=w_index, y_index=y_index))
 
 
 def check_by_rebuilding(system, certificate, layout_text):
@@ -345,15 +376,16 @@ def check_by_rebuilding(system, certificate, layout_text):
         validate_certificate(certificate, s)
     psi = PsiSystem(
         system=EnSystem(s, [eq for eq in system.equations if max(eq) <= s]),
-        s=s, mode=mode, certificate=certificate)
+        mode=mode, certificate=certificate)
     assembled = rebuilt(psi, n)
     if set(assembled.system.equations) != set(system.equations):
         raise ParseError("system does not match the layout's scaffold")
     for what, names in (("layout label", labels),
                         (".ens name", system.names)):
-        if names != assembled.layout:
-            index = min(i for i in names.keys() | assembled.layout.keys()
-                        if names.get(i) != assembled.layout.get(i))
+        layout = assembled.system.names
+        if names != layout:
+            index = min(i for i in names.keys() | layout.keys()
+                        if names.get(i) != layout.get(i))
             raise ParseError(f"{what} of index {index} does not match "
                              f"the scaffold")
     return assembled
@@ -364,8 +396,10 @@ def check_outcome(check, system, certificate, layout_text):
         a = check(system, certificate, layout_text)
     except Exception as exc:  # the type and message are compared
         return type(exc), str(exc)
-    return (a.system, a.n, a.s, a.mode, a.certificate, a.layout, a.padding,
-            a.t_chain, a.w_index, a.y_index)
+    scaffold = a.scaffold
+    return (a.system, scaffold.n, scaffold.s, a.mode, a.certificate,
+            a.system.names, scaffold.padding, scaffold.t_chain,
+            scaffold.w_index, scaffold.y_index)
 
 
 # fn-system outputs over N and Z, for odd and even n.

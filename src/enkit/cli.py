@@ -149,12 +149,9 @@ def _note(message: str):
 def _cmd_reduce(args) -> int:
     source = eqio.parse_equation(args.equation)
     d = source.normalized
-    mode = ("full_" if args.mode == "full" else "compact_") + \
-        ("Z" if args.ring == "z" else "N")
-    if args.mode == "halved":
-        if args.ring != "z":
-            raise ParseError("--mode halved is only defined over the integers")
-        mode = "halved_Z"
+    if args.mode == "halved" and args.ring != "z":
+        raise ParseError("--mode halved is only defined over the integers")
+    mode = f"{args.mode}_{args.ring.upper()}"
     started = time.monotonic()
     built, cert = reductions.build_reduction(
         d, mode, cap=args.cap, pair_cap=args.pair_cap)
@@ -169,10 +166,8 @@ def _cmd_reduce(args) -> int:
 
 def _cmd_fn_system(args) -> int:
     rep = _load_rep(args.rep)
-    mode = "Z" if args.ring == "z" else "N"
-    family = "full" if args.mode == "full" else "compact"
-    psi = pipeline.build_psi(rep, mode, family=family, cap=args.cap,
-                             pair_cap=args.pair_cap)
+    psi = pipeline.build_psi(rep, args.ring.upper(), family=args.mode,
+                             cap=args.cap, pair_cap=args.pair_cap)
     assembled = pipeline.assemble(psi, args.n)
     out = _Outputs()
     out.add(args.out + ".ens", system.serialize(assembled.system))
@@ -207,9 +202,8 @@ def _cmd_info(args) -> int:
         lines.append(_info_line("n compact_N", compact_n.n))
     if args.rep:
         rep = _load_rep(args.rep)
-        mode = "Z" if args.ring == "z" else "N"
-        family = "full" if args.mode == "full" else "compact"
-        psi = pipeline.build_psi(rep, mode, family=family, cap=args.cap,
+        mode = args.ring.upper()
+        psi = pipeline.build_psi(rep, mode, family=args.mode, cap=args.cap,
                                  pair_cap=args.pair_cap)
         lines.append(_info_line("s", psi.s))
         lines.append(_info_line("m(f)" if mode == "Z" else "w(f)",
@@ -228,7 +222,7 @@ def _info_line(name: str, value) -> str:
 
 def _cmd_solve(args) -> int:
     target = _load_system(args.system, args.cap)
-    domain = "Z" if args.ring == "z" else "N"
+    domain = args.ring.upper()
     outcome = oracle.solve_bounded(target, domain, args.radius,
                                    limits=_limits(args))
     if not outcome.exhausted:
@@ -253,7 +247,7 @@ def _cmd_verify_equiv(args) -> int:
     target = _load_system(args.system, args.cap)
     cert = _load_cert(args.cert)
     reductions.validate_certificate(cert, target.n)
-    domain = "Z" if args.ring == "z" else "N"
+    domain = args.ring.upper()
     box = _parse_box_spec(args.box, d.arity)
     started = time.monotonic()
     report = oracle.check_equivalence(d, target, cert, box, domain,
@@ -284,7 +278,7 @@ def _cmd_verify_equiv(args) -> int:
 def _cmd_verify_pin(args) -> int:
     target = _load_system(args.system, args.cap)
     cert = _load_cert(args.cert) if args.cert else None
-    domain = "Z" if args.ring == "z" else "N"
+    domain = args.ring.upper()
     if args.layout:
         with open(args.layout, encoding="ascii") as handle:
             assembled = pipeline.check_assembled(target, cert, handle.read())
@@ -294,7 +288,7 @@ def _cmd_verify_pin(args) -> int:
     elif cert is not None:
         raise ParseError("--cert needs --layout to locate the scaffold")
     witness = None
-    if args.witness:
+    if args.witness is not None:
         try:
             witness = tuple(map(integer, args.witness.split(",")))
         except ValueError as exc:

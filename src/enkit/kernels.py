@@ -30,27 +30,22 @@ def grid_roots(exps, coeffs, lows, highs):
     lows/highs: per-variable inclusive bounds.  Points come out in
     lexicographic order.
 
-    The variables split into groups: variables joined by a common monomial,
-    plus one group of the variables in no term, whose value is always 0.
-    When there are exactly two groups, the one with the smaller box is
-    tabulated value -> points and the larger one is streamed, each of its
-    points looking up the rest of the target.  The cost is then the sum of
-    the two group boxes, not their product, and the table holds at most the
-    square root of the box.  Any other polynomial streams its whole box and
-    builds no table.
+    The variables split into groups: variables joined by a common monomial.
+    A variable that occurs in no term is a group of its own.  The group
+    with the largest box is one side and every other group together is the
+    other; the side with the smaller box is tabulated value -> points and
+    the other side is streamed, each of its points looking up the rest of
+    the target.  The cost is the sum of the two side boxes, not their
+    product, and the table holds at most the square root of the box.
     """
     if any(lo > hi for lo, hi in zip(lows, highs)):
         return []
     constant = sum(c for e, c in zip(exps, coeffs) if not any(e))
+    size = lambda side: prod(highs[v] - lows[v] + 1 for v in side)
     groups = _variable_groups(len(lows), exps, coeffs)
-    if len(groups) != 2:
-        # The whole box streams in lex order.
-        return [tuple(map(add, lows, offs))
-                for offs, value in _box_values(exps, coeffs, range(len(lows)),
-                                               lows, highs)
-                if value == -constant]
-    size = lambda group: prod(highs[v] - lows[v] + 1 for v in group)
-    streamed, tabulated = sorted(groups, key=size, reverse=True)
+    largest = max(groups, key=size, default=[])
+    rest = [v for group in groups if group is not largest for v in group]
+    streamed, tabulated = sorted((largest, rest), key=size, reverse=True)
     base = [lows[v] for v in tabulated]
     table = {}
     for offs, value in _box_values(exps, coeffs, tabulated, lows, highs):
@@ -69,7 +64,7 @@ def grid_roots(exps, coeffs, lows, highs):
 def _variable_groups(arity, exps, coeffs):
     """Variables joined by shared monomials, each group in increasing order.
 
-    The variables that occur in no term form one more group.
+    A variable that occurs in no term is a group of its own.
     """
     parent = list(range(arity))
 
@@ -79,18 +74,16 @@ def _variable_groups(arity, exps, coeffs):
             v = parent[v]
         return v
 
-    used = [False] * arity
     for e, c in zip(exps, coeffs):
         members = [v for v, k in enumerate(e) if k]
         if not (c and members):
             continue
         root = find(members[0])
         for v in members:
-            used[v] = True
             parent[find(v)] = root
     groups = {}
     for v in range(arity):
-        groups.setdefault(find(v) if used[v] else -1, []).append(v)
+        groups.setdefault(find(v), []).append(v)
     return list(groups.values())
 
 

@@ -819,8 +819,12 @@ def verify_pinning(system: EnSystem, expected: int, *, domain: str,
     """
     if box_radius < 0:
         raise ValueError(f"radius must be non-negative, got {box_radius}")
-    if witness_base is not None and certificate is None:
-        raise ValueError("witness checking needs a certificate")
+    if witness_base is not None:
+        if certificate is None:
+            raise ValueError("witness checking needs a certificate")
+        # Lifting first refuses a base point of the wrong length before
+        # any propagation or search.
+        lifted = lift(certificate, witness_base)
     n = system.n
     report = PinningReport(n=n, expected=expected)
     prop = _Propagator(system, domain)
@@ -831,11 +835,10 @@ def verify_pinning(system: EnSystem, expected: int, *, domain: str,
     values = prop.values
     report.x2_forced = values.get(2) == n
     report.propagation_complete = len(values) == n
-    free = [] if certificate is None else [
-        i for i in range(1, certificate.p + 1) if i not in values]
-    if free:
+    if certificate is not None and any(
+            i not in values for i in range(1, certificate.p + 1)):
         solutions = _pinned_solutions_via_cert(system, certificate, prop,
-                                               free, box_radius, limits)
+                                               box_radius, limits)
     else:
         found = _search(prop, box_radius, limits,
                         time.monotonic() + limits.seconds)
@@ -845,7 +848,7 @@ def verify_pinning(system: EnSystem, expected: int, *, domain: str,
     report.offending = [s for s in solutions if s[1] != expected]
     if witness_base is not None:
         report.witness_checked = True
-        witness = {**values, **lift(certificate, witness_base)}
+        witness = {**values, **lifted}
         result = check_assignment(system, witness, domain)
         report.witness_ok = (result.satisfied
                              and witness[1] == expected
@@ -853,29 +856,25 @@ def verify_pinning(system: EnSystem, expected: int, *, domain: str,
     return report
 
 
-def _pinned_solutions_via_cert(system, cert, prop, free, box_radius, limits):
-    """Enumerate bounded solutions through the certificate, whose base
-    variables `free` propagation left undetermined.
+def _pinned_solutions_via_cert(system, cert, prop, box_radius, limits):
+    """Enumerate bounded solutions through the certificate, some of whose
+    base variables propagation left undetermined.
 
     Chain equations hold under any lift by construction, so a bounded
     assignment solves the system exactly when the anchored polynomial
     vanishes at its base part and agrees with what propagation already
-    forced.
+    forced.  The roots are taken in the certificate's own coordinates: a
+    forced base variable gets the one-point interval of its value, every
+    other one [-box_radius, box_radius].
     """
     domain, forced = prop.domain, prop.values
     fixed = {i: forced[i] for i in range(1, cert.p + 1) if i in forced}
     residual = anchor_polynomial(cert).substituted(fixed)
-    # The same polynomial in the free base variables alone.
-    residual = Polynomial(len(free), {
-        tuple(exps[i - 1] for i in free): coeff
-        for exps, coeff in residual.terms.items()})
-    roots = enumerate_roots(residual, Box.cube(len(free), box_radius),
-                            domain, limits.points)
+    box = Box(tuple((fixed[i], fixed[i]) if i in fixed
+                    else (-box_radius, box_radius)
+                    for i in range(1, cert.p + 1)))
     solutions = []
-    for root in roots:
-        base = dict(fixed)
-        base.update(zip(free, root))
-        point = tuple(base[i] for i in range(1, cert.p + 1))
+    for point in enumerate_roots(residual, box, domain, limits.points):
         solution = {**forced, **lift(cert, point)}
         # Chain equations hold under any lift by construction, so a lift
         # that fails means the certificate does not belong to the system.

@@ -439,8 +439,8 @@ def _family_system(desc: FamilyDescriptor, *, pinned: list[Polynomial],
 
     `pinned` polynomials receive the first auxiliary indices p+1, p+2, ...
     in order; everything else follows in enumeration order.  Returns
-    (equations, defs, sys_index_of) where sys_index_of maps a member's
-    canonical key to its variable index.
+    (equations, defs, index_of) where index_of maps a member polynomial to
+    its variable index.
     """
     card = desc.cardinality()
     if card > cap:
@@ -454,6 +454,7 @@ def _family_system(desc: FamilyDescriptor, *, pinned: list[Polynomial],
     vectors = list(desc.iter_vectors())
     members = [desc.vector_to_poly(v, basis) for v in vectors]
     rank_of = {v: r for r, v in enumerate(vectors)}
+    rank_of_member = lambda poly: rank_of[desc.poly_vector(poly, basis)]
 
     assigned: dict[int, int] = {}
     for i in range(1, desc.p + 1):
@@ -462,8 +463,7 @@ def _family_system(desc: FamilyDescriptor, *, pinned: list[Polynomial],
             raise UnusedVariable(f"x{i} is not a member of the family")
         assigned[rank_of[vec]] = i
     for offset, poly in enumerate(pinned):
-        vec = desc.poly_vector(poly, basis)
-        rank = rank_of[vec]
+        rank = rank_of_member(poly)
         if rank in assigned:
             raise ValueError("pinned member collides with a variable")
         assigned[rank] = desc.p + 1 + offset
@@ -486,8 +486,7 @@ def _family_system(desc: FamilyDescriptor, *, pinned: list[Polynomial],
 
     defs = {assigned[rank]: members[rank] for rank in range(card)
             if assigned[rank] > desc.p}
-    sys_index_of = {members[rank].key(): assigned[rank] for rank in range(card)}
-    return equations, defs, sys_index_of
+    return equations, defs, lambda poly: assigned[rank_of_member(poly)]
 
 
 def b_polynomial(d: Polynomial) -> Polynomial:
@@ -535,7 +534,7 @@ def _build_full(d: Polynomial, mode: str, cap: int, pair_cap: int):
     pinned = anchored if mode == "full_N" else []
     equations, defs, index_of = _family_system(
         desc, pinned=pinned, cap=cap, pair_cap=pair_cap)
-    nodes = [index_of[poly.key()] for poly in anchored]
+    nodes = [index_of(poly) for poly in anchored]
     if mode == "full_N":
         zero, a, b = nodes
         equations.append(Add(zero, a, b))

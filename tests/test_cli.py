@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import enkit
-from enkit import cli, pipeline
+from enkit import cli, oracle, pipeline
 from enkit.cli import main
 from enkit.eqio import parse_equation
 from enkit.pipeline import master_witness, parse_layout
@@ -608,6 +608,38 @@ def test_witness_values_are_ascii_digits(workdir, capsys):
                            "sys.cert", "--layout", "sys.layout", "--expected",
                            "12", "--ring", "n", "--witness", "12,\u0661\u0662"],
                   "bad witness '12,\u0661\u0662'")
+
+
+@pytest.mark.parametrize("flags", [[], ["--cert", "sys.cert", "--layout",
+                                        "sys.layout"]], ids=["bare", "cert"])
+def test_empty_witness_is_malformed(workdir, capsys, flags):
+    write(workdir / "id.rep", IDENTITY_REP)
+    assert main(["fn-system", "--rep", "id.rep", "--ring", "n", "--n", "12",
+                 "--out", "sys"]) == 0
+    capsys.readouterr()
+    assert main(["verify-pin", "--system", "sys.ens", *flags, "--expected",
+                 "12", "--ring", "n", "--witness="]) == 2
+    assert capsys.readouterr() == ("", "error: bad witness ''\n")
+
+
+def test_witness_length_is_checked_before_any_search(workdir, capsys,
+                                                     monkeypatch):
+    write(workdir / "id.rep", IDENTITY_REP)
+    assert main(["fn-system", "--rep", "id.rep", "--ring", "n", "--n", "12",
+                 "--out", "sys"]) == 0
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify-pin propagated or searched")
+
+    monkeypatch.setattr(oracle._Propagator, "start", refuse)
+    monkeypatch.setattr(oracle, "_search", refuse)
+    monkeypatch.setattr(oracle, "enumerate_roots", refuse)
+    capsys.readouterr()
+    assert main(["verify-pin", "--system", "sys.ens", "--cert", "sys.cert",
+                 "--layout", "sys.layout", "--expected", "12", "--ring", "n",
+                 "--witness=12"]) == 2
+    assert capsys.readouterr() == (
+        "", "error: base point of length 1 for p = 2\n")
 
 
 def test_failed_commit_leaves_no_partial_outputs(workdir, capsys):

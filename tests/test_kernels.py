@@ -147,12 +147,13 @@ def test_grid_roots_box_past_int64():
     # two groups: x2 is tabulated, x1 streamed, and the join is sorted
     (((2, 0), (0, 2), (0, 0)), (1, 1, -2),
      [(-1, -1), (-1, 1), (1, -1), (1, 1)]),
-    # three groups: the whole box is streamed
+    # three groups: x1 is one side and x2, x3 together the other; the x1
+    # side has the smaller box and is tabulated
     (((2, 0, 0), (0, 2, 0), (0, 0, 2), (0, 0, 0)), (1, 1, 1, -2),
      [(-1, -1, 0), (-1, 0, -1), (-1, 0, 1), (-1, 1, 0),
       (0, -1, -1), (0, -1, 1), (0, 1, -1), (0, 1, 1),
       (1, -1, 0), (1, 0, -1), (1, 0, 1), (1, 1, 0)]),
-], ids=["two", "three"])
+], ids=["two", "three-joined"])
 def test_grid_roots_lex_order_across_groups(exps, coeffs, roots):
     arity = len(exps[0])
     assert kernels.grid_roots(exps, coeffs, (-2,) * arity,
@@ -171,9 +172,12 @@ def _brute_roots(exps, coeffs, lows, highs):
 
 def _random_case(rng, shape):
     """A sparse polynomial of the given shape, plus a box for it."""
-    arity = rng.randint(1, 5)
+    arity = rng.randint(3 if shape == "separate groups" else 1, 5)
     lows = [rng.randint(-2, 1) for _ in range(arity)]
     highs = [lo + rng.randint(0, 2) for lo in lows]
+    if shape == "one-point intervals":
+        for v in rng.sample(range(arity), rng.randint(1, arity)):
+            highs[v] = lows[v]
     if rng.random() < 0.1:
         highs[rng.randrange(arity)] -= 3  # an empty interval
     big = shape == "past int64"
@@ -185,6 +189,18 @@ def _random_case(rng, shape):
         supports = [rng.sample([v for v in range(arity) if v != unused],
                                rng.randint(0, min(2, arity - 1)))
                     for _ in range(rng.randint(0, 4))]
+    elif shape == "separate groups":
+        # three to five groups of variables that share no monomial
+        count = rng.randint(3, arity)
+        owner = list(range(count))
+        owner += [rng.randrange(count) for _ in range(arity - count)]
+        rng.shuffle(owner)
+        supports = []
+        for group in range(count):
+            members = [v for v in range(arity) if owner[v] == group]
+            supports += [rng.sample(members, min(2, len(members),
+                                                 rng.randint(1, 2)))
+                         for _ in range(rng.randint(1, 2))]
     elif shape in ("constant", "zero"):
         supports = []
     else:
@@ -216,15 +232,16 @@ def _random_case(rng, shape):
 def test_grid_roots_matches_brute_force():
     rng = random.Random(20261018)
     shapes = ("random", "unsplit", "unused variable", "constant", "zero",
-              "past int64")
+              "past int64", "separate groups", "one-point intervals")
     with_roots = 0
-    for trial in range(1200):
-        exps, coeffs, lows, highs = _random_case(rng, shapes[trial % 6])
+    for trial in range(200 * len(shapes)):
+        exps, coeffs, lows, highs = _random_case(
+            rng, shapes[trial % len(shapes)])
         expected = _brute_roots(exps, coeffs, lows, highs)
         assert kernels.grid_roots(exps, coeffs, lows, highs) == expected, (
             exps, coeffs, lows, highs)
         with_roots += bool(expected)
-    assert with_roots > 600
+    assert with_roots > 100 * len(shapes)
 
 
 def test_check_equations_first_violation():

@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from enkit import oracle
 from enkit.eqio import FnRepresentation, parse_polynomial
 from enkit.errors import FormatError, ParseError
-from enkit.oracle import (Box, OracleLimits, Solved, Stuck, enumerate_roots,
-                          propagate, solve_bounded, verify_pinning)
+from enkit.oracle import (Box, OracleLimits, Solved, Stuck, anchor_polynomial,
+                          enumerate_roots, lift, propagate, solve_bounded,
+                          verify_pinning)
 from enkit.pipeline import (PsiSystem, _read_layout_lines, assemble,
                             build_pipeline, build_psi, check_assembled,
                             master_witness, parse_layout, serialize_layout,
@@ -228,6 +230,65 @@ def test_pinning_searches_a_bare_stuck_system():
     assert not wrong.passed
     with pytest.raises(ValueError, match="witness checking needs a cert"):
         verify_pinning(bare, 1, domain="N", witness_base=(1,))
+
+
+def _pinned_by_reindexing(system, cert, domain, radius):
+    """Reference for the certificate route: the anchored polynomial, with
+    the forced base variables substituted, re-indexed into the free ones
+    alone and rooted point by point over their cube."""
+    forced = propagate(system, {}, domain).values
+    fixed = {i: forced[i] for i in range(1, cert.p + 1) if i in forced}
+    free = [i for i in range(1, cert.p + 1) if i not in forced]
+    residual = anchor_polynomial(cert).substituted(fixed)
+    residual = Polynomial(len(free), {
+        tuple(exps[i - 1] for i in free): coeff
+        for exps, coeff in residual.terms.items()})
+    solutions = []
+    for root in Box.cube(len(free), radius).iter_points(domain):
+        if residual.eval_at(root) == 0:
+            base = {**fixed, **dict(zip(free, root))}
+            point = tuple(base[i] for i in range(1, cert.p + 1))
+            solutions.append({**forced, **lift(cert, point)})
+    return solutions
+
+
+def test_pinning_roots_with_a_forced_variable_between_free_ones():
+    # x2 = n is forced; x1 and x3 are free on either side of it.
+    rep = FnRepresentation(w=parse_polynomial("x1*x3 - x2", 3), r=3)
+    asm = build_pipeline(rep, "N", 14)
+    out = propagate(asm.system, {}, "N")
+    assert [i for i in (1, 2, 3) if i in out.values] == [2]
+    # No solution has x1 = -1, so `offending` lists every solution found.
+    report = verify_pinning(asm.system, -1, domain="N",
+                            certificate=asm.certificate, box_radius=7)
+    expected = _pinned_by_reindexing(asm.system, asm.certificate, "N", 7)
+    assert [(s[1], s[3]) for s in expected] == [(2, 7), (7, 2)]
+    assert report.offending == expected
+    assert report.solutions_found == 2 and report.search_exhausted
+
+
+def test_pinning_roots_on_the_z_master_at_its_smallest_n(monkeypatch):
+    psi = build_psi(IDENTITY, "Z")
+    n = threshold(psi.s)
+    asm = assemble(psi, n)
+    cert = asm.certificate
+    out = propagate(asm.system, {}, "Z")
+    assert [i for i in range(1, cert.p + 1) if i in out.values] == [2]
+    boxes = []
+
+    def recording(poly, box, *args):
+        boxes.append(box.bounds)
+        return enumerate_roots(poly, box, *args)
+
+    monkeypatch.setattr(oracle, "enumerate_roots", recording)
+    report = verify_pinning(asm.system, -1, domain="Z", certificate=cert,
+                            box_radius=1)
+    # The roots are taken in the certificate's own coordinates.
+    assert boxes == [((-1, 1), (n, n)) + ((-1, 1),) * 8]
+    # x2 = n needs four squares summing to n, none of them inside [-1, 1].
+    assert report.offending == _pinned_by_reindexing(
+        asm.system, cert, "Z", 1) == []
+    assert report.solutions_found == 0 and report.search_exhausted
 
 
 def test_complete_propagation_is_never_truncated():

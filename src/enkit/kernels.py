@@ -1,5 +1,5 @@
-"""The hot loops: box-root enumeration, family closure, bulk equation checks
-and straight-line schedule runs.
+"""The hot loops: box-root enumeration, family closure, bulk equation checks,
+and column-wise polynomial evaluation and schedule runs.
 
 One pure-Python implementation with exact arbitrary-precision arithmetic,
 so there is no overflow story to manage.  The end-to-end benchmark
@@ -14,9 +14,9 @@ The benchmark's tracer wraps `grid_roots`, `family_join` and
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import product
+from itertools import product, repeat
 from math import prod
-from operator import add, le, ne
+from operator import add, le, mul, ne
 
 from .system import Add, One
 
@@ -142,19 +142,59 @@ def check_equations(equations, values):
     return -1
 
 
-def run_schedule(template, steps, point):
-    """Values of a straight-line schedule run from a base point.
+def run_schedule(template, steps, columns):
+    """Values of a straight-line schedule run from a batch of base points.
 
     template: the n + 1 starting values (index 0 unused), holding the
-    schedule's constants; point: the values of x_1..x_p; steps: tuples
-    (op, a, b, k) with op a two-argument function, each setting
-    values[k] = op(values[a], values[b]) in order.
+    schedule's constants; columns: the base points' coordinates, one list
+    per x_1..x_p (with p = 0 the batch is the one empty point);
+    steps: tuples (op, a, b, k) with op a two-argument function, each
+    setting column k to op over columns a and b, point by point, in order.
+    Returns the n + 1 value columns.  Columns are never written in place,
+    so equal constants share one column.
     """
-    values = template.copy()
-    values[1:len(point) + 1] = point
+    size = len(columns[0]) if columns else 1
+    constants = {c: [c] * size for c in set(template)}
+    values = list(map(constants.__getitem__, template))
+    values[1:len(columns) + 1] = columns
     for op, a, b, k in steps:
-        values[k] = op(values[a], values[b])
+        values[k] = list(map(op, values[a], values[b]))
     return values
+
+
+def eval_columns(polys, columns):
+    """Each polynomial's values at a batch of points, as one column each.
+
+    polys: term mappings {exponent tuple: coefficient}; columns: the
+    points' coordinates, one list per variable (with no variable the batch
+    is the one empty point).  The powers of a coordinate column are
+    computed once for all the polynomials.  Returned columns may share
+    storage with `columns`.
+    """
+    size = len(columns[0]) if columns else 1
+    powers = {}
+    out = []
+    for terms in polys:
+        total = None
+        for exps, coeff in terms.items():
+            column = None
+            for v, e in enumerate(exps):
+                if not e:
+                    continue
+                power = powers.get((v, e))
+                if power is None:
+                    power = powers[v, e] = (
+                        columns[v] if e == 1
+                        else list(map(pow, columns[v], repeat(e))))
+                column = power if column is None else list(
+                    map(mul, column, power))
+            if column is None:
+                column = [coeff] * size
+            elif coeff != 1:
+                column = list(map(mul, column, repeat(coeff)))
+            total = column if total is None else list(map(add, total, column))
+        out.append([0] * size if total is None else total)
+    return out
 
 
 def family_join(vectors, lo, hi, basis):

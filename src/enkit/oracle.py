@@ -12,10 +12,10 @@ from __future__ import annotations
 import time
 from collections import defaultdict
 from dataclasses import dataclass, field
-from itertools import compress
+from itertools import compress, islice
 from itertools import product as iproduct
 from math import isqrt, prod
-from operator import add, mul, sub
+from operator import add, and_, mul, or_, sub
 from typing import Mapping
 
 from . import kernels
@@ -25,6 +25,8 @@ from .reductions import ReductionCertificate
 from .system import DOMAIN_N, DOMAIN_Z, Add, EnEquation, EnSystem, Mul, One
 
 DEFAULT_POINT_LIMIT = 10**8
+# Values one chunk of `check_equivalence` may hold: points times (n + 1).
+CHUNK_VALUES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -402,8 +404,9 @@ class Schedule:
     visited once more, and after that whenever one of its unknown slots
     becomes known, so the derivation takes linear time in any equation
     order.  Each derivation
-    becomes a step.  `extend` runs the steps on a flat value list and
-    checks the equations no step used.
+    becomes a step.  `kernels.run_schedule` takes every step once over a
+    batch of base points, a column of values at a time, and `solves` checks
+    the equations no step used; `extend` is the one-point case.
 
     Every derived value is forced by its equation, so a base point extends
     to a solution exactly when the derived values pass those checks (and,
@@ -492,6 +495,35 @@ class Schedule:
         checks = list(compress(equations, unused))
         return cls(p, domain, template, steps, checks)
 
+    def solves(self, values) -> list[bool]:
+        """Per point of a batch run through `kernels.run_schedule`, whether
+        its values are a solution: over N none is negative, and every check
+        holds.  Each check runs once over the whole batch, a column of
+        values at a time.
+        """
+        if self.domain == DOMAIN_N and min(map(min, values)) < 0:
+            held = [min(row) >= 0 for row in zip(*values)]
+        else:
+            held = [True] * len(values[0])
+        for eq in self.checks:
+            if type(eq) is One:
+                got, want = values[eq.i], [1] * len(held)
+            else:
+                i, j, k = eq
+                got = list(map(add if type(eq) is Add else mul,
+                               values[i], values[j]))
+                want = values[k]
+            if got != want:
+                held = [ok and a == b for ok, a, b in zip(held, got, want)]
+        return held
+
+    def solves_at(self, row) -> bool:
+        """`solves` for one point's row of values, through
+        `kernels.check_equations`, which stops at the first violated check.
+        """
+        return (not (self.domain == DOMAIN_N and min(row) < 0)
+                and kernels.check_equations(self.checks, row) == -1)
+
     def extend(self, point) -> Solved | Conflict:
         """The unique solution extending a base point, or the conflict:
         the first violated check, or no equation for a negative value over N.
@@ -499,7 +531,8 @@ class Schedule:
         if len(point) != self.p:
             raise DimensionMismatch(
                 f"base point of length {len(point)} for p = {self.p}")
-        values = kernels.run_schedule(self.template, self.steps, point)
+        values = [column[0] for column in kernels.run_schedule(
+            self.template, self.steps, [[v] for v in point])]
         if self.domain == DOMAIN_N and min(values) < 0:
             return Conflict(None)
         bad = kernels.check_equations(self.checks, values)
@@ -667,18 +700,36 @@ def check_equivalence(d: Polynomial, system: EnSystem,
 
     Every root of D in the box must lift to a verified solution that
     propagation reproduces uniquely; every non-root must be refuted by
-    propagation or by exhaustive search over the stuck residue.  The check
-    runs in one process and reads the box point by point, so its memory
-    does not grow with the box.  Points are run through the system's
-    `Schedule` when it has one, which reaches the same verdicts as
-    propagation; otherwise one propagator is restarted from each point.
-    The searches over stuck residues share one deadline, `limits.seconds`
-    after the check starts; a point whose search it cuts short is
-    inconclusive.
+    propagation or by exhaustive search over the stuck residue.  A box with
+    no point in the domain is refused with ValueError, since it would check
+    nothing.
+
+    The check runs in one process and reads the box a chunk of points at a
+    time: a chunk holds at most `CHUNK_VALUES` values over its points and
+    the system's n + 1 slots, so memory grows with neither the box nor the
+    system, and the next chunk is drawn only after every verdict of the one
+    before.  D is evaluated over a chunk's coordinate columns to find its
+    roots.  When the system has a `Schedule`, each of its steps runs once
+    over the whole chunk.  If the chunk holds at least as many points as
+    the schedule has checks, `Schedule.solves` runs each check once over
+    the chunk, and a root whose extension passes is accepted without
+    `lift` and `check_assignment` when the certificate defines exactly
+    x_{p+1}..x_n and those definitions, evaluated over the roots' columns,
+    equal the extension: the lift is then that solution.  Otherwise
+    `Schedule.solves_at` checks each non-root on its own, up to its first
+    violated check.  Every other root is lifted and checked against the
+    whole system, so no root is checked twice.  A scheduled value is
+    forced, so a non-root whose extension fails is refuted, as
+    propagation from it would be.  Without a schedule, one propagator is
+    restarted from each point.  The searches over stuck residues share one
+    deadline, `limits.seconds` after the check starts; a point whose
+    search it cuts short is inconclusive.
     """
     if box.dim != d.arity or cert.p != d.arity:
         raise DimensionMismatch("box, polynomial, and certificate disagree")
     count = box.point_count(domain)
+    if not count:
+        raise ValueError(f"box holds no point in {domain}")
     if count > limits.points:
         raise BoxTooLarge(f"box holds {count} points, limit {limits.points}")
     deadline = time.monotonic() + limits.seconds
@@ -686,68 +737,138 @@ def check_equivalence(d: Polynomial, system: EnSystem,
     schedule = Schedule.derive(system, cert.p, domain)
     if schedule is None:
         prop = _Propagator(system, domain)
-    for point in box.iter_points(domain):
-        report.base_points += 1
-        root = d.eval_at(point) == 0
-        if root:
-            report.base_roots.append(point)
-            lifted = lift(cert, point)
-            result = check_assignment(system, lifted, domain)
-            if not result.satisfied:
-                report.lifted_ok = False
-                if result.negatives:
-                    problem = "leaves N"
-                elif result.equation is not None:
-                    problem = f"violates {result.equation}"
-                else:
-                    problem = f"leaves x{result.missing[0]} unassigned"
-                report.failures.append(f"lift of {point} {problem}")
-                continue
-            report.system_solutions += 1
-            if schedule is not None:
-                # Every scheduled value is forced, so the schedule run from
-                # a root reproduces its verified lift.
-                continue
-        if schedule is not None:
-            outcome = schedule.extend(point)
+    chunk = max(1, CHUNK_VALUES // (system.n + 1))
+    points = box.iter_points(domain)
+    while batch := list(islice(points, chunk)):
+        columns = list(map(list, zip(*batch)))
+        roots = [not value for value in
+                 kernels.eval_columns([d.terms], columns)[0]]
+        report.base_points += len(batch)
+        if schedule is None:
+            for point, root in zip(batch, roots):
+                _propagate_point(report, prop, system, cert, point, root,
+                                 limits, deadline)
+            continue
+        values = kernels.run_schedule(schedule.template, schedule.steps,
+                                      columns)
+        if len(batch) >= len(schedule.checks):
+            solved = schedule.solves(values)
+            passing = list(compress(range(len(batch)),
+                                    map(and_, roots, solved)))
+            accepted = _lifts_agree(cert, columns, values, passing)
         else:
-            ok, trail = prop.start({i + 1: v for i, v in enumerate(point)})
-            outcome = prop.outcome(ok)
-        if root:
-            if isinstance(outcome, Conflict):
-                report.unique_extension = False
-                report.failures.append(
-                    f"propagation from root {point} hit a contradiction "
-                    f"on {outcome.equation}")
-            elif isinstance(outcome, Stuck):
-                report.unique_extension = False
-                report.stuck_roots += 1
-            elif outcome.values != lifted:
-                report.unique_extension = False
-                report.failures.append(
-                    f"propagation from {point} disagrees with the lift")
-        elif isinstance(outcome, Conflict):
-            report.refuted_by_propagation += 1
-        elif isinstance(outcome, Solved):
-            report.spurious.append(point)
-            report.failures.append(f"non-root {point} extends to a solution")
-        elif ((2 * limits.residual_radius + 1) ** len(outcome.undetermined)
-              > limits.points):
-            report.inconclusive.append(point)
-        else:
-            found = _search(prop, limits.residual_radius, limits, deadline,
-                            collect_limit=1)
-            if found.solutions:
+            # Few points against many checks: a non-root is checked on its
+            # own up to its first violated check, and a root only through
+            # its lift, so no root is checked twice.
+            solved = [not root and schedule.solves_at(row)
+                      for root, row in zip(roots, zip(*values))]
+            accepted = set()
+        # A non-root whose extension fails is refuted; only the roots and
+        # the spurious points need a look of their own, in box order.
+        either = list(map(or_, roots, solved))
+        report.refuted_by_propagation += len(batch) - sum(either)
+        for t in compress(range(len(batch)), either):
+            point = batch[t]
+            if not roots[t]:
                 report.spurious.append(point)
                 report.failures.append(
                     f"non-root {point} extends to a solution")
-            elif found.exhausted:
-                report.refuted_by_search += 1
+                continue
+            report.base_roots.append(point)
+            if t in accepted:
+                report.system_solutions += 1
             else:
-                report.inconclusive.append(point)
-        if schedule is None:
-            prop.undo(trail)
+                # Every scheduled value is forced, so a verified lift is
+                # the extension and needs no comparison with it.
+                _checked_lift(report, system, cert, point, domain)
     return report
+
+
+def _checked_lift(report, system, cert, point, domain) -> dict | None:
+    """The lift of a root when it solves the system, counted as a
+    solution; otherwise None, with the failure recorded."""
+    lifted = lift(cert, point)
+    result = check_assignment(system, lifted, domain)
+    if result.satisfied:
+        report.system_solutions += 1
+        return lifted
+    report.lifted_ok = False
+    if result.negatives:
+        problem = "leaves N"
+    elif result.equation is not None:
+        problem = f"violates {result.equation}"
+    else:
+        problem = f"leaves x{result.missing[0]} unassigned"
+    report.failures.append(f"lift of {point} {problem}")
+    return None
+
+
+def _propagate_point(report, prop, system, cert, point, root, limits,
+                     deadline):
+    """The verdict on one box point by propagation and, when it gets
+    stuck on a non-root, search; the propagator is left as it was."""
+    if root:
+        report.base_roots.append(point)
+        lifted = _checked_lift(report, system, cert, point, prop.domain)
+        if lifted is None:
+            return
+    ok, trail = prop.start({i + 1: v for i, v in enumerate(point)})
+    outcome = prop.outcome(ok)
+    if root:
+        if isinstance(outcome, Conflict):
+            report.unique_extension = False
+            report.failures.append(
+                f"propagation from root {point} hit a contradiction "
+                f"on {outcome.equation}")
+        elif isinstance(outcome, Stuck):
+            report.unique_extension = False
+            report.stuck_roots += 1
+        elif outcome.values != lifted:
+            report.unique_extension = False
+            report.failures.append(
+                f"propagation from {point} disagrees with the lift")
+    elif isinstance(outcome, Conflict):
+        report.refuted_by_propagation += 1
+    elif isinstance(outcome, Solved):
+        report.spurious.append(point)
+        report.failures.append(f"non-root {point} extends to a solution")
+    elif ((2 * limits.residual_radius + 1) ** len(outcome.undetermined)
+          > limits.points):
+        report.inconclusive.append(point)
+    else:
+        found = _search(prop, limits.residual_radius, limits, deadline,
+                        collect_limit=1)
+        if found.solutions:
+            report.spurious.append(point)
+            report.failures.append(f"non-root {point} extends to a solution")
+        elif found.exhausted:
+            report.refuted_by_search += 1
+        else:
+            report.inconclusive.append(point)
+    prop.undo(trail)
+
+
+def _lifts_agree(cert, columns, values, picked) -> set[int]:
+    """The positions among `picked` whose lift is their scheduled values.
+
+    A lift reads only `defs`, so it is when they define exactly
+    x_{p+1}..x_n and each, evaluated over the coordinate columns, equals
+    the scheduled value of its index.
+    """
+    defs, p, n = cert.defs, cert.p, len(values) - 1
+    if not picked or len(defs) != n - p or not all(
+            p < k <= n and poly.arity == p for k, poly in defs.items()):
+        return set()
+    agree = set(picked)
+    sub = [list(map(column.__getitem__, picked)) for column in columns]
+    evaluated = kernels.eval_columns([poly.terms for poly in defs.values()],
+                                     sub)
+    for k, lifted in zip(defs, evaluated):
+        scheduled = list(map(values[k].__getitem__, picked))
+        if lifted != scheduled:
+            agree.difference_update(
+                t for t, a, b in zip(picked, lifted, scheduled) if a != b)
+    return agree
 
 
 # --------------------------------------------------------------------------

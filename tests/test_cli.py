@@ -355,6 +355,16 @@ def test_verify_equiv_pass_and_fail(workdir, capsys):
     assert code == 1
 
 
+def test_verify_equiv_refuses_a_box_without_points(workdir, capsys):
+    # Over N the box -3..-1 is empty, and an empty check proves nothing.
+    assert main(["reduce", "x1 = 2", "--ring", "z", "--out", "c1"]) == 0
+    capsys.readouterr()
+    assert_exit_2(capsys, ["verify-equiv", "--equation", "x1 = 2",
+                           "--system", "c1.ens", "--cert", "c1.cert",
+                           "--ring", "n", "--box=-3..-1"],
+                  "box holds no point in N")
+
+
 def test_solve_output(workdir, capsys):
     assert main(["reduce", "--ring", "n", "x1*x2 = 6", "--out", "m"]) == 0
     assert main(["solve", "--system", "m.ens", "--ring", "n",

@@ -3,6 +3,7 @@
 import random
 from itertools import product
 from math import prod
+from operator import add, mul, sub
 
 import pytest
 
@@ -264,3 +265,40 @@ def test_check_equations_values_past_int64():
     assert kernels.check_equations(equations, values) == 1
     values[2] = 2 * big - 2**64
     assert kernels.check_equations(equations, values) == 0
+
+
+def test_eval_columns_matches_pointwise():
+    rng = random.Random(20261019)
+    for trial in range(300):
+        arity = rng.randint(0, 3)
+        polys = [{tuple(rng.randint(0, 3) for _ in range(arity)):
+                  rng.choice([-2**70, -3, -1, 1, 2, 5])
+                  for _ in range(rng.randint(0, 4))} for _ in range(3)]
+        size = rng.randint(1, 6) if arity else 1
+        columns = [[rng.choice([-2**64, -2, -1, 0, 1, 3, 2**63])
+                    for _ in range(size)] for _ in range(arity)]
+        points = list(zip(*columns)) if arity else [()]
+        expected = [[sum(c * prod(x**e for x, e in zip(point, exps))
+                         for exps, c in terms.items()) for point in points]
+                    for terms in polys]
+        assert kernels.eval_columns(polys, columns) == expected
+
+
+def test_run_schedule_runs_each_step_over_the_columns():
+    # x3 = 1 and x4 = 0 are constants; x5 = x1 + x2, x6 = x5 * x3 and
+    # x7 = x6 - x1
+    template = [0, 0, 0, 1, 0, 0, 0, 0]
+    steps = [(add, 1, 2, 5), (mul, 5, 3, 6), (sub, 6, 1, 7)]
+    columns = [[1, -4, 2**64], [2, 0, -2**64]]
+    values = kernels.run_schedule(template, steps, columns)
+    assert values[1:] == [[1, -4, 2**64], [2, 0, -2**64], [1, 1, 1],
+                          [0, 0, 0], [3, -4, 0], [3, -4, 0], [2, 0, -2**64]]
+    # Each point's run matches its own one-point run.
+    for t in range(3):
+        one = kernels.run_schedule(template, steps,
+                                   [[column[t]] for column in columns])
+        assert [column[0] for column in one] == \
+            [column[t] for column in values]
+    # With p = 0 the batch is the one empty point.
+    assert kernels.run_schedule([0, 1, 0], [(add, 1, 1, 2)], []) == \
+        [[0], [1], [2]]

@@ -1,12 +1,13 @@
 import operator
 import random
 import time
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from enkit import oracle
+from enkit import kernels, oracle
 from enkit.eqio import parse_polynomial
 from enkit.errors import BoxTooLarge, DimensionMismatch
 from enkit.oracle import (Box, Conflict, OracleLimits,
@@ -225,31 +226,50 @@ def test_equivalence_catches_certificate_missing_a_definition():
     assert report.failures[0] == "lift of (-1, -1) leaves x3 unassigned"
 
 
-def test_equivalence_checks_each_point_as_the_box_yields_it(monkeypatch):
+def test_equivalence_draws_the_box_one_chunk_at_a_time(monkeypatch):
+    # 625 variables: a chunk of the default budget holds 104 points, so the
+    # 121-point box takes two chunks.
     d = P("x1 - x2")
-    system, cert = build_compact_z(d)
-    box = Box.cube(2, 3)
-    drawn, checked = [], []
+    system, cert = build_full_z(d)
+    box = Box.cube(2, 5)
+    chunk = oracle.CHUNK_VALUES // (system.n + 1)
+    assert 1 < chunk < box.point_count()
+    drawn, runs = [], []
     iter_points = Box.iter_points
-    extend = Schedule.extend
+    run_schedule = kernels.run_schedule
 
     def drawing(self, domain="Z"):
         for point in iter_points(self, domain):
-            drawn.append(point)
+            drawn.append(len(runs))
             yield point
 
-    def checking(self, point):
-        checked.append((point, len(drawn)))
-        return extend(self, point)
+    def running(template, steps, columns):
+        runs.append((len(drawn), len(columns[0])))
+        return run_schedule(template, steps, columns)
 
     monkeypatch.setattr(Box, "iter_points", drawing)
-    monkeypatch.setattr(Schedule, "extend", checking)
+    monkeypatch.setattr(kernels, "run_schedule", running)
     report = check_equivalence(d, system, cert, box, "Z")
-    assert report.passed and report.base_points == 49
-    # Each non-root is checked before the box yields the next point.
-    points = list(iter_points(box, "Z"))
-    assert checked == [(point, t + 1) for t, point in enumerate(points)
-                       if point[0] != point[1]]
+    assert report.base_points == 121
+    assert report.base_roots == [(v, v) for v in range(-5, 6)]
+    # Point t is drawn after the runs of the chunks before its own and
+    # before the run of its own chunk, which holds at most the budget.
+    assert drawn == [t // chunk for t in range(121)]
+    assert runs == [(chunk, chunk), (121, 121 - chunk)]
+    assert all(size * (system.n + 1) <= oracle.CHUNK_VALUES
+               for _, size in runs)
+
+
+def test_equivalence_refuses_a_box_without_points(monkeypatch):
+    d = P("x1 - 2")
+    system, cert = build_compact_z(d)
+
+    def derive(*args, **kwargs):
+        raise AssertionError("work started on an empty box")
+
+    monkeypatch.setattr(Schedule, "derive", derive)
+    with pytest.raises(ValueError, match="box holds no point in N"):
+        check_equivalence(d, system, cert, Box(((-3, -1),)), "N")
 
 
 def test_equivalence_points_leave_no_state_behind():
@@ -396,12 +416,12 @@ def _wrong(d, rng):
     return d + Polynomial.constant(d.arity, rng.choice([-2, -1, 1, 2]))
 
 
-def test_schedule_matches_propagation_on_compact_battery(monkeypatch):
-    # compact-battery style: the system's own equation and a shifted one,
-    # so roots, refutations, failed lifts and spurious points all occur
-    rng = random.Random(808)
+def _compact_battery(rng, count):
+    """compact-battery style cases: each system with its own equation and
+    a shifted one, so roots, refutations, failed lifts and spurious points
+    all occur."""
     compared = 0
-    while compared < 60:
+    while compared < count:
         p = rng.randint(1, 3)
         d = _random_polynomial(rng, p)
         if d.is_zero():
@@ -413,10 +433,57 @@ def test_schedule_matches_propagation_on_compact_battery(monkeypatch):
             system, cert = build(d)
             assert Schedule.derive(system, p, domain) is not None
             for source in (d, _wrong(d, rng)):
-                args = (source, system, cert, box, domain)
-                assert vars(check_equivalence(*args)) == \
-                    vars(_propagated(monkeypatch, *args)), (d, source, domain)
+                yield source, system, cert, box, domain
                 compared += 1
+
+
+def test_schedule_matches_propagation_on_compact_battery(monkeypatch):
+    for args in _compact_battery(random.Random(808), 60):
+        assert vars(check_equivalence(*args)) == \
+            vars(_propagated(monkeypatch, *args)), args
+
+
+@pytest.mark.parametrize("budget", [1, 40])
+def test_chunks_match_propagation_on_compact_battery(monkeypatch, budget):
+    # A budget this small puts chunk boundaries inside every box.
+    monkeypatch.setattr(oracle, "CHUNK_VALUES", budget)
+    tamper = random.Random(809)
+    cases = []
+    for source, system, cert, box, domain in _compact_battery(
+            random.Random(808), 60):
+        cases.append((source, system, cert, box, domain))
+        p = cert.p
+        if domain == "Z":
+            # compact_Z chains subtract, so over N their values go negative
+            cases.append((source, system, cert, Box.cube_nonneg(p, 3), "N"))
+        index = tamper.choice(sorted(cert.defs))
+        tampered = replace(cert, defs={
+            **cert.defs,
+            index: cert.defs[index] + Polynomial.constant(
+                p, tamper.choice([-1, 1]))})
+        cases.append((source, system, tampered, box, domain))
+    # Three checks: chunks of one point check them point by point.
+    system, cert = _coinciding()
+    d = anchor_polynomial(cert)
+    for source in (d, d - Polynomial.constant(1, 12)):
+        for box, domain in ((Box.cube(1, 3), "Z"),
+                            (Box.cube_nonneg(1, 3), "N")):
+            cases.append((source, system, cert, box, domain))
+    failed = 0
+    for args in cases:
+        report = check_equivalence(*args)
+        assert vars(report) == vars(_propagated(monkeypatch, *args)), args
+        failed += not report.lifted_ok
+    assert failed > 30
+    # Without a definition every root takes the lift, one point at a time.
+    d = P("x1 - x2")
+    system, cert = build_compact_z(d)
+    del cert.defs[3]
+    args = (d, system, cert, Box.cube(2, 1), "Z")
+    report = check_equivalence(*args)
+    assert vars(report) == vars(_propagated(monkeypatch, *args))
+    assert report.failures == [f"lift of {(v, v)} leaves x3 unassigned"
+                               for v in (-1, 0, 1)]
 
 
 @pytest.mark.parametrize("build, box, domain", [
@@ -436,16 +503,22 @@ def test_schedule_matches_propagation_on_full_families(monkeypatch, build,
     assert report.base_roots and report.spurious
 
 
-def test_schedule_matches_propagation_with_coinciding_indices(monkeypatch):
-    # x2 = 2*x1 by Add(i, i, k), x3 = 0 by Add(i, j, i), x4 = x2^2 by
-    # Mul(i, i, k); Add(2, 3, 2) and Mul(3, 4, 3) only check; the anchor
-    # 0 + 4 = x4 holds exactly when x1 = +-1.
+def _coinciding():
+    """A schedule whose steps reuse slots, and three checks."""
     system = EnSystem(7, [Add(1, 1, 2), Add(1, 3, 1), Mul(2, 2, 4), One(5),
                           Add(5, 5, 6), Add(6, 6, 7), Add(2, 3, 2),
                           Mul(3, 4, 3), Add(3, 7, 4)])
     cert = parse_certificate("CERT 1\nmode compact_N\np 1\nn 7\n"
                              "2 2*x1\n3 0\n4 4*x1^2\n5 1\n6 2\n7 4\n"
                              "ANCHOR N 3 4 7\n")
+    return system, cert
+
+
+def test_schedule_matches_propagation_with_coinciding_indices(monkeypatch):
+    # x2 = 2*x1 by Add(i, i, k), x3 = 0 by Add(i, j, i), x4 = x2^2 by
+    # Mul(i, i, k); Add(2, 3, 2) and Mul(3, 4, 3) only check; the anchor
+    # 0 + 4 = x4 holds exactly when x1 = +-1.
+    system, cert = _coinciding()
     d = anchor_polynomial(cert)
     assert d == P("4*x1^2 - 4")
     schedule = Schedule.derive(system, 1)

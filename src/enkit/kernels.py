@@ -18,7 +18,7 @@ from itertools import product, repeat
 from math import prod
 from operator import add, le, mul, ne
 
-from .system import Add, One
+from .system import Add, Mul, One
 
 BACKEND = "pure"
 
@@ -197,27 +197,30 @@ def eval_columns(polys, columns):
     return out
 
 
-def family_join(vectors, lo, hi, basis):
-    """Closure triples of a coefficient-bounded polynomial family.
+def family_join(vectors, lo, hi, basis, index):
+    """The Add and Mul equations that close a coefficient-bounded family.
 
     basis: the monomials of a degree box, exponent tuples in ascending
     lexicographic order; vectors: every coefficient vector over `basis`
     with entries in [lo, hi], in lexicographic order, so that a member's
-    index is its mixed-radix rank.  Returns (adds, muls): adds holds every
-    (a, b, c) with a <= b and vector[a] + vector[b] == vector[c]; muls the
-    same for polynomial products that land back in the family.  Indices
-    refer to positions in `vectors`; both lists are in (a, b) order.
+    rank is its mixed-radix rank; index: each rank's variable index.
+    Returns (adds, muls): adds holds Add(index[a], index[b], index[c]) for
+    every a <= b with vector[a] + vector[b] == vector[c]; muls the same as
+    Mul for polynomial products that land back in the family.  Both lists
+    are in (a, b) rank order.  Each row a extends three index columns and
+    `from_columns` builds the equations in bulk, swapping the two operands
+    of the rows where index[a] > index[b].
 
     The work grows with the number of pairs that can fit, not with the
     square of the member count.  A sum fits coordinate by coordinate, so
     each a visits only the sub-box of b with lo <= a_t + b_t <= hi, and the
-    index of the sum is a + b + lo * (sum of the rank weights).  Over Z the
+    rank of the sum is a + b + lo * (sum of the rank weights).  Over Z the
     degree in each variable of a product is the sum of the factors'
     degrees, so each a visits only the b whose degrees add up to within the
     box, plus the zero member; every monomial of such a product is in the
     basis at the sum of the two positions, and only its coefficients need
     checking.  Raises ValueError when `basis` or `vectors` has any other
-    layout.
+    layout, or `index` another length.
     """
     bounds = tuple(map(max, zip(*basis)))
     if list(basis) != list(product(*(range(d + 1) for d in bounds))):
@@ -229,26 +232,26 @@ def family_join(vectors, lo, hi, basis):
                                             repeat=width)))):
         raise ValueError("vectors are not the lexicographic box "
                          "[lo, hi]^len(basis)")
+    if len(index) != len(vectors):
+        raise ValueError("index does not map every member")
     weights = [radix**(width - 1 - t) for t in range(width)]
-    # index(v) = sum(weights[t] * (v[t] - lo)) = sum(weights[t] * v[t]) - shift
+    # rank(v) = sum(weights[t] * (v[t] - lo)) = sum(weights[t] * v[t]) - shift
     shift = lo * sum(weights)
+    at = index.__getitem__
 
     # fits[t][x - lo]: rank offsets of the y with lo <= x + y <= hi
     fits = [[[w * (y - lo)
               for y in range(max(lo, lo - x), min(hi, hi - x) + 1)]
              for x in range(lo, hi + 1)] for w in weights]
-    # Triples take their ints from `index`, not fresh ones from the
-    # arithmetic, which keeps the 625-member full_Z(x1 - x2) lists at
-    # 4.8 MB instead of 8.1 MB.
-    index = list(range(len(vectors)))
-    adds = []
+    add_i, add_j, add_k = [], [], []
     for a, va in enumerate(vectors):
         partners = [0]
         for x, fit in zip(va, fits):
             partners = [r + s for r in partners for s in fit[x - lo]]
-        base = a + shift
-        adds.extend([(a, index[b], index[base + b])
-                     for b in partners[bisect_left(partners, a):]])
+        row = partners[bisect_left(partners, a):]
+        add_i.extend(repeat(index[a], len(row)))
+        add_j.extend(map(at, row))
+        add_k.extend(map(at, map(add, row, repeat(a + shift))))
 
     nonzero = [[(t, c) for t, c in enumerate(vec) if c] for vec in vectors]
     # Degree vector of each member; the zero member's is None.
@@ -257,16 +260,17 @@ def family_join(vectors, lo, hi, basis):
     classes = {}
     for a, key in enumerate(degrees):
         classes.setdefault(key, []).append(a)
-    partners_of = {None: index}
+    partners_of = {None: range(len(vectors))}
     for key in classes:
         if key is not None:
             partners_of[key] = sorted(
                 b for other, members in classes.items()
                 if other is None or all(map(le, map(add, key, other), bounds))
                 for b in members)
-    muls = []
+    mul_i, mul_j, mul_k = [], [], []
     for a, terms in enumerate(nonzero):
         partners = partners_of[degrees[a]]
+        found = len(mul_j)
         for b in partners[bisect_left(partners, a):]:
             coeffs = {}
             for t1, c1 in terms:
@@ -281,5 +285,8 @@ def family_join(vectors, lo, hi, basis):
                     break
                 c += weights[t] * coeff
             else:
-                muls.append((a, b, index[c]))
-    return adds, muls
+                mul_j.append(index[b])
+                mul_k.append(index[c])
+        mul_i.extend(repeat(index[a], len(mul_j) - found))
+    return (list(Add.from_columns(add_i, add_j, add_k)),
+            list(Mul.from_columns(mul_i, mul_j, mul_k)))

@@ -456,37 +456,34 @@ def _family_system(desc: FamilyDescriptor, *, pinned: list[Polynomial],
     rank_of = {v: r for r, v in enumerate(vectors)}
     rank_of_member = lambda poly: rank_of[desc.poly_vector(poly, basis)]
 
-    assigned: dict[int, int] = {}
+    index = [0] * card  # rank -> variable index; 0 while unassigned
     for i in range(1, desc.p + 1):
         vec = desc.poly_vector(Polynomial.variable(desc.p, i), basis)
         if vec is None:
             raise UnusedVariable(f"x{i} is not a member of the family")
-        assigned[rank_of[vec]] = i
+        index[rank_of[vec]] = i
     for offset, poly in enumerate(pinned):
         rank = rank_of_member(poly)
-        if rank in assigned:
+        if index[rank]:
             raise ValueError("pinned member collides with a variable")
-        assigned[rank] = desc.p + 1 + offset
+        index[rank] = desc.p + 1 + offset
     next_index = desc.p + 1 + len(pinned)
     for rank in range(card):
-        if rank not in assigned:
-            assigned[rank] = next_index
+        if not index[rank]:
+            index[rank] = next_index
             next_index += 1
 
     one_poly = Polynomial.constant(desc.p, 1)
     equations: list[EnEquation] = [
-        One(assigned[rank]) for rank in range(card)
-        if members[rank] == one_poly]
+        One(index[rank]) for rank in range(card) if members[rank] == one_poly]
     adds, muls = kernels.family_join(
-        vectors, desc.coeff_lo, desc.coeff_hi, basis)
-    equations.extend(
-        Add(assigned[a], assigned[b], assigned[c]) for a, b, c in adds)
-    equations.extend(
-        Mul(assigned[a], assigned[b], assigned[c]) for a, b, c in muls)
+        vectors, desc.coeff_lo, desc.coeff_hi, basis, index)
+    equations += adds
+    equations += muls
 
-    defs = {assigned[rank]: members[rank] for rank in range(card)
-            if assigned[rank] > desc.p}
-    return equations, defs, lambda poly: assigned[rank_of_member(poly)]
+    defs = {index[rank]: members[rank] for rank in range(card)
+            if index[rank] > desc.p}
+    return equations, defs, lambda poly: index[rank_of_member(poly)]
 
 
 def b_polynomial(d: Polynomial) -> Polynomial:

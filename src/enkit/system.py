@@ -42,9 +42,15 @@ class _Commutative:
 
     @classmethod
     def from_columns(cls, i: list[int], j: list[int], k: list[int]):
-        """Iterate cls(i[t], j[t], k[t]) for each t, made in bulk."""
-        if any(map(gt, i, j)):
-            i, j = map(min, i, j), map(max, i, j)
+        """Iterate cls(i[t], j[t], k[t]) for each t, made in bulk.
+
+        Only the rows with i[t] > j[t] are swapped, in copies of i and j.
+        """
+        flips = list(compress(count(), map(gt, i, j)))
+        if flips:
+            i, j = list(i), list(j)
+            for t in flips:
+                i[t], j[t] = j[t], i[t]
         return map(tuple.__new__, repeat(cls), zip(i, j, k))
 
     def __eq__(self, other) -> bool:

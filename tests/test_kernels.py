@@ -13,14 +13,20 @@ from enkit.system import Add, Mul, One
 
 
 def test_family_join_known_family():
-    # Hand-checked tiny family: constants -1, 0, 1.
+    # Hand-checked tiny family: constants -1, 0, 1 at ranks 0, 1, 2.  The
+    # non-monotone index map flips the rows of rank 0 against ranks 1, 2.
     desc = FamilyDescriptor(1, -1, 1, (0,))
     adds, muls = kernels.family_join(
-        list(desc.iter_vectors()), desc.coeff_lo, desc.coeff_hi, desc.basis())
-    # vectors: 0 -> -1, 1 -> 0, 2 -> 1
-    assert adds == [(0, 1, 0), (0, 2, 1), (1, 1, 1), (1, 2, 2)]
-    assert muls == [(0, 0, 2), (0, 1, 1), (0, 2, 0), (1, 1, 1),
-                    (1, 2, 1), (2, 2, 2)]
+        list(desc.iter_vectors()), desc.coeff_lo, desc.coeff_hi,
+        desc.basis(), [3, 1, 2])
+    # rank triples (0, 1, 0), (0, 2, 1), (1, 1, 1), (1, 2, 2)
+    assert adds == [Add(1, 3, 3), Add(2, 3, 1), Add(1, 1, 1), Add(1, 2, 2)]
+    # rank triples (0, 0, 2), (0, 1, 1), (0, 2, 0), (1, 1, 1), (1, 2, 1),
+    # (2, 2, 2)
+    assert muls == [Mul(3, 3, 2), Mul(1, 3, 1), Mul(2, 3, 3), Mul(1, 1, 1),
+                    Mul(1, 2, 1), Mul(2, 2, 2)]
+    assert all(type(eq) is Add for eq in adds)
+    assert all(type(eq) is Mul for eq in muls)
 
 
 def _pairwise_join(vectors, lo, hi, basis):
@@ -97,40 +103,53 @@ def test_family_join_matches_pairwise_reference():
     rng = random.Random(20261018)
     boxes = ("symmetric", "from zero", "positive", "negative", "skewed",
              "zero")
-    totals = {box: [0, 0] for box in boxes}
+    totals = {box: [0, 0, 0] for box in boxes}
     for trial in range(200):
         box = boxes[trial % len(boxes)]
         desc = _random_family(rng, box)
         args = (list(desc.iter_vectors()), desc.coeff_lo, desc.coeff_hi,
                 desc.basis())
-        adds, muls = kernels.family_join(*args)
-        assert (adds, muls) == _pairwise_join(*args), desc
+        index = rng.sample(range(1, len(args[0]) + 1), len(args[0]))
+        adds, muls = kernels.family_join(*args, index)
+        ref_adds, ref_muls = _pairwise_join(*args)
+        assert adds == [Add(index[a], index[b], index[c])
+                        for a, b, c in ref_adds], desc
+        assert muls == [Mul(index[a], index[b], index[c])
+                        for a, b, c in ref_muls], desc
         totals[box][0] += len(adds)
         totals[box][1] += len(muls)
+        totals[box][2] += sum(index[a] > index[b]
+                              for a, b, _ in ref_adds + ref_muls)
     # Every box shape closes under addition somewhere, and every one but
     # the all-negative box under multiplication: a product of negative
-    # coefficients is positive.
-    for box, (adds, muls) in totals.items():
+    # coefficients is positive.  The map flips rows in every shape but the
+    # one-member zero box.
+    for box, (adds, muls, flipped) in totals.items():
         assert adds > 0 and (muls > 0) == (box != "negative"), box
+        assert (flipped > 0) == (box != "zero"), box
 
 
 def test_family_join_refuses_other_layouts():
     desc = FamilyDescriptor(2, -1, 1, (1, 0))
     vectors = list(desc.iter_vectors())
     basis = desc.basis()
-    kernels.family_join(vectors, -1, 1, basis)
+    index = list(range(1, len(vectors) + 1))
+    kernels.family_join(vectors, -1, 1, basis, index)
     swapped = vectors[:]
     swapped[3], swapped[4] = swapped[4], swapped[3]
     for bad in (swapped, vectors[:-1], vectors[::-1], vectors + vectors[:1],
                 [list(v) for v in vectors]):
         with pytest.raises(ValueError):
-            kernels.family_join(bad, -1, 1, basis)
+            kernels.family_join(bad, -1, 1, basis, index)
     with pytest.raises(ValueError):
-        kernels.family_join(vectors, -1, 0, basis)
+        kernels.family_join(vectors, -1, 0, basis, index)
     with pytest.raises(ValueError):
-        kernels.family_join(vectors, -1, 1, basis[::-1])
+        kernels.family_join(vectors, -1, 1, basis[::-1], index)
     with pytest.raises(ValueError):
-        kernels.family_join(vectors, -1, 1, [(0,), (2,)])
+        kernels.family_join(vectors, -1, 1, [(0,), (2,)], index)
+    for bad_index in (index[:-1], index + [len(index) + 1]):
+        with pytest.raises(ValueError):
+            kernels.family_join(vectors, -1, 1, basis, bad_index)
 
 
 def test_grid_roots_coefficients_past_int64():

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import re
 
@@ -9,7 +10,8 @@ from enkit.errors import (CertificateMismatch, FamilyTooLarge, FormatError,
 from enkit.poly import Polynomial
 from enkit.reductions import (FamilyDescriptor, build_compact_n,
                               build_compact_z, build_full_n, build_full_z,
-                              build_halved_z, build_master_z, b_polynomial,
+                              build_halved_z, build_master_z,
+                              build_reduction, b_polynomial,
                               compact_bound, enumerate_t, family_descriptor,
                               master_arity, parse_certificate,
                               serialize_certificate, split_signs,
@@ -109,6 +111,38 @@ def test_full_family_keeps_mul_beside_equal_add(build):
     lines = serialize(system).splitlines()
     for line in expected:
         assert line in lines
+
+
+# sha256 of the .ens and .cert texts as the rank-space builder wrote them.
+# The variables, and over N also the zero node, A and B, take the lowest
+# indices, so the identities that meet them are the rows whose operands
+# `from_columns` swaps.
+FULL_FAMILY_DIGESTS = [
+    ("full_Z", "x1 - x2",
+     "1e88ee5e5f5b587fa7c136a53900dd8473a197a23376a12c0c6a6a05349468d0",
+     "a97d3ed83f97f19bc317549ab80fb8b58a7669b90e97423aa843ff3081a1ba48"),
+    ("halved_Z", "x1^2 - 2",
+     "95fa74ba076a57e106e7ee7a597a44e18823d3e2667067ef47b6ab18ba800fc6",
+     "70598a5b3982d77caa12f4aa50473c71f40cc6736fdfcaff19fd39f107d7d311"),
+    ("full_N", "x1 - x2",
+     "82b1f5e2f7813efbb8bc38a89da28476d537fc6fa5ffaaff4e41e023b0a6c5cc",
+     "38acab7a02a308ec319dbad79c52e14acc87959eecbbc8e2d12e5d42dbe0b297"),
+    ("full_N", "x1*x2 - 1",
+     "71e380dbd63097d2ac8bbf8681b534463242493f411af4aa80de12e505e1040a",
+     "16188d2598aca342641216d67cdeb70877fa75fe3c9a22cf7068377e9e829429"),
+]
+
+
+@pytest.mark.parametrize("mode,text,ens_digest,cert_digest",
+                         FULL_FAMILY_DIGESTS,
+                         ids=[f"{mode}-{text}"
+                              for mode, text, *_ in FULL_FAMILY_DIGESTS])
+def test_full_family_outputs_byte_identical(mode, text, ens_digest,
+                                            cert_digest):
+    system, cert = build_reduction(P(text), mode)
+    sha = lambda text: hashlib.sha256(text.encode()).hexdigest()
+    assert sha(serialize(system)) == ens_digest
+    assert sha(serialize_certificate(cert)) == cert_digest
 
 
 def _assert_identities(system, cert, rng, points, equations):

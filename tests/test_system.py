@@ -33,6 +33,26 @@ def test_constructors_store_commutative_order():
     assert s.equations == (Add(2, 3, 1),)
 
 
+@pytest.mark.parametrize("kind", [Add, Mul])
+@pytest.mark.parametrize("flipped", ["no", "some", "all"])
+def test_from_columns_matches_constructor(kind, flipped):
+    rng = random.Random(f"{kind.__name__} {flipped}")
+    size = 200
+    rows = [sorted(rng.sample(range(1, 50), 2)) + [rng.randint(1, 50)]
+            for _ in range(size)]
+    flip = {"no": [], "all": range(size),
+            "some": rng.sample(range(size), size // 3)}[flipped]
+    for t in flip:
+        rows[t][0], rows[t][1] = rows[t][1], rows[t][0]
+    i, j, k = (list(column) for column in zip(*rows))
+    columns = (i[:], j[:], k[:])
+    made = list(kind.from_columns(i, j, k))
+    expected = [kind(a, b, c) for a, b, c in rows]
+    assert [(type(eq), tuple(eq)) for eq in made] == [
+        (type(eq), tuple(eq)) for eq in expected]
+    assert (i, j, k) == columns
+
+
 def test_kind_is_part_of_identity():
     assert Add(1, 1, 2) != Mul(1, 1, 2)
     assert not Add(1, 1, 2) == Mul(1, 1, 2)

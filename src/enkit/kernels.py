@@ -14,13 +14,18 @@ The benchmark's tracer wraps `grid_roots`, `family_join` and
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import product, repeat
+from itertools import islice, product, repeat
 from math import prod
 from operator import add, le, mul, ne
 
 from .system import Add, Mul, One
 
 BACKEND = "pure"
+
+# Values a batch evaluation holds at once: a chunk of points times the
+# values each point needs (a side's coordinates and value in grid_roots,
+# a system's n + 1 slots in oracle.check_equivalence).
+CHUNK_VALUES = 1 << 16
 
 
 def grid_roots(exps, coeffs, lows, highs):
@@ -36,7 +41,9 @@ def grid_roots(exps, coeffs, lows, highs):
     other; the side with the smaller box is tabulated value -> points and
     the other side is streamed, each of its points looking up the rest of
     the target.  The cost is the sum of the two side boxes, not their
-    product, and the table holds at most the square root of the box.
+    product, and the table holds at most the square root of the box.  Each
+    side's terms are evaluated over its sub-box with `eval_columns`, a
+    chunk of points at a time under the `CHUNK_VALUES` budget.
     """
     if any(lo > hi for lo, hi in zip(lows, highs)):
         return []
@@ -46,17 +53,17 @@ def grid_roots(exps, coeffs, lows, highs):
     largest = max(groups, key=size, default=[])
     rest = [v for group in groups if group is not largest for v in group]
     streamed, tabulated = sorted((largest, rest), key=size, reverse=True)
-    base = [lows[v] for v in tabulated]
     table = {}
-    for offs, value in _box_values(exps, coeffs, tabulated, lows, highs):
-        table.setdefault(value, []).append(tuple(map(add, base, offs)))
+    for batch, values in _side_values(exps, coeffs, tabulated, lows, highs):
+        for point, value in zip(batch, values):
+            table.setdefault(value, []).append(point)
     order = sorted(range(len(lows)), key=(streamed + tabulated).__getitem__)
-    base = [lows[v] for v in streamed]
     roots = []
-    for offs, value in _box_values(exps, coeffs, streamed, lows, highs):
-        for point in table.get(-constant - value, ()):
-            flat = tuple(map(add, base, offs)) + point
-            roots.append(tuple(map(flat.__getitem__, order)))
+    for batch, values in _side_values(exps, coeffs, streamed, lows, highs):
+        for point, value in zip(batch, values):
+            for other in table.get(-constant - value, ()):
+                flat = point + other
+                roots.append(tuple(map(flat.__getitem__, order)))
     roots.sort()
     return roots
 
@@ -87,38 +94,23 @@ def _variable_groups(arity, exps, coeffs):
     return list(groups.values())
 
 
-def _box_values(exps, coeffs, group, lows, highs):
-    """(offsets, value) for every point of the group's sub-box, in lex order.
+def _side_values(exps, coeffs, side, lows, highs):
+    """(points, values) per chunk of the side's sub-box, in lex order.
 
-    Only the terms over the group's variables count; offsets are relative
-    to the group's lower bounds.
+    Only the non-constant terms over the side's variables count.  A chunk
+    holds one point, or as many as keep its points times their
+    coordinates plus value within `CHUNK_VALUES`.
     """
-    arity = len(lows)
-    # (position, column of powers) per (variable, exponent), shared by terms
-    powers = {}
-    terms = []
-    supports = []
+    terms = {}
     for e, c in zip(exps, coeffs):
-        members = [v for v, k in enumerate(e) if k]
-        if not (c and members and members[0] in group):
-            continue
-        factors = []
-        for v in members:
-            key = e[v] * arity + v
-            if key not in powers:
-                powers[key] = (group.index(v), [x**e[v] for x in
-                                               range(lows[v], highs[v] + 1)])
-            factors.append(powers[key])
-        terms.append(c)
-        supports.append(tuple(factors))
-    del powers  # the supports hold every column still needed
-    for offs in product(*(range(highs[v] - lows[v] + 1) for v in group)):
-        total = 0
-        for term, factors in zip(terms, supports):
-            for t, column in factors:
-                term *= column[offs[t]]
-            total += term
-        yield offs, total
+        key = tuple(e[v] for v in side)
+        if any(key):
+            terms[key] = terms.get(key, 0) + c
+    chunk = max(1, CHUNK_VALUES // (len(side) + 1))
+    points = product(*(range(lows[v], highs[v] + 1) for v in side))
+    while batch := list(islice(points, chunk)):
+        columns = list(map(list, zip(*batch)))
+        yield batch, eval_columns([terms], columns)[0]
 
 
 def check_equations(equations, values):

@@ -21,12 +21,10 @@ from typing import Mapping
 from . import kernels
 from .errors import BoxTooLarge, CertificateMismatch, DimensionMismatch
 from .poly import Polynomial
-from .reductions import ReductionCertificate
-from .system import DOMAIN_N, DOMAIN_Z, Add, EnEquation, EnSystem, Mul, One
+from .reductions import ReductionCertificate, validate_certificate
+from .system import DOMAIN_N, DOMAIN_Z, Add, EnEquation, EnSystem, One
 
 DEFAULT_POINT_LIMIT = 10**8
-# Values one chunk of `check_equivalence` may hold: points times (n + 1).
-CHUNK_VALUES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -403,10 +401,10 @@ class Schedule:
     order, marking slots known; an equation the sweep leaves unresolved is
     visited once more, and after that whenever one of its unknown slots
     becomes known, so the derivation takes linear time in any equation
-    order.  Each derivation
-    becomes a step.  `kernels.run_schedule` takes every step once over a
-    batch of base points, a column of values at a time, and `solves` checks
-    the equations no step used; `extend` is the one-point case.
+    order.  Each derivation becomes a step.  `kernels.run_schedule` takes
+    every step once over a batch of base points, a column of values at a
+    time; `solves` then checks the equations no step used over the whole
+    batch, and `solves_at` over one point's row of values.
 
     Every derived value is forced by its equation, so a base point extends
     to a solution exactly when the derived values pass those checks (and,
@@ -523,24 +521,6 @@ class Schedule:
         """
         return (not (self.domain == DOMAIN_N and min(row) < 0)
                 and kernels.check_equations(self.checks, row) == -1)
-
-    def extend(self, point) -> Solved | Conflict:
-        """The unique solution extending a base point, or the conflict:
-        the first violated check, or no equation for a negative value over N.
-        """
-        if len(point) != self.p:
-            raise DimensionMismatch(
-                f"base point of length {len(point)} for p = {self.p}")
-        values = [column[0] for column in kernels.run_schedule(
-            self.template, self.steps, [[v] for v in point])]
-        if self.domain == DOMAIN_N and min(values) < 0:
-            return Conflict(None)
-        bad = kernels.check_equations(self.checks, values)
-        if bad != -1:
-            return Conflict(self.checks[bad])
-        solution = dict(enumerate(values))
-        del solution[0]
-        return Solved(values=solution)
 
 
 # --------------------------------------------------------------------------
@@ -700,31 +680,32 @@ def check_equivalence(d: Polynomial, system: EnSystem,
 
     Every root of D in the box must lift to a verified solution that
     propagation reproduces uniquely; every non-root must be refuted by
-    propagation or by exhaustive search over the stuck residue.  A box with
-    no point in the domain is refused with ValueError, since it would check
-    nothing.
+    propagation or by exhaustive search over the stuck residue.  A
+    certificate that does not fit the system is refused first with
+    `validate_certificate`'s CertificateMismatch, and a box with no point
+    in the domain with ValueError, since it would check nothing.
 
     The check runs in one process and reads the box a chunk of points at a
-    time: a chunk holds at most `CHUNK_VALUES` values over its points and
-    the system's n + 1 slots, so memory grows with neither the box nor the
-    system, and the next chunk is drawn only after every verdict of the one
-    before.  D is evaluated over a chunk's coordinate columns to find its
-    roots.  When the system has a `Schedule`, each of its steps runs once
-    over the whole chunk.  If the chunk holds at least as many points as
-    the schedule has checks, `Schedule.solves` runs each check once over
-    the chunk, and a root whose extension passes is accepted without
-    `lift` and `check_assignment` when the certificate defines exactly
-    x_{p+1}..x_n and those definitions, evaluated over the roots' columns,
-    equal the extension: the lift is then that solution.  Otherwise
-    `Schedule.solves_at` checks each non-root on its own, up to its first
-    violated check.  Every other root is lifted and checked against the
-    whole system, so no root is checked twice.  A scheduled value is
-    forced, so a non-root whose extension fails is refuted, as
-    propagation from it would be.  Without a schedule, one propagator is
-    restarted from each point.  The searches over stuck residues share one
-    deadline, `limits.seconds` after the check starts; a point whose
-    search it cuts short is inconclusive.
+    time: a chunk holds at most `kernels.CHUNK_VALUES` values over its
+    points and the system's n + 1 slots, so memory grows with neither the
+    box nor the system, and the next chunk is drawn only after every
+    verdict of the one before.  D is evaluated over a chunk's coordinate
+    columns to find its roots.  When the system has a `Schedule`, each of
+    its steps runs once over the whole chunk.  If the chunk holds at least
+    as many points as the schedule has checks, `Schedule.solves` runs each
+    check once over the chunk, and a root whose extension passes is
+    accepted without `lift` and `check_assignment` when the certificate's
+    definitions, evaluated over the roots' columns, equal the extension:
+    the lift is then that solution.  Otherwise `Schedule.solves_at` checks
+    each non-root on its own, up to its first violated check.  Every other
+    root is lifted and checked against the whole system, so no root is
+    checked twice.  A scheduled value is forced, so a non-root whose
+    extension fails is refuted, as propagation from it would be.  Without
+    a schedule, one propagator is restarted from each point.  The searches
+    over stuck residues share one deadline, `limits.seconds` after the
+    check starts; a point whose search it cuts short is inconclusive.
     """
+    validate_certificate(cert, system.n)
     if box.dim != d.arity or cert.p != d.arity:
         raise DimensionMismatch("box, polynomial, and certificate disagree")
     count = box.point_count(domain)
@@ -737,7 +718,7 @@ def check_equivalence(d: Polynomial, system: EnSystem,
     schedule = Schedule.derive(system, cert.p, domain)
     if schedule is None:
         prop = _Propagator(system, domain)
-    chunk = max(1, CHUNK_VALUES // (system.n + 1))
+    chunk = max(1, kernels.CHUNK_VALUES // (system.n + 1))
     points = box.iter_points(domain)
     while batch := list(islice(points, chunk)):
         columns = list(map(list, zip(*batch)))
@@ -793,12 +774,7 @@ def _checked_lift(report, system, cert, point, domain) -> dict | None:
         report.system_solutions += 1
         return lifted
     report.lifted_ok = False
-    if result.negatives:
-        problem = "leaves N"
-    elif result.equation is not None:
-        problem = f"violates {result.equation}"
-    else:
-        problem = f"leaves x{result.missing[0]} unassigned"
+    problem = "leaves N" if result.negatives else f"violates {result.equation}"
     report.failures.append(f"lift of {point} {problem}")
     return None
 
@@ -851,14 +827,14 @@ def _propagate_point(report, prop, system, cert, point, root, limits,
 def _lifts_agree(cert, columns, values, picked) -> set[int]:
     """The positions among `picked` whose lift is their scheduled values.
 
-    A lift reads only `defs`, so it is when they define exactly
-    x_{p+1}..x_n and each, evaluated over the coordinate columns, equals
-    the scheduled value of its index.
+    `check_equivalence` has validated the certificate, so its `defs`
+    cover x_{p+1}..x_n in x_1..x_p, and a lift reads only them: it is the
+    scheduled values when each definition, evaluated over the coordinate
+    columns, equals the scheduled value of its index.
     """
-    defs, p, n = cert.defs, cert.p, len(values) - 1
-    if not picked or len(defs) != n - p or not all(
-            p < k <= n and poly.arity == p for k, poly in defs.items()):
+    if not picked:
         return set()
+    defs = cert.defs
     agree = set(picked)
     sub = [list(map(column.__getitem__, picked)) for column in columns]
     evaluated = kernels.eval_columns([poly.terms for poly in defs.values()],

@@ -24,10 +24,7 @@ from .reductions import (DEFAULT_FAMILY_CAP, DEFAULT_PAIR_CAP,
                          ReductionCertificate, build_compact_n,
                          build_compact_z, build_full_n, build_full_z,
                          build_master_z, master_arity, validate_certificate)
-from .system import Add, EnSystem, One
-
-MODE_Z = "Z"
-MODE_N = "N"
+from .system import DOMAIN_N, DOMAIN_Z, Add, EnSystem, One
 
 
 @dataclass
@@ -51,11 +48,11 @@ def build_psi(rep: FnRepresentation, mode: str, family: str = "compact",
     W itself over the non-negative integers.  `family` selects the compact
     chain (default) or the full-family construction where it is feasible.
     """
-    if mode not in (MODE_Z, MODE_N):
+    if mode not in (DOMAIN_Z, DOMAIN_N):
         raise ValueError(f"mode must be 'Z' or 'N', got {mode!r}")
     if family not in ("compact", "full"):
         raise ValueError(f"family must be 'compact' or 'full', got {family!r}")
-    if mode == MODE_Z:
+    if mode == DOMAIN_Z:
         # The certificate names every master variable, and the parser that
         # reads it back stops at eqio.MAX_VARIABLE.
         arity = master_arity(rep.w.arity)
@@ -282,7 +279,7 @@ def parse_layout(text: str) -> tuple[int, int, str, dict[int, str]]:
             n, s = ascii_int(header["n"]), ascii_int(header["s"])
             indices = ascii_ints(tokens[::2]) if tokens else []
             if (n is not None and s is not None and indices is not None
-                    and header["mode"] in (MODE_Z, MODE_N)):
+                    and header["mode"] in (DOMAIN_Z, DOMAIN_N)):
                 labels = dict(zip(indices, tokens[1::2]))
                 if len(labels) == count:  # no index given twice
                     return n, s, header["mode"], labels
@@ -315,7 +312,7 @@ def _read_layout_lines(text: str) -> tuple[int, int, str, dict[int, str]]:
         raise FormatError(f"bad layout line {bad!r}")
     n, s = (ascii_int(header.get(key, "")) for key in ("n", "s"))
     mode = header.get("mode")
-    if n is None or s is None or mode not in (MODE_Z, MODE_N):
+    if n is None or s is None or mode not in (DOMAIN_Z, DOMAIN_N):
         raise FormatError("bad layout header")
     labels: dict[int, str] = {}
     for index, name in zip(indices, names):

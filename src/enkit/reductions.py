@@ -208,8 +208,9 @@ def validate_certificate(cert: ReductionCertificate, n: int):
     """Check that a certificate can describe a system on x_1..x_n.
 
     The certificate must name the same n, have p <= n, define exactly
-    the auxiliary indices p+1..n and anchor on indices in [1, n];
-    otherwise its lift would leave or miss variables of the system.
+    the auxiliary indices p+1..n, each by a polynomial in x_1..x_p, and
+    anchor on indices in [1, n]; otherwise its lift would leave or miss
+    variables of the system, or could not be taken at all.
     """
     if cert.n != n:
         raise CertificateMismatch(
@@ -233,6 +234,11 @@ def validate_certificate(cert: ReductionCertificate, n: int):
             missing += 1
         raise CertificateMismatch(
             f"certificate has no definition for index {missing}")
+    for index, poly in cert.defs.items():
+        if poly.arity != p:
+            raise CertificateMismatch(
+                f"certificate defines index {index} in {poly.arity} "
+                f"variables, not p = {p}")
     for index in cert.anchor_indices():
         if not 1 <= index <= n:
             raise CertificateMismatch(

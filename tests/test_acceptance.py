@@ -9,10 +9,12 @@ import random
 import subprocess
 import sys
 import time
+from itertools import compress
 from pathlib import Path
 
 import enkit
 from enkit.eqio import FnRepresentation, format_rep, parse_polynomial, parse_rep
+from enkit.kernels import run_schedule
 from enkit.oracle import (Box, Schedule, Solved, Stuck, check_equivalence,
                           foursquare_decompose, propagate, verify_pinning)
 from enkit.pipeline import assemble, build_psi, master_witness, threshold
@@ -155,14 +157,17 @@ def test_criterion_04_compact_battery():
 
 
 def _projection(system, base_box, domain):
+    points = list(base_box.iter_points(domain))
     schedule = Schedule.derive(system, base_box.dim, domain)
+    if schedule is not None:
+        # run as check_equivalence runs it: every step over the whole box
+        values = run_schedule(schedule.template, schedule.steps,
+                              list(map(list, zip(*points))))
+        return set(compress(points, schedule.solves(values)))
     members = set()
-    for point in base_box.iter_points(domain):
-        if schedule is not None:
-            outcome = schedule.extend(point)
-        else:
-            outcome = propagate(
-                system, {i + 1: v for i, v in enumerate(point)}, domain)
+    for point in points:
+        outcome = propagate(
+            system, {i + 1: v for i, v in enumerate(point)}, domain)
         assert not isinstance(outcome, Stuck), "projection undecided"
         if isinstance(outcome, Solved):
             members.add(point)

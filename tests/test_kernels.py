@@ -264,6 +264,25 @@ def test_grid_roots_matches_brute_force():
     assert with_roots > 100 * len(shapes)
 
 
+@pytest.mark.parametrize("budget", [1, 10])
+def test_grid_roots_chunks_match_brute_force(monkeypatch, budget):
+    # Budgets this small put chunk boundaries inside both sides of the join.
+    sizes = []
+    eval_columns = kernels.eval_columns
+
+    def evaluating(polys, columns):
+        sizes.append((len(columns), len(columns[0]) if columns else 1))
+        return eval_columns(polys, columns)
+
+    monkeypatch.setattr(kernels, "CHUNK_VALUES", budget)
+    monkeypatch.setattr(kernels, "eval_columns", evaluating)
+    test_grid_roots_matches_brute_force()
+    # Both sides go through eval_columns, and a chunk holds one point, or
+    # points times (coordinates + value) within the budget.
+    assert sizes and all(size == 1 or size * (width + 1) <= budget
+                         for width, size in sizes)
+
+
 def test_check_equations_first_violation():
     equations = [One(1), Add(1, 1, 2), Mul(2, 2, 3)]
     assert kernels.check_equations(equations, {1: 1, 2: 2, 3: 4}) == -1

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from enkit import kernels, oracle
 from enkit.eqio import parse_polynomial
-from enkit.errors import BoxTooLarge, DimensionMismatch
+from enkit.errors import BoxTooLarge, CertificateMismatch, DimensionMismatch
 from enkit.oracle import (Box, Conflict, OracleLimits,
                           SearchOutcome, Schedule, Solved, Stuck, _Propagator,
                           _search, anchor_polynomial, check_equivalence,
@@ -221,9 +221,19 @@ def test_equivalence_catches_certificate_missing_a_definition():
     d = P("x1 - x2")
     system, cert = build_compact_z(d)
     del cert.defs[3]
-    report = check_equivalence(d, system, cert, Box.cube(2, 1), "Z")
-    assert not report.passed and not report.lifted_ok
-    assert report.failures[0] == "lift of (-1, -1) leaves x3 unassigned"
+    with pytest.raises(CertificateMismatch,
+                       match="certificate has no definition for index 3"):
+        check_equivalence(d, system, cert, Box.cube(2, 1), "Z")
+
+
+def test_equivalence_refuses_a_definition_in_other_variables():
+    d = P("x1 - x2")
+    system, cert = build_compact_z(d)
+    cert.defs[3] = Polynomial.constant(3, 0)
+    with pytest.raises(CertificateMismatch,
+                       match="certificate defines index 3 in 3 variables, "
+                             "not p = 2"):
+        check_equivalence(d, system, cert, Box.cube(2, 1), "Z")
 
 
 def test_equivalence_draws_the_box_one_chunk_at_a_time(monkeypatch):
@@ -232,7 +242,7 @@ def test_equivalence_draws_the_box_one_chunk_at_a_time(monkeypatch):
     d = P("x1 - x2")
     system, cert = build_full_z(d)
     box = Box.cube(2, 5)
-    chunk = oracle.CHUNK_VALUES // (system.n + 1)
+    chunk = kernels.CHUNK_VALUES // (system.n + 1)
     assert 1 < chunk < box.point_count()
     drawn, runs = [], []
     iter_points = Box.iter_points
@@ -256,7 +266,7 @@ def test_equivalence_draws_the_box_one_chunk_at_a_time(monkeypatch):
     # before the run of its own chunk, which holds at most the budget.
     assert drawn == [t // chunk for t in range(121)]
     assert runs == [(chunk, chunk), (121, 121 - chunk)]
-    assert all(size * (system.n + 1) <= oracle.CHUNK_VALUES
+    assert all(size * (system.n + 1) <= kernels.CHUNK_VALUES
                for _, size in runs)
 
 
@@ -446,7 +456,7 @@ def test_schedule_matches_propagation_on_compact_battery(monkeypatch):
 @pytest.mark.parametrize("budget", [1, 40])
 def test_chunks_match_propagation_on_compact_battery(monkeypatch, budget):
     # A budget this small puts chunk boundaries inside every box.
-    monkeypatch.setattr(oracle, "CHUNK_VALUES", budget)
+    monkeypatch.setattr(kernels, "CHUNK_VALUES", budget)
     tamper = random.Random(809)
     cases = []
     for source, system, cert, box, domain in _compact_battery(
@@ -475,15 +485,17 @@ def test_chunks_match_propagation_on_compact_battery(monkeypatch, budget):
         assert vars(report) == vars(_propagated(monkeypatch, *args)), args
         failed += not report.lifted_ok
     assert failed > 30
-    # Without a definition every root takes the lift, one point at a time.
+    # A certificate without a definition is refused on both paths before
+    # any point is checked.
     d = P("x1 - x2")
     system, cert = build_compact_z(d)
     del cert.defs[3]
     args = (d, system, cert, Box.cube(2, 1), "Z")
-    report = check_equivalence(*args)
-    assert vars(report) == vars(_propagated(monkeypatch, *args))
-    assert report.failures == [f"lift of {(v, v)} leaves x3 unassigned"
-                               for v in (-1, 0, 1)]
+    for check in (check_equivalence,
+                  lambda *args: _propagated(monkeypatch, *args)):
+        with pytest.raises(CertificateMismatch,
+                           match="certificate has no definition for index 3"):
+            check(*args)
 
 
 @pytest.mark.parametrize("build, box, domain", [
@@ -540,10 +552,9 @@ def test_schedule_negative_value_over_n(monkeypatch):
     system, cert = build_compact_z(d)
     schedule = Schedule.derive(system, 2, "N")
     assert schedule.steps == [(operator.sub, 1, 2, 3)]
-    assert schedule.extend((1, 3)) == Conflict(None)
+    assert _extensions(schedule, [(1, 3)]) == [None]
     assert isinstance(propagate(system, {1: 1, 2: 3}, "N"), Conflict)
-    assert isinstance(Schedule.derive(system, 2, "Z").extend((1, 3)),
-                      Conflict)
+    assert _extensions(Schedule.derive(system, 2, "Z"), [(1, 3)]) == [None]
     args = (d, system, cert, Box.cube_nonneg(2, 3), "N")
     report = check_equivalence(*args)
     assert vars(report) == vars(_propagated(monkeypatch, *args))
@@ -575,6 +586,16 @@ def test_schedule_incomplete_falls_back_to_propagation(monkeypatch):
             report.refuted_by_propagation) == (1, [(1,)], 5, 0)
 
 
+def _extensions(schedule, points):
+    """Per base point, the solution extending it, or None: the schedule
+    run over the points through `kernels.run_schedule` and
+    `Schedule.solves`, as check_equivalence runs it."""
+    values = kernels.run_schedule(schedule.template, schedule.steps,
+                                  list(map(list, zip(*points))))
+    return [dict(enumerate(row[1:], 1)) if ok else None
+            for ok, row in zip(schedule.solves(values), zip(*values))]
+
+
 def _random_soup(rng):
     """A small system of random equations, indices free to coincide."""
     n = rng.randint(2, 6)
@@ -597,12 +618,13 @@ def test_schedule_extension_is_the_propagators_verdict(domain):
         if schedule is None:
             continue
         complete += 1
-        for point in Box.cube(p, 2).iter_points(domain):
-            got = schedule.extend(point)
+        points = list(Box.cube(p, 2).iter_points(domain))
+        for point, got in zip(points, _extensions(schedule, points)):
             want = propagate(system, dict(enumerate(point, 1)), domain)
-            assert type(got) is type(want), (system.equations, point)
-            if isinstance(got, Solved):
-                assert got.values == want.values
+            assert isinstance(want, Conflict if got is None else Solved), (
+                system.equations, point)
+            if got is not None:
+                assert got == want.values
     assert complete > 500
 
 
@@ -736,8 +758,5 @@ def test_schedule_verdicts_do_not_depend_on_the_equation_order(case, p):
     assert (drawn is None) == (again is None)
     if drawn is None:
         return
-    for point in Box.cube(p, 2).iter_points(domain):
-        got, want = drawn.extend(point), again.extend(point)
-        assert type(got) is type(want)
-        if isinstance(got, Solved):
-            assert got.values == want.values
+    points = list(Box.cube(p, 2).iter_points(domain))
+    assert _extensions(drawn, points) == _extensions(again, points)

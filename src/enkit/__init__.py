@@ -2,8 +2,8 @@
 forms x_i = 1, x_i + x_j = x_k, x_i * x_j = x_k, and verify the reductions
 with brute-force and propagation oracles."""
 
-from .eqio import (EquationSource, FnRepresentation, format_polynomial,
-                   parse_equation, parse_polynomial, parse_rep)
+from .eqio import (FnRepresentation, format_polynomial, parse_equation,
+                   parse_polynomial, parse_rep)
 from .errors import (BoxTooLarge, CertificateMismatch, DimensionMismatch,
                      EnkitError, FamilyTooLarge, FormatError, ParseError,
                      UnusedVariable, ZeroPolynomial)

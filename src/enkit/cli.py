@@ -147,8 +147,7 @@ def _note(message: str):
 # subcommands
 
 def _cmd_reduce(args) -> int:
-    source = eqio.parse_equation(args.equation)
-    d = source.normalized
+    d = eqio.parse_equation(args.equation)
     if args.mode == "halved" and args.ring != "z":
         raise ParseError("--mode halved is only defined over the integers")
     mode = f"{args.mode}_{args.ring.upper()}"
@@ -185,7 +184,7 @@ def _cmd_info(args) -> int:
     # to print leaves stdout empty.
     lines = []
     if args.equation:
-        d = eqio.parse_equation(args.equation).normalized
+        d = eqio.parse_equation(args.equation)
         if d.is_zero():
             raise ParseError("equation normalizes to 0 = 0")
         lines.append(_info_line("p", d.arity))
@@ -243,7 +242,7 @@ def _report_out(args, payload: dict):
 
 
 def _cmd_verify_equiv(args) -> int:
-    d = eqio.parse_equation(args.equation).normalized
+    d = eqio.parse_equation(args.equation)
     target = _load_system(args.system, args.cap)
     cert = _load_cert(args.cert)
     domain = args.ring.upper()

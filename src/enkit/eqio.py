@@ -35,15 +35,6 @@ _OPS = frozenset("+-*^()=")
 
 
 @dataclass(frozen=True)
-class EquationSource:
-    """A parsed equation `lhs = rhs` with its normalized form lhs - rhs."""
-
-    lhs: Polynomial
-    rhs: Polynomial
-    normalized: Polynomial
-
-
-@dataclass(frozen=True)
 class FnRepresentation:
     """A polynomial W over r variables encoding x1 = f(x2).
 
@@ -242,8 +233,8 @@ def parse_polynomial(text: str, arity: int | None = None) -> Polynomial:
     return poly
 
 
-def parse_equation(text: str, arity: int | None = None) -> EquationSource:
-    """Parse `P = Q`; the normalized polynomial is P - Q."""
+def parse_equation(text: str, arity: int | None = None) -> Polynomial:
+    """Parse `P = Q` into the polynomial P - Q."""
     parser = _Parser(text, arity)
     lhs = parser.expression()
     kind, value, offset = parser.peek()
@@ -252,7 +243,7 @@ def parse_equation(text: str, arity: int | None = None) -> EquationSource:
     parser.advance()
     rhs = parser.expression()
     parser.finish()
-    return EquationSource(lhs=lhs, rhs=rhs, normalized=lhs - rhs)
+    return lhs - rhs
 
 
 def format_polynomial(poly: Polynomial) -> str:

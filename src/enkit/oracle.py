@@ -563,8 +563,7 @@ class SearchOutcome:
 
 def solve_bounded(system: EnSystem, domain: str = DOMAIN_Z, radius: int = 8,
                   seed: dict[int, int] | None = None,
-                  limits: OracleLimits = DEFAULT_LIMITS,
-                  collect_limit: int | None = None) -> SearchOutcome:
+                  limits: OracleLimits = DEFAULT_LIMITS) -> SearchOutcome:
     """Depth-first search with propagation at every step.
 
     Branches only on variables propagation left undetermined, lowest index
@@ -577,8 +576,7 @@ def solve_bounded(system: EnSystem, domain: str = DOMAIN_Z, radius: int = 8,
     ok, _ = prop.start(dict(seed or {}))
     if not ok:
         return SearchOutcome(solutions=[], exhausted=True, nodes=0)
-    return _search(prop, radius, limits, time.monotonic() + limits.seconds,
-                   collect_limit)
+    return _search(prop, radius, limits, time.monotonic() + limits.seconds)
 
 
 def _search(prop: _Propagator, radius: int, limits: OracleLimits,

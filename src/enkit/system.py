@@ -160,10 +160,6 @@ _HEAD = itemgetter(slice(0, 4))
 # Lines are read this many at a time, so the bulk reader holds the tokens of
 # one chunk, not the four string objects per line of a whole file.
 _CHUNK = 4096
-# The numeral table is built once the bulk runs have held this many index
-# tokens per index: twice the 3-4 at which it was measured to break even.
-# Full-family texts hold 300-480, fn-system and compact texts 2-3.
-_TOKENS_PER_NUMERAL = 8
 
 
 def serialize(system: EnSystem) -> str:
@@ -198,21 +194,21 @@ def _parse_indices(parts: list[str], count: int, line_no: int) -> list[int]:
 class _Reader:
     """What the lines of one .ens text read so far have declared."""
 
-    __slots__ = ("n", "equations", "names", "in_range", "tokens_read",
+    __slots__ = ("line_count", "n", "equations", "names", "in_range",
                  "numerals")
 
-    def __init__(self):
+    def __init__(self, line_count: int):
+        self.line_count = line_count  # lines in the whole text
         self.n: int | None = None
         self.equations: list[EnEquation] = []
         self.names: dict[int, str] = {}
         self.in_range = True  # every equation index read lies in [1, n]
-        self.tokens_read = 0  # index tokens of the bulk runs read so far
-        # str(i) -> i for every index i in [1, n].  Every numeral it holds
-        # is ASCII digits naming an index in range, so one lookup replaces
-        # the digit check, int() and the range check; a token it lacks
-        # sends its run to ascii_ints.  It is built once the bulk runs have
-        # held _TOKENS_PER_NUMERAL index tokens per entry, so its memory is
-        # bounded by the text and its cost by the conversions already done.
+        # str(i) -> i for every index i in [1, n], built at the 'n' header
+        # when the text has at least n/2 lines, so it never holds more than
+        # two entries per line of the text.  Every numeral it holds is ASCII
+        # digits naming an index in range, so one lookup replaces the digit
+        # check, int() and the range check; a run holding a token it lacks
+        # is read line by line.
         self.numerals: dict[str, int] = {}
 
     def read_chunk(self, lines: list[str], line_no: int):
@@ -237,20 +233,17 @@ class _Reader:
 
     def _bulk_equations(self, lines: list[str], kind) -> bool:
         """Read lines that all begin with kind's tag and a space, or return
-        False, having read nothing, unless every line is well formed."""
+        False, having read nothing, unless every line is well formed and
+        the numeral table holds every index."""
         width = len(kind._fields) + 1
         tokens = " ".join(lines).split()
-        if (self.n is None or len(tokens) != width * len(lines)
+        if (len(tokens) != width * len(lines)
                 or tokens[::width].count(_TAGS[kind]) != len(lines)):
             return False
         del tokens[::width]
         values = self._table_ints(tokens)
         if values is None:
-            values = ascii_ints(tokens)
-            if values is None:
-                return False
-            if min(values) < 1 or max(values) > self.n:
-                self.in_range = False
+            return False
         if kind is One:
             self.equations.extend(map(tuple.__new__, repeat(One), zip(values)))
         else:
@@ -261,13 +254,13 @@ class _Reader:
     def _bulk_names(self, lines: list[str]) -> bool:
         """Read lines that all begin "# na" as name lines, or return False,
         having read nothing, unless every one is a well-formed name line
-        naming an index not named before."""
+        naming an index in the numeral table not named before."""
         tokens = " ".join(lines).split()
         if (len(tokens) != 4 * len(lines)
                 or tokens[::4].count("#") != len(lines)
                 or tokens[1::4].count("name") != len(lines)):
             return False
-        indices = self._table_ints(tokens[2::4]) or ascii_ints(tokens[2::4])
+        indices = self._table_ints(tokens[2::4])
         if indices is None:
             return False
         names = dict(zip(indices, tokens[3::4]))
@@ -279,14 +272,7 @@ class _Reader:
 
     def _table_ints(self, tokens: list[str]) -> list[int] | None:
         """The tokens as ints if the numeral table holds every one, else
-        None (the caller then checks them by the rule of ascii_ints)."""
-        self.tokens_read += len(tokens)
-        if not self.numerals:
-            if (self.n is None
-                    or self.n * _TOKENS_PER_NUMERAL > self.tokens_read):
-                return None
-            self.numerals = dict(zip(map(str, range(1, self.n + 1)),
-                                     range(1, self.n + 1)))
+        None."""
         try:
             return list(map(self.numerals.__getitem__, tokens))
         except KeyError:
@@ -313,6 +299,9 @@ class _Reader:
                 if self.n is not None:
                     raise FormatError(f"line {line_no}: duplicate 'n' header")
                 (self.n,) = _parse_indices(parts[1:], 1, line_no)
+                if 2 * self.line_count >= self.n:
+                    indices = range(1, self.n + 1)
+                    self.numerals = dict(zip(map(str, indices), indices))
             elif head in _KINDS:
                 kind, arity = _KINDS[head]
                 values = _parse_indices(parts[1:], arity, line_no)
@@ -326,15 +315,13 @@ class _Reader:
                 raise FormatError(f"line {line_no}: unknown directive {head!r}")
 
 
-def deserialize(text: str | bytes) -> EnSystem:
+def deserialize(text: str) -> EnSystem:
     """Parse .ens text; any format error or index out of range raises
     FormatError (range problems only once the whole text is well formed)."""
-    if isinstance(text, bytes):
-        text = text.decode("ascii")
     lines = text.splitlines()
     if not lines or lines[0] != "ENSYS 1":
         raise FormatError("missing 'ENSYS 1' header")
-    reader = _Reader()
+    reader = _Reader(len(lines))
     with collector_paused():
         for start in range(1, len(lines), _CHUNK):
             reader.read_chunk(lines[start:start + _CHUNK], start + 1)

@@ -125,7 +125,7 @@ def test_info_cards_match_built_systems(workdir, capsys, equation):
     lines = capsys.readouterr().out.splitlines()
     cards = dict(line[len("card "):].split(" = ", 1) for line in lines
                  if line.startswith("card "))
-    d = parse_equation(equation).normalized
+    d = parse_equation(equation)
     for mode in ("full_Z", "halved_Z", "full_N"):
         built, cert = build_reduction(d, mode)
         if mode == "full_N":

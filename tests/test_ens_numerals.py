@@ -1,8 +1,9 @@
 """The .ens reader's numeral table against the reader it replaced.
 
-Once a text's bulk runs hold enough index tokens, `deserialize` converts
-their indices through a table of the numerals of 1..n and sends any run
-holding another token to `ascii_ints`.
+At the `n` header of a text with at least n/2 lines, `deserialize` builds a
+table of the numerals of 1..n.  Its bulk runs convert indices only through
+that table, and a run holding any other token, or read before the header,
+is read line by line.
 `reference_deserialize` below is the reader before the table: every bulk
 run goes through `ascii_ints` and a min/max range check.  The two must give
 the same system and names, or the same FormatError text, on any text.
@@ -21,9 +22,12 @@ from hypothesis import strategies as st
 
 import enkit
 from enkit import system as system_module
-from enkit.eqio import ascii_int, ascii_ints
+from enkit.eqio import ascii_int, ascii_ints, parse_equation, parse_rep
 from enkit.errors import FormatError
-from enkit.system import Add, EnSystem, Mul, One, deserialize, validate
+from enkit.pipeline import build_pipeline
+from enkit.reductions import build_reduction
+from enkit.system import (Add, EnSystem, Mul, One, deserialize, serialize,
+                          validate)
 
 SRC = str(Path(enkit.__file__).resolve().parents[1])
 
@@ -212,19 +216,11 @@ def ens_texts(draw):
     return "ENSYS 1\n" + "".join(line + "\n" for line in body)
 
 
-PER_NUMERAL = system_module._TOKENS_PER_NUMERAL
-
-
 @settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(ens_texts(), st.sampled_from([1, 2, 3, 5, CHUNK]),
-       st.sampled_from([1 / 16, 1, PER_NUMERAL]))
-def test_numeral_table_matches_reference_reader(text, chunk, per_numeral):
-    # 1/16 token per numeral builds the table at the first bulk run for
-    # every n up to 40, and never for n = 10^6 or 10^11.
-    with mock.patch.object(system_module, "_CHUNK", chunk), \
-            mock.patch.object(system_module, "_TOKENS_PER_NUMERAL",
-                              per_numeral):
+@given(ens_texts(), st.sampled_from([1, 2, 3, 5, CHUNK]))
+def test_numeral_table_matches_reference_reader(text, chunk):
+    with mock.patch.object(system_module, "_CHUNK", chunk):
         got = outcome(deserialize, text)
     assert got == outcome(lambda t: reference_deserialize(t, chunk), text)
 
@@ -241,19 +237,95 @@ def test_runs_across_the_chunk_boundary_match_reference():
     assert parsed[0] == 9 and len(parsed[1]) == 8
 
 
-def test_table_built_once_bulk_runs_hold_enough_tokens():
-    # n = 4 needs 4 * PER_NUMERAL index tokens in bulk runs; padding,
-    # comments and line-by-line reads add none.
-    reader = system_module._Reader()
-    reader.read_chunk(["n 4", "", "# pad", "ADD\t1 2 3"], 2)
-    assert reader.tokens_read == 0 and reader.numerals == {}
-    below = (4 * PER_NUMERAL - 1) // 3
-    reader.read_chunk(["ADD 1 2 3"] * below + [""], 6)
-    assert reader.tokens_read == 3 * below < 4 * PER_NUMERAL
-    assert reader.numerals == {}
-    reader.read_chunk(["MUL 1 2 4"], 7 + below)
-    assert reader.numerals == {str(i): i for i in range(1, 5)}
-    assert len(reader.equations) == below + 2
+class _SpyReader(system_module._Reader):
+    """The reader, keeping each instance and the runs read line by line."""
+
+    __slots__ = ()
+    made = []
+
+    def __init__(self, line_count):
+        super().__init__(line_count)
+        self.made.append((self, []))
+
+    def read_lines(self, lines, line_no):
+        self.made[-1][1].append(lines)
+        super().read_lines(lines, line_no)
+
+
+def read_spied(text):
+    """outcome(deserialize, text), the reader's numeral table, and the
+    runs it read line by line."""
+    _SpyReader.made.clear()
+    with mock.patch.object(system_module, "_Reader", _SpyReader):
+        got = outcome(deserialize, text)
+    ((reader, runs),) = _SpyReader.made
+    return got, reader.numerals, runs
+
+
+def table(n):
+    return {str(i): i for i in range(1, n + 1)}
+
+
+def test_table_built_at_header_exactly_when_lines_reach_half_of_n():
+    for line_count, n in [(0, 0), (1, 2), (1, 3), (4, 8), (4, 9), (50, 101)]:
+        reader = system_module._Reader(line_count)
+        reader.read_lines(["", "# pad", f"n {n}"], 2)
+        assert reader.numerals == (table(n) if 2 * line_count >= n else {})
+    # Four lines: the table is built for n = 8, not for n = 9.
+    for n, built in [(8, True), (9, False)]:
+        text = f"ENSYS 1\nn {n}\nADD 1 2 3\nMUL 2 2 4\n"
+        got, numerals, runs = read_spied(text)
+        assert numerals == (table(n) if built else {})
+        assert got == outcome(lambda t: reference_deserialize(t, CHUNK), text)
+        equation_runs = [run for run in runs if run[0][:1] in "AM"]
+        assert equation_runs == ([] if built
+                                 else [["ADD 1 2 3"], ["MUL 2 2 4"]])
+
+
+def test_runs_holding_other_tokens_are_read_line_by_line():
+    lines = ["ADD 1 2 3", "ADD 2 2 4", "MUL 1 1 1",
+             "ADD 01 2 3", "ADD 2 3 4",
+             "MUL 2 2 4", "MUL 4 4 5",
+             "# name 1 a", "# name 2 b", "# name 03 c", "# name 5 d"]
+    text = "ENSYS 1\nn 4\n" + "\n".join(lines) + "\n"
+    got, numerals, runs = read_spied(text)
+    assert numerals == table(4)
+    # The header line, then the three runs holding 01, 03 or n + 1.
+    assert runs == [["n 4"], lines[3:5], lines[5:7], lines[7:]]
+    assert got == outcome(lambda t: reference_deserialize(t, CHUNK), text)
+    assert got == ("error", "index 5 out of range [1, 4] in x4 * x4 = x5; "
+                   "named index 5 out of range [1, 4]")
+
+
+def benchmark_texts():
+    """One .ens text of each kind the benchmark's workloads read: full
+    families, fn-system outputs at the sizes of its bands, compact chains
+    in 1-3 variables; and a compact chain in 5 variables."""
+    for source in ("x1 = x2", "x1^2 = 2"):
+        for mode in ("full_Z", "halved_Z", "full_N"):
+            yield mode, build_reduction(parse_equation(source), mode)[0]
+    for ring, sizes in (("N", (45, 2000, 19000)), ("Z", (300, 2000, 19000))):
+        rep = parse_rep("REP r=2\nx1 - x2*x2\n")
+        for n in sizes:
+            yield f"fn-system {ring}", build_pipeline(rep, ring, n).system
+    for source in ("x1^2 - 3*x1 = 4", "x1^2*x2 + 2*x2^2 = x1 + 3",
+                   "x1*x2^2*x3 - x3^2 = 2*x1*x2 + 4", "x1*x2*x3*x4*x5 = 1"):
+        for mode in ("compact_Z", "compact_N"):
+            yield mode, build_reduction(parse_equation(source), mode)[0]
+
+
+def test_table_built_for_every_benchmark_text_kind():
+    fewer_lines = []
+    for kind, built in benchmark_texts():
+        text = serialize(built)
+        got, numerals, runs = read_spied(text)
+        assert numerals == table(built.n), (kind, built.n)
+        assert runs == [["n %d" % built.n]], (kind, built.n)
+        assert got == outcome(lambda t: reference_deserialize(t, CHUNK), text)
+        if len(text.splitlines()) < built.n:
+            fewer_lines.append((kind, built.n))
+    # The 5-variable chain has fewer lines than variables, yet n/2 or more.
+    assert fewer_lines == [("compact_Z", 11), ("compact_N", 11)]
 
 
 def test_huge_n_builds_no_table():

@@ -143,10 +143,9 @@ def test_variable_gaps_allowed():
 
 
 def test_parse_equation():
-    eq = parse_equation("x1 = x2")
-    assert eq.normalized == Polynomial(2, {(1, 0): 1, (0, 1): -1})
-    eq = parse_equation("x1*x1 = x2")
-    assert eq.normalized == Polynomial(2, {(2, 0): 1, (0, 1): -1})
+    assert parse_equation("x1 = x2") == Polynomial(2, {(1, 0): 1, (0, 1): -1})
+    assert parse_equation("x1*x1 = x2") == Polynomial(
+        2, {(2, 0): 1, (0, 1): -1})
 
 
 def test_parse_equation_missing_equals():

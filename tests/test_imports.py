@@ -1,4 +1,5 @@
-"""Every module of the enkit package uses each name it imports."""
+"""Every module of the enkit package uses each name it imports, and each
+module-level private name it defines is read somewhere in the package."""
 
 import ast
 from pathlib import Path
@@ -48,3 +49,44 @@ def test_unused_imports_are_found():
 def test_module_uses_every_import(module):
     source = (PACKAGE / module).read_text(encoding="utf-8")
     assert _unused_imports(source) == []
+
+
+def _private_names(tree):
+    """Module-level `_name`s the tree defines (dunders are not private)."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            names += [target.id for target in targets
+                      if isinstance(target, ast.Name)]
+    return [name for name in names
+            if name.startswith("_") and not name.endswith("__")]
+
+
+def _read_names(tree):
+    """Every name the tree reads, as a variable or as an attribute."""
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+            or isinstance(node, ast.Attribute)}
+
+
+def test_unread_private_names_are_found():
+    tree = ast.parse("_A = 1\n_B: int = 2\n__all__ = []\n"
+                     "def _f(): return _A\nclass _C: pass\nx = y._C\n")
+    assert _private_names(tree) == ["_A", "_B", "_f", "_C"]
+    assert [name for name in _private_names(tree)
+            if name not in _read_names(tree)] == ["_B", "_f"]
+
+
+def test_every_private_name_is_read():
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    read = set().union(*map(_read_names, trees.values()))
+    unread = [f"{module}:{name}" for module, tree in trees.items()
+              for name in _private_names(tree) if name not in read]
+    assert unread == []

@@ -277,8 +277,8 @@ def test_index_longer_than_int_converts():
 
 def per_line(text):
     """The parse of text with every line read on the line-by-line path."""
-    reader = system_module._Reader()
     lines = text.splitlines()
+    reader = system_module._Reader(len(lines))
     reader.read_lines(lines[1:], 2)
     return reader
 

@@ -120,8 +120,8 @@ def _load_rep(path: str) -> eqio.FnRepresentation:
 
 
 def _load_system(path: str, cap: int) -> system.EnSystem:
-    """Read an .ens file whose n the variable limit `cap` bounds, so that
-    nothing of size n is built for a system over the limit."""
+    """Read an .ens file whose n the variable limit `cap` bounds; reading
+    builds nothing of size n beyond what the text's length bounds."""
     with open(path, encoding="ascii") as handle:
         target = system.deserialize(handle.read())
     if target.n > cap:

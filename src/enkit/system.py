@@ -160,6 +160,9 @@ _HEAD = itemgetter(slice(0, 4))
 # Lines are read this many at a time, so the bulk reader holds the tokens of
 # one chunk, not the four string objects per line of a whole file.
 _CHUNK = 4096
+# The numeral table is built only for a text of at least this many
+# characters per index; the benchmark's texts hold 7.5 or more.
+_CHARS_PER_INDEX = 4
 
 
 def serialize(system: EnSystem) -> str:
@@ -194,21 +197,20 @@ def _parse_indices(parts: list[str], count: int, line_no: int) -> list[int]:
 class _Reader:
     """What the lines of one .ens text read so far have declared."""
 
-    __slots__ = ("line_count", "n", "equations", "names", "in_range",
-                 "numerals")
+    __slots__ = ("size", "n", "equations", "names", "in_range", "numerals")
 
-    def __init__(self, line_count: int):
-        self.line_count = line_count  # lines in the whole text
+    def __init__(self, size: int):
+        self.size = size  # characters in the whole text
         self.n: int | None = None
         self.equations: list[EnEquation] = []
         self.names: dict[int, str] = {}
         self.in_range = True  # every equation index read lies in [1, n]
         # str(i) -> i for every index i in [1, n], built at the 'n' header
-        # when the text has at least n/2 lines, so it never holds more than
-        # two entries per line of the text.  Every numeral it holds is ASCII
-        # digits naming an index in range, so one lookup replaces the digit
-        # check, int() and the range check; a run holding a token it lacks
-        # is read line by line.
+        # when the text holds _CHARS_PER_INDEX characters per index, so its
+        # size is bounded by the text's length, blank lines or not.  Every
+        # numeral it holds is ASCII digits naming an index in range, so one
+        # lookup replaces the digit check, int() and the range check; a run
+        # holding a token it lacks is read line by line.
         self.numerals: dict[str, int] = {}
 
     def read_chunk(self, lines: list[str], line_no: int):
@@ -299,7 +301,7 @@ class _Reader:
                 if self.n is not None:
                     raise FormatError(f"line {line_no}: duplicate 'n' header")
                 (self.n,) = _parse_indices(parts[1:], 1, line_no)
-                if 2 * self.line_count >= self.n:
+                if _CHARS_PER_INDEX * self.n <= self.size:
                     indices = range(1, self.n + 1)
                     self.numerals = dict(zip(map(str, indices), indices))
             elif head in _KINDS:
@@ -321,7 +323,7 @@ def deserialize(text: str) -> EnSystem:
     lines = text.splitlines()
     if not lines or lines[0] != "ENSYS 1":
         raise FormatError("missing 'ENSYS 1' header")
-    reader = _Reader(len(lines))
+    reader = _Reader(len(text))
     with collector_paused():
         for start in range(1, len(lines), _CHUNK):
             reader.read_chunk(lines[start:start + _CHUNK], start + 1)

@@ -775,15 +775,21 @@ def test_declared_size_over_the_cap_exits_3(workdir, capsys):
         result = run_cli_limited(*argv)
         assert (result.returncode, result.stdout, result.stderr) == \
             (3, "", message)
-    # Blank lines declare nothing, so they let the reader build nothing of
-    # the declared size: 10^7 of them and n = 3 * 10^7 still exit by count.
-    padded = 3 * 10**7
-    write(workdir / "padded.ens",
-          f"ENSYS 1\nn {padded}\n" + "\n" * 10**7 + "ONE 1\n")
-    result = run_cli_limited("solve", "--system", "padded.ens", "--ring", "n")
-    assert (result.returncode, result.stdout, result.stderr) == \
-        (3, "", f"error: system variable count {padded} exceeds limit "
-                "1000000\n")
+    # The reader builds nothing of the declared size beyond one numeral per
+    # four characters of text, blank lines or not: 10^7 of them buy no
+    # table for n = 2 * 10^7 or 3 * 10^7, and for the largest n they buy
+    # one for, the table fits under the limit.  Each exits by count.
+    largest = 2_500_006
+    for padded in (3 * 10**7, 2 * 10**7, largest):
+        text = f"ENSYS 1\nn {padded}\n" + "\n" * 10**7 + "ONE 1\n"
+        assert (4 * padded <= len(text)) == (padded == largest)
+        assert len(text) < 4 * (largest + 1)
+        write(workdir / "padded.ens", text)
+        result = run_cli_limited("solve", "--system", "padded.ens",
+                                 "--ring", "n")
+        assert (result.returncode, result.stdout, result.stderr) == \
+            (3, "", f"error: system variable count {padded} exceeds limit "
+                    "1000000\n")
     assert main(["solve", "--system", "huge.ens", "--ring", "n"]) == 3
     assert capsys.readouterr().err == message
     # the same limit as the constructions: flag or environment variable

@@ -1,7 +1,7 @@
 """The .ens reader's numeral table against the reader it replaced.
 
-At the `n` header of a text with at least n/2 lines, `deserialize` builds a
-table of the numerals of 1..n.  Its bulk runs convert indices only through
+At the `n` header of a text of at least four characters per index,
+`deserialize` builds a table of the numerals of 1..n.  Its bulk runs convert indices only through
 that table, and a run holding any other token, or read before the header,
 is read line by line.
 `reference_deserialize` below is the reader before the table: every bulk
@@ -243,8 +243,8 @@ class _SpyReader(system_module._Reader):
     __slots__ = ()
     made = []
 
-    def __init__(self, line_count):
-        super().__init__(line_count)
+    def __init__(self, size):
+        super().__init__(size)
         self.made.append((self, []))
 
     def read_lines(self, lines, line_no):
@@ -266,12 +266,17 @@ def table(n):
     return {str(i): i for i in range(1, n + 1)}
 
 
-def test_table_built_at_header_exactly_when_lines_reach_half_of_n():
-    for line_count, n in [(0, 0), (1, 2), (1, 3), (4, 8), (4, 9), (50, 101)]:
-        reader = system_module._Reader(line_count)
+def test_table_built_at_header_exactly_when_text_holds_four_chars_per_index():
+    for size, n in [(0, 0), (8, 2), (11, 3), (12, 3), (400, 100), (403, 101)]:
+        reader = system_module._Reader(size)
         reader.read_lines(["", "# pad", f"n {n}"], 2)
-        assert reader.numerals == (table(n) if 2 * line_count >= n else {})
-    # Four lines: the table is built for n = 8, not for n = 9.
+        assert reader.numerals == (table(n) if 4 * n <= size else {})
+    # Blank lines count as the characters they are, no more.
+    for blanks, built in [(28, False), (29, True)]:
+        text = "ENSYS 1\nn 12\n" + "\n" * blanks + "ONE 1\n"
+        assert len(text) == 19 + blanks
+        assert read_spied(text)[1] == (table(12) if built else {})
+    # 32 characters: the table is built for n = 8, not for n = 9.
     for n, built in [(8, True), (9, False)]:
         text = f"ENSYS 1\nn {n}\nADD 1 2 3\nMUL 2 2 4\n"
         got, numerals, runs = read_spied(text)
@@ -324,7 +329,8 @@ def test_table_built_for_every_benchmark_text_kind():
         assert got == outcome(lambda t: reference_deserialize(t, CHUNK), text)
         if len(text.splitlines()) < built.n:
             fewer_lines.append((kind, built.n))
-    # The 5-variable chain has fewer lines than variables, yet n/2 or more.
+    # The 5-variable chain has fewer lines than variables, yet 7.5
+    # characters per index.
     assert fewer_lines == [("compact_Z", 11), ("compact_N", 11)]
 
 

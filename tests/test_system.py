@@ -278,7 +278,7 @@ def test_index_longer_than_int_converts():
 def per_line(text):
     """The parse of text with every line read on the line-by-line path."""
     lines = text.splitlines()
-    reader = system_module._Reader(len(lines))
+    reader = system_module._Reader(len(text))
     reader.read_lines(lines[1:], 2)
     return reader
 

@@ -186,24 +186,34 @@ class _Propagator:
     factor with a nonzero known product conflicts, and over N any negative
     value conflicts.
 
-    Each derived value is forced by the values it came from, so the fixed
-    point, and whether a conflict is reached at all, does not depend on the
-    order in which the rules fire; only the equation a conflict names does.
-    `start` must come before `push`.
+    The values live in `row`, the row `Schedule.derive` fills: n + 1
+    entries, None where unknown, with 0 at the unused index 0.  Each
+    derived value is forced by the values it came from, so the fixed
+    point, and whether a conflict is reached at all, does not depend on
+    the order in which the rules fire; only the equation a conflict names
+    does.  `start` or `resume` must come before `push`.
     """
 
-    __slots__ = ("equations", "by_var", "values", "domain", "n",
+    __slots__ = ("system", "equations", "by_var", "row", "domain", "n",
                  "conflict_equation")
 
     def __init__(self, system: EnSystem, domain: str):
+        self.system = system
         self.equations = system.equations
         self.n = system.n
         self.domain = domain
-        self.values: dict[int, int] = {}
+        self.row: list = [0] + [None] * system.n
         self.conflict_equation: EnEquation | None = None
 
+    @property
+    def values(self) -> dict[int, int]:
+        """The known values by index, as a new dict."""
+        row = self.row
+        return {i: row[i] for i in range(1, self.n + 1) if row[i] is not None}
+
     def _set(self, index, value, eq, queue, trail) -> bool:
-        existing = self.values.get(index)
+        row = self.row
+        existing = row[index]
         if existing is not None:
             if existing != value:
                 self.conflict_equation = eq
@@ -212,7 +222,7 @@ class _Propagator:
         if self.domain == DOMAIN_N and value < 0:
             self.conflict_equation = eq
             return False
-        self.values[index] = value
+        row[index] = value
         trail.append(index)
         queue.extend(self.by_var.get(index, ()))
         return True
@@ -228,8 +238,8 @@ class _Propagator:
         i, j, k = eq
         if add and i == j == k:
             return self._set(i, 0, eq, queue, trail)
-        values = self.values
-        vi, vj, vk = values.get(i), values.get(j), values.get(k)
+        row = self.row
+        vi, vj, vk = row[i], row[j], row[k]
         if vi is not None and vj is not None:
             result = vi + vj if add else vi * vj
             if vk is None:
@@ -264,89 +274,53 @@ class _Propagator:
                 return False
         return True
 
-    def start(self, seed: dict[int, int]) -> tuple[bool, list[int]]:
+    def start(self, seed: dict[int, int]) -> tuple[bool, range]:
         """Seed values and propagate to the fixed point; returns (ok, trail).
 
-        One sweep in equation order applies the value-independent rules
-        (the two constants, an Add with two slots known, a Mul with both
-        factors known) and checks every equation whose slots are all known.
-        The equations it leaves with an unknown slot are open: only they
-        enter the queue, which applies every rule, and only they are
-        watched by later pushes, since a closed equation holds no unknown
-        variable.  Undoing the trail restores the state before the call, so
-        one propagator can be started again and again from different seeds.
+        `Schedule.derive` fills in the row from the seed, and `resume`
+        takes it from there.  A start begins with nothing known, so its
+        trail is every index: undoing it restores that state, and one
+        propagator can be started again and again from different seeds.
         """
-        self.conflict_equation = None
-        by_var = self.by_var = defaultdict(list)
-        trail: list[int] = []
+        row = self.row
         for index, value in seed.items():
             if not 1 <= index <= self.n:
                 raise ValueError(f"seed index {index} out of range")
-            if not self._set(index, value, None, [], trail):
-                return False, trail
-        queue = self._sweep(trail)
-        if queue is None:
-            return False, trail
-        values, equations = self.values, self.equations
-        for t in queue:
-            for index in equations[t]:
-                if index not in values:
-                    by_var[index].append(t)
-        return self._run(queue, trail), trail
+            row[index] = value
+        # Over N a negative seed conflicts, naming no equation.
+        self.conflict_equation = None
+        ok = ((self.domain != DOMAIN_N or min(seed.values(), default=0) >= 0)
+              and self.resume(row, Schedule.derive(self.system, row,
+                                                   self.domain)))
+        return ok, range(1, self.n + 1)
 
-    def _sweep(self, trail) -> list[int] | None:
-        """The sweep of `start`: the open equations' positions, or None
-        after a conflict."""
-        values = self.values
-        get = values.get
-        nat = self.domain == DOMAIN_N
-        opened: list[int] = []
-        for t, eq in enumerate(self.equations):
-            kind = type(eq)
-            if kind is One:
-                i = eq[0]
-                vi = get(i)
-                if vi is None:
-                    values[i] = 1
-                    trail.append(i)
-                elif vi != 1:
-                    break
-                continue
-            i, j, k = eq
-            vi, vj, vk = get(i), get(j), get(k)
-            if vi is not None and vj is not None:
-                # Over N both are non-negative, so is the result.
-                result = vi + vj if kind is Add else vi * vj
-                if vk is None:
-                    values[k] = result
-                    trail.append(k)
-                elif vk != result:
-                    break
-                continue
-            if kind is Add:
-                if vk is not None:
-                    # The unknown slot differs from the two known ones.
-                    if vi is not None:
-                        other, value = j, vk - vi
-                    elif vj is not None:
-                        other, value = i, vk - vj
-                    else:
-                        opened.append(t)
-                        continue
-                    if nat and value < 0:
-                        break
-                    values[other] = value
-                    trail.append(other)
-                    continue
-                if i == j == k:
-                    values[i] = 0
-                    trail.append(i)
-                    continue
-            opened.append(t)
-        else:
-            return opened
-        self.conflict_equation = eq
-        return None
+    def resume(self, row: list, schedule: "Schedule") -> bool:
+        """Propagate to the fixed point from a row `schedule` derived from
+        non-negative values over N; returns whether no conflict was reached.
+
+        A negative step over N conflicts, then the checks are evaluated.
+        Only the open equations enter the queue, which applies every rule,
+        and only they are watched by later pushes, since no other equation
+        holds an unknown variable.
+        """
+        self.row = row
+        self.conflict_equation = None
+        if self.domain == DOMAIN_N:
+            for op, a, b, k in schedule.steps:
+                if row[k] < 0:  # a subtraction, the first to go negative
+                    self.conflict_equation = Add(b, k, a)
+                    return False
+        bad = kernels.check_equations(schedule.checks, row)
+        if bad != -1:
+            self.conflict_equation = schedule.checks[bad]
+            return False
+        by_var = self.by_var = defaultdict(list)
+        equations = self.equations
+        for t in schedule.open:
+            for index in equations[t]:
+                if row[index] is None:
+                    by_var[index].append(t)
+        return self._run(list(schedule.open), [])
 
     def push(self, index: int, value: int) -> tuple[bool, list[int]]:
         """Assign one variable and propagate; returns (ok, trail)."""
@@ -357,14 +331,17 @@ class _Propagator:
         return self._run(queue, trail), trail
 
     def undo(self, trail: list[int]):
+        row = self.row
         for index in trail:
-            del self.values[index]
+            row[index] = None
 
     def undetermined(self) -> tuple[int, ...]:
-        return tuple(i for i in range(1, self.n + 1) if i not in self.values)
+        row = self.row
+        return tuple(i for i in range(1, self.n + 1) if row[i] is None)
 
     def outcome(self, ok: bool) -> PropagationResult:
-        """The result of the last `start` or `push`, given what it returned.
+        """The result of the last `start`, `resume` or `push`, given what
+        it returned.
 
         Values are copied, so the result survives `undo`.
         """
@@ -372,8 +349,8 @@ class _Propagator:
             return Conflict(self.conflict_equation)
         undetermined = self.undetermined()
         if undetermined:
-            return Stuck(values=dict(self.values), undetermined=undetermined)
-        return Solved(values=dict(self.values))
+            return Stuck(values=self.values, undetermined=undetermined)
+        return Solved(values=self.values)
 
 
 def propagate(system: EnSystem, seed: dict[int, int] | None = None,
@@ -389,7 +366,7 @@ def propagate(system: EnSystem, seed: dict[int, int] | None = None,
 
 @dataclass(frozen=True, eq=False)
 class Schedule:
-    """Every variable of a system derived from x_1..x_p in a fixed order.
+    """What the value-independent rules derive from the known variables.
 
     Which slot an equation determines from which others does not depend on
     the values as long as only these of the propagator's rules are used:
@@ -397,52 +374,50 @@ class Schedule:
       x_i + x_i = x_i    assigns 0
       Add, two known     determines the third slot
       Mul, factors known determines the product
-    `derive` assigns the constants, then sweeps the equations once in
-    order, marking slots known; an equation the sweep leaves unresolved is
-    visited once more, and after that whenever one of its unknown slots
-    becomes known, so the derivation takes linear time in any equation
-    order.  Each derivation becomes a step.  `kernels.run_schedule` takes
-    every step once over a batch of base points, a column of values at a
-    time; `solves` then checks the equations no step used over the whole
-    batch, and `solves_at` over one point's row of values.
+    `derive`, the only code that applies them, sweeps the equations once in
+    order; an equation the sweep leaves unresolved is visited once more,
+    and after that whenever one of its unknown slots becomes known, so the
+    derivation takes linear time in any equation order.  Each derivation
+    other than a constant becomes a step.  An equation that derived
+    nothing is a check if its slots all end up known, and open otherwise.
 
-    Every derived value is forced by its equation, so a base point extends
-    to a solution exactly when the derived values pass those checks (and,
-    over N, are non-negative), and then the extension is unique.  That is
-    the propagator's verdict from the same seed: its rules include these,
-    so from a point it ends in a conflict or solved, never stuck.
+    From x_1..x_p, `kernels.run_schedule` takes every step once over a
+    batch of base points, a column of values at a time; `solves` then
+    checks a complete schedule over the whole batch, and `solves_at` over
+    one point's row of values.  Every derived value is forced by its
+    equation, so a base point extends to a solution exactly when the
+    derived values pass the checks (and, over N, are non-negative), and
+    then uniquely: the propagator's verdict from the same seed, whose
+    queue finishes what an incomplete schedule began.
     """
 
-    p: int
     domain: str
-    template: list[int]          # constants by index, 0 elsewhere
+    template: list               # starting values by index, for run_schedule
     steps: list[tuple]           # (op, a, b, k): x_k = op(x_a, x_b)
-    checks: list[EnEquation]     # the equations no step used
+    checks: list[EnEquation]     # the equations whose slots were all known
+    open: list[int]              # positions of the equations left open
 
     @classmethod
-    def derive(cls, system: EnSystem, p: int,
-               domain: str = DOMAIN_Z) -> "Schedule | None":
-        """The schedule from x_1..x_p, or None if a variable stays unknown.
+    def derive(cls, system: EnSystem, known,
+               domain: str = DOMAIN_Z) -> "Schedule":
+        """The schedule from p, for x_1..x_p, or from a row of n + 1 values,
+        None where unknown and 0 at the unused index 0, which it fills in.
 
-        Derivation stops as soon as all n variables are known.
+        From p the base variables hold 0 while the steps are recorded; the
+        template then keeps only the constants, with 0 at the base and step
+        slots and None at the unknown ones.  From a row the template is the
+        row, and only subtractions are kept as steps: from non-negative
+        values, only they can leave N.  Derivation stops as soon as all n
+        variables are known.
         """
         n = system.n
-        if not 0 <= p <= n:
-            raise ValueError(f"base variable count {p} outside [0, {n}]")
+        base = type(known) is int
+        if base and not 0 <= known <= n:
+            raise ValueError(f"base variable count {known} outside [0, {n}]")
+        row = [0] * (known + 1) + [None] * (n - known) if base else known
         equations = system.equations
-        known = [False] + [True] * p + [False] * (n - p)
-        template = [0] * (n + 1)
         unused = bytearray(b"\x01") * len(equations)
-        count = p
-        # Constants first: x_i = 1 and x_i + x_i = x_i need no known slot.
-        for t, eq in enumerate(equations):
-            i = eq[0]
-            if (eq[-1] == i and not known[i]
-                    and (type(eq) is One or type(eq) is Add and eq[1] == i)):
-                known[i] = True
-                template[i] = 1 if type(eq) is One else 0
-                unused[t] = 0
-                count += 1
+        count = n - row.count(None)
         steps: list[tuple] = []
         # The first pass sweeps every equation once.  The second visits the
         # ones it left unresolved; one still unresolved then waits on its
@@ -455,30 +430,45 @@ class Schedule:
             for t in pending:
                 eq = equations[t]
                 if type(eq) is One:
-                    continue
-                i, j, k = eq
-                if known[i] and known[j]:
-                    if known[k]:
+                    slot = eq[0]
+                    if row[slot] is not None:
                         continue  # left to the checks
-                    slot = k
-                    steps.append((add if type(eq) is Add else mul, i, j, k))
-                elif type(eq) is Add and known[k] and (known[i] or known[j]):
-                    if known[i]:
-                        slot = j
-                        steps.append((sub, k, i, j))
-                    else:
-                        slot = i
-                        steps.append((sub, k, j, i))
+                    row[slot] = 1
                 else:
-                    if watch is None:
-                        unresolved.append(t)
-                    elif not waiting[t]:
-                        waiting[t] = 1
-                        for index in {i, j, k}:
-                            if not known[index]:
-                                watch.setdefault(index, []).append(t)
-                    continue
-                known[slot] = True
+                    i, j, k = eq
+                    if row[i] is not None and row[j] is not None:
+                        if row[k] is not None:
+                            continue  # left to the checks
+                        slot = k
+                        if type(eq) is Add:
+                            row[k] = row[i] + row[j]
+                        else:
+                            row[k] = row[i] * row[j]
+                        if base:
+                            steps.append((add if type(eq) is Add else mul,
+                                          i, j, k))
+                    elif (type(eq) is Add and row[k] is not None
+                          and (row[i] is not None or row[j] is not None)):
+                        if row[i] is not None:
+                            slot = j
+                            row[j] = row[k] - row[i]
+                            steps.append((sub, k, i, j))
+                        else:
+                            slot = i
+                            row[i] = row[k] - row[j]
+                            steps.append((sub, k, j, i))
+                    elif type(eq) is Add and i == j == k:
+                        slot = i
+                        row[i] = 0
+                    else:
+                        if watch is None:
+                            unresolved.append(t)
+                        elif not waiting[t]:
+                            waiting[t] = 1
+                            for index in {i, j, k}:
+                                if row[index] is None:
+                                    watch.setdefault(index, []).append(t)
+                        continue
                 unused[t] = 0
                 count += 1
                 if count == n:
@@ -488,10 +478,23 @@ class Schedule:
             if watch is not None:
                 break
             watch, pending = {}, unresolved
-        if count < n:
-            return None
-        checks = list(compress(equations, unused))
-        return cls(p, domain, template, steps, checks)
+        # Each equation left with an unknown slot was unresolved on the
+        # first pass, and only then can count stay below n.
+        opened = [t for t in dict.fromkeys(unresolved)
+                  if None in map(row.__getitem__, equations[t])
+                  ] if count < n else []
+        for t in opened:
+            unused[t] = 0
+        if base:
+            for step in steps:
+                row[step[3]] = 0
+        return cls(domain, row, steps, list(compress(equations, unused)),
+                   opened)
+
+    @property
+    def complete(self) -> bool:
+        """Whether the schedule derives every variable."""
+        return None not in self.template
 
     def solves(self, values) -> list[bool]:
         """Per point of a batch run through `kernels.run_schedule`, whether
@@ -591,7 +594,7 @@ def _search(prop: _Propagator, radius: int, limits: OracleLimits,
     values it held on entry.
     """
     lo = 0 if prop.domain == DOMAIN_N else -radius
-    values = prop.values
+    row = prop.row
     solutions: list[dict[int, int]] = []
     nodes = 0
     truncated = False
@@ -606,10 +609,10 @@ def _search(prop: _Propagator, radius: int, limits: OracleLimits,
                       or time.monotonic() > deadline):
             truncated = True
             break
-        while index <= prop.n and index in values:
+        while index <= prop.n and row[index] is not None:
             index += 1
         if index > prop.n:
-            solutions.append(dict(values))
+            solutions.append(prop.values)
             if collect_limit is not None and len(solutions) >= collect_limit:
                 break
         else:
@@ -688,20 +691,21 @@ def check_equivalence(d: Polynomial, system: EnSystem,
     points and the system's n + 1 slots, so memory grows with neither the
     box nor the system, and the next chunk is drawn only after every
     verdict of the one before.  D is evaluated over a chunk's coordinate
-    columns to find its roots.  When the system has a `Schedule`, each of
-    its steps runs once over the whole chunk.  If the chunk holds at least
-    as many points as the schedule has checks, `Schedule.solves` runs each
-    check once over the chunk, and a root whose extension passes is
-    accepted without `lift` and `check_assignment` when the certificate's
-    definitions, evaluated over the roots' columns, equal the extension:
-    the lift is then that solution.  Otherwise `Schedule.solves_at` checks
-    each non-root on its own, up to its first violated check.  Every other
-    root is lifted and checked against the whole system, so no root is
-    checked twice.  A scheduled value is forced, so a non-root whose
-    extension fails is refuted, as propagation from it would be.  Without
-    a schedule, one propagator is restarted from each point.  The searches
-    over stuck residues share one deadline, `limits.seconds` after the
-    check starts; a point whose search it cuts short is inconclusive.
+    columns to find its roots.  One `Schedule` is derived per check, from
+    x_1..x_p, and each of its steps runs once over the whole chunk.  If the
+    schedule is complete, its checks run once over the chunk through
+    `Schedule.solves` when the chunk holds at least as many points as there
+    are checks, and otherwise point by point through `Schedule.solves_at`.
+    A root whose extension passes is accepted without `lift` and
+    `check_assignment` when the certificate's definitions, evaluated over
+    the roots' columns, equal the extension: the lift is then that
+    solution.  Every other root is lifted and checked against the whole
+    system.  A scheduled value is forced, so a non-root whose extension
+    fails is refuted, as propagation from it would be.  If the schedule
+    leaves a variable unknown, each point's row of scheduled values goes
+    to one propagator's queue instead.  The searches over stuck residues
+    share one deadline, `limits.seconds` after the check starts; a point
+    whose search it cuts short is inconclusive.
     """
     validate_certificate(cert, system.n)
     if box.dim != d.arity or cert.p != d.arity:
@@ -714,8 +718,7 @@ def check_equivalence(d: Polynomial, system: EnSystem,
     deadline = time.monotonic() + limits.seconds
     report = EquivalenceReport(domain=domain)
     schedule = Schedule.derive(system, cert.p, domain)
-    if schedule is None:
-        prop = _Propagator(system, domain)
+    prop = None if schedule.complete else _Propagator(system, domain)
     chunk = max(1, kernels.CHUNK_VALUES // (system.n + 1))
     points = box.iter_points(domain)
     while batch := list(islice(points, chunk)):
@@ -723,25 +726,19 @@ def check_equivalence(d: Polynomial, system: EnSystem,
         roots = [not value for value in
                  kernels.eval_columns([d.terms], columns)[0]]
         report.base_points += len(batch)
-        if schedule is None:
-            for point, root in zip(batch, roots):
-                _propagate_point(report, prop, system, cert, point, root,
-                                 limits, deadline)
-            continue
         values = kernels.run_schedule(schedule.template, schedule.steps,
                                       columns)
+        if prop is not None:
+            for point, root, row in zip(batch, roots, zip(*values)):
+                _propagate_point(report, prop, schedule, list(row), cert,
+                                 point, root, limits, deadline)
+            continue
         if len(batch) >= len(schedule.checks):
             solved = schedule.solves(values)
-            passing = list(compress(range(len(batch)),
-                                    map(and_, roots, solved)))
-            accepted = _lifts_agree(cert, columns, values, passing)
-        else:
-            # Few points against many checks: a non-root is checked on its
-            # own up to its first violated check, and a root only through
-            # its lift, so no root is checked twice.
-            solved = [not root and schedule.solves_at(row)
-                      for root, row in zip(roots, zip(*values))]
-            accepted = set()
+        else:  # few points against many checks: each up to its first failure
+            solved = list(map(schedule.solves_at, zip(*values)))
+        passing = list(compress(range(len(batch)), map(and_, roots, solved)))
+        accepted = _lifts_agree(cert, columns, values, passing)
         # A non-root whose extension fails is refuted; only the roots and
         # the spurious points need a look of their own, in box order.
         either = list(map(or_, roots, solved))
@@ -777,17 +774,16 @@ def _checked_lift(report, system, cert, point, domain) -> dict | None:
     return None
 
 
-def _propagate_point(report, prop, system, cert, point, root, limits,
+def _propagate_point(report, prop, schedule, row, cert, point, root, limits,
                      deadline):
-    """The verdict on one box point by propagation and, when it gets
-    stuck on a non-root, search; the propagator is left as it was."""
+    """The verdict on one box point by propagation from its row of
+    scheduled values and, when it gets stuck on a non-root, search."""
     if root:
         report.base_roots.append(point)
-        lifted = _checked_lift(report, system, cert, point, prop.domain)
+        lifted = _checked_lift(report, prop.system, cert, point, prop.domain)
         if lifted is None:
             return
-    ok, trail = prop.start({i + 1: v for i, v in enumerate(point)})
-    outcome = prop.outcome(ok)
+    outcome = prop.outcome(prop.resume(row, schedule))
     if root:
         if isinstance(outcome, Conflict):
             report.unique_extension = False
@@ -819,7 +815,6 @@ def _propagate_point(report, prop, system, cert, point, root, limits,
             report.refuted_by_search += 1
         else:
             report.inconclusive.append(point)
-    prop.undo(trail)
 
 
 def _lifts_agree(cert, columns, values, picked) -> set[int]:
@@ -904,13 +899,12 @@ def verify_pinning(system: EnSystem, expected: int, *, domain: str,
     bounded solutions are then enumerated by one rule.  When a certificate
     exists and propagation left some of its base variables free, those are
     enumerated within box_radius through the certificate, which maps the
-    search to root enumeration of the anchored polynomial.  Every other
-    state, with or without a certificate, is searched from where
-    propagation left it (a complete propagation is that search's only
-    solution); a truncated search leaves `search_exhausted` false and the
-    check fails.  The witness, like every solution found through the
-    certificate, is the propagated values overlaid with the certificate's
-    lift of its base point.
+    search to root enumeration of the anchored polynomial.  Otherwise a
+    complete propagation is the only solution, and every other state is
+    searched from where propagation left it; a truncated search leaves
+    `search_exhausted` false and the check fails.  The witness, like every
+    solution found through the certificate, is the propagated values
+    overlaid with the certificate's lift of its base point.
     """
     if box_radius < 0:
         raise ValueError(f"radius must be non-negative, got {box_radius}")
@@ -932,8 +926,10 @@ def verify_pinning(system: EnSystem, expected: int, *, domain: str,
     report.propagation_complete = len(values) == n
     if certificate is not None and any(
             i not in values for i in range(1, certificate.p + 1)):
-        solutions = _pinned_solutions_via_cert(system, certificate, prop,
-                                               box_radius, limits)
+        solutions = _pinned_solutions_via_cert(system, certificate, domain,
+                                               values, box_radius, limits)
+    elif report.propagation_complete:
+        solutions = [values]  # all a search would find
     else:
         found = _search(prop, box_radius, limits,
                         time.monotonic() + limits.seconds)
@@ -951,9 +947,10 @@ def verify_pinning(system: EnSystem, expected: int, *, domain: str,
     return report
 
 
-def _pinned_solutions_via_cert(system, cert, prop, box_radius, limits):
+def _pinned_solutions_via_cert(system, cert, domain, forced, box_radius,
+                               limits):
     """Enumerate bounded solutions through the certificate, some of whose
-    base variables propagation left undetermined.
+    base variables propagation, which forced `forced`, left undetermined.
 
     Chain equations hold under any lift by construction, so a bounded
     assignment solves the system exactly when the anchored polynomial
@@ -962,7 +959,6 @@ def _pinned_solutions_via_cert(system, cert, prop, box_radius, limits):
     forced base variable gets the one-point interval of its value, every
     other one [-box_radius, box_radius].
     """
-    domain, forced = prop.domain, prop.values
     fixed = {i: forced[i] for i in range(1, cert.p + 1) if i in forced}
     residual = anchor_polynomial(cert).substituted(fixed)
     box = Box(tuple((fixed[i], fixed[i]) if i in fixed

@@ -641,7 +641,10 @@ def test_witness_length_is_checked_before_any_search(workdir, capsys,
     def refuse(*args, **kwargs):
         raise AssertionError("verify-pin propagated or searched")
 
+    # Every entry into propagation: a start, a resumed row, a derivation.
     monkeypatch.setattr(oracle._Propagator, "start", refuse)
+    monkeypatch.setattr(oracle._Propagator, "resume", refuse)
+    monkeypatch.setattr(oracle.Schedule, "derive", refuse)
     monkeypatch.setattr(oracle, "_search", refuse)
     monkeypatch.setattr(oracle, "enumerate_roots", refuse)
     capsys.readouterr()

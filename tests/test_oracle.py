@@ -405,11 +405,18 @@ def test_foursquare_lexicographic_minimality():
 # --------------------------------------------------------------------------
 # schedules: one derivation per system, one straight run per point
 
+def _derive_nothing(cls, system, p, domain="Z"):
+    """A schedule from x_1..x_p that derives nothing: every equation is
+    open."""
+    return cls(domain, [0] * (p + 1) + [None] * (system.n - p), [], [],
+               list(range(len(system.equations))))
+
+
 def _propagated(monkeypatch, *args):
-    """check_equivalence forced onto the propagator path."""
+    """check_equivalence with nothing derived, so the propagator's queue
+    alone decides each point."""
     with monkeypatch.context() as patch:
-        patch.setattr(Schedule, "derive",
-                      classmethod(lambda cls, *rest, **kw: None))
+        patch.setattr(Schedule, "derive", classmethod(_derive_nothing))
         return check_equivalence(*args)
 
 
@@ -441,7 +448,7 @@ def _compact_battery(rng, count):
                 (build_compact_z, Box.cube(p, radius), "Z"),
                 (build_compact_n, Box.cube_nonneg(p, 2 * radius), "N")):
             system, cert = build(d)
-            assert Schedule.derive(system, p, domain) is not None
+            assert Schedule.derive(system, p, domain).complete
             for source in (d, _wrong(d, rng)):
                 yield source, system, cert, box, domain
                 compared += 1
@@ -507,7 +514,7 @@ def test_schedule_matches_propagation_on_full_families(monkeypatch, build,
                                                         box, domain):
     d = P("x1 - x2")
     system, cert = build(d)
-    assert Schedule.derive(system, 2, domain) is not None
+    assert Schedule.derive(system, 2, domain).complete
     for source in (d, P("x1 - x2 + 1")):
         args = (source, system, cert, box, domain)
         report = check_equivalence(*args)
@@ -534,7 +541,7 @@ def test_schedule_matches_propagation_with_coinciding_indices(monkeypatch):
     d = anchor_polynomial(cert)
     assert d == P("4*x1^2 - 4")
     schedule = Schedule.derive(system, 1)
-    assert schedule is not None and len(schedule.checks) == 3
+    assert schedule.complete and len(schedule.checks) == 3
     for box, domain in ((Box.cube(1, 3), "Z"), (Box.cube_nonneg(1, 3), "N")):
         report = check_equivalence(d, system, cert, box, domain)
         assert vars(report) == \
@@ -551,7 +558,7 @@ def test_schedule_negative_value_over_n(monkeypatch):
     d = P("x1 - x2 - 1")
     system, cert = build_compact_z(d)
     schedule = Schedule.derive(system, 2, "N")
-    assert schedule.steps == [(operator.sub, 1, 2, 3)]
+    assert schedule.steps[0] == (operator.sub, 1, 2, 3)
     assert _extensions(schedule, [(1, 3)]) == [None]
     assert isinstance(propagate(system, {1: 1, 2: 3}, "N"), Conflict)
     assert _extensions(Schedule.derive(system, 2, "Z"), [(1, 3)]) == [None]
@@ -561,29 +568,67 @@ def test_schedule_negative_value_over_n(monkeypatch):
     assert report.refuted_by_propagation == 13 and report.passed
 
 
+def _counting_derive(monkeypatch):
+    """Record the arguments of every `Schedule.derive` call."""
+    calls = []
+    derive = Schedule.derive.__func__
+
+    def counting(cls, *args, **kwargs):
+        calls.append(args)
+        return derive(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Schedule, "derive", classmethod(counting))
+    return calls
+
+
+def _checked_once(monkeypatch, calls, *args):
+    """check_equivalence's report, after checking that it derived one
+    schedule and that the report is the propagator's alone."""
+    del calls[:]
+    report = check_equivalence(*args)
+    assert len(calls) == 1
+    assert vars(report) == vars(_propagated(monkeypatch, *args)), args
+    return report
+
+
 def test_schedule_incomplete_falls_back_to_propagation(monkeypatch):
+    calls = _counting_derive(monkeypatch)
     # x3 is reachable only by dividing x2 = x1^2 by x1
     system = EnSystem(5, [Mul(1, 1, 2), Mul(1, 3, 2), One(4), Add(5, 4, 2),
                           Add(5, 5, 5)])
     cert = parse_certificate("CERT 1\nmode compact_Z\np 1\nn 5\n"
                              "2 x1^2\n3 x1\n4 1\n5 x1^2 - 1\nANCHOR q 5\n")
     d = P("x1^2 - 1")
-    assert Schedule.derive(system, 1) is None
+    assert not Schedule.derive(system, 1).complete
     args = (d, system, cert, Box.cube(1, 2), "Z")
-    report = check_equivalence(*args)
+    report = _checked_once(monkeypatch, calls, *args)
     assert vars(report) == vars(_propagated(monkeypatch, *args)) == {
         "domain": "Z", "base_points": 5, "base_roots": [(-1,), (1,)],
         "lifted_ok": True, "unique_extension": True, "stuck_roots": 0,
         "spurious": [], "refuted_by_propagation": 3, "refuted_by_search": 0,
         "inconclusive": [], "system_solutions": 2, "failures": []}
     # stuck roots, spurious points and the residual search stay as they were
-    system = EnSystem(2, [Mul(2, 2, 1)])
-    cert = parse_certificate("CERT 1\nmode compact_Z\np 1\nn 2\n"
-                             "2 0\nANCHOR q 1\n")
-    assert Schedule.derive(system, 1) is None
-    report = check_equivalence(P("x1"), system, cert, Box.cube(1, 3), "Z")
+    square = EnSystem(2, [Mul(2, 2, 1)])
+    square_cert = parse_certificate("CERT 1\nmode compact_Z\np 1\nn 2\n"
+                                    "2 0\nANCHOR q 1\n")
+    assert not Schedule.derive(square, 1).complete
+    report = _checked_once(monkeypatch, calls, P("x1"), square, square_cert,
+                           Box.cube(1, 3), "Z")
     assert (report.stuck_roots, report.spurious, report.refuted_by_search,
             report.refuted_by_propagation) == (1, [(1,)], 5, 0)
+    # Boxes of over 200 points, drawn in chunks of 10 points, still derive
+    # one schedule per check.
+    monkeypatch.setattr(kernels, "CHUNK_VALUES", 60)
+    wide = _checked_once(monkeypatch, calls, d, system, cert,
+                         Box.cube(1, 120), "Z")
+    assert wide.base_points == 241 and wide.passed
+    wide = _checked_once(monkeypatch, calls, d - Polynomial.constant(1, 3),
+                         system, cert, Box.cube_nonneg(1, 240), "N")
+    assert wide.base_points == 241 and wide.refuted_by_propagation == 239
+    wide = _checked_once(monkeypatch, calls, P("x1"), square, square_cert,
+                         Box.cube(1, 100), "Z")
+    assert (wide.stuck_roots, wide.spurious, wide.refuted_by_search) == (
+        1, [(v * v,) for v in range(1, 11)], 190)
 
 
 def _extensions(schedule, points):
@@ -615,7 +660,7 @@ def test_schedule_extension_is_the_propagators_verdict(domain):
         system = _random_soup(rng)
         p = rng.randint(0, min(2, system.n))
         schedule = Schedule.derive(system, p, domain)
-        if schedule is None:
+        if not schedule.complete:
             continue
         complete += 1
         points = list(Box.cube(p, 2).iter_points(domain))
@@ -646,7 +691,7 @@ def test_schedule_derivation_is_linear_in_the_equation_order():
 
 
 # --------------------------------------------------------------------------
-# propagation: the one-sweep start against the fixed-point reference
+# propagation: the derived start against the fixed-point reference
 
 class _FixedPointPropagator(_Propagator):
     """The reference start: every equation queued, each watched by all of
@@ -698,7 +743,7 @@ def _assert_same_state(prop, ref):
 
 @settings(max_examples=400, deadline=None)
 @given(_ordered_systems(), st.data())
-def test_sweep_start_matches_fixed_point_reference(case, data):
+def test_start_matches_fixed_point_reference(case, data):
     system, domain, seed = case
     prop, ref = _Propagator(system, domain), _FixedPointPropagator(system,
                                                                    domain)
@@ -747,6 +792,42 @@ def test_sweep_start_matches_fixed_point_reference(case, data):
         vars(want)
 
 
+def _derived_row(system, domain, seed):
+    """The row `Schedule.derive` fills from the seed, and its schedule."""
+    row = [0] + [None] * system.n
+    for index, value in seed.items():
+        row[index] = value
+    return row, Schedule.derive(system, row, domain)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_ordered_systems())
+def test_derivation_from_a_seed_is_the_fixed_point_reference(case):
+    system, domain, seed = case
+    reversed_system = EnSystem(system.n, system.equations[::-1])
+    known, verdicts = [], []
+    for ordered in (system, reversed_system):
+        row, schedule = _derived_row(ordered, domain, seed)
+        # The open equations are exactly those left with an unknown slot.
+        assert schedule.open == [
+            t for t, eq in enumerate(ordered.equations)
+            if any(row[index] is None for index in eq)]
+        ref = _FixedPointPropagator(ordered, domain)
+        ref_ok, _ = ref.start(dict(seed))
+        if ref_ok:
+            # Every derived value is the one the fixed point reaches.
+            assert {i: row[i] for i in range(1, system.n + 1)
+                    if row[i] is not None}.items() <= ref.values.items()
+        known.append([i for i in range(1, system.n + 1) if row[i] is not None])
+        verdicts.append(propagate(ordered, dict(seed), domain))
+    # Reversing the equations changes neither the derived indices nor the
+    # verdict.
+    assert known[0] == known[1]
+    assert type(verdicts[0]) is type(verdicts[1])
+    if not isinstance(verdicts[0], Conflict):
+        assert vars(verdicts[0]) == vars(verdicts[1])
+
+
 @settings(max_examples=300, deadline=None)
 @given(_ordered_systems(), st.integers(0, 2))
 def test_schedule_verdicts_do_not_depend_on_the_equation_order(case, p):
@@ -755,8 +836,8 @@ def test_schedule_verdicts_do_not_depend_on_the_equation_order(case, p):
     drawn = Schedule.derive(system, p, domain)
     reversed_system = EnSystem(system.n, system.equations[::-1])
     again = Schedule.derive(reversed_system, p, domain)
-    assert (drawn is None) == (again is None)
-    if drawn is None:
+    assert drawn.complete == again.complete
+    if not drawn.complete:
         return
     points = list(Box.cube(p, 2).iter_points(domain))
     assert _extensions(drawn, points) == _extensions(again, points)

@@ -186,7 +186,7 @@ class _Propagator:
     factor with a nonzero known product conflicts, and over N any negative
     value conflicts.
 
-    The values live in `row`, the row `Schedule.derive` fills: n + 1
+    The values live in `row`, the row `Schedule.from_row` fills: n + 1
     entries, None where unknown, with 0 at the unused index 0.  Each
     derived value is forced by the values it came from, so the fixed
     point, and whether a conflict is reached at all, does not depend on
@@ -277,7 +277,7 @@ class _Propagator:
     def start(self, seed: dict[int, int]) -> tuple[bool, range]:
         """Seed values and propagate to the fixed point; returns (ok, trail).
 
-        `Schedule.derive` fills in the row from the seed, and `resume`
+        `Schedule.from_row` fills in the row from the seed, and `resume`
         takes it from there.  A start begins with nothing known, so its
         trail is every index: undoing it restores that state, and one
         propagator can be started again and again from different seeds.
@@ -290,8 +290,8 @@ class _Propagator:
         # Over N a negative seed conflicts, naming no equation.
         self.conflict_equation = None
         ok = ((self.domain != DOMAIN_N or min(seed.values(), default=0) >= 0)
-              and self.resume(row, Schedule.derive(self.system, row,
-                                                   self.domain)))
+              and self.resume(row, Schedule.from_row(self.system, row,
+                                                     self.domain)))
         return ok, range(1, self.n + 1)
 
     def resume(self, row: list, schedule: "Schedule") -> bool:
@@ -299,9 +299,8 @@ class _Propagator:
         non-negative values over N; returns whether no conflict was reached.
 
         A negative step over N conflicts, then the checks are evaluated.
-        Only the open equations enter the queue, which applies every rule,
-        and only they are watched by later pushes, since no other equation
-        holds an unknown variable.
+        Only the open equations, the ones holding an unknown variable,
+        enter the queue, which applies every rule, or are watched by pushes.
         """
         self.row = row
         self.conflict_equation = None
@@ -340,17 +339,16 @@ class _Propagator:
         return tuple(i for i in range(1, self.n + 1) if row[i] is None)
 
     def outcome(self, ok: bool) -> PropagationResult:
-        """The result of the last `start`, `resume` or `push`, given what
-        it returned.
+        """The result of the last `start`, `resume` or `push`, given ok.
 
         Values are copied, so the result survives `undo`.
         """
         if not ok:
             return Conflict(self.conflict_equation)
-        undetermined = self.undetermined()
-        if undetermined:
-            return Stuck(values=self.values, undetermined=undetermined)
-        return Solved(values=self.values)
+        values = self.values
+        if len(values) == self.n:
+            return Solved(values=values)
+        return Stuck(values=values, undetermined=self.undetermined())
 
 
 def propagate(system: EnSystem, seed: dict[int, int] | None = None,
@@ -374,21 +372,21 @@ class Schedule:
       x_i + x_i = x_i    assigns 0
       Add, two known     determines the third slot
       Mul, factors known determines the product
-    `derive`, the only code that applies them, sweeps the equations once in
-    order; an equation the sweep leaves unresolved is visited once more,
+    `from_row`, the only code that applies them, sweeps the equations once
+    in order; an equation the sweep leaves unresolved is visited once more,
     and after that whenever one of its unknown slots becomes known, so the
     derivation takes linear time in any equation order.  Each derivation
-    other than a constant becomes a step.  An equation that derived
+    other than a constant can become a step.  An equation that derived
     nothing is a check if its slots all end up known, and open otherwise.
 
-    From x_1..x_p, `kernels.run_schedule` takes every step once over a
-    batch of base points, a column of values at a time; `solves` then
-    checks a complete schedule over the whole batch, and `solves_at` over
-    one point's row of values.  Every derived value is forced by its
-    equation, so a base point extends to a solution exactly when the
-    derived values pass the checks (and, over N, are non-negative), and
-    then uniquely: the propagator's verdict from the same seed, whose
-    queue finishes what an incomplete schedule began.
+    From x_1..x_p, `derive` keeps every step, and `kernels.run_schedule`
+    takes each once over a batch of base points, a column of values at a
+    time; `solves` then checks a complete schedule over the whole batch,
+    and `solves_at` over one point's row of values.  Every derived value
+    is forced by its equation, so a base point extends to a solution
+    exactly when the derived values pass the checks (and, over N, are
+    non-negative), and then uniquely: the propagator's verdict from the
+    same seed, whose queue finishes what an incomplete schedule began.
     """
 
     domain: str
@@ -398,23 +396,31 @@ class Schedule:
     open: list[int]              # positions of the equations left open
 
     @classmethod
-    def derive(cls, system: EnSystem, known,
+    def derive(cls, system: EnSystem, p: int,
                domain: str = DOMAIN_Z) -> "Schedule":
-        """The schedule from p, for x_1..x_p, or from a row of n + 1 values,
-        None where unknown and 0 at the unused index 0, which it fills in.
+        """The schedule from x_1..x_p, for `kernels.run_schedule`: the
+        template keeps only the constants, with 0 at the base and step
+        slots and None at the unknown ones."""
+        n = system.n
+        if not 0 <= p <= n:
+            raise ValueError(f"base variable count {p} outside [0, {n}]")
+        schedule = cls.from_row(system, [0] * (p + 1) + [None] * (n - p),
+                                domain, every_step=True)
+        for step in schedule.steps:
+            schedule.template[step[3]] = 0
+        return schedule
 
-        From p the base variables hold 0 while the steps are recorded; the
-        template then keeps only the constants, with 0 at the base and step
-        slots and None at the unknown ones.  From a row the template is the
-        row, and only subtractions are kept as steps: from non-negative
-        values, only they can leave N.  Derivation stops as soon as all n
-        variables are known.
+    @classmethod
+    def from_row(cls, system: EnSystem, row: list, domain: str = DOMAIN_Z,
+                 every_step: bool = False) -> "Schedule":
+        """The schedule from a row of n + 1 values, None where unknown and
+        0 at the unused index 0, which it fills in and keeps as template.
+
+        Unless `every_step`, only subtractions are kept as steps: from
+        non-negative values only they can leave N, and recording every sum
+        and product too would slow the propagator's start by a fifth or more.
         """
         n = system.n
-        base = type(known) is int
-        if base and not 0 <= known <= n:
-            raise ValueError(f"base variable count {known} outside [0, {n}]")
-        row = [0] * (known + 1) + [None] * (n - known) if base else known
         equations = system.equations
         unused = bytearray(b"\x01") * len(equations)
         count = n - row.count(None)
@@ -444,7 +450,7 @@ class Schedule:
                             row[k] = row[i] + row[j]
                         else:
                             row[k] = row[i] * row[j]
-                        if base:
+                        if every_step:
                             steps.append((add if type(eq) is Add else mul,
                                           i, j, k))
                     elif (type(eq) is Add and row[k] is not None
@@ -485,9 +491,6 @@ class Schedule:
                   ] if count < n else []
         for t in opened:
             unused[t] = 0
-        if base:
-            for step in steps:
-                row[step[3]] = 0
         return cls(domain, row, steps, list(compress(equations, unused)),
                    opened)
 
@@ -776,8 +779,8 @@ def _checked_lift(report, system, cert, point, domain) -> dict | None:
 
 def _propagate_point(report, prop, schedule, row, cert, point, root, limits,
                      deadline):
-    """The verdict on one box point by propagation from its row of
-    scheduled values and, when it gets stuck on a non-root, search."""
+    """The verdict on one box point by propagation from its scheduled row
+    and, when it gets stuck on a non-root, search."""
     if root:
         report.base_roots.append(point)
         lifted = _checked_lift(report, prop.system, cert, point, prop.domain)

@@ -645,6 +645,7 @@ def test_witness_length_is_checked_before_any_search(workdir, capsys,
     monkeypatch.setattr(oracle._Propagator, "start", refuse)
     monkeypatch.setattr(oracle._Propagator, "resume", refuse)
     monkeypatch.setattr(oracle.Schedule, "derive", refuse)
+    monkeypatch.setattr(oracle.Schedule, "from_row", refuse)
     monkeypatch.setattr(oracle, "_search", refuse)
     monkeypatch.setattr(oracle, "enumerate_roots", refuse)
     capsys.readouterr()

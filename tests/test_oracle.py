@@ -554,11 +554,13 @@ def test_schedule_matches_propagation_with_coinciding_indices(monkeypatch):
 def test_schedule_negative_value_over_n(monkeypatch):
     # compact_Z chains subtract: the first step derives x3 = x1 - x2, which
     # goes negative below the diagonal and refutes the point over N before
-    # any check runs
+    # any check runs; x5 = x3 - x4 follows, and the anchor only checks
     d = P("x1 - x2 - 1")
     system, cert = build_compact_z(d)
     schedule = Schedule.derive(system, 2, "N")
-    assert schedule.steps[0] == (operator.sub, 1, 2, 3)
+    assert schedule.steps == [(operator.sub, 1, 2, 3),
+                              (operator.sub, 3, 4, 5)]
+    assert schedule.checks == [Add(5, 5, 5)]
     assert _extensions(schedule, [(1, 3)]) == [None]
     assert isinstance(propagate(system, {1: 1, 2: 3}, "N"), Conflict)
     assert _extensions(Schedule.derive(system, 2, "Z"), [(1, 3)]) == [None]
@@ -793,11 +795,12 @@ def test_start_matches_fixed_point_reference(case, data):
 
 
 def _derived_row(system, domain, seed):
-    """The row `Schedule.derive` fills from the seed, and its schedule."""
+    """The row `Schedule.from_row` fills from the seed, and its
+    schedule."""
     row = [0] + [None] * system.n
     for index, value in seed.items():
         row[index] = value
-    return row, Schedule.derive(system, row, domain)
+    return row, Schedule.from_row(system, row, domain)
 
 
 @settings(max_examples=400, deadline=None)

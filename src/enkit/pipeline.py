@@ -132,20 +132,18 @@ class Scaffold:
             k.append(y)
         return i, j, k
 
-    def labels(self) -> list[str]:
-        """The labels of x1..xn in index order: x1..xs, z1.., t1.., w, y."""
+    def layout(self) -> dict[int, str]:
+        """Index -> label, for x1..xn in index order: x1..xs, z1..,
+        t1.., w, y."""
         s, pad, half = self.s, len(self.padding), len(self.t_chain)
         # Each group numbers from 1, so one list of numerals serves all.
         numerals = list(map(str, range(1, max(s, pad, half) + 1)))
-        return [*map("x".__add__, numerals[:s]),
-                *map("z".__add__, numerals[:pad]),
-                *map("t".__add__, numerals[:half]), "w", "y"]
-
-    def layout(self) -> dict[int, str]:
-        """Index -> label, for x1..xn."""
-        indices = (*range(1, self.s + 1), *self.padding, *self.t_chain,
+        indices = (*range(1, s + 1), *self.padding, *self.t_chain,
                    self.w_index, self.y_index)
-        return dict(zip(indices, self.labels()))
+        return dict(zip(indices, [*map("x".__add__, numerals[:s]),
+                                  *map("z".__add__, numerals[:pad]),
+                                  *map("t".__add__, numerals[:half]),
+                                  "w", "y"]))
 
 
 @dataclass
@@ -183,14 +181,28 @@ def check_assembled(system: EnSystem,
     the scaffold's: their plain-int columns are compared with what
     `Scaffold` derives from (n, s), with no equation rebuilt.  Both the
     layout labels and the system's `# name` labels must be the
-    scaffold's.  Any difference raises ParseError naming it.
+    scaffold's.  Any difference raises ParseError naming it.  Text that
+    is exactly what `serialize_layout` writes for its header's (n, s,
+    mode) is accepted unparsed; any other text is read by `parse_layout`.
     """
-    n, s, mode, labels = parse_layout(layout_text)
-    if n != system.n:
-        raise ParseError("layout and system disagree on n")
+    n, s, mode = _layout_header(layout_text)
+    scaffold = labels = None
+    # n first: a header cannot have a scaffold built beyond the system.
+    if (n == system.n and s is not None and s >= 3 and n >= threshold(s)
+            and mode in (DOMAIN_Z, DOMAIN_N)):
+        scaffold = Scaffold.of(n, s)
+        layout = scaffold.layout()
+        if layout_text != _render_layout(scaffold, mode, layout):
+            scaffold = None
+    if scaffold is None:
+        n, s, mode, labels = parse_layout(layout_text)
+        if n != system.n:
+            raise ParseError("layout and system disagree on n")
     if certificate is not None:
         validate_certificate(certificate, s)
-    scaffold = Scaffold.of(n, s)
+    if labels is not None:
+        scaffold = Scaffold.of(n, s)
+        layout = scaffold.layout()
     equations = system.equations
     outside = list(compress(equations, map(s.__lt__, map(max, equations))))
     kinds = list(map(type, outside))
@@ -205,12 +217,10 @@ def check_assembled(system: EnSystem,
             or ones != scaffold.one_indices()
             or tuple(map(list, zip(*adds))) != scaffold.add_columns()):
         raise ParseError("system does not match the layout's scaffold")
-    expected = scaffold.labels()
+    # A rendered layout's labels (None here) are the scaffold's.
     for what, names in (("layout label", labels),
                         (".ens name", system.names)):
-        if (len(names) != n
-                or list(map(names.get, range(1, n + 1))) != expected):
-            layout = dict(zip(range(1, n + 1), expected))
+        if names is not None and names != layout:
             index = min(i for i in names.keys() | layout.keys()
                         if names.get(i) != layout.get(i))
             raise ParseError(f"{what} of index {index} does not match "
@@ -243,50 +253,37 @@ def master_witness(root, r: int) -> tuple[int, ...]:
 # layout sidecar (.layout)
 
 def serialize_layout(assembled: AssembledSystem) -> str:
-    scaffold, names = assembled.scaffold, assembled.system.names
+    return _render_layout(assembled.scaffold, assembled.mode,
+                          assembled.system.names)
+
+
+def _render_layout(scaffold: Scaffold, mode: str,
+                   labels: dict[int, str]) -> str:
+    """The `.layout` text: a header, then `labels` in index order."""
     lines = ["LAYOUT 1", f"n {scaffold.n}", f"s {scaffold.s}",
-             f"mode {assembled.mode}"]
-    for index in sorted(names):
-        lines.append(f"{index} {names[index]}")
+             f"mode {mode}"]
+    for index in sorted(labels):
+        lines.append(f"{index} {labels[index]}")
     return "\n".join(lines) + "\n"
 
 
+def _layout_header(text: str) -> tuple[int | None, int | None, str | None]:
+    """The values of lines 2-4 of `text`, its (n, s, mode) if it is a
+    rendered layout; n and s are None unless ASCII digits."""
+    head = text.split("\n", 4)[1:4]
+    if len(head) < 3:
+        return None, None, None
+    n, s, mode = (line.partition(" ")[2] for line in head)
+    return ascii_int(n), ascii_int(s), mode
+
+
 _LAYOUT_HEADER = ("n", "s", "mode")
-# Every ASCII character but whitespace, deleted to leave a text's
-# whitespace in order.
-_NOT_WHITESPACE = bytes(b for b in range(128) if not chr(b).isspace())
 
 
 def parse_layout(text: str) -> tuple[int, int, str, dict[int, str]]:
-    """Returns (n, s, mode, labels).
-
-    Text laid out as serialize_layout writes it is read in bulk; any
-    other text goes to the line-by-line reader, which raises every format
-    error.  A header key or an index given twice is an error.
-    """
-    head = text.split("\n", 4)
-    if len(head) == 5 and head[0] == "LAYOUT 1":
-        header = dict(line.partition(" ")[::2] for line in head[1:4])
-        block = head[4]
-        tokens = block.split()
-        count = len(tokens) // 2
-        # An ASCII block whose whitespace is one space and one newline on
-        # each of `count` lines: no line holds more than two tokens, so
-        # with 2 * count of them each line is `<token> <token>`.
-        if (list(header) == list(_LAYOUT_HEADER) and block.isascii()
-                and block.encode().translate(None, _NOT_WHITESPACE)
-                == b" \n" * count):
-            n, s = ascii_int(header["n"]), ascii_int(header["s"])
-            indices = ascii_ints(tokens[::2]) if tokens else []
-            if (n is not None and s is not None and indices is not None
-                    and header["mode"] in (DOMAIN_Z, DOMAIN_N)):
-                labels = dict(zip(indices, tokens[1::2]))
-                if len(labels) == count:  # no index given twice
-                    return n, s, header["mode"], labels
-    return _read_layout_lines(text)
-
-
-def _read_layout_lines(text: str) -> tuple[int, int, str, dict[int, str]]:
+    """Returns (n, s, mode, labels), reading `text` line by line and
+    skipping blank lines.  A header key or an index given twice is an
+    error."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0] != "LAYOUT 1":
         raise FormatError("missing 'LAYOUT 1' header")

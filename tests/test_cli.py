@@ -261,6 +261,30 @@ def test_verify_pin_refuses_duplicate_lines(workdir, capsys, suffix, old, new,
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("old, new, message", [
+    ("\nn 13\n", "\nn 1000000000000\n",
+     "layout and system disagree on n"),
+    ("\ns 3\n", "\ns 1000000000000\n", "n below threshold 2000000000004"),
+], ids=["n", "s"])
+def test_verify_pin_checks_layout_header_before_building(
+        workdir, capsys, monkeypatch, old, new, message):
+    # A layout header asking for a huge scaffold is refused, and no
+    # scaffold is built for any n but the system's.
+    write(workdir / "id.rep", IDENTITY_REP)
+    assert main(["fn-system", "--rep", "id.rep", "--ring", "n", "--n", "13",
+                 "--out", "sys"]) == 0
+    tamper(workdir / "sys.layout", old, new, workdir / "bad.layout")
+    built = []
+    of = pipeline.Scaffold.of
+    monkeypatch.setattr(pipeline.Scaffold, "of", staticmethod(
+        lambda n, s: built.append(n) or of(n, s)))
+    capsys.readouterr()
+    assert main(["verify-pin", "--system", "sys.ens", "--layout",
+                 "bad.layout", "--expected", "13", "--ring", "n"]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert set(built) <= {13}
+
+
 @pytest.mark.parametrize("old, new", [
     ("# name 1 x1\n", "# name 1 evil\n"),   # tampered name
     ("# name 1 x1\n", ""),                  # missing name

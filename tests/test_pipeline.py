@@ -1,23 +1,23 @@
 import functools
+import hashlib
 from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from enkit import oracle
+from enkit import oracle, pipeline
 from enkit.eqio import FnRepresentation, parse_polynomial
 from enkit.errors import FormatError, ParseError
 from enkit.oracle import (Box, OracleLimits, Solved, Stuck, anchor_polynomial,
                           enumerate_roots, lift, propagate, solve_bounded,
                           verify_pinning)
-from enkit.pipeline import (PsiSystem, _read_layout_lines, assemble,
-                            build_pipeline, build_psi, check_assembled,
-                            master_witness, parse_layout, serialize_layout,
-                            threshold)
+from enkit.pipeline import (PsiSystem, assemble, build_pipeline, build_psi,
+                            check_assembled, master_witness, parse_layout,
+                            serialize_layout, threshold)
 from enkit.poly import Polynomial
 from enkit.reductions import (ReductionCertificate, build_master_z,
-                              validate_certificate)
+                              serialize_certificate, validate_certificate)
 from enkit.system import (Add, EnSystem, Mul, One, deserialize, serialize,
                           validate)
 
@@ -524,9 +524,10 @@ def test_check_assembled_agrees_with_rebuilding(case, suffix, with_cert,
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.integers(0, len(FN_CASES) - 1), st.data())
-def test_layout_bulk_reader_agrees_with_lines(case, data):
-    text = fn_outputs(case)[2]
+@given(st.integers(0, len(FN_CASES) - 1), st.booleans(), st.data())
+def test_check_assembled_agrees_with_rebuilding_on_spacing(case, with_cert,
+                                                           data):
+    ens_text, cert, text = fn_outputs(case)
     for _ in range(data.draw(st.integers(0, 2))):
         text = data.draw(edited_line(text, FN_CASES[case][2]))
     # Whitespace, a line break or a non-ASCII letter put in, most often
@@ -541,11 +542,82 @@ def test_layout_bulk_reader_agrees_with_lines(case, data):
                  "\u00e9"])) + text[at:]
         else:
             text = text[:at] + text[at:].replace("\n", "", 1)
+    system = deserialize(ens_text)
+    cert = cert if with_cert else None
+    assert (check_outcome(check_assembled, system, cert, text)
+            == check_outcome(check_by_rebuilding, system, cert, text))
 
-    def read(parse):
-        try:
-            return parse(text)
-        except FormatError as exc:
-            return str(exc)
 
-    assert read(parse_layout) == read(_read_layout_lines)
+@pytest.mark.parametrize("case", range(len(FN_CASES)))
+@pytest.mark.parametrize("with_cert", [True, False])
+def test_check_assembled_parses_no_rendered_layout(monkeypatch, case,
+                                                   with_cert):
+    ens_text, cert, text = fn_outputs(case)
+    system = deserialize(ens_text)
+    cert = cert if with_cert else None
+    expected = check_outcome(check_assembled, system, cert, text)
+    assert expected[0] is system
+
+    def refuse(text):
+        raise AssertionError("parsed a rendered layout")
+
+    monkeypatch.setattr(pipeline, "parse_layout", refuse)
+    assert check_outcome(check_assembled, system, cert, text) == expected
+
+
+@pytest.mark.parametrize("edit", [
+    lambda text: text.replace("\n1 x1\n", "\n1 x1\n\n"),  # a blank line
+    lambda text: text.replace("\n", "\r\n"),             # CRLF line ends
+], ids=["blank-line", "crlf"])
+@pytest.mark.parametrize("case", range(len(FN_CASES)))
+def test_check_assembled_parses_other_layouts_once(monkeypatch, case, edit):
+    ens_text, cert, text = fn_outputs(case)
+    system = deserialize(ens_text)
+    expected = check_outcome(check_assembled, system, cert, text)
+    calls = []
+
+    def counted(text):
+        calls.append(text)
+        return parse_layout(text)
+
+    monkeypatch.setattr(pipeline, "parse_layout", counted)
+    edited = edit(text)
+    assert check_outcome(check_assembled, system, cert, edited) == expected
+    assert calls == [edited]
+
+
+@pytest.mark.parametrize("mode", ["Q", "z", "N "])
+def test_check_assembled_refuses_a_rendered_layout_of_another_mode(mode):
+    # Rendered exactly but for its mode, the layout is still refused.
+    ens_text, cert, text = fn_outputs(0)
+    text = text.replace("\nmode N\n", f"\nmode {mode}\n")
+    outcome = (FormatError, "bad layout header")
+    for check in (check_assembled, check_by_rebuilding):
+        assert check_outcome(check, deserialize(ens_text), cert,
+                             text) == outcome
+
+
+# sha256 of the .ens, .cert and .layout texts of each FN_CASES output.
+FN_DIGESTS = [
+    ("d2391a00aa8066bde3e7008cf554837fb1ded6006be8a2cb68c0ae2edc5cbb1d",
+     "6aada1ffd3634e9d9c38afb3015fc3f920331c2a8cdb612dc3e564c24216c7d8",
+     "8882dba7f103a936a1f3854852de8ac424762f52106e375514e01f7c778be00b"),
+    ("d16b943039f6a456668ac1058ad96f3848652c75c8cba7bc747f12f7aa98f739",
+     "1038dc8cda73919f8e11e47df00a32d8ae5283a05479f64bedc7dcba14834d57",
+     "ea9350c9312fb57c0b98f262f989bf3a2f4d5218dd75dbb758024ad52f8356ea"),
+    ("987bfa1efefff271fbc60a7bc88844ecdcb2de2538086cbe784229681a1024f7",
+     "d7813b19c4ee68957147ea0ccb6067a209d8adb64a72971c143ac14797071aff",
+     "9bba0534de5449b1eb63cf5598d16bb3f6fb71c80cc0bdfba8d754dc0c7a3ee9"),
+    ("43ba562c69d4c381b4f491a4ca44ee8d8f73263fda1cc0c875b1ce91fe2eb3ce",
+     "d7813b19c4ee68957147ea0ccb6067a209d8adb64a72971c143ac14797071aff",
+     "d962ff29f19cb6574dfa60b529bf6882db62317107dae96e116aebe81f9934d9"),
+]
+
+
+@pytest.mark.parametrize("case", range(len(FN_CASES)),
+                         ids=[f"{mode}-{n}" for _, mode, n in FN_CASES])
+def test_fn_system_outputs_byte_identical(case):
+    ens_text, cert, layout_text = fn_outputs(case)
+    sha = lambda text: hashlib.sha256(text.encode()).hexdigest()
+    assert (sha(ens_text), sha(serialize_certificate(cert)),
+            sha(layout_text)) == FN_DIGESTS[case]

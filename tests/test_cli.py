@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import json
 import os
 import resource
@@ -1028,3 +1029,127 @@ def test_commands_leave_no_cyclic_garbage(workdir, capsys, command):
         assert gc.collect() == 0
     finally:
         (gc.enable if was else gc.disable)()
+
+
+def _compact_inputs(workdir):
+    for ring in ("z", "n"):
+        assert main(["reduce", "--ring", ring, "x1^2 - x2 = 3",
+                     "--out", f"c{ring}"]) == 0
+    assert main(["reduce", "--ring", "z", "x1^2 = 4", "--out", "sq4"]) == 0
+
+
+def _incomplete_inputs(workdir):
+    # Neither schedule is complete, so the box check propagates: in inc,
+    # x3 is reachable only by dividing x2 = x1^2 by x1; in sq, x2 * x2 = x1
+    # leaves x2 to the search.
+    write(workdir / "inc.ens",
+          "ENSYS 1\nn 5\nMUL 1 1 2\nMUL 1 3 2\nONE 4\nADD 4 5 2\nADD 5 5 5\n")
+    write(workdir / "inc.cert", "CERT 1\nmode compact_Z\np 1\nn 5\n"
+          "2 x1^2\n3 x1\n4 1\n5 x1^2 - 1\nANCHOR q 5\n")
+    write(workdir / "sq.ens", "ENSYS 1\nn 2\nMUL 2 2 1\n")
+    write(workdir / "sq.cert",
+          "CERT 1\nmode compact_Z\np 1\nn 2\n2 0\nANCHOR q 1\n")
+
+
+def _tampered_inputs(workdir):
+    _compact_inputs(workdir)
+    tamper(workdir / "cz.cert", "\n3 x1^2\n", "\n3 x1^2 + 1\n",
+           workdir / "bad.cert")
+
+
+def _fn_inputs(workdir):
+    write(workdir / "sq.rep", "REP r=2\nx1 - x2*x2\n")
+    for rep, ring, n in (("id", "n", 12), ("sq", "n", 17), ("id", "z", 268)):
+        assert main(["fn-system", "--rep", f"{rep}.rep", "--ring", ring,
+                     "--n", str(n), "--out", f"{rep}{ring}{n}"]) == 0
+
+
+def _pin(prefix, ring, expected, *more):
+    return ["verify-pin", "--system", f"{prefix}.ens", "--cert",
+            f"{prefix}.cert", "--layout", f"{prefix}.layout", "--expected",
+            str(expected), "--ring", ring, *more]
+
+
+def _equiv(equation, prefix, ring, box, cert=None):
+    return ["verify-equiv", "--equation", equation, "--system",
+            f"{prefix}.ens", "--cert", f"{cert or prefix}.cert", "--ring",
+            ring, f"--box={box}"]
+
+
+Z268_WITNESS = ",".join(map(str, master_witness((268, 268), 2)))
+# name -> (inputs, argv, exit code)
+REPORT_CASES = {
+    "equiv-compact-z": (_compact_inputs,
+                        _equiv("x1^2 - x2 = 3", "cz", "z", "-4..4"), 0),
+    "equiv-compact-n": (_compact_inputs,
+                        _equiv("x1^2 - x2 = 3", "cn", "n", "0..8"), 0),
+    "equiv-full-z": (_full_inputs, _equiv("x1 = x2", "full", "z", "-2..2"),
+                     0),
+    "equiv-incomplete": (_incomplete_inputs,
+                         _equiv("x1^2 = 1", "inc", "z", "-3..3"), 0),
+    "equiv-stuck": (_incomplete_inputs, _equiv("x1 = 0", "sq", "z", "-4..4"),
+                    1),
+    "equiv-tampered-def": (_tampered_inputs, _equiv(
+        "x1^2 - x2 = 3", "cz", "z", "-4..4", cert="bad"), 1),
+    "pin-n-12": (_fn_inputs, _pin("idn12", "n", 12, "--witness", "12,12"),
+                 0),
+    "pin-n-17": (_fn_inputs, _pin("sqn17", "n", 289, "--witness", "289,17"),
+                 0),
+    "pin-z-268": (_fn_inputs, _pin("idz268", "z", 268, "--radius", "1",
+                                   "--witness", Z268_WITNESS), 0),
+    "pin-wrong-expected": (_fn_inputs, _pin("sqn17", "n", 288, "--witness",
+                                            "289,17"), 1),
+    "pin-bare-search": (_compact_inputs, [
+        "verify-pin", "--system", "sq4.ens", "--expected", "2", "--ring",
+        "z", "--radius", "3"], 1),
+    "solve-compact-n": (_solve_inputs, ["solve", "--system", "m.ens",
+                                        "--ring", "n", "--radius", "6"], 0),
+    "solve-compact-z": (_compact_inputs, ["solve", "--system", "cz.ens",
+                                          "--ring", "z", "--radius", "4"], 0),
+}
+# sha256 of each case's stdout followed by its --report JSON, if any
+REPORT_DIGESTS = {
+    "equiv-compact-n":
+        "8bfd03e14fabfefed1766d18720d8b9a707c4633973cd9049d5113958bd95319",
+    "equiv-compact-z":
+        "0b3586808b9f4bf04c6ad81e82c2ccfcc8c0dd53214706b6f1f49b76ffe22bf0",
+    "equiv-full-z":
+        "a46c9a12b6519dd769d8bfcd3a82cc5068451090251f25449a41dd52ad2512f9",
+    "equiv-incomplete":
+        "5bf870a7e2140f0eb66497ee8b77173f68c36946406d44484a35cdc90dd6991a",
+    "equiv-stuck":
+        "7e157f35dee7cf380ebc6e177f86ff867470025cd24219a2e75f4941b39f875a",
+    "equiv-tampered-def":
+        "4f340e61b29b1ce976340c9c5d12e9dbdd337cb5d0a5cdc8505ac9ee0ea0b61c",
+    "pin-bare-search":
+        "23acc7e19ed578b159ebed8b5f8ef6ee1c3f3c90570bd1e7d129fa9af0c216ea",
+    "pin-n-12":
+        "dbf34fdd543f9a37288f0617b3a957941a83ea079acead76524e2d6bfc13f9a7",
+    "pin-n-17":
+        "c7ff5a8c86bd74a4109fef31fd56c74aff08477c9c758d28ff75fceb9ee38532",
+    "pin-wrong-expected":
+        "671007320c52e5b6c25bf421bdc7ab68905fcf793141be1ec1517516ea3cc227",
+    "pin-z-268":
+        "5e1cf53e2c430b810cabe8d33341acbdf9a79b44c29b182d659591f186d95915",
+    "solve-compact-n":
+        "d871c4d3ccbe832a685363113eb4c3f30d35476584e317f45c428b3ac86ff9cb",
+    "solve-compact-z":
+        "ead316610d50ef30a5660fa27a0bf508c9256a4f0cbde057df7406a1f18b2d76",
+}
+
+
+@pytest.mark.parametrize("case", sorted(REPORT_CASES))
+def test_reports_byte_identical(workdir, capsys, monkeypatch, case):
+    for name, _, _ in cli._DEFAULTS.values():
+        monkeypatch.delenv(name, raising=False)
+    make_inputs, argv, code = REPORT_CASES[case]
+    write(workdir / "id.rep", IDENTITY_REP)
+    make_inputs(workdir)
+    capsys.readouterr()
+    if argv[0] != "solve":
+        argv = argv + ["--report", "report.json"]
+    assert main(argv) == code
+    text = capsys.readouterr().out
+    if argv[0] != "solve":
+        text += (workdir / "report.json").read_text()
+    assert hashlib.sha256(text.encode()).hexdigest() == REPORT_DIGESTS[case]

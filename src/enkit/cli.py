@@ -228,8 +228,7 @@ def _cmd_solve(args) -> int:
         _note("search truncated by node or time budget")
         return EXIT_LIMIT
     for solution in outcome.solutions:
-        values = " ".join(str(solution[i]) for i in range(1, target.n + 1))
-        print(f"SOLUTION {values}")
+        print(f"SOLUTION {' '.join(map(str, solution[1:]))}")
     print(f"count {len(outcome.solutions)}")
     return EXIT_OK
 

@@ -116,8 +116,8 @@ def _side_values(exps, coeffs, side, lows, highs):
 def check_equations(equations, values):
     """Index of the first violated equation, or -1 if all hold.
 
-    equations: One/Add/Mul tuples with 1-based indices; values: a mapping
-    that covers every index they use.
+    equations: One/Add/Mul tuples with 1-based indices; values: a row
+    indexed by variable (an assignment), known at every index they use.
     """
     for t, eq in enumerate(equations):
         if type(eq) is One:

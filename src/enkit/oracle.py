@@ -16,7 +16,6 @@ from itertools import compress, islice
 from itertools import product as iproduct
 from math import isqrt, prod
 from operator import add, and_, mul, or_, sub
-from typing import Mapping
 
 from . import kernels
 from .errors import BoxTooLarge, CertificateMismatch, DimensionMismatch
@@ -123,26 +122,31 @@ class CheckResult:
         return self.status == "satisfied"
 
 
-def check_assignment(system: EnSystem, values: Mapping[int, int],
+def check_assignment(system: EnSystem, row: list,
                      domain: str = DOMAIN_Z) -> CheckResult:
-    """Check a (possibly partial) assignment against every equation.
+    """Check a (possibly partial) assignment, a row of n + 1 values with
+    None where unknown and index 0 ignored, against every equation.
 
     Satisfied requires: total on [1, n], inside the domain (>= 0 for N),
     and every equation exactly true.  Equations whose variables are all
     assigned are checked even when the assignment is partial, so a
     violation can never flip to satisfied by extending the assignment.
     """
-    if domain == DOMAIN_N:
-        negatives = tuple(i for i in range(1, system.n + 1)
-                          if values.get(i, 0) < 0)
-        if negatives:
-            return CheckResult(status="violated", negatives=negatives)
-    missing = tuple(i for i in range(1, system.n + 1) if i not in values)
+    n = system.n
+    if len(row) != n + 1:
+        raise DimensionMismatch(f"row of length {len(row)} for n = {n}")
+    values = row[1:]
+    # filter(None, ...) drops the unknown values, and zeros: none negative.
+    if domain == DOMAIN_N and min(filter(None, values), default=0) < 0:
+        negatives = tuple(i for i, v in enumerate(values, 1) if (v or 0) < 0)
+        return CheckResult(status="violated", negatives=negatives)
+    missing = ()
     equations = system.equations
-    if missing:
+    if None in values:
+        missing = tuple(i for i, v in enumerate(values, 1) if v is None)
         equations = [eq for eq in equations
-                     if all(index in values for index in eq)]
-    bad = kernels.check_equations(equations, values)
+                     if None not in map(row.__getitem__, eq)]
+    bad = kernels.check_equations(equations, row)
     if bad != -1:
         return CheckResult(status="violated", equation=equations[bad])
     if missing:
@@ -155,12 +159,12 @@ def check_assignment(system: EnSystem, values: Mapping[int, int],
 
 @dataclass
 class Solved:
-    values: dict[int, int]
+    values: list  # the row of n + 1 values, 0 at the unused index 0
 
 
 @dataclass
 class Stuck:
-    values: dict[int, int]
+    values: list  # the row, None where unknown
     undetermined: tuple[int, ...]
 
 
@@ -204,12 +208,6 @@ class _Propagator:
         self.domain = domain
         self.row: list = [0] + [None] * system.n
         self.conflict_equation: EnEquation | None = None
-
-    @property
-    def values(self) -> dict[int, int]:
-        """The known values by index, as a new dict."""
-        row = self.row
-        return {i: row[i] for i in range(1, self.n + 1) if row[i] is not None}
 
     def _set(self, index, value, eq, queue, trail) -> bool:
         row = self.row
@@ -334,21 +332,18 @@ class _Propagator:
         for index in trail:
             row[index] = None
 
-    def undetermined(self) -> tuple[int, ...]:
-        row = self.row
-        return tuple(i for i in range(1, self.n + 1) if row[i] is None)
-
     def outcome(self, ok: bool) -> PropagationResult:
         """The result of the last `start`, `resume` or `push`, given ok.
 
-        Values are copied, so the result survives `undo`.
+        The row is copied, so the result survives `undo`.
         """
         if not ok:
             return Conflict(self.conflict_equation)
-        values = self.values
-        if len(values) == self.n:
-            return Solved(values=values)
-        return Stuck(values=values, undetermined=self.undetermined())
+        row = self.row.copy()
+        if None not in row:
+            return Solved(values=row)
+        return Stuck(values=row, undetermined=tuple(
+            i for i, value in enumerate(row) if value is None))
 
 
 def propagate(system: EnSystem, seed: dict[int, int] | None = None,
@@ -532,16 +527,18 @@ class Schedule:
 # --------------------------------------------------------------------------
 # lifting
 
-def lift(cert: ReductionCertificate, base) -> dict[int, int]:
-    """Total assignment extending a base point along the certificate."""
+def lift(cert: ReductionCertificate, base) -> list:
+    """The row of cert.n + 1 values (0 at the unused index 0) extending a
+    base point along a certificate that `validate_certificate` accepts."""
     base = tuple(base)
     if len(base) != cert.p:
         raise DimensionMismatch(
             f"base point of length {len(base)} for p = {cert.p}")
-    values = {i + 1: v for i, v in enumerate(base)}
+    validate_certificate(cert, cert.n)
+    row = [0, *base] + [None] * (cert.n - cert.p)
     for index, poly in cert.defs.items():
-        values[index] = poly.eval_at(base)
-    return values
+        row[index] = poly.eval_at(base)
+    return row
 
 
 def anchor_polynomial(cert: ReductionCertificate) -> Polynomial:
@@ -562,7 +559,7 @@ def anchor_polynomial(cert: ReductionCertificate) -> Polynomial:
 
 @dataclass
 class SearchOutcome:
-    solutions: list[dict[int, int]]
+    solutions: list[list]  # rows of n + 1 values
     exhausted: bool   # False when a node/time budget truncated the search
     nodes: int
 
@@ -598,7 +595,7 @@ def _search(prop: _Propagator, radius: int, limits: OracleLimits,
     """
     lo = 0 if prop.domain == DOMAIN_N else -radius
     row = prop.row
-    solutions: list[dict[int, int]] = []
+    solutions: list[list] = []
     nodes = 0
     truncated = False
     # One frame per open node: [branching index, next value to try, trail
@@ -615,7 +612,7 @@ def _search(prop: _Propagator, radius: int, limits: OracleLimits,
         while index <= prop.n and row[index] is not None:
             index += 1
         if index > prop.n:
-            solutions.append(prop.values)
+            solutions.append(row.copy())
             if collect_limit is not None and len(solutions) >= collect_limit:
                 break
         else:
@@ -763,7 +760,7 @@ def check_equivalence(d: Polynomial, system: EnSystem,
     return report
 
 
-def _checked_lift(report, system, cert, point, domain) -> dict | None:
+def _checked_lift(report, system, cert, point, domain) -> list | None:
     """The lift of a root when it solves the system, counted as a
     solution; otherwise None, with the failure recorded."""
     lifted = lift(cert, point)
@@ -873,7 +870,7 @@ class PinningReport:
     x2_forced: bool = False
     propagation_complete: bool = False
     solutions_found: int = 0
-    offending: list[dict[int, int]] = field(default_factory=list)
+    offending: list[list] = field(default_factory=list)  # rows
     search_exhausted: bool = True
     witness_checked: bool = False
     witness_ok: bool | None = None
@@ -906,33 +903,36 @@ def verify_pinning(system: EnSystem, expected: int, *, domain: str,
     complete propagation is the only solution, and every other state is
     searched from where propagation left it; a truncated search leaves
     `search_exhausted` false and the check fails.  The witness, like every
-    solution found through the certificate, is the propagated values
-    overlaid with the certificate's lift of its base point.
+    solution found through the certificate, is the propagated row with
+    the certificate's lift of its base point written over its start.
     """
     if box_radius < 0:
         raise ValueError(f"radius must be non-negative, got {box_radius}")
+    n = system.n
+    if n < 2:
+        raise ValueError(f"pinning needs x1 and x2, but n = {n}")
+    if certificate is not None:  # it covers x_1..x_m of the system, m <= n
+        validate_certificate(certificate, min(certificate.n, n))
     if witness_base is not None:
         if certificate is None:
             raise ValueError("witness checking needs a certificate")
         # Lifting first refuses a base point of the wrong length before
         # any propagation or search.
         lifted = lift(certificate, witness_base)
-    n = system.n
     report = PinningReport(n=n, expected=expected)
     prop = _Propagator(system, domain)
     ok, _ = prop.start({})
     if not ok:
         report.consistent_propagation = False
         return report
-    values = prop.values
-    report.x2_forced = values.get(2) == n
-    report.propagation_complete = len(values) == n
-    if certificate is not None and any(
-            i not in values for i in range(1, certificate.p + 1)):
+    row = prop.row
+    report.x2_forced = row[2] == n
+    report.propagation_complete = None not in row
+    if certificate is not None and None in row[1:certificate.p + 1]:
         solutions = _pinned_solutions_via_cert(system, certificate, domain,
-                                               values, box_radius, limits)
+                                               row, box_radius, limits)
     elif report.propagation_complete:
-        solutions = [values]  # all a search would find
+        solutions = [row.copy()]  # all a search would find
     else:
         found = _search(prop, box_radius, limits,
                         time.monotonic() + limits.seconds)
@@ -942,7 +942,7 @@ def verify_pinning(system: EnSystem, expected: int, *, domain: str,
     report.offending = [s for s in solutions if s[1] != expected]
     if witness_base is not None:
         report.witness_checked = True
-        witness = {**values, **lifted}
+        witness = lifted + row[certificate.n + 1:]
         result = check_assignment(system, witness, domain)
         report.witness_ok = (result.satisfied
                              and witness[1] == expected
@@ -953,7 +953,7 @@ def verify_pinning(system: EnSystem, expected: int, *, domain: str,
 def _pinned_solutions_via_cert(system, cert, domain, forced, box_radius,
                                limits):
     """Enumerate bounded solutions through the certificate, some of whose
-    base variables propagation, which forced `forced`, left undetermined.
+    base variables the propagated row `forced` leaves unknown.
 
     Chain equations hold under any lift by construction, so a bounded
     assignment solves the system exactly when the anchored polynomial
@@ -962,14 +962,14 @@ def _pinned_solutions_via_cert(system, cert, domain, forced, box_radius,
     forced base variable gets the one-point interval of its value, every
     other one [-box_radius, box_radius].
     """
-    fixed = {i: forced[i] for i in range(1, cert.p + 1) if i in forced}
+    base = forced[1:cert.p + 1]
+    fixed = {i: value for i, value in enumerate(base, 1) if value is not None}
     residual = anchor_polynomial(cert).substituted(fixed)
-    box = Box(tuple((fixed[i], fixed[i]) if i in fixed
-                    else (-box_radius, box_radius)
-                    for i in range(1, cert.p + 1)))
+    box = Box(tuple((-box_radius, box_radius) if value is None
+                    else (value, value) for value in base))
     solutions = []
     for point in enumerate_roots(residual, box, domain, limits.points):
-        solution = {**forced, **lift(cert, point)}
+        solution = lift(cert, point) + forced[cert.n + 1:]
         # Chain equations hold under any lift by construction, so a lift
         # that fails means the certificate does not belong to the system.
         if not check_assignment(system, solution, domain).satisfied:

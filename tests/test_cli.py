@@ -497,6 +497,17 @@ def test_verify_pin_bare_system_runs(workdir):
                  "--ring", "n", "--witness", "10,10"]) == 2
 
 
+@pytest.mark.parametrize("text", ["ENSYS 1\nn 0\n", "ENSYS 1\nn 1\nONE 1\n"],
+                         ids=["n0", "n1"])
+def test_verify_pin_refuses_a_system_without_x2(workdir, capsys, text):
+    # n = 0 used to end in an internal error (exit 4), and n = 1 in FAIL.
+    write(workdir / "small.ens", text)
+    n = text.split()[3]
+    assert_exit_2(capsys, ["verify-pin", "--system", "small.ens",
+                           "--expected", "0", "--ring", "n"],
+                  f"pinning needs x1 and x2, but n = {n}")
+
+
 @pytest.mark.parametrize("system, layout", [
     ("sys.ens", []), ("sys.ens", ["--layout", "sys.layout"]),
     ("conflict.ens", [])], ids=["bare", "layout", "conflict"])

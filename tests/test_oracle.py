@@ -1,5 +1,6 @@
 import operator
 import random
+import re
 import time
 from dataclasses import replace
 
@@ -16,8 +17,9 @@ from enkit.oracle import (Box, Conflict, OracleLimits,
                           enumerate_roots, foursquare_decompose, lift,
                           propagate, solve_bounded)
 from enkit.poly import Polynomial
-from enkit.reductions import (build_compact_n, build_compact_z, build_full_n,
-                              build_full_z, build_halved_z, parse_certificate)
+from enkit.reductions import (ReductionCertificate, build_compact_n,
+                              build_compact_z, build_full_n, build_full_z,
+                              build_halved_z, parse_certificate)
 from enkit.system import Add, EnSystem, Mul, One
 
 
@@ -60,7 +62,7 @@ def test_enumerate_limit():
 def test_propagate_forces_zero():
     out = propagate(EnSystem(1, [Add(1, 1, 1)]))
     assert isinstance(out, Solved)
-    assert out.values == {1: 0}
+    assert out.values == [0, 0]
 
 
 def test_propagate_division_contradiction():
@@ -90,7 +92,7 @@ def test_propagate_one_and_add():
     system = EnSystem(3, [One(1), Add(1, 1, 2), Add(2, 3, 2)])
     out = propagate(system)
     assert isinstance(out, Solved)
-    assert out.values == {1: 1, 2: 2, 3: 0}
+    assert out.values == [0, 1, 2, 0]
 
 
 def test_propagate_nat_rejects_negative():
@@ -144,8 +146,8 @@ def test_propagate_soundness_against_solutions():
             assert total == []
             continue
         for solution in total:
-            for index, value in derived.values.items():
-                assert solution[index] == value
+            for index, value in enumerate(derived.values):
+                assert value is None or solution[index] == value
 
 
 # --------------------------------------------------------------------------
@@ -153,7 +155,7 @@ def test_propagate_soundness_against_solutions():
 
 def test_lift_compact_difference():
     _, cert = build_compact_z(P("x1 - x2"))
-    assert lift(cert, (3, 3)) == {1: 3, 2: 3, 3: 0}
+    assert lift(cert, (3, 3)) == [0, 3, 3, 0]
     lifted = lift(cert, (4, 1))
     assert lifted[3] == 3  # anchor equation 3 + 3 = 3 now fails
 
@@ -164,6 +166,22 @@ def test_lift_full_n():
     assert lifted[cert.anchor_a] == 12
     assert lifted[cert.anchor_b] == 12
     assert lifted[cert.anchor_zero] == 0
+
+
+@pytest.mark.parametrize("defs, message", [
+    ({2: "x1"}, "no definition for index 3"),
+    ({2: "x1", 3: "x1", 5: "x1"}, "defines index 5 outside (1, 3]"),
+    ({2: "x1", 3: ("x1 + x2", 2)}, "defines index 3 in 2 variables"),
+], ids=["missing", "outside", "arity"])
+def test_lift_refuses_a_certificate_that_does_not_fit(defs, message):
+    # A lift writes each definition into a row of n + 1 entries, so a
+    # definition outside p+1..n must be refused, not written elsewhere.
+    cert = ReductionCertificate(
+        mode="compact_Z", p=1, n=3, anchor_q=2,
+        defs={index: P(*text) if isinstance(text, tuple) else P(text, 1)
+              for index, text in defs.items()})
+    with pytest.raises(CertificateMismatch, match=re.escape(message)):
+        lift(cert, (1,))
 
 
 def test_anchor_polynomial():
@@ -330,10 +348,55 @@ def test_solve_bounded_truncation_is_visible():
 def test_budgets_stop_branching_not_a_complete_state(limits):
     complete = solve_bounded(EnSystem(2, [One(1), Add(1, 1, 2)]), "N", 1,
                              limits=limits)
-    assert complete.exhausted and complete.solutions == [{1: 1, 2: 2}]
+    assert complete.exhausted and complete.solutions == [[0, 1, 2]]
     open_state = solve_bounded(EnSystem(3, [Add(1, 2, 3)]), "N", 1,
                                limits=limits)
     assert not open_state.exhausted and open_state.solutions == []
+
+
+def _scribble(rows):
+    """Overwrite every entry of every row but the unused index 0."""
+    for row in rows:
+        row[1:] = [-7] * (len(row) - 1)
+
+
+@pytest.mark.parametrize("limits, collect_limit", [
+    (OracleLimits(), None), (OracleLimits(), 1),
+    (OracleLimits(search_nodes=3), None)], ids=["all", "first", "truncated"])
+def test_returned_rows_are_copies(limits, collect_limit):
+    # x1 = 1 and x1 + x1 = x4 are forced; x2 + x3 = x4 leaves x2 to the
+    # search.
+    system = EnSystem(4, [One(1), Add(1, 1, 4), Add(2, 3, 4)])
+    prop = _Propagator(system, "Z")
+    ok, _ = prop.start({})
+    row, entry = prop.row, prop.row.copy()
+    stuck = prop.outcome(ok)
+    assert isinstance(stuck, Stuck) and stuck.values == entry
+    _scribble([stuck.values])
+    deadline = time.monotonic() + limits.seconds
+    found = _search(prop, 1, limits, deadline, collect_limit)
+    # The search hands the propagator back as it was on entry.
+    assert prop.row is row and row == entry
+    assert found.solutions
+    want = [solution.copy() for solution in found.solutions]
+    _scribble(found.solutions)
+    assert prop.row == entry
+    assert _search(prop, 1, limits, deadline, collect_limit).solutions == want
+    assert prop.outcome(ok).values == entry
+    ok, trail = prop.push(2, 0)
+    solved = prop.outcome(ok)
+    assert isinstance(solved, Solved) and solved.values == [0, 1, 0, 2, 2]
+    _scribble([solved.values])
+    assert prop.row == [0, 1, 0, 2, 2]
+    prop.undo(trail)
+    assert prop.row == entry
+
+
+def test_lifted_rows_are_copies():
+    _, cert = build_compact_z(P("x1 - x2"))
+    lifted = lift(cert, (3, 3))
+    _scribble([lifted])
+    assert lift(cert, (3, 3)) == [0, 3, 3, 0]
 
 
 def test_time_budget_bounds_children_that_fail():
@@ -639,7 +702,7 @@ def _extensions(schedule, points):
     `Schedule.solves`, as check_equivalence runs it."""
     values = kernels.run_schedule(schedule.template, schedule.steps,
                                   list(map(list, zip(*points))))
-    return [dict(enumerate(row[1:], 1)) if ok else None
+    return [list(row) if ok else None
             for ok, row in zip(schedule.solves(values), zip(*values))]
 
 
@@ -739,8 +802,7 @@ def _ordered_systems(draw):
 
 
 def _assert_same_state(prop, ref):
-    assert prop.values == ref.values
-    assert prop.undetermined() == ref.undetermined()
+    assert prop.row == ref.row
 
 
 @settings(max_examples=400, deadline=None)
@@ -758,7 +820,7 @@ def test_start_matches_fixed_point_reference(case, data):
         # Which values were set before the conflict depends on the order.
         prop.undo(trail)
         ref.undo(ref_trail)
-        assert prop.values == ref.values == {}
+        assert prop.row == ref.row == [0] + [None] * system.n
         return
     assert vars(outcome) == vars(ref_outcome)
     # The same search state after every push and undo.
@@ -819,8 +881,8 @@ def test_derivation_from_a_seed_is_the_fixed_point_reference(case):
         ref_ok, _ = ref.start(dict(seed))
         if ref_ok:
             # Every derived value is the one the fixed point reaches.
-            assert {i: row[i] for i in range(1, system.n + 1)
-                    if row[i] is not None}.items() <= ref.values.items()
+            assert all(value is None or value == reached
+                       for value, reached in zip(row, ref.row))
         known.append([i for i in range(1, system.n + 1) if row[i] is not None])
         verdicts.append(propagate(ordered, dict(seed), domain))
     # Reversing the equations changes neither the derived indices nor the

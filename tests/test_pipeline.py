@@ -1,5 +1,6 @@
 import functools
 import hashlib
+from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
@@ -8,16 +9,17 @@ from hypothesis import strategies as st
 
 from enkit import oracle, pipeline
 from enkit.eqio import FnRepresentation, parse_polynomial
-from enkit.errors import FormatError, ParseError
+from enkit.errors import CertificateMismatch, FormatError, ParseError
 from enkit.oracle import (Box, OracleLimits, Solved, Stuck, anchor_polynomial,
-                          enumerate_roots, lift, propagate, solve_bounded,
+                          enumerate_roots, propagate, solve_bounded,
                           verify_pinning)
 from enkit.pipeline import (PsiSystem, assemble, build_pipeline, build_psi,
                             check_assembled, master_witness, parse_layout,
                             serialize_layout, threshold)
 from enkit.poly import Polynomial
-from enkit.reductions import (ReductionCertificate, build_master_z,
-                              serialize_certificate, validate_certificate)
+from enkit.reductions import (ReductionCertificate, build_compact_z,
+                              build_master_z, serialize_certificate,
+                              validate_certificate)
 from enkit.system import (Add, EnSystem, Mul, One, deserialize, serialize,
                           validate)
 
@@ -235,10 +237,13 @@ def test_pinning_searches_a_bare_stuck_system():
 def _pinned_by_reindexing(system, cert, domain, radius):
     """Reference for the certificate route: the anchored polynomial, with
     the forced base variables substituted, re-indexed into the free ones
-    alone and rooted point by point over their cube."""
+    alone and rooted point by point over their cube.  Each solution is the
+    forced row with the base point and each definition's value at it
+    written in."""
     forced = propagate(system, {}, domain).values
-    fixed = {i: forced[i] for i in range(1, cert.p + 1) if i in forced}
-    free = [i for i in range(1, cert.p + 1) if i not in forced]
+    fixed = {i: forced[i] for i in range(1, cert.p + 1)
+             if forced[i] is not None}
+    free = [i for i in range(1, cert.p + 1) if forced[i] is None]
     residual = anchor_polynomial(cert).substituted(fixed)
     residual = Polynomial(len(free), {
         tuple(exps[i - 1] for i in free): coeff
@@ -248,7 +253,11 @@ def _pinned_by_reindexing(system, cert, domain, radius):
         if residual.eval_at(root) == 0:
             base = {**fixed, **dict(zip(free, root))}
             point = tuple(base[i] for i in range(1, cert.p + 1))
-            solutions.append({**forced, **lift(cert, point)})
+            solution = forced.copy()
+            solution[1:cert.p + 1] = point
+            for index, poly in cert.defs.items():
+                solution[index] = poly.eval_at(point)
+            solutions.append(solution)
     return solutions
 
 
@@ -257,7 +266,7 @@ def test_pinning_roots_with_a_forced_variable_between_free_ones():
     rep = FnRepresentation(w=parse_polynomial("x1*x3 - x2", 3), r=3)
     asm = build_pipeline(rep, "N", 14)
     out = propagate(asm.system, {}, "N")
-    assert [i for i in (1, 2, 3) if i in out.values] == [2]
+    assert [i for i in (1, 2, 3) if out.values[i] is not None] == [2]
     # No solution has x1 = -1, so `offending` lists every solution found.
     report = verify_pinning(asm.system, -1, domain="N",
                             certificate=asm.certificate, box_radius=7)
@@ -273,7 +282,8 @@ def test_pinning_roots_on_the_z_master_at_its_smallest_n(monkeypatch):
     asm = assemble(psi, n)
     cert = asm.certificate
     out = propagate(asm.system, {}, "Z")
-    assert [i for i in range(1, cert.p + 1) if i in out.values] == [2]
+    assert [i for i in range(1, cert.p + 1)
+            if out.values[i] is not None] == [2]
     boxes = []
 
     def recording(poly, box, *args):
@@ -289,6 +299,72 @@ def test_pinning_roots_on_the_z_master_at_its_smallest_n(monkeypatch):
     assert report.offending == _pinned_by_reindexing(
         asm.system, cert, "Z", 1) == []
     assert report.solutions_found == 0 and report.search_exhausted
+
+
+@pytest.mark.parametrize("witness", [None, (4, 2)])
+def test_pinning_refuses_a_certificate_that_does_not_fit(monkeypatch,
+                                                         witness):
+    def refuse(*args):
+        raise AssertionError("propagated")
+
+    monkeypatch.setattr(oracle._Propagator, "start", refuse)
+    bare = EnSystem(4, [One(1), Add(1, 1, 3), Add(3, 3, 2)])
+    _, wide = build_compact_z(parse_polynomial("x1 - x2*x2", 2))
+    assert wide.n > bare.n
+    with pytest.raises(CertificateMismatch,
+                       match=f"certificate has n {wide.n}, the system has "
+                             f"4 variables"):
+        verify_pinning(bare, 4, domain="Z", certificate=wide,
+                       witness_base=witness)
+    # Fitting in n but missing a definition is refused as well.
+    holed = ReductionCertificate(
+        mode="compact_N", p=2, n=4, defs={3: Polynomial.constant(2, 0)},
+        anchor_zero=3, anchor_a=1, anchor_b=2)
+    with pytest.raises(CertificateMismatch,
+                       match="certificate has no definition for index 4"):
+        verify_pinning(bare, 4, domain="N", certificate=holed,
+                       witness_base=witness)
+
+
+def _offending_by_route(route):
+    """verify_pinning's arguments for a report whose offending solutions
+    come from complete propagation, the certificate or the search."""
+    if route == "propagation":
+        asm = build_pipeline(IDENTITY, "N", 12)
+        return asm.system, 11, dict(domain="N", certificate=asm.certificate,
+                                    witness_base=(12, 12))
+    if route == "certificate":
+        rep = FnRepresentation(w=parse_polynomial("x1*x3 - x2", 3), r=3)
+        asm = build_pipeline(rep, "N", 14)
+        return asm.system, -1, dict(domain="N", certificate=asm.certificate,
+                                    box_radius=7)
+    bare = EnSystem(4, [One(1), Add(1, 1, 3), Add(3, 3, 2)])
+    return bare, 2, dict(domain="N", box_radius=1)
+
+
+@pytest.mark.parametrize("route", ["propagation", "certificate", "search"])
+def test_offending_rows_are_copies(monkeypatch, route):
+    made = []
+
+    class Recorded(oracle._Propagator):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(oracle, "_Propagator", Recorded)
+    system, expected, options = _offending_by_route(route)
+    report = verify_pinning(system, expected, **options)
+    assert report.offending and not report.passed
+    (prop,) = made
+    row, want = prop.row.copy(), [s.copy() for s in report.offending]
+    for solution in report.offending:
+        solution[1:] = [-7] * system.n
+    assert prop.row == row
+    again = verify_pinning(system, expected, **options)
+    assert again.offending == want
+    assert vars(again) == vars(replace(report, offending=want))
 
 
 def test_complete_propagation_is_never_truncated():

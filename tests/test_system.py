@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from enkit import system as system_module
-from enkit.errors import FormatError
+from enkit.errors import DimensionMismatch, FormatError
 from enkit.oracle import check_assignment
 from enkit.system import (Add, EnSystem, Mul, One, deserialize, serialize,
                           validate)
@@ -65,39 +65,91 @@ def test_kind_is_part_of_identity():
 
 def test_check_assignment_examples():
     s = EnSystem(1, [One(1)])
-    assert check_assignment(s, {1: 1}, "Z").satisfied
+    assert check_assignment(s, [0, 1], "Z").satisfied
 
     s = EnSystem(1, [Add(1, 1, 1)])
-    assert check_assignment(s, {1: 0}, "Z").satisfied
-    result = check_assignment(s, {1: 2}, "Z")
+    assert check_assignment(s, [0, 0], "Z").satisfied
+    result = check_assignment(s, [0, 2], "Z")
     assert result.status == "violated"
     assert result.equation == Add(1, 1, 1)
 
     s = EnSystem(2, [Mul(1, 1, 2)])
-    assert check_assignment(s, {1: 3, 2: 9}, "N").satisfied
+    assert check_assignment(s, [0, 3, 9], "N").satisfied
 
 
 def test_check_assignment_incomplete_and_domain():
     s = EnSystem(2, [Add(1, 1, 2)])
-    result = check_assignment(s, {1: 2}, "Z")
+    result = check_assignment(s, [0, 2, None], "Z")
     assert result.status == "incomplete"
     assert result.missing == (2,)
 
-    result = check_assignment(s, {1: -1, 2: -2}, "N")
+    result = check_assignment(s, [0, -1, -2], "N")
     assert result.status == "violated"
     assert result.negatives == (1, 2)
-    assert check_assignment(s, {1: -1, 2: -2}, "Z").satisfied
+    assert check_assignment(s, [0, -1, -2], "Z").satisfied
 
 
 def test_check_assignment_monotone():
     # a violation visible in a partial assignment survives any extension
     s = EnSystem(3, [Add(1, 1, 2), Mul(1, 2, 3)])
-    partial = check_assignment(s, {1: 2, 2: 5}, "Z")
+    partial = check_assignment(s, [0, 2, 5, None], "Z")
     assert partial.status == "violated"
     assert partial.equation == Add(1, 1, 2)
-    total = check_assignment(s, {1: 2, 2: 5, 3: 10}, "Z")
+    total = check_assignment(s, [0, 2, 5, 10], "Z")
     assert total.status == "violated"
     assert total.equation == Add(1, 1, 2)
+
+
+def _check_by_each_equation(system, row, domain):
+    """Reference for check_assignment: each equation evaluated on its own
+    once all of its variables are known."""
+    known = range(1, system.n + 1)
+    negatives = tuple(i for i in known
+                      if row[i] is not None and row[i] < 0)
+    if domain == "N" and negatives:
+        return ("violated", None, (), negatives)
+    for eq in system.equations:
+        if any(row[index] is None for index in eq):
+            continue
+        if isinstance(eq, One):
+            holds = row[eq.i] == 1
+        elif isinstance(eq, Add):
+            holds = row[eq.i] + row[eq.j] == row[eq.k]
+        else:
+            holds = row[eq.i] * row[eq.j] == row[eq.k]
+        if not holds:
+            return ("violated", eq, (), ())
+    missing = tuple(i for i in known if row[i] is None)
+    if missing:
+        return ("incomplete", None, missing, ())
+    return ("satisfied", None, (), ())
+
+
+@st.composite
+def _systems_and_rows(draw):
+    """A system of up to 6 variables, a row for it with unknown entries
+    (None), and a domain; index 0 holds anything, since it is ignored."""
+    n = draw(st.integers(0, 6))
+    index = st.integers(1, max(n, 1))
+    equation = st.one_of(st.builds(One, index),
+                         st.builds(Add, index, index, index),
+                         st.builds(Mul, index, index, index))
+    equations = draw(st.lists(equation, max_size=3 * n))
+    value = st.one_of(st.none(), st.integers(-2, 4))
+    row = [draw(value) for _ in range(n + 1)]
+    return EnSystem(n, equations), row, draw(st.sampled_from(["Z", "N"]))
+
+
+@settings(max_examples=500, deadline=None)
+@given(_systems_and_rows())
+def test_check_assignment_matches_each_equation_checked_alone(case):
+    system, row, domain = case
+    result = check_assignment(system, row, domain)
+    assert (result.status, result.equation, result.missing,
+            result.negatives) == _check_by_each_equation(system, row, domain)
+    for wrong in (row + [0], row[:-1]):
+        with pytest.raises(DimensionMismatch):
+            check_assignment(system, wrong, domain)
 
 
 def test_serialize_golden():

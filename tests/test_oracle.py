@@ -155,6 +155,9 @@ def test_propagate_soundness_against_solutions():
 
 def test_lift_compact_difference():
     _, cert = build_compact_z(P("x1 - x2"))
+    lifted = lift(cert, (3, 3))
+    assert lifted == [0, 3, 3, 0]
+    lifted[1:] = [-7] * 3  # the row is the caller's own
     assert lift(cert, (3, 3)) == [0, 3, 3, 0]
     lifted = lift(cert, (4, 1))
     assert lifted[3] == 3  # anchor equation 3 + 3 = 3 now fails
@@ -171,15 +174,14 @@ def test_lift_full_n():
 @pytest.mark.parametrize("defs, message", [
     ({2: "x1"}, "no definition for index 3"),
     ({2: "x1", 3: "x1", 5: "x1"}, "defines index 5 outside (1, 3]"),
-    ({2: "x1", 3: ("x1 + x2", 2)}, "defines index 3 in 2 variables"),
+    ({2: "x1", 3: "x1 + x2"}, "defines index 3 in 2 variables"),
 ], ids=["missing", "outside", "arity"])
 def test_lift_refuses_a_certificate_that_does_not_fit(defs, message):
     # A lift writes each definition into a row of n + 1 entries, so a
     # definition outside p+1..n must be refused, not written elsewhere.
     cert = ReductionCertificate(
         mode="compact_Z", p=1, n=3, anchor_q=2,
-        defs={index: P(*text) if isinstance(text, tuple) else P(text, 1)
-              for index, text in defs.items()})
+        defs={index: P(text) for index, text in defs.items()})
     with pytest.raises(CertificateMismatch, match=re.escape(message)):
         lift(cert, (1,))
 
@@ -390,13 +392,6 @@ def test_returned_rows_are_copies(limits, collect_limit):
     assert prop.row == [0, 1, 0, 2, 2]
     prop.undo(trail)
     assert prop.row == entry
-
-
-def test_lifted_rows_are_copies():
-    _, cert = build_compact_z(P("x1 - x2"))
-    lifted = lift(cert, (3, 3))
-    _scribble([lifted])
-    assert lift(cert, (3, 3)) == [0, 3, 3, 0]
 
 
 def test_time_budget_bounds_children_that_fail():

@@ -114,24 +114,22 @@ class _Outputs:
             raise
 
 
-def _load_rep(path: str) -> eqio.FnRepresentation:
+def _read(path: str) -> str:
     with open(path, encoding="ascii") as handle:
-        return eqio.parse_rep(handle.read())
+        return handle.read()
 
 
 def _load_system(path: str, cap: int) -> system.EnSystem:
     """Read an .ens file whose n the variable limit `cap` bounds; reading
     builds nothing of size n beyond what the text's length bounds."""
-    with open(path, encoding="ascii") as handle:
-        target = system.deserialize(handle.read())
+    return _capped(system.deserialize(_read(path)), cap)
+
+
+def _capped(target, cap: int):
+    """`target`, a system or a scaffold, if its n is at most `cap`."""
     if target.n > cap:
         raise FamilyTooLarge(target.n, cap, "system variable count")
     return target
-
-
-def _load_cert(path: str) -> reductions.ReductionCertificate:
-    with open(path, encoding="ascii") as handle:
-        return reductions.parse_certificate(handle.read())
 
 
 def _limits(args) -> oracle.OracleLimits:
@@ -164,15 +162,15 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_fn_system(args) -> int:
-    rep = _load_rep(args.rep)
+    rep = eqio.parse_rep(_read(args.rep))
     psi = pipeline.build_psi(rep, args.ring.upper(), family=args.mode,
                              cap=args.cap, pair_cap=args.pair_cap)
-    assembled = pipeline.assemble(psi, args.n)
+    ens_text, layout_text = pipeline.render_system(psi, args.n)
     out = _Outputs()
-    out.add(args.out + ".ens", system.serialize(assembled.system))
+    out.add(args.out + ".ens", ens_text)
     out.add(args.out + ".cert",
-            reductions.serialize_certificate(assembled.certificate))
-    out.add(args.out + ".layout", pipeline.serialize_layout(assembled))
+            reductions.serialize_certificate(psi.certificate))
+    out.add(args.out + ".layout", layout_text)
     out.commit()
     return EXIT_OK
 
@@ -200,7 +198,7 @@ def _cmd_info(args) -> int:
         lines.append(_info_line("n compact_Z", compact_z.n))
         lines.append(_info_line("n compact_N", compact_n.n))
     if args.rep:
-        rep = _load_rep(args.rep)
+        rep = eqio.parse_rep(_read(args.rep))
         mode = args.ring.upper()
         psi = pipeline.build_psi(rep, mode, family=args.mode, cap=args.cap,
                                  pair_cap=args.pair_cap)
@@ -228,7 +226,7 @@ def _cmd_solve(args) -> int:
         _note("search truncated by node or time budget")
         return EXIT_LIMIT
     for solution in outcome.solutions:
-        print(f"SOLUTION {' '.join(map(str, solution[1:]))}")
+        print(" ".join(["SOLUTION", *map(str, solution[1:])]))
     print(f"count {len(outcome.solutions)}")
     return EXIT_OK
 
@@ -243,7 +241,7 @@ def _report_out(args, payload: dict):
 def _cmd_verify_equiv(args) -> int:
     d = eqio.parse_equation(args.equation)
     target = _load_system(args.system, args.cap)
-    cert = _load_cert(args.cert)
+    cert = reductions.parse_certificate(_read(args.cert))
     domain = args.ring.upper()
     box = _parse_box_spec(args.box, d.arity)
     started = time.monotonic()
@@ -273,15 +271,36 @@ def _cmd_verify_equiv(args) -> int:
 
 
 def _cmd_verify_pin(args) -> int:
-    target = _load_system(args.system, args.cap)
-    cert = _load_cert(args.cert) if args.cert else None
+    # With --layout, psi is pinned inside the scaffold.  Files as fn-system
+    # writes them are read by their psi lines alone, any others in full.
+    text = _read(args.system)
+    try:
+        layout_text = _read(args.layout) if args.layout else None
+    except (OSError, ValueError):  # raised again below, in its turn
+        layout_text = None
+    rendered = (layout_text is not None
+                and pipeline.read_rendered(text, layout_text))
+    if rendered:
+        target, scaffold, mode = rendered
+        _capped(scaffold, args.cap)
+    else:
+        target = _capped(system.deserialize(text), args.cap)
+    cert = (reductions.parse_certificate(_read(args.cert)) if args.cert
+            else None)
     domain = args.ring.upper()
+    tail = None
     if args.layout:
-        with open(args.layout, encoding="ascii") as handle:
-            assembled = pipeline.check_assembled(target, cert, handle.read())
-        if assembled.mode != domain:
+        if rendered and cert is not None:
+            reductions.validate_certificate(cert, scaffold.s)
+        elif not rendered:
+            assembled = pipeline.check_assembled(
+                target, cert, layout_text or _read(args.layout))
+            target, scaffold, mode = (assembled.psi(), assembled.scaffold,
+                                      assembled.mode)
+        if mode != domain:
             raise ParseError(f"--ring {args.ring} contradicts the layout's "
-                             f"mode {assembled.mode}")
+                             f"mode {mode}")
+        tail = scaffold.values()
     elif cert is not None:
         raise ParseError("--cert needs --layout to locate the scaffold")
     witness = None
@@ -294,7 +313,8 @@ def _cmd_verify_pin(args) -> int:
             raise ParseError("witness checking needs --cert and --layout")
     report = oracle.verify_pinning(
         target, args.expected, domain=domain, certificate=cert,
-        box_radius=args.radius, witness_base=witness, limits=_limits(args))
+        box_radius=args.radius, witness_base=witness, limits=_limits(args),
+        tail=tail)
     payload = {
         "n": report.n,
         "expected": report.expected,

@@ -18,6 +18,7 @@ largest index in the text, whichever is larger.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 
 from .errors import FormatError, ParseError
 from .poly import Polynomial
@@ -246,15 +247,29 @@ def parse_equation(text: str, arity: int | None = None) -> Polynomial:
     return lhs - rhs
 
 
+class _Factors(dict):
+    """(i, e) -> the text of x_{i+1}^e, kept for e up to 16 only."""
+
+    def __missing__(self, key: tuple[int, int]) -> str:
+        index, exponent = key
+        text = f"x{index + 1}^{exponent}" if exponent > 1 else f"x{index + 1}"
+        if exponent <= 16:
+            self[key] = text
+        return text
+
+
+_FACTORS = _Factors()
+
+
 def format_polynomial(poly: Polynomial) -> str:
     """Canonical graded-lex rendering; parse(format(P)) == P."""
     if poly.is_zero():
         return "0"
     pieces = []
     for position, (exps, coeff) in enumerate(poly.sorted_terms()):
-        mono = "*".join(
-            f"x{i + 1}" if e == 1 else f"x{i + 1}^{e}"
-            for i, e in enumerate(exps) if e)
+        # Only the nonzero exponents reach Python code.
+        mono = "*".join(map(_FACTORS.__getitem__,
+                            compress(enumerate(exps), exps)))
         mag = abs(coeff)
         if not mono:
             body = str(mag)

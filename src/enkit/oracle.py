@@ -890,10 +890,16 @@ class PinningReport:
 def verify_pinning(system: EnSystem, expected: int, *, domain: str,
                    certificate: ReductionCertificate | None = None,
                    box_radius: int = 2, witness_base=None,
-                   limits: OracleLimits = DEFAULT_LIMITS) -> PinningReport:
+                   limits: OracleLimits = DEFAULT_LIMITS,
+                   tail: list[int] | None = None) -> PinningReport:
     """Check that every bounded solution of an n-variable system pins
     x1 = expected, and (optionally) that a supplied base point of the
     certificate lifts to an explicit witness solution.
+
+    With `tail`, `system` is psi, on x1..xs of an n-variable system
+    whose x_{s+1}..x_n are forced to `tail` and force x2 = n, as the
+    fn-system scaffold is.  Psi alone is then pinned and checked, from
+    the seed {2: n}, and each row reported is extended by `tail`.
 
     Propagation from the empty seed must fix x2 = n on its own.  The
     bounded solutions are then enumerated by one rule.  When a certificate
@@ -908,11 +914,12 @@ def verify_pinning(system: EnSystem, expected: int, *, domain: str,
     """
     if box_radius < 0:
         raise ValueError(f"radius must be non-negative, got {box_radius}")
-    n = system.n
+    tail = tail or []
+    n = system.n + len(tail)
     if n < 2:
         raise ValueError(f"pinning needs x1 and x2, but n = {n}")
     if certificate is not None:  # it covers x_1..x_m of the system, m <= n
-        validate_certificate(certificate, min(certificate.n, n))
+        validate_certificate(certificate, min(certificate.n, system.n))
     if witness_base is not None:
         if certificate is None:
             raise ValueError("witness checking needs a certificate")
@@ -921,7 +928,7 @@ def verify_pinning(system: EnSystem, expected: int, *, domain: str,
         lifted = lift(certificate, witness_base)
     report = PinningReport(n=n, expected=expected)
     prop = _Propagator(system, domain)
-    ok, _ = prop.start({})
+    ok, _ = prop.start({2: n} if tail else {})
     if not ok:
         report.consistent_propagation = False
         return report
@@ -939,7 +946,7 @@ def verify_pinning(system: EnSystem, expected: int, *, domain: str,
         report.search_exhausted = found.exhausted
         solutions = found.solutions
     report.solutions_found = len(solutions)
-    report.offending = [s for s in solutions if s[1] != expected]
+    report.offending = [s + tail for s in solutions if s[1] != expected]
     if witness_base is not None:
         report.witness_checked = True
         witness = lifted + row[certificate.n + 1:]

@@ -7,13 +7,16 @@ every representation variable non-negative); over N the representation is
 reduced directly.  `assemble` then surrounds Psi with the counting scaffold
 that forces x2 = n using exactly n variables: padding z_i = 1, the doubling
 t-chain, w, and the parity variable y.
+`render_system` writes the assembled files as psi's lines spliced into
+the scaffold's text, rendered from (n, s, mode), and `read_rendered`
+reads such files back by parsing psi's lines alone.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from itertools import compress, repeat
-from operator import is_, itemgetter
 
 from .eqio import MAX_VARIABLE, FnRepresentation, ascii_int, ascii_ints
 from .errors import FormatError, ParseError
@@ -24,7 +27,8 @@ from .reductions import (DEFAULT_FAMILY_CAP, DEFAULT_PAIR_CAP,
                          ReductionCertificate, build_compact_n,
                          build_compact_z, build_full_n, build_full_z,
                          build_master_z, master_arity, validate_certificate)
-from .system import DOMAIN_N, DOMAIN_Z, Add, EnSystem, One
+from . import system as ens
+from .system import DOMAIN_N, DOMAIN_Z, EnSystem
 
 
 @dataclass
@@ -111,27 +115,6 @@ class Scaffold:
                    t_chain=tuple(range(first, n - 1)), w_index=n - 1,
                    y_index=n)
 
-    def one_indices(self) -> list[int]:
-        """The i of every x_i = 1 the scaffold adds, in increasing order."""
-        ones = [*self.padding, self.t_chain[0]]
-        if self.n % 2:
-            ones.append(self.y_index)
-        return ones
-
-    def add_columns(self) -> tuple[list[int], list[int], list[int]]:
-        """The (i, j, k) columns, with i <= j, of the x_i + x_j = x_k
-        equations the scaffold adds, in increasing k: w + y = x2, the
-        t-chain, t_[n/2] + t_[n/2] = w and, for even n, y + y = y."""
-        t, w, y = self.t_chain, self.w_index, self.y_index
-        i = [w, *repeat(t[0], len(t) - 1), t[-1]]
-        j = [y, *t[:-1], t[-1]]
-        k = [2, *t[1:], w]
-        if self.n % 2 == 0:
-            i.append(y)
-            j.append(y)
-            k.append(y)
-        return i, j, k
-
     def layout(self) -> dict[int, str]:
         """Index -> label, for x1..xn in index order: x1..xs, z1..,
         t1.., w, y."""
@@ -145,6 +128,13 @@ class Scaffold:
                                   *map("t".__add__, numerals[:half]),
                                   "w", "y"]))
 
+    def values(self) -> list[int]:
+        """The values forced on x_{s+1}..x_n: padding 1, t_k = k,
+        w = 2[n/2] and y = n mod 2, so that x2 = w + y = n."""
+        half = len(self.t_chain)
+        return [*repeat(1, len(self.padding)), *range(1, half + 1),
+                2 * half, self.n % 2]
+
 
 @dataclass
 class AssembledSystem:
@@ -156,16 +146,22 @@ class AssembledSystem:
     mode: str
     certificate: ReductionCertificate | None
 
+    def psi(self) -> EnSystem:
+        """The equations on x1..xs: the system without its scaffold."""
+        s = self.scaffold.s
+        return EnSystem(s, [e for e in self.system.equations if max(e) <= s])
+
 
 def assemble(psi: PsiSystem, n: int) -> AssembledSystem:
-    """Surround Psi with the scaffold forcing x2 = n, using n variables;
-    `Scaffold` describes the layout."""
+    """Surround Psi with the scaffold forcing x2 = n, using n variables:
+    the rendered scaffold's equations and `Scaffold.layout`'s names."""
     scaffold = Scaffold.of(n, psi.s)
-    equations = list(psi.system.equations)
-    equations += map(tuple.__new__, repeat(One), zip(scaffold.one_indices()))
-    equations += Add.from_columns(*scaffold.add_columns())
-    return AssembledSystem(EnSystem(n, equations, names=scaffold.layout()),
-                           scaffold, psi.mode, psi.certificate)
+    _, ones, adds, _ = _render(scaffold, psi.mode)
+    equations = ens.deserialize(f"ENSYS 1\nn {n}\n{ones}{adds}").equations
+    return AssembledSystem(
+        EnSystem(n, psi.system.equations + equations,
+                 names=scaffold.layout()), scaffold, psi.mode,
+        psi.certificate)
 
 
 def check_assembled(system: EnSystem,
@@ -177,46 +173,31 @@ def check_assembled(system: EnSystem,
     The layout's n must be the system's.  Psi is taken to be the
     equations on indices 1..s (an fn-system certificate describes psi, so
     its n is the layout's s).  Every scaffold equation has an index above
-    s, so the system's equations with an index above s must be exactly
-    the scaffold's: their plain-int columns are compared with what
-    `Scaffold` derives from (n, s), with no equation rebuilt.  Both the
-    layout labels and the system's `# name` labels must be the
-    scaffold's.  Any difference raises ParseError naming it.  Text that
-    is exactly what `serialize_layout` writes for its header's (n, s,
-    mode) is accepted unparsed; any other text is read by `parse_layout`.
+    s, so the canonical lines of the system's equations with an index
+    above s must be the rendered scaffold's.  Both the layout labels and
+    the system's `# name` labels must be the scaffold's.  Any difference
+    raises ParseError naming it.  Text that is exactly what
+    `serialize_layout` writes for its header's (n, s, mode) is accepted
+    unparsed; any other text is read by `parse_layout`.
     """
     n, s, mode = _layout_header(layout_text)
-    scaffold = labels = None
+    labels = None
     # n first: a header cannot have a scaffold built beyond the system.
-    if (n == system.n and s is not None and s >= 3 and n >= threshold(s)
-            and mode in (DOMAIN_Z, DOMAIN_N)):
-        scaffold = Scaffold.of(n, s)
-        layout = scaffold.layout()
-        if layout_text != _render_layout(scaffold, mode, layout):
-            scaffold = None
-    if scaffold is None:
+    rendered = n == system.n and _render(Scaffold.of(n, s), mode)
+    if not rendered or layout_text != rendered.layout:
         n, s, mode, labels = parse_layout(layout_text)
         if n != system.n:
             raise ParseError("layout and system disagree on n")
     if certificate is not None:
         validate_certificate(certificate, s)
+    scaffold = Scaffold.of(n, s)
     if labels is not None:
-        scaffold = Scaffold.of(n, s)
-        layout = scaffold.layout()
+        rendered = _render(scaffold, mode)
     equations = system.equations
-    outside = list(compress(equations, map(s.__lt__, map(max, equations))))
-    kinds = list(map(type, outside))
-    ones = sorted(map(itemgetter(0),
-                      compress(outside, map(is_, kinds, repeat(One)))))
-    adds = sorted(compress(outside, map(is_, kinds, repeat(Add))),
-                  key=itemgetter(2))
-    # No two scaffold additions share a k, so sorted by k the additions
-    # above s are the scaffold's exactly when their columns are; a Mul
-    # above s is neither kind.
-    if (len(ones) + len(adds) != len(outside)
-            or ones != scaffold.one_indices()
-            or tuple(map(list, zip(*adds))) != scaffold.add_columns()):
+    outside = compress(equations, map(s.__lt__, map(max, equations)))
+    if ens.equation_lines(outside) != (rendered.ones, rendered.adds, ""):
         raise ParseError("system does not match the layout's scaffold")
+    layout = scaffold.layout()
     # A rendered layout's labels (None here) are the scaffold's.
     for what, names in (("layout label", labels),
                         (".ens name", system.names)):
@@ -250,31 +231,102 @@ def master_witness(root, r: int) -> tuple[int, ...]:
 
 
 # --------------------------------------------------------------------------
+# rendered outputs (.ens and .layout)
+
+# A scaffold's texts: the `.ens` header and name block, its sorted ONE
+# and ADD lines, and the `.layout`.
+Rendering = namedtuple("Rendering", "head ones adds layout")
+
+
+def _render(scaffold: Scaffold, mode: str) -> Rendering:
+    """The one renderer of scaffold text, from one list of numerals.  Psi's
+    indices are at most s and the scaffold's above, so an assembled
+    `.ens` is `head`, psi's ONE lines, `ones`, psi's ADD lines, `adds`,
+    then psi's MUL lines."""
+    n, s = scaffold.n, scaffold.s
+    first, w, y = scaffold.t_chain[0], scaffold.w_index, scaffold.y_index
+    numerals = list(map(str, range(n + 1)))
+    # The `index label` lines; each group numbers its labels from 1.
+    psi = numerals[1:s + 1]
+    lines = [*map(" x".join, zip(psi, psi)),
+             *map(" z".join, zip(numerals[s + 1:first],
+                                 numerals[1:first - s])),
+             *map(" t".join, zip(numerals[first:w],
+                                 numerals[1:w - first + 1])),
+             f"{w} w", f"{y} y"]
+    # The padding, t1 and, for odd n, y.
+    ones = numerals[s + 1:first + 1] + numerals[y:y + n % 2]
+    # Sorted: t1 + t_k = t_{k+1}, t_[n/2] + t_[n/2] = w, w + y = x2 and,
+    # for even n, y + y = y.
+    chain = f"ADD {first} "
+    adds = (chain + f"\n{chain}".join(map(" ".join, zip(
+        numerals[first:w - 1], numerals[first + 1:w])))
+        + f"\nADD {w - 1} {w - 1} {w}\nADD {w} {y} 2\n"
+        + ("" if n % 2 else f"ADD {y} {y} {y}\n"))
+    return Rendering(
+        head=f"ENSYS 1\nn {n}\n# name " + "\n# name ".join(lines) + "\n",
+        ones="ONE " + "\nONE ".join(ones) + "\n", adds=adds,
+        layout=(f"LAYOUT 1\nn {n}\ns {s}\nmode {mode}\n"
+                + "\n".join(lines) + "\n"))
+
+
+def render_system(psi: PsiSystem, n: int) -> tuple[str, str]:
+    """The `.ens` and `.layout` texts of `assemble(psi, n)`, with no
+    n-variable system built; psi's names are not written."""
+    rendered = _render(Scaffold.of(n, psi.s), psi.mode)
+    psi_ones, psi_adds, psi_muls = ens.equation_lines(psi.system.equations)
+    return "".join((rendered.head, psi_ones, rendered.ones, psi_adds,
+                    rendered.adds, psi_muls)), rendered.layout
+
+
+def read_rendered(ens_text: str, layout_text: str
+                  ) -> tuple[EnSystem, Scaffold, str] | None:
+    """Psi, the scaffold and the mode of a pair of texts exactly as
+    `render_system` writes them, or None for any other pair.
+
+    Only psi's lines, between the rendered blocks, are parsed; they
+    must be canonical, with every index at most s.
+    """
+    n, s, mode = _layout_header(layout_text)
+    # A name line takes 12 characters or more: the text bounds the work.
+    if n is None or 12 * n > len(ens_text):
+        return None
+    scaffold = Scaffold.of(n, s)
+    head, ones, adds, layout = _render(scaffold, mode)
+    if layout_text != layout or not ens_text.startswith(head):
+        return None
+    psi_ones, found_ones, rest = ens_text[len(head):].partition(ones)
+    psi_adds, found_adds, psi_muls = rest.partition(adds)
+    if not (found_ones and found_adds):
+        return None
+    blocks = psi_ones, psi_adds, psi_muls
+    try:
+        psi = ens.deserialize(f"ENSYS 1\nn {s}\n" + "".join(blocks))
+    except FormatError:
+        return None
+    if ens.equation_lines(psi.equations) != blocks:
+        return None
+    return psi, scaffold, mode
+
+
+# --------------------------------------------------------------------------
 # layout sidecar (.layout)
 
 def serialize_layout(assembled: AssembledSystem) -> str:
-    return _render_layout(assembled.scaffold, assembled.mode,
-                          assembled.system.names)
-
-
-def _render_layout(scaffold: Scaffold, mode: str,
-                   labels: dict[int, str]) -> str:
-    """The `.layout` text: a header, then `labels` in index order."""
-    lines = ["LAYOUT 1", f"n {scaffold.n}", f"s {scaffold.s}",
-             f"mode {mode}"]
-    for index in sorted(labels):
-        lines.append(f"{index} {labels[index]}")
-    return "\n".join(lines) + "\n"
+    return _render(assembled.scaffold, assembled.mode).layout
 
 
 def _layout_header(text: str) -> tuple[int | None, int | None, str | None]:
     """The values of lines 2-4 of `text`, its (n, s, mode) if it is a
-    rendered layout; n and s are None unless ASCII digits."""
+    rendered layout, or three Nones unless they describe a scaffold."""
     head = text.split("\n", 4)[1:4]
-    if len(head) < 3:
-        return None, None, None
-    n, s, mode = (line.partition(" ")[2] for line in head)
-    return ascii_int(n), ascii_int(s), mode
+    if len(head) == 3:
+        n, s, mode = (line.partition(" ")[2] for line in head)
+        n, s = ascii_int(n), ascii_int(s)
+        if (s is not None and s >= 3 and n is not None and n >= threshold(s)
+                and mode in (DOMAIN_Z, DOMAIN_N)):
+            return n, s, mode
+    return None, None, None
 
 
 _LAYOUT_HEADER = ("n", "s", "mode")

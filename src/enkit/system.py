@@ -173,15 +173,21 @@ def serialize(system: EnSystem) -> str:
         if label.split() != [label]:
             raise FormatError(f"bad label {label!r} for index {index}")
         lines.append(f"# name {index} {label}")
+    return ("\n".join(lines) + "\n"
+            + "".join(equation_lines(system.equations)))
+
+
+def equation_lines(equations: Iterable[EnEquation]) -> tuple[str, str, str]:
+    """The canonical ONE, ADD and MUL lines of `equations`, each kind
+    sorted, as three texts of whole lines."""
     # One kind at a time, so sorting compares plain int tuples and never
     # calls the kinds' Python-level __eq__.
     by_kind = {kind: [] for kind in _TAGS}
-    for eq in system.equations:
+    for eq in equations:
         by_kind[type(eq)].append(eq)
-    for kind, tag in _TAGS.items():
-        line = tag + " %d" * len(kind._fields)
-        lines.extend(line % eq for eq in sorted(by_kind[kind]))
-    return "\n".join(lines) + "\n"
+    return tuple("".join(map((tag + " %d" * len(kind._fields) + "\n").__mod__,
+                             sorted(by_kind[kind])))
+                 for kind, tag in _TAGS.items())
 
 
 def _parse_indices(parts: list[str], count: int, line_no: int) -> list[int]:

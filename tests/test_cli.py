@@ -401,6 +401,13 @@ def test_solve_output(workdir, capsys):
                                    ["6", "1"]) for ln in lines)
 
 
+def test_solve_prints_an_empty_solution_without_a_trailing_space(
+        workdir, capsys):
+    write(workdir / "empty.ens", "ENSYS 1\nn 0\n")
+    assert main(["solve", "--system", "empty.ens", "--ring", "z"]) == 0
+    assert capsys.readouterr() == ("SOLUTION\ncount 1\n", "")
+
+
 def test_solve_tells_add_from_mul(workdir, capsys):
     # x1 = 1 and x1 + x1 = x2 force x2 = 2, which x1 * x1 = x2 refutes
     write(workdir / "mix.ens", "ENSYS 1\nn 2\nONE 1\nADD 1 1 2\nMUL 1 1 2\n")
@@ -911,6 +918,43 @@ def test_verify_pin_refuses_a_certificate_with_p_above_n(workdir, capsys):
                            "bad.cert", "--layout", "sys.layout",
                            "--expected", "12", "--ring", "n"],
                   f"certificate has p {HUGE}, more than its n 3")
+
+
+def _refusal_inputs(workdir):
+    write(workdir / "id.rep", IDENTITY_REP)
+    write(workdir / "sq.rep", "REP r=2\nx1 - x2*x2\n")
+    for rep, ring, n in (("id", "n", 12), ("sq", "n", 12), ("id", "z", 268)):
+        assert main(["fn-system", "--rep", f"{rep}.rep", "--ring", ring,
+                     "--n", str(n), "--out", f"{rep}{ring}"]) == 0
+    write(workdir / "bad.ens", "ENSYS 1\nn 12\nBOGUS 1\n")
+    write(workdir / "bad.cert", "CERT 1\nmode compact_N\np two\n")
+    tamper(workdir / "idn.layout", "\nmode N\n", "\nmode Z\n",
+           workdir / "z.layout")
+
+
+@pytest.mark.parametrize("files, more, code, message", [
+    (("bad", "idn", "missing"), [], 2, "line 3: unknown directive 'BOGUS'"),
+    (("idn", "idn", "idn"), ["--cap", "11"], 3,
+     "system variable count 12 exceeds limit 11"),
+    (("idn", "bad", "idn"), [], 2, "certificate header has no 'n' line"),
+    (("idn", "sqn", "idn"), [], 2,
+     "certificate has n 4, the system has 3 variables"),
+    (("idn", "idn", "z"), [], 2, "--ring n contradicts the layout's mode Z"),
+    (("idz", "idz", "idz"), [], 2,
+     "--ring n contradicts the layout's mode Z"),
+], ids=["malformed-ens-missing-layout", "over-cap", "unparsable-cert",
+        "cert-of-another-s", "layout-of-another-mode", "ring-contradicts"])
+def test_verify_pin_refusals_around_rendered_pairs(workdir, capsys, files,
+                                                   more, code, message):
+    # The .ens, .cert and .layout named by prefix; the refusal, its
+    # precedence and its exit code do not depend on how the pair is read.
+    _refusal_inputs(workdir)
+    ens, cert, layout = files
+    capsys.readouterr()
+    assert main(["verify-pin", "--system", f"{ens}.ens", "--cert",
+                 f"{cert}.cert", "--layout", f"{layout}.layout",
+                 "--expected", "12", "--ring", "n", *more]) == code
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 @pytest.fixture(params=[True, False], ids=["enabled", "disabled"])

@@ -176,6 +176,41 @@ def test_roundtrip(poly):
     assert parse_polynomial(text, arity=poly.arity) == poly
 
 
+def format_by_visiting_every_exponent(poly):
+    """The reference formatter: every exponent of every term visited, and
+    each factor formatted where it is used."""
+    if poly.is_zero():
+        return "0"
+    pieces = []
+    for position, (exps, coeff) in enumerate(poly.sorted_terms()):
+        mono = "*".join(
+            f"x{i + 1}" if e == 1 else f"x{i + 1}^{e}"
+            for i, e in enumerate(exps) if e)
+        mag = abs(coeff)
+        if not mono:
+            body = str(mag)
+        elif mag == 1:
+            body = mono
+        else:
+            body = f"{mag}*{mono}"
+        if position == 0:
+            pieces.append(body if coeff > 0 else f"-{body}")
+        else:
+            pieces.append(f"+ {body}" if coeff > 0 else f"- {body}")
+    return " ".join(pieces)
+
+
+@settings(max_examples=300)
+@given(polynomials(max_arity=12, max_exp=20, max_coeff=10**6, max_terms=8)
+       | st.builds(lambda arity, exps, coeff: Polynomial(
+           arity + 1, {(0,) * arity + (exps,): coeff}),
+           st.integers(0, MAX_VARIABLE - 1), st.integers(0, 2**31 - 1),
+           st.integers(-3, 3)))
+def test_format_matches_the_reference(poly):
+    # Exponents past the factor table's and indices up to MAX_VARIABLE.
+    assert format_polynomial(poly) == format_by_visiting_every_exponent(poly)
+
+
 def test_whitespace_insensitive():
     assert parse_polynomial("  2*x1   -3 ") == parse_polynomial("2*x1 - 3")
 

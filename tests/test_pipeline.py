@@ -1,25 +1,33 @@
 import functools
 import hashlib
+import io
+import json
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import enkit
 from enkit import oracle, pipeline
-from enkit.eqio import FnRepresentation, parse_polynomial
-from enkit.errors import CertificateMismatch, FormatError, ParseError
+from enkit.cli import main
+from enkit.eqio import FnRepresentation, format_rep, parse_polynomial
+from enkit.errors import (CertificateMismatch, EnkitError, FormatError,
+                          ParseError)
 from enkit.oracle import (Box, OracleLimits, Solved, Stuck, anchor_polynomial,
                           enumerate_roots, propagate, solve_bounded,
                           verify_pinning)
 from enkit.pipeline import (PsiSystem, assemble, build_pipeline, build_psi,
                             check_assembled, master_witness, parse_layout,
-                            serialize_layout, threshold)
+                            read_rendered, render_system, serialize_layout,
+                            threshold)
 from enkit.poly import Polynomial
 from enkit.reductions import (ReductionCertificate, build_compact_z,
-                              build_master_z, serialize_certificate,
-                              validate_certificate)
+                              build_master_z, parse_certificate,
+                              serialize_certificate, validate_certificate)
 from enkit.system import (Add, EnSystem, Mul, One, deserialize, serialize,
                           validate)
 
@@ -125,6 +133,7 @@ def test_scaffold_values_match_propagation():
     expected[scaffold.y_index] = scaffold.n - 2 * half
     for index, value in expected.items():
         assert out.values[index] == value
+    assert scaffold.values() == out.values[scaffold.s + 1:]
 
 
 def test_pipeline_identity_n():
@@ -688,12 +697,290 @@ FN_DIGESTS = [
      "d7813b19c4ee68957147ea0ccb6067a209d8adb64a72971c143ac14797071aff",
      "d962ff29f19cb6574dfa60b529bf6882db62317107dae96e116aebe81f9934d9"),
 ]
+# The same for the identity at the top of the benchmark's n band.
+LARGE_FN_CASES = [(IDENTITY, "Z", 19000), (IDENTITY, "N", 19001)]
+LARGE_FN_DIGESTS = [
+    ("4d469bc8d00807ef9a0d80dd90615ddca02edcb26a3244db12126e681be6d749",
+     "d7813b19c4ee68957147ea0ccb6067a209d8adb64a72971c143ac14797071aff",
+     "021d3789fb31334f7d67114c9c883e3da847bf4d90822e6bed962e349b5bf6ab"),
+    ("13c6f12819615abef281bf85f371850a72788695697df048f13e6ec4029d8d86",
+     "6aada1ffd3634e9d9c38afb3015fc3f920331c2a8cdb612dc3e564c24216c7d8",
+     "1115fdb87198601ed607c3af3ff4bc094af7c244016b0c2b10db08b49e587365"),
+]
+
+
+@pytest.mark.parametrize("case", range(len(FN_CASES + LARGE_FN_CASES)),
+                         ids=[f"{mode}-{n}" for _, mode, n
+                              in FN_CASES + LARGE_FN_CASES])
+def test_fn_system_outputs_byte_identical(tmp_path, case):
+    # Both the assembled system's serializations and what `fn-system`
+    # writes.
+    rep, mode, n = (FN_CASES + LARGE_FN_CASES)[case]
+    digests = (FN_DIGESTS + LARGE_FN_DIGESTS)[case]
+    sha = lambda text: hashlib.sha256(text.encode()).hexdigest()
+    asm = build_pipeline(rep, mode, n)
+    assert (sha(serialize(asm.system)),
+            sha(serialize_certificate(asm.certificate)),
+            sha(serialize_layout(asm))) == digests
+    (tmp_path / "f.rep").write_text(format_rep(rep), encoding="ascii")
+    assert main(["fn-system", "--rep", str(tmp_path / "f.rep"), "--ring",
+                 mode.lower(), "--n", str(n), "--out",
+                 str(tmp_path / "f")]) == 0
+    assert tuple(sha((tmp_path / f"f{suffix}").read_text())
+                 for suffix in (".ens", ".cert", ".layout")) == digests
+
+
+# -- pinning psi inside its scaffold ----------------------------------------
+
+def _free_auxiliary(n):
+    return assemble(_psi_with_free_auxiliary(), n)
+
+
+# (assembled system, expected, verify_pinning options): every route of
+# verify_pinning, passing and failing.
+PSI_PINNING_CASES = {
+    "complete": (lambda: build_pipeline(IDENTITY, "N", 12), 12,
+                 dict(witness_base=(12, 12))),
+    "complete-wrong": (lambda: build_pipeline(IDENTITY, "N", 12), 11,
+                       dict(witness_base=(11, 11))),
+    "square-odd": (lambda: build_pipeline(SQUARE, "N", 17), 289,
+                   dict(witness_base=(289, 17))),
+    "search": (lambda: _free_auxiliary(13), 13, dict(box_radius=2)),
+    "search-wrong": (lambda: _free_auxiliary(12), 11, dict(box_radius=2)),
+    "search-truncated": (lambda: _free_auxiliary(12), 12, dict(
+        box_radius=2, limits=OracleLimits(search_nodes=0))),
+    "certificate": (lambda: build_pipeline(FnRepresentation(
+        w=parse_polynomial("x1*x3 - x2", 3), r=3), "N", 14), -1,
+        dict(box_radius=7)),
+    "conflict": (lambda: build_pipeline(FnRepresentation(
+        w=parse_polynomial("x2 + 1", 2), r=2), "N", 14), 0,
+        dict(witness_base=(0, 14))),
+    "z-master": (lambda: build_pipeline(IDENTITY, "Z", 268), 268, dict(
+        box_radius=1, witness_base=master_witness((268, 268), 2))),
+    "z-master-wrong": (lambda: build_pipeline(IDENTITY, "Z", 269), 1, dict(
+        box_radius=1, witness_base=master_witness((1, 269), 2))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PSI_PINNING_CASES))
+def test_pinning_psi_inside_its_scaffold_reports_the_whole_system(case):
+    make, expected, options = PSI_PINNING_CASES[case]
+    asm = make()
+    options = dict(options, domain=asm.mode, certificate=asm.certificate)
+    whole = verify_pinning(asm.system, expected, **options)
+    psi = asm.psi()
+    assert psi.n == asm.scaffold.s
+    assert max(map(max, psi.equations)) <= psi.n
+    inside = verify_pinning(psi, expected, tail=asm.scaffold.values(),
+                            **options)
+    assert vars(inside) == vars(whole)
+
+
+@st.composite
+def psi_and_n(draw):
+    """A psi system of indices at most s, with or without ONE and MUL
+    equations and with or without names, and an n from the threshold,
+    where the scaffold has no padding, to 40 above it."""
+    s = draw(st.integers(3, 9))
+    index = st.integers(1, s)
+    kinds = [st.builds(Add, index, index, index)]
+    if draw(st.booleans()):
+        kinds.append(st.builds(One, index))
+    if draw(st.booleans()):
+        kinds.append(st.builds(Mul, index, index, index))
+    equations = draw(st.lists(st.one_of(kinds), max_size=12))
+    names = {i: f"v{i}" for i in range(1, s + 1)} if draw(st.booleans()) \
+        else None
+    psi = PsiSystem(EnSystem(s, equations, names), draw(st.sampled_from("ZN")),
+                    certificate=None)
+    return psi, threshold(s) + draw(st.integers(0, 40))
+
+
+@settings(max_examples=300, deadline=None)
+@given(psi_and_n())
+def test_rendered_outputs_are_the_serialized_ones(case):
+    psi, n = case
+    asm = assemble(psi, n)
+    ens_text, layout_text = render_system(psi, n)
+    # `rebuilt` makes each equation and label without `Scaffold`.
+    assert ens_text == serialize(asm.system) == serialize(
+        rebuilt(psi, n).system)
+    assert layout_text == serialize_layout(asm)
+    assert parse_layout(layout_text) == (n, psi.s, psi.mode,
+                                         asm.system.names)
+    psi_read, scaffold, mode = read_rendered(ens_text, layout_text)
+    assert (psi_read, scaffold, mode) == (EnSystem(psi.s,
+                                                   psi.system.equations),
+                                          asm.scaffold, psi.mode)
+
+
+# -- verify-pin's two routes ------------------------------------------------
+
+def _pin_argv(case, prefix):
+    """verify-pin of the FN_CASES output at `prefix`, with its witness."""
+    rep, mode, n = FN_CASES[case]
+    expected = n if rep is IDENTITY else n * n
+    witness = (master_witness((expected, n), 2) if mode == "Z"
+               else (expected, n))
+    return expected, mode, witness, [
+        "verify-pin", "--system", f"{prefix}.ens", "--cert",
+        f"{prefix}.cert", "--layout", f"{prefix}.layout", "--expected",
+        str(expected), "--ring", mode.lower(), "--radius", "1", "--witness",
+        ",".join(map(str, witness)), "--report", f"{prefix}.json"]
+
+
+def _run_pin(argv):
+    """verify-pin's exit code, stdout, stderr and report text, if any."""
+    report = Path(argv[-1])
+    report.unlink(missing_ok=True)
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return (code, out.getvalue(), err.getvalue(),
+            report.read_text() if report.exists() else None)
+
+
+def pin_by_rebuilding(ens_text, cert_text, layout_text, expected, mode,
+                      witness):
+    """The reference route: the whole system deserialized, its scaffold
+    checked by rebuilding, and pinned as a whole."""
+    try:
+        system = deserialize(ens_text)
+        cert = parse_certificate(cert_text)
+        assembled = check_by_rebuilding(system, cert, layout_text)
+        if assembled.mode != mode:
+            raise ParseError(f"--ring {mode.lower()} contradicts the "
+                             f"layout's mode {assembled.mode}")
+        report = verify_pinning(system, expected, domain=mode,
+                                certificate=cert, box_radius=1,
+                                witness_base=witness)
+    except (EnkitError, ValueError) as exc:
+        return 2, "", f"error: {exc}\n", None
+    payload = dict(vars(report), offending=len(report.offending),
+                   passed=report.passed)
+    del payload["consistent_propagation"]
+    return (0 if report.passed else 1,
+            f"solutions {report.solutions_found} offending "
+            f"{len(report.offending)}\n{'PASS' if report.passed else 'FAIL'}\n",
+            "", json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
+@st.composite
+def edited_ens(draw, text, s):
+    """text with one edit: two lines swapped, a line repeated, a blank
+    line put in, CRLF line ends, a scaffold line moved or a scaffold or
+    name line copied into psi's block, a psi line given an index above s,
+    a name changed in place or the last line end dropped."""
+    lines = text.splitlines(keepends=True)
+    equations = [t for t, line in enumerate(lines)
+                 if line.startswith(("ONE", "ADD", "MUL"))]
+    inside = [t for t in equations
+              if max(map(int, lines[t].split()[1:])) <= s]
+    outside = [t for t in equations if t not in inside]
+    names = [t for t, line in enumerate(lines) if line.startswith("# name")]
+    op = draw(st.sampled_from(["swap", "repeat", "blank", "crlf", "move",
+                               "copy", "above", "name", "last"]))
+    if op == "swap":
+        t = draw(st.sampled_from(equations + names))
+        u = draw(st.sampled_from(equations + names))
+        lines[t], lines[u] = lines[u], lines[t]
+    elif op == "repeat":
+        t = draw(st.integers(1, len(lines) - 1))
+        lines.insert(t, lines[t])
+    elif op == "blank":
+        lines.insert(draw(st.integers(1, len(lines))), "\n")
+    elif op == "crlf":
+        lines = [line.replace("\n", "\r\n") for line in lines]
+    elif op == "move":
+        line = lines.pop(draw(st.sampled_from(outside)))
+        lines.insert(draw(st.sampled_from(inside)), line)
+    elif op == "copy":
+        line = lines[draw(st.sampled_from(outside + names))]
+        lines.insert(draw(st.sampled_from(inside)), line)
+    elif op == "above":
+        t = draw(st.sampled_from(inside))
+        fields = lines[t].split()
+        k = draw(st.integers(1, len(fields) - 1))
+        fields[k] = str(draw(st.integers(s + 1, s + 3)))
+        lines[t] = " ".join(fields) + "\n"
+    elif op == "name":  # the same length, so the blocks stay in place
+        t = draw(st.sampled_from(names))
+        lines[t] = lines[t][:-2] + ("r" if lines[t][-2] == "q" else "q") \
+            + "\n"
+    else:
+        lines[-1] = lines[-1].rstrip("\n")
+    return "".join(lines)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, len(FN_CASES) - 1), st.data())
+def test_verify_pin_routes_agree_with_rebuilding(tmp_path_factory, case,
+                                                 data):
+    work = tmp_path_factory.mktemp("pin")
+    ens_text, cert, layout_text = fn_outputs(case)
+    s = parse_layout(layout_text)[1]
+    for _ in range(data.draw(st.integers(0, 2))):
+        ens_text = data.draw(edited_ens(ens_text, s))
+    cert_text = serialize_certificate(cert)
+    for suffix, text in ((".ens", ens_text), (".cert", cert_text),
+                         (".layout", layout_text)):
+        (work / f"f{suffix}").write_text(text, encoding="ascii",
+                                         newline="")
+    expected, mode, witness, argv = _pin_argv(case, str(work / "f"))
+    assert _run_pin(argv) == pin_by_rebuilding(
+        ens_text, cert_text, layout_text, expected, mode, witness)
 
 
 @pytest.mark.parametrize("case", range(len(FN_CASES)),
                          ids=[f"{mode}-{n}" for _, mode, n in FN_CASES])
-def test_fn_system_outputs_byte_identical(case):
-    ens_text, cert, layout_text = fn_outputs(case)
-    sha = lambda text: hashlib.sha256(text.encode()).hexdigest()
-    assert (sha(ens_text), sha(serialize_certificate(cert)),
-            sha(layout_text)) == FN_DIGESTS[case]
+def test_fn_system_and_verify_pin_build_and_read_no_scaffold(
+        tmp_path, monkeypatch, case):
+    rep, mode, n = FN_CASES[case]
+    (tmp_path / "f.rep").write_text(format_rep(rep), encoding="ascii")
+    prefix = str(tmp_path / "f")
+    fn_system = ["fn-system", "--rep", str(tmp_path / "f.rep"), "--ring",
+                 mode.lower(), "--n", str(n), "--out", prefix]
+    argv = _pin_argv(case, prefix)[3]
+
+    def round_trip():
+        assert main(fn_system) == 0
+        return (*_run_pin(argv), *(Path(prefix + suffix).read_text()
+                                   for suffix in (".ens", ".layout")))
+
+    expected = round_trip()
+    assert expected[:3] == (0, f"solutions {expected[1].split()[1]} "
+                            "offending 0\nPASS\n", "")
+    s = parse_layout(expected[-1])[1]
+
+    def refuse(*args):
+        raise AssertionError("built the scaffold's equations or labels")
+
+    deserialize = enkit.system.deserialize
+    full = []
+
+    def small(text):
+        system = deserialize(text)
+        if system.n > s:
+            full.append(text)
+        return system
+
+    monkeypatch.setattr(pipeline, "assemble", refuse)
+    monkeypatch.setattr(pipeline.Scaffold, "layout", refuse)
+    monkeypatch.setattr(enkit.system, "deserialize", small)
+    assert round_trip() == expected
+    assert full == []
+    # One blank line in psi's block sends verify-pin down the general
+    # route, once.
+    monkeypatch.undo()
+    checked = []
+
+    def counted(*args):
+        checked.append(args)
+        return check_assembled(*args)
+
+    monkeypatch.setattr(pipeline, "check_assembled", counted)
+    monkeypatch.setattr(enkit.system, "deserialize", small)
+    path = Path(prefix + ".ens")
+    path.write_text(path.read_text().replace("\nADD ", "\n\nADD ", 1))
+    assert _run_pin(argv) == expected[:4]
+    assert len(checked) == len(full) == 1

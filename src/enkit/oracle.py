@@ -304,7 +304,10 @@ class _Propagator:
         self.conflict_equation = None
         if self.domain == DOMAIN_N:
             for op, a, b, k in schedule.steps:
-                if row[k] < 0:  # a subtraction, the first to go negative
+                # Sums and products of non-negative values stay
+                # non-negative, so the first step to go negative is a
+                # subtraction.
+                if row[k] < 0:
                     self.conflict_equation = Add(b, k, a)
                     return False
         bad = kernels.check_equations(schedule.checks, row)
@@ -371,13 +374,13 @@ class Schedule:
     in order; an equation the sweep leaves unresolved is visited once more,
     and after that whenever one of its unknown slots becomes known, so the
     derivation takes linear time in any equation order.  Each derivation
-    other than a constant can become a step.  An equation that derived
-    nothing is a check if its slots all end up known, and open otherwise.
+    other than a constant is a step.  An equation that derived nothing is
+    a check if its slots all end up known, and open otherwise.
 
-    From x_1..x_p, `derive` keeps every step, and `kernels.run_schedule`
-    takes each once over a batch of base points, a column of values at a
-    time; `solves` then checks a complete schedule over the whole batch,
-    and `solves_at` over one point's row of values.  Every derived value
+    From x_1..x_p, `kernels.run_schedule` takes each of `derive`'s steps
+    once over a batch of base points, a column of values at a time;
+    `solves` then checks a complete schedule over the whole batch, and
+    `solves_at` over one point's row of values.  Every derived value
     is forced by its equation, so a base point extends to a solution
     exactly when the derived values pass the checks (and, over N, are
     non-negative), and then uniquely: the propagator's verdict from the
@@ -400,21 +403,16 @@ class Schedule:
         if not 0 <= p <= n:
             raise ValueError(f"base variable count {p} outside [0, {n}]")
         schedule = cls.from_row(system, [0] * (p + 1) + [None] * (n - p),
-                                domain, every_step=True)
+                                domain)
         for step in schedule.steps:
             schedule.template[step[3]] = 0
         return schedule
 
     @classmethod
-    def from_row(cls, system: EnSystem, row: list, domain: str = DOMAIN_Z,
-                 every_step: bool = False) -> "Schedule":
+    def from_row(cls, system: EnSystem, row: list,
+                 domain: str = DOMAIN_Z) -> "Schedule":
         """The schedule from a row of n + 1 values, None where unknown and
-        0 at the unused index 0, which it fills in and keeps as template.
-
-        Unless `every_step`, only subtractions are kept as steps: from
-        non-negative values only they can leave N, and recording every sum
-        and product too would slow the propagator's start by a fifth or more.
-        """
+        0 at the unused index 0, which it fills in and keeps as template."""
         n = system.n
         equations = system.equations
         unused = bytearray(b"\x01") * len(equations)
@@ -445,9 +443,8 @@ class Schedule:
                             row[k] = row[i] + row[j]
                         else:
                             row[k] = row[i] * row[j]
-                        if every_step:
-                            steps.append((add if type(eq) is Add else mul,
-                                          i, j, k))
+                        steps.append((add if type(eq) is Add else mul,
+                                       i, j, k))
                     elif (type(eq) is Add and row[k] is not None
                           and (row[i] is not None or row[j] is not None)):
                         if row[i] is not None:
@@ -905,9 +902,9 @@ def verify_pinning(system: EnSystem, expected: int, *, domain: str,
     bounded solutions are then enumerated by one rule.  When a certificate
     exists and propagation left some of its base variables free, those are
     enumerated within box_radius through the certificate, which maps the
-    search to root enumeration of the anchored polynomial.  Otherwise a
-    complete propagation is the only solution, and every other state is
-    searched from where propagation left it; a truncated search leaves
+    search to root enumeration of the anchored polynomial.  Otherwise the
+    state propagation left is searched, which on a complete propagation
+    finds that one row at once; a truncated search leaves
     `search_exhausted` false and the check fails.  The witness, like every
     solution found through the certificate, is the propagated row with
     the certificate's lift of its base point written over its start.
@@ -938,8 +935,6 @@ def verify_pinning(system: EnSystem, expected: int, *, domain: str,
     if certificate is not None and None in row[1:certificate.p + 1]:
         solutions = _pinned_solutions_via_cert(system, certificate, domain,
                                                row, box_radius, limits)
-    elif report.propagation_complete:
-        solutions = [row.copy()]  # all a search would find
     else:
         found = _search(prop, box_radius, limits,
                         time.monotonic() + limits.seconds)

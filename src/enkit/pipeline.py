@@ -4,12 +4,13 @@ Given W with x1 = f(x2) iff some existential x3..xr make W vanish over N,
 `build_psi` reduces the relation to an E_s system Psi.  Over the integers
 this goes through the four-square master polynomial (forcing x2 >= 0 and
 every representation variable non-negative); over N the representation is
-reduced directly.  `assemble` then surrounds Psi with the counting scaffold
-that forces x2 = n using exactly n variables: padding z_i = 1, the doubling
-t-chain, w, and the parity variable y.
-`render_system` writes the assembled files as psi's lines spliced into
-the scaffold's text, rendered from (n, s, mode), and `read_rendered`
-reads such files back by parsing psi's lines alone.
+reduced directly.  The counting scaffold around Psi forces x2 = n using
+exactly n variables: padding z_i = 1, the doubling t-chain, w, and the
+parity variable y.  `fn-system` renders it: `render_system` writes psi's
+lines spliced into the scaffold's text, rendered from (n, s, mode), and
+`read_rendered` reads such files back by parsing psi's lines alone.
+`assemble` builds the n-variable system itself, and `check_assembled`
+checks one read in full against its layout.
 """
 
 from __future__ import annotations
@@ -109,8 +110,8 @@ class Scaffold:
         if n < minimum:
             raise ValueError(f"n below threshold {minimum}")
         first = n - n // 2 - 1  # t_1: after psi and n - [n/2] - 2 - s padding
-        # Each index is made once here; the equations and labels built from
-        # these tuples share its int object.
+        # Each index is made once here; the labels built from these tuples
+        # share its int object.
         return cls(n=n, s=s, padding=tuple(range(s + 1, first)),
                    t_chain=tuple(range(first, n - 1)), w_index=n - 1,
                    y_index=n)
@@ -176,32 +177,24 @@ def check_assembled(system: EnSystem,
     s, so the canonical lines of the system's equations with an index
     above s must be the rendered scaffold's.  Both the layout labels and
     the system's `# name` labels must be the scaffold's.  Any difference
-    raises ParseError naming it.  Text that is exactly what
-    `serialize_layout` writes for its header's (n, s, mode) is accepted
-    unparsed; any other text is read by `parse_layout`.
+    raises ParseError naming it.
     """
-    n, s, mode = _layout_header(layout_text)
-    labels = None
+    n, s, mode, labels = parse_layout(layout_text)
     # n first: a header cannot have a scaffold built beyond the system.
-    rendered = n == system.n and _render(Scaffold.of(n, s), mode)
-    if not rendered or layout_text != rendered.layout:
-        n, s, mode, labels = parse_layout(layout_text)
-        if n != system.n:
-            raise ParseError("layout and system disagree on n")
+    if n != system.n:
+        raise ParseError("layout and system disagree on n")
     if certificate is not None:
         validate_certificate(certificate, s)
     scaffold = Scaffold.of(n, s)
-    if labels is not None:
-        rendered = _render(scaffold, mode)
+    _, ones, adds, _ = _render(scaffold, mode)
     equations = system.equations
     outside = compress(equations, map(s.__lt__, map(max, equations)))
-    if ens.equation_lines(outside) != (rendered.ones, rendered.adds, ""):
+    if ens.equation_lines(outside) != (ones, adds, ""):
         raise ParseError("system does not match the layout's scaffold")
     layout = scaffold.layout()
-    # A rendered layout's labels (None here) are the scaffold's.
     for what, names in (("layout label", labels),
                         (".ens name", system.names)):
-        if names is not None and names != layout:
+        if names != layout:
             index = min(i for i in names.keys() | layout.keys()
                         if names.get(i) != layout.get(i))
             raise ParseError(f"{what} of index {index} does not match "

@@ -155,7 +155,6 @@ _TAGS = {One: "ONE", Add: "ADD", Mul: "MUL"}
 _KINDS = {tag: (kind, len(kind._fields)) for kind, tag in _TAGS.items()}
 # first four characters of a run of equation lines -> their kind
 _RUN_KINDS = {tag + " ": kind for kind, tag in _TAGS.items()}
-_NAME_RUN = "# na"
 _HEAD = itemgetter(slice(0, 4))
 # Lines are read this many at a time, so the bulk reader holds the tokens of
 # one chunk, not the four string objects per line of a whole file.
@@ -222,8 +221,8 @@ class _Reader:
     def read_chunk(self, lines: list[str], line_no: int):
         """Read lines, the first of which is line number line_no.
 
-        Each run of lines beginning with the same four characters that one
-        of the bulk readers accepts is read in bulk; any other run is read
+        Each run of equation lines beginning with the same four characters
+        that the bulk reader accepts is read in bulk; any other run is read
         line by line, which raises the first format error in it.
         """
         heads = list(map(_HEAD, lines))
@@ -232,11 +231,8 @@ class _Reader:
         for start, stop in pairwise(bounds):
             run = lines[start:stop]
             head = heads[start]
-            if head in _RUN_KINDS:
-                done = self._bulk_equations(run, _RUN_KINDS[head])
-            else:
-                done = head == _NAME_RUN and self._bulk_names(run)
-            if not done:
+            if not (head in _RUN_KINDS
+                    and self._bulk_equations(run, _RUN_KINDS[head])):
                 self.read_lines(run, line_no + start)
 
     def _bulk_equations(self, lines: list[str], kind) -> bool:
@@ -249,8 +245,9 @@ class _Reader:
                 or tokens[::width].count(_TAGS[kind]) != len(lines)):
             return False
         del tokens[::width]
-        values = self._table_ints(tokens)
-        if values is None:
+        try:
+            values = list(map(self.numerals.__getitem__, tokens))
+        except KeyError:
             return False
         if kind is One:
             self.equations.extend(map(tuple.__new__, repeat(One), zip(values)))
@@ -258,33 +255,6 @@ class _Reader:
             self.equations.extend(
                 kind.from_columns(values[::3], values[1::3], values[2::3]))
         return True
-
-    def _bulk_names(self, lines: list[str]) -> bool:
-        """Read lines that all begin "# na" as name lines, or return False,
-        having read nothing, unless every one is a well-formed name line
-        naming an index in the numeral table not named before."""
-        tokens = " ".join(lines).split()
-        if (len(tokens) != 4 * len(lines)
-                or tokens[::4].count("#") != len(lines)
-                or tokens[1::4].count("name") != len(lines)):
-            return False
-        indices = self._table_ints(tokens[2::4])
-        if indices is None:
-            return False
-        names = dict(zip(indices, tokens[3::4]))
-        # An index named twice leaves fewer names than lines.
-        if len(names) != len(lines) or not self.names.keys().isdisjoint(names):
-            return False
-        self.names.update(names)
-        return True
-
-    def _table_ints(self, tokens: list[str]) -> list[int] | None:
-        """The tokens as ints if the numeral table holds every one, else
-        None."""
-        try:
-            return list(map(self.numerals.__getitem__, tokens))
-        except KeyError:
-            return None
 
     def read_lines(self, lines: list[str], line_no: int):
         """Read lines one at a time; the first is line number line_no."""

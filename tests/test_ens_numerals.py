@@ -24,7 +24,8 @@ import enkit
 from enkit import system as system_module
 from enkit.eqio import ascii_int, ascii_ints, parse_equation, parse_rep
 from enkit.errors import FormatError
-from enkit.pipeline import build_pipeline
+from enkit.pipeline import (build_pipeline, build_psi, read_rendered,
+                            render_system)
 from enkit.reductions import build_reduction
 from enkit.system import (Add, EnSystem, Mul, One, deserialize, serialize,
                           validate)
@@ -302,36 +303,83 @@ def test_runs_holding_other_tokens_are_read_line_by_line():
                    "named index 5 out of range [1, 4]")
 
 
+# The representations and n bands of the benchmark's fn-pipeline.
+FN_REPS = ("x1 - x2", "x1 - x2*x2", "x1 - 2*x2")
+FN_BANDS = (("N", (45, 2000, 19000)), ("Z", (300, 2000, 19000)))
+
+
+def psi_lines(psi, n):
+    """The text `read_rendered` hands to `deserialize` for the pair
+    `render_system(psi, n)`: the ENSYS and `n s` headers, then psi's
+    canonical lines."""
+    texts = []
+    real = system_module.deserialize
+
+    def spy(text):
+        texts.append(text)
+        return real(text)
+
+    with mock.patch.object(system_module, "deserialize", spy):
+        assert read_rendered(*render_system(psi, n))
+    (text,) = texts
+    return text
+
+
 def benchmark_texts():
-    """One .ens text of each kind the benchmark's workloads read: full
-    families, fn-system outputs at the sizes of its bands, compact chains
-    in 1-3 variables; and a compact chain in 5 variables."""
+    """One .ens text of each kind the benchmark's workloads read, as
+    (kind, n, text): full families, psi's lines read from fn-system
+    outputs at the sizes of its bands, compact chains in 1-3 variables;
+    and a compact chain in 5 variables."""
     for source in ("x1 = x2", "x1^2 = 2"):
         for mode in ("full_Z", "halved_Z", "full_N"):
-            yield mode, build_reduction(parse_equation(source), mode)[0]
-    for ring, sizes in (("N", (45, 2000, 19000)), ("Z", (300, 2000, 19000))):
-        rep = parse_rep("REP r=2\nx1 - x2*x2\n")
-        for n in sizes:
-            yield f"fn-system {ring}", build_pipeline(rep, ring, n).system
+            built = build_reduction(parse_equation(source), mode)[0]
+            yield mode, built.n, serialize(built)
+    for ring, sizes in FN_BANDS:
+        for w in FN_REPS:
+            psi = build_psi(parse_rep(f"REP r=2\n{w}\n"), ring)
+            for n in sizes:
+                yield f"psi {ring}", psi.s, psi_lines(psi, n)
     for source in ("x1^2 - 3*x1 = 4", "x1^2*x2 + 2*x2^2 = x1 + 3",
                    "x1*x2^2*x3 - x3^2 = 2*x1*x2 + 4", "x1*x2*x3*x4*x5 = 1"):
         for mode in ("compact_Z", "compact_N"):
-            yield mode, build_reduction(parse_equation(source), mode)[0]
+            built = build_reduction(parse_equation(source), mode)[0]
+            yield mode, built.n, serialize(built)
 
 
 def test_table_built_for_every_benchmark_text_kind():
     fewer_lines = []
-    for kind, built in benchmark_texts():
-        text = serialize(built)
+    for kind, n, text in benchmark_texts():
         got, numerals, runs = read_spied(text)
-        assert numerals == table(built.n), (kind, built.n)
-        assert runs == [["n %d" % built.n]], (kind, built.n)
+        assert numerals == table(n), (kind, n)
+        assert runs == [["n %d" % n]], (kind, n)
         assert got == outcome(lambda t: reference_deserialize(t, CHUNK), text)
-        if len(text.splitlines()) < built.n:
-            fewer_lines.append((kind, built.n))
-    # The 5-variable chain has fewer lines than variables, yet 7.5
-    # characters per index.
-    assert fewer_lines == [("compact_Z", 11), ("compact_N", 11)]
+        assert len(text) >= 7.5 * n, (kind, n)
+        if len(text.splitlines()) < n:
+            fewer_lines.append((kind, n))
+    # Psi over Z and the 5-variable chain have fewer lines than variables,
+    # yet 7.5 or more characters per index.
+    assert list(dict.fromkeys(fewer_lines)) == [
+        ("psi Z", 132), ("psi Z", 135), ("psi Z", 134), ("compact_Z", 11),
+        ("compact_N", 11)]
+
+
+def test_whole_fn_system_outputs_read_only_header_and_names_by_line():
+    # What the general route of `verify-pin` reads: the table is built,
+    # and only the `n` header and the `# name` block go line by line.
+    rep = parse_rep("REP r=2\nx1 - x2*x2\n")
+    for ring, sizes in FN_BANDS:
+        for n in sizes:
+            built = build_pipeline(rep, ring, n).system
+            text = serialize(built)
+            got, numerals, runs = read_spied(text)
+            assert numerals == table(n), (ring, n)
+            names = [line for line in text.splitlines()
+                     if line.startswith("# name ")]
+            assert len(names) == n
+            assert [line for run in runs for line in run] == [
+                "n %d" % n, *names], (ring, n)
+            assert got == outcome(
+                lambda t: reference_deserialize(t, CHUNK), text)
 
 
 def test_huge_n_builds_no_table():

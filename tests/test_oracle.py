@@ -103,6 +103,19 @@ def test_propagate_nat_rejects_negative():
     assert out.values[1] == -3
 
 
+def test_propagate_nat_names_the_subtraction_not_a_later_product():
+    # From x1 = 1 and x2 = 3, x3 = x1 - x2 = -2 is the first negative
+    # value; the product x4 = x3 * x6 and the sum x5 = x4 + x6 after it
+    # are negative too, but the conflict names the subtraction.
+    system = EnSystem(6, [Add(3, 2, 1), One(6), Mul(3, 6, 4), Add(4, 6, 5)])
+    seed = {1: 1, 2: 3}
+    assert propagate(system, seed, "N") == Conflict(Add(2, 3, 1))
+    assert solve_bounded(system, "N", seed=seed).solutions == []
+    out = propagate(system, seed, "Z")
+    assert isinstance(out, Solved)
+    assert out.values == [0, 1, 3, -2, -2, -1, 1]
+
+
 def test_propagate_seed_conflict():
     out = propagate(EnSystem(1, [One(1)]), {1: 2})
     assert isinstance(out, Conflict)

@@ -633,32 +633,17 @@ def test_check_assembled_agrees_with_rebuilding_on_spacing(case, with_cert,
             == check_outcome(check_by_rebuilding, system, cert, text))
 
 
-@pytest.mark.parametrize("case", range(len(FN_CASES)))
-@pytest.mark.parametrize("with_cert", [True, False])
-def test_check_assembled_parses_no_rendered_layout(monkeypatch, case,
-                                                   with_cert):
-    ens_text, cert, text = fn_outputs(case)
-    system = deserialize(ens_text)
-    cert = cert if with_cert else None
-    expected = check_outcome(check_assembled, system, cert, text)
-    assert expected[0] is system
-
-    def refuse(text):
-        raise AssertionError("parsed a rendered layout")
-
-    monkeypatch.setattr(pipeline, "parse_layout", refuse)
-    assert check_outcome(check_assembled, system, cert, text) == expected
-
-
 @pytest.mark.parametrize("edit", [
+    lambda text: text,                                   # as rendered
     lambda text: text.replace("\n1 x1\n", "\n1 x1\n\n"),  # a blank line
     lambda text: text.replace("\n", "\r\n"),             # CRLF line ends
-], ids=["blank-line", "crlf"])
+], ids=["rendered", "blank-line", "crlf"])
 @pytest.mark.parametrize("case", range(len(FN_CASES)))
 def test_check_assembled_parses_other_layouts_once(monkeypatch, case, edit):
     ens_text, cert, text = fn_outputs(case)
     system = deserialize(ens_text)
     expected = check_outcome(check_assembled, system, cert, text)
+    assert expected[0] is system
     calls = []
 
     def counted(text):

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from itertools import compress
 
 from .errors import FormatError, ParseError
-from .poly import Polynomial
+from .poly import Polynomial, grlex_key
 
 MAX_EXPONENT = 2**31 - 1
 # A polynomial in x1..xk stores k exponents per term and the compact chains
@@ -247,41 +247,118 @@ def parse_equation(text: str, arity: int | None = None) -> Polynomial:
     return lhs - rhs
 
 
-class _Factors(dict):
-    """(i, e) -> the text of x_{i+1}^e, kept for e up to 16 only."""
+def _format_term(term: tuple[tuple[int, ...], int]) -> str:
+    """An (exponents, coefficient) term as format_polynomial writes it
+    after the first: ` + body` or ` - body`."""
+    exps, coeff = term
+    # Only the nonzero exponents reach Python code.
+    mono = "*".join([f"x{i + 1}^{e}" if e > 1 else f"x{i + 1}"
+                     for i, e in compress(enumerate(exps), exps)])
+    mag = abs(coeff)
+    if not mono:
+        body = str(mag)
+    elif mag == 1:
+        body = mono
+    else:
+        body = f"{mag}*{mono}"
+    return f" + {body}" if coeff > 0 else f" - {body}"
 
-    def __missing__(self, key: tuple[int, int]) -> str:
-        index, exponent = key
-        text = f"x{index + 1}^{exponent}" if exponent > 1 else f"x{index + 1}"
-        if exponent <= 16:
-            self[key] = text
-        return text
+
+def _parse_term(text: str, arity: int) -> tuple[tuple[int, ...], int] | None:
+    """(exponents, coefficient) of one signed term such as `-3*x1^2*x4`,
+    or None where the canonical form has no such term.
+
+    Lenient on purpose: `x1^1` or `2*3` read as what they mean, and the
+    caller refuses what does not format back as written.
+    """
+    coeff = 1
+    if text[:1] == "-":
+        coeff, text = -1, text[1:]
+    exps = [0] * arity
+    try:
+        for factor in text.split("*"):
+            if factor[:1] != "x":
+                coeff *= int(factor)
+                continue
+            index, _, exponent = factor[1:].partition("^")
+            index = int(index)
+            exponent = int(exponent) if exponent else 1
+            # The format would write these back; the parser refuses them.
+            if not (0 < index <= arity and 0 < exponent <= MAX_EXPONENT):
+                return None
+            exps[index - 1] += exponent
+    except ValueError:  # not an integer, or too long to convert either way
+        return None
+    if not coeff:  # `-0*x1` would format back as itself
+        return None
+    return tuple(exps), coeff
 
 
-_FACTORS = _Factors()
+class _Texts(dict):
+    """(exponents, coefficient) term -> (graded-lex key, `_format_term`),
+    each made on first use."""
+
+    def __missing__(self, term):
+        entry = self[term] = grlex_key(term), _format_term(term)
+        return entry
+
+
+class _Terms(dict):
+    """Term text -> `_parse_term` at the arity, made on first use."""
+
+    def __init__(self, arity: int):
+        super().__init__()
+        self.arity = arity
+
+    def __missing__(self, text):
+        term = self[text] = _parse_term(text, self.arity)
+        return term
+
+
+class TermTable:
+    """Format and read a batch of polynomials in x1..x_arity, such as one
+    certificate's definitions, each distinct term once.
+
+    Every distinct (exponents, coefficient) term is formatted and given
+    its graded-lex key once, and every distinct term text is parsed once;
+    a polynomial then costs a sort by those keys and a join.  A table
+    lives for one batch and holds nothing between batches.
+    """
+
+    def __init__(self, arity: int):
+        self.arity = arity
+        self._texts = _Texts()
+        self._terms = _Terms(arity)
+
+    def format(self, poly: Polynomial) -> str:
+        """format_polynomial(poly)."""
+        if not poly.terms:
+            return "0"
+        # Terms have distinct keys, so the sort never compares texts.
+        entries = sorted(map(self._texts.__getitem__, poly.terms.items()),
+                         reverse=True)
+        first = entries[0][1]
+        # The first term drops the joining ` + ` or keeps its `-`.
+        head = first[3:] if first[1] == "+" else "-" + first[3:]
+        return head + "".join([text for _, text in entries[1:]])
+
+    def parse(self, text: str) -> Polynomial | None:
+        """parse_canonical(text, arity)."""
+        if not 0 <= self.arity <= MAX_VARIABLE:
+            return None
+        if text == "0":
+            return Polynomial.zero(self.arity)
+        terms = list(map(self._terms.__getitem__,
+                         text.replace(" - ", " + -").split(" + ")))
+        if None in terms:
+            return None
+        poly = Polynomial._raw(self.arity, dict(terms))
+        return poly if self.format(poly) == text else None
 
 
 def format_polynomial(poly: Polynomial) -> str:
     """Canonical graded-lex rendering; parse(format(P)) == P."""
-    if poly.is_zero():
-        return "0"
-    pieces = []
-    for position, (exps, coeff) in enumerate(poly.sorted_terms()):
-        # Only the nonzero exponents reach Python code.
-        mono = "*".join(map(_FACTORS.__getitem__,
-                            compress(enumerate(exps), exps)))
-        mag = abs(coeff)
-        if not mono:
-            body = str(mag)
-        elif mag == 1:
-            body = mono
-        else:
-            body = f"{mag}*{mono}"
-        if position == 0:
-            pieces.append(body if coeff > 0 else f"-{body}")
-        else:
-            pieces.append(f"+ {body}" if coeff > 0 else f"- {body}")
-    return " ".join(pieces)
+    return TermTable(poly.arity).format(poly)
 
 
 def parse_canonical(text: str, arity: int) -> Polynomial | None:
@@ -289,42 +366,13 @@ def parse_canonical(text: str, arity: int) -> Polynomial | None:
     exactly `text`, or None if there is none.
 
     A fast reader for what enkit wrote, with no tokens and no polynomial
-    arithmetic: terms split at ` + ` and ` - `, factors at `*`.  Whatever
-    it returns formats back to `text`, so `parse_polynomial(text, arity)`
-    reads the same polynomial; any other text, errors included, is left
-    to `parse_polynomial`.
+    arithmetic: terms split at ` + ` and ` - `, factors at `*`, through
+    a `TermTable` of its own (`TermTable.parse` reads a batch of texts
+    with one table).  Whatever it returns formats back to `text`, so
+    `parse_polynomial(text, arity)` reads the same polynomial; any other
+    text, errors included, is left to `parse_polynomial`.
     """
-    if not 0 <= arity <= MAX_VARIABLE:
-        return None
-    if text == "0":
-        return Polynomial.zero(arity)
-    terms: dict[tuple[int, ...], int] = {}
-    try:
-        for term in text.replace(" - ", " + -").split(" + "):
-            coeff = 1
-            if term[:1] == "-":
-                coeff, term = -1, term[1:]
-            exps = [0] * arity
-            for factor in term.split("*"):
-                if factor[:1] != "x":
-                    coeff *= int(factor)
-                    continue
-                index, _, exponent = factor[1:].partition("^")
-                index = int(index)
-                exponent = int(exponent) if exponent else 1
-                # The format would write these back; the parser refuses them.
-                if not (0 < index <= arity and 0 < exponent <= MAX_EXPONENT):
-                    return None
-                exps[index - 1] += exponent
-            if not coeff:  # `-0*x1` would format back as itself
-                return None
-            terms[tuple(exps)] = coeff
-        poly = Polynomial._raw(arity, terms)
-        if format_polynomial(poly) == text:
-            return poly
-    except ValueError:  # not an integer, or too long to convert either way
-        pass
-    return None
+    return TermTable(arity).parse(text)
 
 
 # --------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from __future__ import annotations
 import time
 from collections import defaultdict
 from dataclasses import dataclass, field
-from itertools import compress, islice
+from itertools import chain, compress, islice
 from itertools import product as iproduct
 from math import isqrt, prod
 from operator import add, and_, mul, or_, sub
@@ -99,9 +99,8 @@ def enumerate_roots(poly: Polynomial, box: Box, domain: str = DOMAIN_Z,
     eff = box.effective(domain)
     if eff is None:
         return []
-    terms = poly.sorted_terms()
-    exps = tuple(e for e, _ in terms)
-    coeffs = tuple(c for _, c in terms)
+    exps = tuple(poly.terms)
+    coeffs = tuple(poly.terms.values())
     lows = tuple(lo for lo, _ in eff)
     highs = tuple(hi for _, hi in eff)
     return kernels.grid_roots(exps, coeffs, lows, highs)
@@ -533,8 +532,13 @@ def lift(cert: ReductionCertificate, base) -> list:
             f"base point of length {len(base)} for p = {cert.p}")
     validate_certificate(cert, cert.n)
     row = [0, *base] + [None] * (cert.n - cert.p)
+    # A chain's definitions share their monomials: each is evaluated once.
+    monomial = {exps: prod(map(pow, base, exps)) for exps in dict.fromkeys(
+        chain.from_iterable(poly.terms for poly in cert.defs.values()))}
     for index, poly in cert.defs.items():
-        row[index] = poly.eval_at(base)
+        terms = poly.terms
+        row[index] = sum(map(mul, terms.values(),
+                             map(monomial.__getitem__, terms)))
     return row
 
 

@@ -6,8 +6,9 @@ are 1-based (x1..xp) to match the textual formats and the equation systems
 built on top.  Instances are immutable by convention: no operation mutates
 its arguments, every operation returns a fresh value.
 
-The canonical term order used for printing, hashing and all deterministic
-tables is graded lexicographic, highest term first.
+The canonical term order, used wherever order shows (printing, and the
+order in which a compact chain folds terms in), is graded lexicographic,
+highest term first.  Identity and hashing take no order at all.
 """
 
 from __future__ import annotations
@@ -19,8 +20,15 @@ from .errors import DimensionMismatch
 Exponents = tuple[int, ...]
 
 
+def grlex_key(term: tuple[Exponents, int]) -> tuple[int, Exponents]:
+    """Sort key of an (exponents, coefficient) term: the canonical order
+    is this key's, descending."""
+    exps = term[0]
+    return sum(exps), exps
+
+
 def _grlex_sorted(terms: Mapping[Exponents, int]) -> list[tuple[Exponents, int]]:
-    return sorted(terms.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)
+    return sorted(terms.items(), key=grlex_key, reverse=True)
 
 
 class Polynomial:
@@ -85,9 +93,11 @@ class Polynomial:
         return _grlex_sorted(self.terms)
 
     def key(self) -> tuple:
-        """Canonical hashable form; equal polynomials have equal keys."""
+        """Hashable identity, (arity, frozenset of (exponents, coefficient)
+        terms): equal polynomials, and only they, have equal keys.  It has
+        no order, so it costs no sort."""
         if self._key is None:
-            self._key = (self.arity, tuple(self.sorted_terms()))
+            self._key = (self.arity, frozenset(self.terms.items()))
         return self._key
 
     def degree_in(self, index: int) -> int:

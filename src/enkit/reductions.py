@@ -22,8 +22,7 @@ from itertools import product
 from math import prod
 
 from . import kernels
-from .eqio import (ascii_int, ascii_ints, format_polynomial, parse_canonical,
-                   parse_polynomial)
+from .eqio import TermTable, ascii_int, ascii_ints, parse_polynomial
 from .errors import (CertificateMismatch, FamilyTooLarge, FormatError,
                      UnusedVariable, ZeroPolynomial)
 from .poly import Exponents, Polynomial
@@ -143,8 +142,10 @@ class ReductionCertificate:
 
 def serialize_certificate(cert: ReductionCertificate) -> str:
     lines = ["CERT 1", f"mode {cert.mode}", f"p {cert.p}", f"n {cert.n}"]
+    # One table for all the definitions: a chain's lines repeat terms.
+    table = TermTable(cert.p)
     for index in sorted(cert.defs):
-        lines.append(f"{index} {format_polynomial(cert.defs[index])}")
+        lines.append(f"{index} {table.format(cert.defs[index])}")
     if cert.anchor_q is not None:
         lines.append(f"ANCHOR q {cert.anchor_q}")
     else:
@@ -172,6 +173,7 @@ def parse_certificate(text: str) -> ReductionCertificate:
                 f"bad certificate header line {key + ' ' + header[key]!r}")
     defs: dict[int, Polynomial] = {}
     anchor = None
+    table = TermTable(p)
     for line in lines[4:]:
         if line.startswith("ANCHOR "):
             if anchor is not None:
@@ -187,7 +189,7 @@ def parse_certificate(text: str) -> ReductionCertificate:
         if index in defs:
             raise FormatError(f"certificate defines index {index} twice")
         # Lines serialize_certificate wrote take the canonical reader.
-        poly = parse_canonical(poly_text, p)
+        poly = table.parse(poly_text)
         defs[index] = (parse_polynomial(poly_text, arity=p) if poly is None
                        else poly)
     if anchor is None:
@@ -361,10 +363,10 @@ def compact_bound(d: Polynomial) -> int:
     and the sum folding it in; the powers of two up to the widest
     coefficient are shared by every term.
     """
-    terms = d.sorted_terms()
-    width = max(abs(coeff).bit_length() for _, coeff in terms)
+    width = max(abs(coeff).bit_length() for coeff in d.terms.values())
     return (d.arity + 2 + width
-            + sum(sum(exps) + abs(coeff).bit_count() for exps, coeff in terms))
+            + sum(sum(exps) + abs(coeff).bit_count()
+                  for exps, coeff in d.terms.items()))
 
 
 def _refuse_long_chain(d: Polynomial, cap: int):

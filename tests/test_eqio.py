@@ -2,11 +2,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from enkit import eqio
 from enkit.eqio import (MAX_NESTING, MAX_VARIABLE, ascii_int, ascii_ints,
                         format_polynomial, format_rep, parse_canonical,
                         parse_equation, parse_polynomial, parse_rep)
 from enkit.errors import FormatError, ParseError
 from enkit.poly import Polynomial
+from enkit.reductions import parse_certificate, serialize_certificate
 
 from test_poly import polynomials
 
@@ -248,7 +250,14 @@ def near_canonical(draw):
     to two edits, its terms reordered or repeated, or a space added."""
     poly = draw(polynomials(max_arity=10, max_exp=4, max_coeff=10**4,
                             max_terms=6))
-    text = format_polynomial(poly)
+    text = edited(draw, format_polynomial(poly))
+    arity = poly.arity + draw(st.sampled_from([0, 0, 0, 1, -1]))
+    return text, max(arity, 0)
+
+
+def edited(draw, text):
+    """Canonical text with up to two EDITS, its terms reordered or
+    repeated, or a space added."""
     for _ in range(draw(st.integers(0, 2))):
         old, new = draw(st.sampled_from(EDITS))
         at = [i for i in range(len(text)) if text.startswith(old, i)]
@@ -263,8 +272,7 @@ def near_canonical(draw):
         text = text + " + " + draw(st.sampled_from(terms))
     elif shape == "trailing":
         text += " "
-    arity = poly.arity + draw(st.sampled_from([0, 0, 0, 1, -1]))
-    return text, max(arity, 0)
+    return text
 
 
 @settings(max_examples=400, deadline=None)
@@ -294,6 +302,105 @@ def test_canonical_reader_takes_formatted_text(text, arity):
     ("x1", MAX_VARIABLE + 1), ("x1", -1)])
 def test_canonical_reader_leaves_other_text(text, arity):
     assert parse_canonical(text, arity) is None
+
+
+# -- certificates: one term table per certificate --------------------------
+
+def certificate_text(p, lines):
+    """A compact_Z certificate over x1..xp defining x_{p+1}, ... by `lines`."""
+    defs = [f"{p + 1 + i} {line}" for i, line in enumerate(lines)]
+    return "\n".join(["CERT 1", "mode compact_Z", f"p {p}",
+                      f"n {p + len(lines)}", *defs, f"ANCHOR q {p + 1}", ""])
+
+
+def cumulative_lines(poly):
+    """The canonical texts of poly's partial sums, terms added in canonical
+    order, as a compact chain defines them: later lines repeat the terms
+    of earlier ones."""
+    terms = poly.sorted_terms()
+    return [format_polynomial(Polynomial(poly.arity, dict(terms[:k])))
+            for k in range(1, len(terms) + 1)]
+
+
+@st.composite
+def shared_term_certificates(draw):
+    """(p, lines): cumulative lines of a polynomial, one of them edited."""
+    poly = draw(polynomials(max_arity=5, max_exp=3, max_coeff=10**3,
+                            max_terms=7))
+    lines = cumulative_lines(poly) or ["0"]
+    at = draw(st.integers(0, len(lines) - 1))
+    lines[at] = edited(draw, lines[at])
+    return poly.arity, lines
+
+
+def reads_like_each_line_alone(p, lines):
+    """parse_certificate reads every line as read_canonical_first reads it
+    alone, and fails with the first line that fails alone."""
+    alone = [outcome(read_canonical_first, line, p) for line in lines]
+    failed = [got for got in alone if isinstance(got[0], type)]
+    try:
+        cert = parse_certificate(certificate_text(p, lines))
+    except Exception as exc:  # the type and message are compared
+        assert failed and (type(exc), str(exc)) == failed[0]
+        return
+    assert not failed
+    assert [(poly.arity, poly.terms) for _, poly in sorted(cert.defs.items())
+            ] == alone
+
+
+@settings(max_examples=300, deadline=None)
+@given(shared_term_certificates())
+def test_certificate_lines_read_as_each_line_alone(case):
+    reads_like_each_line_alone(*case)
+
+
+@pytest.mark.parametrize("p, lines", [
+    (1, ["x1", "x1 + x1", "x1 + 1"]),
+    (2, ["x1^2", "x1^2 - x2", "x1^2 - x2 - x2", "-x2 + x1^2"]),
+    (2, ["x1 - x2", "x2 - x1", "x1 - x2 + 1"]),
+    (2, ["x1", "x1 + x2", "x1 + x3"]),
+], ids=["repeated term", "repeated negative term", "reordered", "error"])
+def test_certificate_lines_that_repeat_a_term(p, lines):
+    reads_like_each_line_alone(p, lines)
+
+
+def test_no_term_table_outlives_its_certificate():
+    # x2 is a term of x1..x2; read again at p = 1 it must be refused.
+    parse_certificate(certificate_text(2, ["x2", "x1 + x2"]))
+    lines = ["x1", "x1 + x2"]
+    with pytest.raises(ParseError) as refused:
+        parse_certificate(certificate_text(1, lines))
+    assert ((type(refused.value), str(refused.value))
+            == outcome(read_canonical_first, lines[1], 1))
+
+
+def test_certificate_terms_are_parsed_and_formatted_once(monkeypatch):
+    # k cumulative lines write k(k + 1) / 2 terms, of k distinct texts; a
+    # reader or writer that goes back to per-line term work fails here.
+    k = 40
+    poly = Polynomial(3, {(i % 4, i % 3, i // 12): (-1) ** i * (i + 1)
+                          for i in range(k)})
+    lines = cumulative_lines(poly)
+    assert len(lines) == k
+    counts = {"parse": 0, "format": 0}
+
+    def counting(name, real):
+        def call(*args):
+            counts[name] += 1
+            return real(*args)
+        return call
+
+    monkeypatch.setattr(eqio, "_parse_term",
+                        counting("parse", eqio._parse_term))
+    monkeypatch.setattr(eqio, "_format_term",
+                        counting("format", eqio._format_term))
+    text = certificate_text(3, lines)
+    cert = parse_certificate(text)
+    assert cert.defs[3 + k] == poly
+    assert counts == {"parse": k, "format": k}
+    counts.update(parse=0, format=0)
+    assert serialize_certificate(cert) == text
+    assert counts == {"parse": 0, "format": k}
 
 
 # -- representation files ---------------------------------------------------

@@ -176,6 +176,27 @@ def test_lift_compact_difference():
     assert lifted[3] == 3  # anchor equation 3 + 3 = 3 now fails
 
 
+def test_lift_matches_each_definition_alone():
+    # Definitions drawn from one pool of monomials share them, as a
+    # chain's do; values and coefficients run past int64.
+    rng = random.Random(20261020)
+    for _ in range(300):
+        p = rng.randint(0, 4)
+        pool = [tuple(rng.randint(0, 3) for _ in range(p))
+                for _ in range(rng.randint(1, 6))]
+        defs = {}
+        for index in range(p + 1, p + 1 + rng.randint(1, 8)):
+            defs[index] = Polynomial(p, {
+                exps: rng.choice([1, -1, 7, -(2**70), 3**45])
+                for exps in rng.sample(pool, rng.randint(0, len(pool)))})
+        cert = ReductionCertificate(mode="compact_Z", p=p, n=p + len(defs),
+                                    defs=defs, anchor_q=max(defs))
+        base = tuple(rng.choice([0, 1, -1, 5, -(2**64) - 3, 2**65])
+                     for _ in range(p))
+        assert lift(cert, base) == [0, *base] + [
+            defs[index].eval_at(base) for index in sorted(defs)]
+
+
 def test_lift_full_n():
     _, cert = build_full_n(P("x1 - x2"))
     lifted = lift(cert, (2, 2))

@@ -14,7 +14,7 @@ The benchmark's tracer wraps `grid_roots`, `family_join` and
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import chain, compress, islice, product, repeat
+from itertools import islice, product, repeat
 from math import prod
 from operator import add, le, mul, ne
 
@@ -22,10 +22,24 @@ from .system import Add, Mul, One
 
 BACKEND = "pure"
 
-# Values a batch evaluation holds at once: a chunk of points times the
-# values each point needs (a side's coordinates and value in grid_roots,
+# Values a chunk of `chunks` holds at once: its points times the values
+# each point needs (a side's coordinates and value in grid_roots,
 # a system's n + 1 slots in oracle.check_equivalence).
 CHUNK_VALUES = 1 << 16
+
+
+def chunks(points, width):
+    """(batch, columns) per chunk of the points: the chunk as a list of
+    point tuples and as coordinate columns, one list per coordinate.
+
+    A chunk holds one point, or as many as keep its points times `width`,
+    the values each point needs, within `CHUNK_VALUES`.  Every box walked
+    in chunks is walked here.
+    """
+    points = iter(points)
+    size = max(1, CHUNK_VALUES // width)
+    while batch := list(islice(points, size)):
+        yield batch, list(map(list, zip(*batch)))
 
 
 def grid_roots(exps, coeffs, lows, highs):
@@ -42,8 +56,8 @@ def grid_roots(exps, coeffs, lows, highs):
     the other side is streamed, each of its points looking up the rest of
     the target.  The cost is the sum of the two side boxes, not their
     product, and the table holds at most the square root of the box.  Each
-    side's terms are evaluated over its sub-box with `eval_columns`, a
-    chunk of points at a time under the `CHUNK_VALUES` budget.
+    side's sub-box is walked with `chunks` and its terms are evaluated
+    with `eval_columns` over each chunk's columns.
     """
     if any(lo > hi for lo, hi in zip(lows, highs)):
         return []
@@ -54,18 +68,14 @@ def grid_roots(exps, coeffs, lows, highs):
     rest = [v for group in groups if group is not largest for v in group]
     streamed, tabulated = sorted((largest, rest), key=size, reverse=True)
     table = {}
-    points = product(*(range(lows[v], highs[v] + 1) for v in tabulated))
-    for _, values in _side_values(exps, coeffs, tabulated, lows, highs):
+    for points, values in _side_values(exps, coeffs, tabulated, lows, highs):
         for value, point in zip(values, points):
             table.setdefault(value, []).append(point)
-    # A streamed point is built only when its value meets the table.
-    wanted = {-constant - value for value in table}
     order = sorted(range(len(lows)), key=(streamed + tabulated).__getitem__)
     roots = []
-    for columns, values in _side_values(exps, coeffs, streamed, lows, highs):
-        for i in compress(range(len(values)), map(wanted.__contains__, values)):
-            point = tuple(column[i] for column in columns)
-            for other in table[-constant - values[i]]:
+    for points, values in _side_values(exps, coeffs, streamed, lows, highs):
+        for value, point in zip(values, points):
+            for other in table.get(-constant - value, ()):
                 flat = point + other
                 roots.append(tuple(map(flat.__getitem__, order)))
     roots.sort()
@@ -99,57 +109,21 @@ def _variable_groups(arity, exps, coeffs):
 
 
 def _side_values(exps, coeffs, side, lows, highs):
-    """(columns, values) per chunk of the side's sub-box, in lex order:
-    the chunk's coordinates, one column per variable of the side, and the
-    side's part of the polynomial at each of its points.
+    """(points, values) per chunk of the side's sub-box, in lex order: the
+    chunk's points, over the side's variables, and the side's part of the
+    polynomial at each of them.
 
-    Only the non-constant terms over the side's variables count.  A chunk
-    holds one point, or as many as keep its points times their
-    coordinates plus value within `CHUNK_VALUES`.
+    Only the non-constant terms over the side's variables count.  Each
+    point takes its coordinates and its value out of the chunk budget.
     """
     terms = {}
     for e, c in zip(exps, coeffs):
         key = tuple(e[v] for v in side)
         if any(key):
             terms[key] = terms.get(key, 0) + c
-    ranges = [range(lows[v], highs[v] + 1) for v in side]
-    chunk = max(1, CHUNK_VALUES // (len(side) + 1))
-    for columns in _box_columns(ranges, chunk):
-        yield columns, eval_columns([terms], columns)[0]
-
-
-def _box_columns(ranges, chunk):
-    """The points of a product of ranges, in lex order, as coordinate
-    columns of at most `chunk` points each, built from the ranges without
-    making a tuple per point.
-
-    The trailing ranges whose sub-box fits in a chunk form a block, whose
-    columns are built once; a chunk is a run of points of the leading
-    ranges, each repeated over the block.  When not even the last range
-    fits, a chunk is one point of the leading ranges and a piece of it.
-    """
-    inner, lead = 1, len(ranges)
-    while lead and inner * len(ranges[lead - 1]) <= chunk:
-        lead -= 1
-        inner *= len(ranges[lead])
-    if lead == len(ranges) and ranges:
-        last = ranges[-1]
-        pieces = [last[i:i + chunk] for i in range(0, len(last), chunk)]
-        for prefix in product(*ranges[:-1]):
-            for piece in pieces:
-                yield [[c] * len(piece) for c in prefix] + [list(piece)]
-        return
-    block = []
-    run = inner
-    for r in ranges[lead:]:
-        run //= len(r)  # each value of r spans the later ranges' sub-box
-        column = list(chain.from_iterable(map(repeat, r, repeat(run))))
-        block.append(column * (inner // len(column)))
-    prefixes = product(*ranges[:lead])
-    while group := list(islice(prefixes, chunk // inner)):
-        yield ([list(chain.from_iterable(map(repeat, coords, repeat(inner))))
-                for coords in zip(*group)]
-               + [column * len(group) for column in block])
+    box = product(*(range(lows[v], highs[v] + 1) for v in side))
+    for points, columns in chunks(box, len(side) + 1):
+        yield points, eval_columns([terms], columns)[0]
 
 
 def check_equations(equations, values):

@@ -12,7 +12,7 @@ from __future__ import annotations
 import time
 from collections import defaultdict
 from dataclasses import dataclass, field
-from itertools import chain, compress, islice
+from itertools import chain, compress
 from itertools import product as iproduct
 from math import isqrt, prod
 from operator import add, and_, mul, or_, sub
@@ -687,11 +687,12 @@ def check_equivalence(d: Polynomial, system: EnSystem,
     `validate_certificate`'s CertificateMismatch, and a box with no point
     in the domain with ValueError, since it would check nothing.
 
-    The check runs in one process and reads the box a chunk of points at a
-    time: a chunk holds at most `kernels.CHUNK_VALUES` values over its
-    points and the system's n + 1 slots, so memory grows with neither the
-    box nor the system, and the next chunk is drawn only after every
-    verdict of the one before.  D is evaluated over a chunk's coordinate
+    The check runs in one process and walks the box with `kernels.chunks`,
+    the walker `grid_roots` uses: a chunk holds at most
+    `kernels.CHUNK_VALUES` values over its points and the system's n + 1
+    slots, so memory grows with neither the box nor the system, and the
+    next chunk is drawn only after every verdict of the one before.  D is
+    evaluated over a chunk's coordinate
     columns to find its roots.  One `Schedule` is derived per check, from
     x_1..x_p, and each of its steps runs once over the whole chunk.  If the
     schedule is complete, its checks run once over the chunk through
@@ -720,10 +721,8 @@ def check_equivalence(d: Polynomial, system: EnSystem,
     report = EquivalenceReport(domain=domain)
     schedule = Schedule.derive(system, cert.p, domain)
     prop = None if schedule.complete else _Propagator(system, domain)
-    chunk = max(1, kernels.CHUNK_VALUES // (system.n + 1))
-    points = box.iter_points(domain)
-    while batch := list(islice(points, chunk)):
-        columns = list(map(list, zip(*batch)))
+    for batch, columns in kernels.chunks(box.iter_points(domain),
+                                         system.n + 1):
         roots = [not value for value in
                  kernels.eval_columns([d.terms], columns)[0]]
         report.base_points += len(batch)

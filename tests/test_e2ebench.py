@@ -11,6 +11,7 @@ import pytest
 import enkit
 from enkit import kernels
 from enkit.eqio import parse_polynomial
+from enkit.oracle import Box, enumerate_roots
 from enkit.reductions import build_full_n, build_full_z
 from enkit.system import One
 
@@ -60,3 +61,24 @@ def test_traced_family_join_count_is_the_identities(build, monkeypatch):
     assert ones == 1
     assert counts["kernels.family_join.triples"] == len(system) - ones - 1
     assert counts["kernels.family_join.pairs"] == 625 * 626 // 2
+
+
+@needs_spans
+def test_traced_grid_roots_counts_are_the_box_and_its_roots(monkeypatch):
+    # The tracer reads grid_roots' bounds from its third and fourth
+    # positional arguments and counts the points it returns.
+    spans = _load_spans()
+    counts = Counter()
+    grid_roots = kernels.grid_roots
+
+    def counted(*args):
+        result = grid_roots(*args)
+        spans._count_grid_roots(counts, args, {}, result)
+        return result
+
+    monkeypatch.setattr(kernels, "grid_roots", counted)
+    # x1 * x2 and x3 are two groups, over a box of 3 * 5 * 7 points.
+    box = Box(((-1, 1), (-2, 2), (0, 6)))
+    roots = enumerate_roots(parse_polynomial("x1*x2 - x3"), box, "Z")
+    assert counts["kernels.grid_roots.points"] == box.point_count() == 105
+    assert counts["kernels.grid_roots.roots"] == len(roots) == 11

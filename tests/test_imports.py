@@ -1,5 +1,6 @@
-"""Every module of the enkit package uses each name it imports, and each
-module-level private name it defines is read somewhere in the package."""
+"""Every module of the enkit package uses each name it imports, each
+module-level private name it defines is read somewhere in the package, and
+the chunk budget is read by one walker only."""
 
 import ast
 from pathlib import Path
@@ -90,3 +91,41 @@ def test_every_private_name_is_read():
     unread = [f"{module}:{name}" for module, tree in trees.items()
               for name in _private_names(tree) if name not in read]
     assert unread == []
+
+
+def _readers(tree, name):
+    """Innermost functions reading `name`, as a variable or an attribute,
+    in source order; a read outside every function is listed as None."""
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.Lambda)):
+            function = getattr(node, "name", "<lambda>")
+        elif (isinstance(node, (ast.Name, ast.Attribute))
+              and isinstance(node.ctx, ast.Load)
+              and (node.id if isinstance(node, ast.Name)
+                   else node.attr) == name):
+            found.append(function)
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(tree, None)
+    return found
+
+
+def test_readers_are_found():
+    tree = ast.parse("B = 1\nx = B\ndef f():\n    def g(): return m.B\n"
+                     "    return B\ndef h(): B = 2\n")
+    assert _readers(tree, "B") == [None, "g", "f"]
+
+
+def test_one_walker_reads_the_chunk_budget():
+    # A box is walked in chunks by kernels.chunks alone: no other function
+    # sizes a chunk of its own.
+    readers = [f"{path.name}:{function}"
+               for path in sorted(PACKAGE.glob("*.py"))
+               for function in _readers(
+                   ast.parse(path.read_text(encoding="utf-8")),
+                   "CHUNK_VALUES")]
+    assert readers == ["kernels.py:chunks"]

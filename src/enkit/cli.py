@@ -152,7 +152,7 @@ def _cmd_reduce(args) -> int:
     started = time.monotonic()
     built, cert = reductions.build_reduction(
         d, mode, cap=args.cap, pair_cap=args.pair_cap)
-    _note(f"reduced to {built.n} variables, {len(built.equations)} equations "
+    _note(f"reduced to {built.n} variables, {len(built)} equations "
           f"in {time.monotonic() - started:.2f}s")
     out = _Outputs()
     out.add(args.out + ".ens", system.serialize(built))

@@ -18,7 +18,7 @@ from itertools import islice, product, repeat
 from math import prod
 from operator import add, le, mul, ne
 
-from .system import Add, Mul, One
+from .system import ADD, MUL, canonical_rows
 
 BACKEND = "pure"
 
@@ -126,24 +126,21 @@ def _side_values(exps, coeffs, side, lows, highs):
         yield points, eval_columns([terms], columns)[0]
 
 
-def check_equations(equations, values):
+def check_equations(rows, values):
     """Index of the first violated equation, or -1 if all hold.
 
-    equations: One/Add/Mul tuples with 1-based indices; values: a row
-    indexed by variable (an assignment), known at every index they use.
+    rows: a system's rows (kind, i, j, k) with 1-based indices; values: a
+    row indexed by variable (an assignment), known at every index they use.
     """
-    for t, eq in enumerate(equations):
-        if type(eq) is One:
-            if values[eq.i] != 1:
-                return t
-        elif type(eq) is Add:
-            i, j, k = eq
+    for t, (kind, i, j, k) in enumerate(rows):
+        if kind == ADD:
             if values[i] + values[j] != values[k]:
                 return t
-        else:
-            i, j, k = eq
+        elif kind == MUL:
             if values[i] * values[j] != values[k]:
                 return t
+        elif values[i] != 1:
+            return t
     return -1
 
 
@@ -203,18 +200,18 @@ def eval_columns(polys, columns):
 
 
 def family_join(vectors, lo, hi, basis, index):
-    """The Add and Mul equations that close a coefficient-bounded family.
+    """The ADD and MUL rows that close a coefficient-bounded family.
 
     basis: the monomials of a degree box, exponent tuples in ascending
     lexicographic order; vectors: every coefficient vector over `basis`
     with entries in [lo, hi], in lexicographic order, so that a member's
     rank is its mixed-radix rank; index: each rank's variable index.
-    Returns (adds, muls): adds holds Add(index[a], index[b], index[c]) for
-    every a <= b with vector[a] + vector[b] == vector[c]; muls the same as
-    Mul for polynomial products that land back in the family.  Both lists
-    are in (a, b) rank order.  Each row a extends three index columns and
-    `from_columns` builds the equations in bulk, swapping the two operands
-    of the rows where index[a] > index[b].
+    Returns (adds, muls): adds holds the row of x_index[a] + x_index[b] =
+    x_index[c] for every a <= b with vector[a] + vector[b] == vector[c];
+    muls the same for polynomial products that land back in the family.
+    Both lists are in (a, b) rank order.  Each member a extends three index
+    columns, and `system.canonical_rows` zips them into rows in bulk,
+    swapping the two operands of the rows where index[a] > index[b].
 
     The work grows with the number of pairs that can fit, not with the
     square of the member count.  A sum fits coordinate by coordinate, so
@@ -293,5 +290,5 @@ def family_join(vectors, lo, hi, basis, index):
                 mul_j.append(index[b])
                 mul_k.append(index[c])
         mul_i.extend(repeat(index[a], len(mul_j) - found))
-    return (list(Add.from_columns(add_i, add_j, add_k)),
-            list(Mul.from_columns(mul_i, mul_j, mul_k)))
+    return (list(canonical_rows(ADD, add_i, add_j, add_k)),
+            list(canonical_rows(MUL, mul_i, mul_j, mul_k)))

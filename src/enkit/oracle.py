@@ -21,7 +21,8 @@ from . import kernels
 from .errors import BoxTooLarge, CertificateMismatch, DimensionMismatch
 from .poly import Polynomial
 from .reductions import ReductionCertificate, validate_certificate
-from .system import DOMAIN_N, DOMAIN_Z, Add, EnEquation, EnSystem, One
+from .system import (ADD, DOMAIN_N, DOMAIN_Z, ONE, EnEquation, EnSystem,
+                     canonical_row, equation_of)
 
 DEFAULT_POINT_LIMIT = 10**8
 
@@ -140,14 +141,13 @@ def check_assignment(system: EnSystem, row: list,
         negatives = tuple(i for i, v in enumerate(values, 1) if (v or 0) < 0)
         return CheckResult(status="violated", negatives=negatives)
     missing = ()
-    equations = system.equations
+    rows = system.rows
     if None in values:
         missing = tuple(i for i, v in enumerate(values, 1) if v is None)
-        equations = [eq for eq in equations
-                     if None not in map(row.__getitem__, eq)]
-    bad = kernels.check_equations(equations, row)
+        rows = [r for r in rows if None not in map(row.__getitem__, r[1:])]
+    bad = kernels.check_equations(rows, row)
     if bad != -1:
-        return CheckResult(status="violated", equation=equations[bad])
+        return CheckResult(status="violated", equation=equation_of(rows[bad]))
     if missing:
         return CheckResult(status="incomplete", missing=missing)
     return CheckResult(status="satisfied")
@@ -190,34 +190,36 @@ class _Propagator:
     value conflicts.
 
     The values live in `row`, the row `Schedule.from_row` fills: n + 1
-    entries, None where unknown, with 0 at the unused index 0.  Each
-    derived value is forced by the values it came from, so the fixed
-    point, and whether a conflict is reached at all, does not depend on
-    the order in which the rules fire; only the equation a conflict names
-    does.  `start` or `resume` must come before `push`.
+    entries, None where unknown, with 0 at the unused index 0.  The rules
+    read the system's rows, and a conflict keeps the row it was reached
+    on; `outcome` names its equation.  Each derived value is forced by the
+    values it came from, so the fixed point, and whether a conflict is
+    reached at all, does not depend on the order in which the rules fire;
+    only the equation a conflict names does.  `start` or `resume` must
+    come before `push`.
     """
 
-    __slots__ = ("system", "equations", "by_var", "row", "domain", "n",
-                 "conflict_equation")
+    __slots__ = ("system", "rows", "by_var", "row", "domain", "n",
+                 "conflict_row")
 
     def __init__(self, system: EnSystem, domain: str):
         self.system = system
-        self.equations = system.equations
+        self.rows = system.rows
         self.n = system.n
         self.domain = domain
         self.row: list = [0] + [None] * system.n
-        self.conflict_equation: EnEquation | None = None
+        self.conflict_row: tuple | None = None
 
     def _set(self, index, value, eq, queue, trail) -> bool:
         row = self.row
         existing = row[index]
         if existing is not None:
             if existing != value:
-                self.conflict_equation = eq
+                self.conflict_row = eq
                 return False
             return True
         if self.domain == DOMAIN_N and value < 0:
-            self.conflict_equation = eq
+            self.conflict_row = eq
             return False
         row[index] = value
         trail.append(index)
@@ -228,11 +230,11 @@ class _Propagator:
         # One pass suffices: a slot is derived only while it is unknown, so
         # its index differs from the two known ones and the derived value
         # satisfies the equation by construction.
-        eq = self.equations[t]
-        if type(eq) is One:
-            return self._set(eq.i, 1, eq, queue, trail)
-        add = type(eq) is Add
-        i, j, k = eq
+        eq = self.rows[t]
+        kind, i, j, k = eq
+        if kind == ONE:
+            return self._set(i, 1, eq, queue, trail)
+        add = kind == ADD
         if add and i == j == k:
             return self._set(i, 0, eq, queue, trail)
         row = self.row
@@ -261,7 +263,7 @@ class _Propagator:
                 quot, rem = divmod(vk, known)
                 if not rem:
                     return self._set(other, quot, eq, queue, trail)
-        self.conflict_equation = eq
+        self.conflict_row = eq
         return False
 
     def _run(self, queue, trail) -> bool:
@@ -285,7 +287,7 @@ class _Propagator:
                 raise ValueError(f"seed index {index} out of range")
             row[index] = value
         # Over N a negative seed conflicts, naming no equation.
-        self.conflict_equation = None
+        self.conflict_row = None
         ok = ((self.domain != DOMAIN_N or min(seed.values(), default=0) >= 0)
               and self.resume(row, Schedule.from_row(self.system, row,
                                                      self.domain)))
@@ -300,23 +302,23 @@ class _Propagator:
         enter the queue, which applies every rule, or are watched by pushes.
         """
         self.row = row
-        self.conflict_equation = None
+        self.conflict_row = None
         if self.domain == DOMAIN_N:
             for op, a, b, k in schedule.steps:
                 # Sums and products of non-negative values stay
                 # non-negative, so the first step to go negative is a
                 # subtraction.
                 if row[k] < 0:
-                    self.conflict_equation = Add(b, k, a)
+                    self.conflict_row = canonical_row(ADD, b, k, a)
                     return False
         bad = kernels.check_equations(schedule.checks, row)
         if bad != -1:
-            self.conflict_equation = schedule.checks[bad]
+            self.conflict_row = schedule.checks[bad]
             return False
         by_var = self.by_var = defaultdict(list)
-        equations = self.equations
+        rows = self.rows
         for t in schedule.open:
-            for index in equations[t]:
+            for index in rows[t][1:]:
                 if row[index] is None:
                     by_var[index].append(t)
         return self._run(list(schedule.open), [])
@@ -340,7 +342,8 @@ class _Propagator:
         The row is copied, so the result survives `undo`.
         """
         if not ok:
-            return Conflict(self.conflict_equation)
+            row = self.conflict_row
+            return Conflict(None if row is None else equation_of(row))
         row = self.row.copy()
         if None not in row:
             return Solved(values=row)
@@ -369,8 +372,9 @@ class Schedule:
       x_i + x_i = x_i    assigns 0
       Add, two known     determines the third slot
       Mul, factors known determines the product
-    `from_row`, the only code that applies them, sweeps the equations once
-    in order; an equation the sweep leaves unresolved is visited once more,
+    `from_row`, the only code that applies them, reads the system's rows.
+    It settles the constants first, then sweeps the equations once in
+    order; an equation the sweep leaves unresolved is visited once more,
     and after that whenever one of its unknown slots becomes known, so the
     derivation takes linear time in any equation order.  Each derivation
     other than a constant is a step.  An equation that derived nothing is
@@ -389,7 +393,7 @@ class Schedule:
     domain: str
     template: list               # starting values by index, for run_schedule
     steps: list[tuple]           # (op, a, b, k): x_k = op(x_a, x_b)
-    checks: list[EnEquation]     # the equations whose slots were all known
+    checks: list[tuple]          # the rows whose slots were all known
     open: list[int]              # positions of the equations left open
 
     @classmethod
@@ -413,62 +417,64 @@ class Schedule:
         """The schedule from a row of n + 1 values, None where unknown and
         0 at the unused index 0, which it fills in and keeps as template."""
         n = system.n
-        equations = system.equations
-        unused = bytearray(b"\x01") * len(equations)
-        count = n - row.count(None)
+        rows = system.rows
+        unused = bytearray(b"\x01") * len(rows)
+        known = n - row.count(None)
         steps: list[tuple] = []
+        # The constants come first, so no chain derives one as a step: each
+        # x_i = 1 and x_i + x_i = x_i (the rows with i = k, then j = i too)
+        # settles its slot if it is unknown, and is a check otherwise.
+        for t in [t for t, eq in enumerate(rows) if eq[1] == eq[3]]:
+            kind, i, j, _ = rows[t]
+            if known < n and row[i] is None and (
+                    kind == ONE or kind == ADD and j == i):
+                row[i] = 1 if kind == ONE else 0
+                unused[t] = 0
+                known += 1
         # The first pass sweeps every equation once.  The second visits the
         # ones it left unresolved; one still unresolved then waits on its
         # unknown slots and is visited again when one becomes known.
-        pending = range(len(equations))
+        pending = range(len(rows))
         unresolved: list[int] = []
         watch: dict[int, list[int]] | None = None
-        waiting = bytearray(len(equations))
-        while count < n:
+        waiting = bytearray(len(rows))
+        while known < n:
             for t in pending:
-                eq = equations[t]
-                if type(eq) is One:
-                    slot = eq[0]
-                    if row[slot] is not None:
+                kind, i, j, k = rows[t]
+                if kind == ONE:
+                    continue  # settled above, or left to the checks
+                if row[i] is not None and row[j] is not None:
+                    if row[k] is not None:
                         continue  # left to the checks
-                    row[slot] = 1
-                else:
-                    i, j, k = eq
-                    if row[i] is not None and row[j] is not None:
-                        if row[k] is not None:
-                            continue  # left to the checks
-                        slot = k
-                        if type(eq) is Add:
-                            row[k] = row[i] + row[j]
-                        else:
-                            row[k] = row[i] * row[j]
-                        steps.append((add if type(eq) is Add else mul,
-                                       i, j, k))
-                    elif (type(eq) is Add and row[k] is not None
-                          and (row[i] is not None or row[j] is not None)):
-                        if row[i] is not None:
-                            slot = j
-                            row[j] = row[k] - row[i]
-                            steps.append((sub, k, i, j))
-                        else:
-                            slot = i
-                            row[i] = row[k] - row[j]
-                            steps.append((sub, k, j, i))
-                    elif type(eq) is Add and i == j == k:
-                        slot = i
-                        row[i] = 0
+                    slot = k
+                    if kind == ADD:
+                        row[k] = row[i] + row[j]
+                        steps.append((add, i, j, k))
                     else:
-                        if watch is None:
-                            unresolved.append(t)
-                        elif not waiting[t]:
-                            waiting[t] = 1
-                            for index in {i, j, k}:
-                                if row[index] is None:
-                                    watch.setdefault(index, []).append(t)
-                        continue
+                        row[k] = row[i] * row[j]
+                        steps.append((mul, i, j, k))
+                elif (kind == ADD and row[k] is not None
+                      and (row[i] is not None or row[j] is not None)):
+                    if row[i] is not None:
+                        slot = j
+                        row[j] = row[k] - row[i]
+                        steps.append((sub, k, i, j))
+                    else:
+                        slot = i
+                        row[i] = row[k] - row[j]
+                        steps.append((sub, k, j, i))
+                else:
+                    if watch is None:
+                        unresolved.append(t)
+                    elif not waiting[t]:
+                        waiting[t] = 1
+                        for index in {i, j, k}:
+                            if row[index] is None:
+                                watch.setdefault(index, []).append(t)
+                    continue
                 unused[t] = 0
-                count += 1
-                if count == n:
+                known += 1
+                if known == n:
                     break
                 if watch:
                     pending.extend(watch.pop(slot, ()))
@@ -476,14 +482,13 @@ class Schedule:
                 break
             watch, pending = {}, unresolved
         # Each equation left with an unknown slot was unresolved on the
-        # first pass, and only then can count stay below n.
+        # first pass, and only then can some variable stay unknown.
         opened = [t for t in dict.fromkeys(unresolved)
-                  if None in map(row.__getitem__, equations[t])
-                  ] if count < n else []
+                  if None in map(row.__getitem__, rows[t][1:])
+                  ] if known < n else []
         for t in opened:
             unused[t] = 0
-        return cls(domain, row, steps, list(compress(equations, unused)),
-                   opened)
+        return cls(domain, row, steps, list(compress(rows, unused)), opened)
 
     @property
     def complete(self) -> bool:
@@ -500,12 +505,11 @@ class Schedule:
             held = [min(row) >= 0 for row in zip(*values)]
         else:
             held = [True] * len(values[0])
-        for eq in self.checks:
-            if type(eq) is One:
-                got, want = values[eq.i], [1] * len(held)
+        for kind, i, j, k in self.checks:
+            if kind == ONE:
+                got, want = values[i], [1] * len(held)
             else:
-                i, j, k = eq
-                got = list(map(add if type(eq) is Add else mul,
+                got = list(map(add if kind == ADD else mul,
                                values[i], values[j]))
                 want = values[k]
             if got != want:

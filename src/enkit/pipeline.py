@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass
-from itertools import compress, repeat
+from itertools import repeat
 
 from .eqio import MAX_VARIABLE, FnRepresentation, ascii_int, ascii_ints
 from .errors import FormatError, ParseError
@@ -150,7 +150,9 @@ class AssembledSystem:
     def psi(self) -> EnSystem:
         """The equations on x1..xs: the system without its scaffold."""
         s = self.scaffold.s
-        return EnSystem(s, [e for e in self.system.equations if max(e) <= s])
+        # i <= j, so j and k hold a row's greatest index.
+        return EnSystem(s, [row for row in self.system.rows
+                            if row[2] <= s and row[3] <= s])
 
 
 def assemble(psi: PsiSystem, n: int) -> AssembledSystem:
@@ -158,9 +160,9 @@ def assemble(psi: PsiSystem, n: int) -> AssembledSystem:
     the rendered scaffold's equations and `Scaffold.layout`'s names."""
     scaffold = Scaffold.of(n, psi.s)
     _, ones, adds, _ = _render(scaffold, psi.mode)
-    equations = ens.deserialize(f"ENSYS 1\nn {n}\n{ones}{adds}").equations
+    rows = ens.deserialize(f"ENSYS 1\nn {n}\n{ones}{adds}").rows
     return AssembledSystem(
-        EnSystem(n, psi.system.equations + equations,
+        EnSystem(n, [*psi.system.rows, *rows],
                  names=scaffold.layout()), scaffold, psi.mode,
         psi.certificate)
 
@@ -187,9 +189,9 @@ def check_assembled(system: EnSystem,
         validate_certificate(certificate, s)
     scaffold = Scaffold.of(n, s)
     _, ones, adds, _ = _render(scaffold, mode)
-    equations = system.equations
-    outside = compress(equations, map(s.__lt__, map(max, equations)))
-    if ens.equation_lines(outside) != (ones, adds, ""):
+    # i <= j, so j and k hold a row's greatest index.
+    outside = [row for row in system.rows if row[2] > s or row[3] > s]
+    if ens.equation_lines(outside, n) != (ones, adds, ""):
         raise ParseError("system does not match the layout's scaffold")
     layout = scaffold.layout()
     for what, names in (("layout label", labels),
@@ -267,7 +269,8 @@ def render_system(psi: PsiSystem, n: int) -> tuple[str, str]:
     """The `.ens` and `.layout` texts of `assemble(psi, n)`, with no
     n-variable system built; psi's names are not written."""
     rendered = _render(Scaffold.of(n, psi.s), psi.mode)
-    psi_ones, psi_adds, psi_muls = ens.equation_lines(psi.system.equations)
+    psi_ones, psi_adds, psi_muls = ens.equation_lines(psi.system.rows,
+                                                      psi.s)
     return "".join((rendered.head, psi_ones, rendered.ones, psi_adds,
                     rendered.adds, psi_muls)), rendered.layout
 
@@ -297,7 +300,7 @@ def read_rendered(ens_text: str, layout_text: str
         psi = ens.deserialize(f"ENSYS 1\nn {s}\n" + "".join(blocks))
     except FormatError:
         return None
-    if ens.equation_lines(psi.equations) != blocks:
+    if ens.equation_lines(psi.rows, s) != blocks:
         return None
     return psi, scaffold, mode
 

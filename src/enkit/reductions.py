@@ -26,7 +26,7 @@ from .eqio import TermTable, ascii_int, ascii_ints, parse_polynomial
 from .errors import (CertificateMismatch, FamilyTooLarge, FormatError,
                      UnusedVariable, ZeroPolynomial)
 from .poly import Exponents, Polynomial
-from .system import Add, EnEquation, EnSystem, Mul, One
+from .system import ADD, MUL, ONE, EnSystem, canonical_row
 
 DEFAULT_FAMILY_CAP = 10**6
 # Closing a family costs about as much as the identities it emits, but
@@ -260,7 +260,7 @@ class _ChainBuilder:
     def __init__(self, p: int):
         self.p = p
         self.defs: dict[int, Polynomial] = {}
-        self.equations: list[EnEquation] = []
+        self.rows: list[tuple] = []  # the system's equations
         self._index_of = {
             Polynomial.variable(p, i).key(): i for i in range(1, p + 1)}
         self._next = p + 1
@@ -270,7 +270,7 @@ class _ChainBuilder:
             return Polynomial.variable(self.p, index)
         return self.defs[index]
 
-    def _node(self, poly: Polynomial, equation_for) -> int:
+    def _node(self, poly: Polynomial, row_for) -> int:
         index = self._index_of.get(poly.key())
         if index is not None:
             return index
@@ -278,27 +278,28 @@ class _ChainBuilder:
         self._next += 1
         self._index_of[poly.key()] = index
         self.defs[index] = poly
-        self.equations.append(equation_for(index))
+        self.rows.append(row_for(index))
         return index
 
     def one(self) -> int:
-        return self._node(Polynomial.constant(self.p, 1), One)
+        return self._node(Polynomial.constant(self.p, 1),
+                          lambda s: (ONE, s, s, s))
 
     def zero(self) -> int:
-        return self._node(Polynomial.zero(self.p), lambda s: Add(s, s, s))
+        return self._node(Polynomial.zero(self.p), lambda s: (ADD, s, s, s))
 
     def add(self, a: int, b: int) -> int:
         poly = self.poly_of(a) + self.poly_of(b)
-        return self._node(poly, lambda s: Add(a, b, s))
+        return self._node(poly, lambda s: canonical_row(ADD, a, b, s))
 
     def sub(self, a: int, b: int) -> int:
         """Node for poly(a) - poly(b), via reversed addition s + b = a."""
         poly = self.poly_of(a) - self.poly_of(b)
-        return self._node(poly, lambda s: Add(s, b, a))
+        return self._node(poly, lambda s: canonical_row(ADD, s, b, a))
 
     def mul(self, a: int, b: int) -> int:
         poly = self.poly_of(a) * self.poly_of(b)
-        return self._node(poly, lambda s: Mul(a, b, s))
+        return self._node(poly, lambda s: canonical_row(MUL, a, b, s))
 
     def constant(self, value: int) -> int:
         """Node for a positive constant, by binary doubling and summing."""
@@ -388,8 +389,7 @@ def build_compact_z(d: Polynomial, cap: int = DEFAULT_FAMILY_CAP
     _refuse_long_chain(d, cap)
     builder = _ChainBuilder(d.arity)
     q = builder.accumulate(d)
-    equations = builder.equations + [Add(q, q, q)]
-    system = EnSystem(builder.n, equations)
+    system = EnSystem(builder.n, builder.rows + [(ADD, q, q, q)])
     cert = ReductionCertificate(
         mode="compact_Z", p=d.arity, n=builder.n, defs=builder.defs,
         anchor_q=q)
@@ -422,8 +422,8 @@ def build_compact_n(d: Polynomial, cap: int = DEFAULT_FAMILY_CAP
     zero = builder.zero()
     u_pos = zero if pos.is_zero() else builder.accumulate(pos)
     u_neg = zero if neg.is_zero() else builder.accumulate(neg)
-    equations = builder.equations + [Add(zero, u_neg, u_pos)]
-    system = EnSystem(builder.n, equations)
+    system = EnSystem(builder.n,
+                      builder.rows + [canonical_row(ADD, zero, u_neg, u_pos)])
     cert = ReductionCertificate(
         mode="compact_N", p=d.arity, n=builder.n, defs=builder.defs,
         anchor_zero=zero, anchor_a=u_pos, anchor_b=u_neg)
@@ -447,8 +447,8 @@ def _family_system(desc: FamilyDescriptor, *, pinned: list[Polynomial],
 
     `pinned` polynomials receive the first auxiliary indices p+1, p+2, ...
     in order; everything else follows in enumeration order.  Returns
-    (equations, defs, index_of) where index_of maps a member polynomial to
-    its variable index.
+    (rows, defs, index_of), rows holding the system's equations, where
+    index_of maps a member polynomial to its variable index.
     """
     card = desc.cardinality()
     if card > cap:
@@ -482,16 +482,16 @@ def _family_system(desc: FamilyDescriptor, *, pinned: list[Polynomial],
             next_index += 1
 
     one_poly = Polynomial.constant(desc.p, 1)
-    equations: list[EnEquation] = [
-        One(index[rank]) for rank in range(card) if members[rank] == one_poly]
+    rows = [(ONE, index[rank], index[rank], index[rank])
+            for rank in range(card) if members[rank] == one_poly]
     adds, muls = kernels.family_join(
         vectors, desc.coeff_lo, desc.coeff_hi, basis, index)
-    equations += adds
-    equations += muls
+    rows += adds
+    rows += muls
 
     defs = {index[rank]: members[rank] for rank in range(card)
             if index[rank] > desc.p}
-    return equations, defs, lambda poly: index[rank_of_member(poly)]
+    return rows, defs, lambda poly: index[rank_of_member(poly)]
 
 
 def b_polynomial(d: Polynomial) -> Polynomial:
@@ -537,18 +537,18 @@ def _build_full(d: Polynomial, mode: str, cap: int, pair_cap: int):
     _require_all_variables(d)
     desc, anchored = family_descriptor(d, mode)
     pinned = anchored if mode == "full_N" else []
-    equations, defs, index_of = _family_system(
+    rows, defs, index_of = _family_system(
         desc, pinned=pinned, cap=cap, pair_cap=pair_cap)
     nodes = [index_of(poly) for poly in anchored]
     if mode == "full_N":
         zero, a, b = nodes
-        equations.append(Add(zero, a, b))
+        rows.append(canonical_row(ADD, zero, a, b))
         anchor = {"anchor_zero": zero, "anchor_a": a, "anchor_b": b}
     else:
         (q,) = nodes
-        equations.append(Add(q, q, q))
+        rows.append((ADD, q, q, q))
         anchor = {"anchor_q": q}
-    system = EnSystem(desc.cardinality(), equations)
+    system = EnSystem(desc.cardinality(), rows)
     cert = ReductionCertificate(
         mode=mode, p=d.arity, n=system.n, defs=defs, **anchor)
     return system, cert

@@ -1,17 +1,26 @@
 """The target language: systems of x_i=1, x_i+x_j=x_k, x_i*x_j=x_k equations.
 
-Equations are value objects with 1-based variable indices.  Addition and
-multiplication are commutative, so the Add and Mul constructors store
-i <= j, and an equation's kind is part of its identity (Add(1, 1, 2) is not
-Mul(1, 1, 2)).  The serialized form is consequently unique and systems
-written by deterministic builders are byte-identical across runs.
+A system holds each equation as a row of four ints, (kind, i, j, k), with
+1-based variable indices: kind ONE with i = j = k for x_i = 1, and ADD or
+MUL with i <= j, since addition and multiplication commute.  The kind is
+part of an equation's identity ((ADD, 1, 1, 2) is not (MUL, 1, 1, 2)), and
+ONE < ADD < MUL, so one `sorted` of the rows is the canonical order of the
+serialized form, which is consequently unique: systems written by
+deterministic builders are byte-identical across runs.
+
+`One`, `Add` and `Mul` are the value objects of the same equations, with
+the same canonical form: what `EnSystem` takes from a caller as readily as
+rows, and what `EnSystem.equations` yields, made from the rows on demand
+by `equation_of`.
 """
 
 from __future__ import annotations
 
 import gc
+from bisect import bisect_left
+from collections.abc import Sequence
 from contextlib import contextmanager
-from itertools import compress, count, pairwise, repeat
+from itertools import chain, compress, count, pairwise, repeat
 from operator import gt, itemgetter, ne
 from typing import Iterable, Mapping, NamedTuple
 
@@ -20,6 +29,9 @@ from .errors import FormatError
 
 DOMAIN_Z = "Z"
 DOMAIN_N = "N"
+
+# The kind of a row (kind, i, j, k), in canonical order.
+ONE, ADD, MUL = 0, 1, 2
 
 
 class One(NamedTuple):
@@ -39,19 +51,6 @@ class _Commutative:
 
     def __new__(cls, i: int, j: int, k: int):
         return tuple.__new__(cls, (i, j, k) if i <= j else (j, i, k))
-
-    @classmethod
-    def from_columns(cls, i: list[int], j: list[int], k: list[int]):
-        """Iterate cls(i[t], j[t], k[t]) for each t, made in bulk.
-
-        Only the rows with i[t] > j[t] are swapped, in copies of i and j.
-        """
-        flips = list(compress(count(), map(gt, i, j)))
-        if flips:
-            i, j = list(i), list(j)
-            for t in flips:
-                i[t], j[t] = j[t], i[t]
-        return map(tuple.__new__, repeat(cls), zip(i, j, k))
 
     def __eq__(self, other) -> bool:
         return type(self) is type(other) and tuple.__eq__(self, other)
@@ -75,6 +74,46 @@ class Mul(_Commutative, _Fields):
 
 
 EnEquation = One | Add | Mul
+_KIND_OF = {One: ONE, Add: ADD, Mul: MUL}
+
+
+def equation_of(row: tuple) -> EnEquation:
+    """The One, Add or Mul of a row: the one place an equation object is
+    made from a row."""
+    kind, i, j, k = row
+    if kind == ONE:
+        return One(i)
+    return (Add if kind == ADD else Mul)(i, j, k)
+
+
+def row_of(equation) -> tuple:
+    """The row of a One, Add or Mul; a row is returned as it is."""
+    kind = type(equation)
+    if kind is tuple:
+        return equation
+    if kind is One:
+        (i,) = equation
+        return (ONE, i, i, i)
+    return (_KIND_OF[kind], *equation)
+
+
+def canonical_row(kind: int, i: int, j: int, k: int) -> tuple:
+    """The row (kind, i, j, k), with its operands in order."""
+    return (kind, i, j, k) if i <= j else (kind, j, i, k)
+
+
+def canonical_rows(kind: int, i: list[int], j: list[int], k: list[int]):
+    """Iterate the rows (kind, i[t], j[t], k[t]) of an ADD or MUL kind,
+    made in bulk.
+
+    Only the rows with i[t] > j[t] are swapped, in copies of i and j.
+    """
+    flips = list(compress(count(), map(gt, i, j)))
+    if flips:
+        i, j = list(i), list(j)
+        for t in flips:
+            i[t], j[t] = j[t], i[t]
+    return zip(repeat(kind), i, j, k)
 
 
 def format_eq(eq: EnEquation) -> str:
@@ -85,47 +124,86 @@ def format_eq(eq: EnEquation) -> str:
     return f"x{eq.i} * x{eq.j} = x{eq.k}"
 
 
+class _Equations(Sequence):
+    """A system's equations as One/Add/Mul objects, each made from its row
+    when it is read."""
+
+    __slots__ = ("rows",)
+
+    def __init__(self, rows: tuple):
+        self.rows = rows
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, t):
+        if isinstance(t, slice):
+            return tuple(map(equation_of, self.rows[t]))
+        return equation_of(self.rows[t])
+
+    def __iter__(self):
+        return map(equation_of, self.rows)
+
+
 class EnSystem:
-    """A duplicate-free ordered set of E_n equations over n variables."""
+    """A duplicate-free ordered set of E_n equations over n variables,
+    held as rows.
 
-    __slots__ = ("n", "equations", "names")
+    `equations` may be rows or One/Add/Mul objects; objects become their
+    rows, and a later duplicate of a row is dropped.
+    """
 
-    def __init__(self, n: int, equations: Iterable[EnEquation],
+    __slots__ = ("n", "rows", "names")
+
+    def __init__(self, n: int, equations: Iterable,
                  names: Mapping[int, str] | None = None):
         if n < 0:
             raise ValueError("variable count must be non-negative")
         self.n = n
-        self.equations = tuple(dict.fromkeys(equations))
+        rows = dict.fromkeys(equations)
+        if set(map(type, rows)) - {tuple}:
+            rows = dict.fromkeys(map(row_of, rows))
+        self.rows = tuple(rows)
         self.names = dict(names) if names else {}
+
+    @property
+    def equations(self) -> Sequence[EnEquation]:
+        """The equations as One/Add/Mul objects, made as they are read."""
+        return _Equations(self.rows)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, EnSystem):
             return NotImplemented
         return (self.n == other.n
-                and set(self.equations) == set(other.equations)
+                and set(self.rows) == set(other.rows)
                 and self.names == other.names)
 
     def __hash__(self) -> int:
-        return hash((self.n, frozenset(self.equations)))
+        return hash((self.n, frozenset(self.rows)))
 
     def __repr__(self) -> str:
-        return f"EnSystem(n={self.n}, {len(self.equations)} equations)"
+        return f"EnSystem(n={self.n}, {len(self.rows)} equations)"
 
     def __len__(self) -> int:
-        return len(self.equations)
+        return len(self.rows)
 
 
 def validate(system: EnSystem) -> list[str]:
     """Return a list of invariant violations (empty means ok)."""
     problems = []
-    for eq in system.equations:
-        for index in eq:
-            if not 1 <= index <= system.n:
-                problems.append(
-                    f"index {index} out of range [1, {system.n}] in {format_eq(eq)}")
+    n = system.n
+    for row in system.rows:
+        _, i, j, k = row
+        # i <= j, so i and k hold the least index and j and k the greatest.
+        if min(i, k) < 1 or max(j, k) > n:
+            eq = equation_of(row)
+            for index in eq:
+                if not 1 <= index <= n:
+                    problems.append(f"index {index} out of range [1, {n}] "
+                                    f"in {format_eq(eq)}")
     for index in system.names:
-        if not 1 <= index <= system.n:
-            problems.append(f"named index {index} out of range [1, {system.n}]")
+        if not 1 <= index <= n:
+            problems.append(f"named index {index} out of range [1, {n}]")
     return problems
 
 
@@ -150,11 +228,11 @@ def collector_paused():
 # --------------------------------------------------------------------------
 # serialization (.ens)
 
-_TAGS = {One: "ONE", Add: "ADD", Mul: "MUL"}
+_TAGS = ("ONE", "ADD", "MUL")  # by kind
 # tag -> (kind, index count)
-_KINDS = {tag: (kind, len(kind._fields)) for kind, tag in _TAGS.items()}
+_KINDS = {"ONE": (ONE, 1), "ADD": (ADD, 3), "MUL": (MUL, 3)}
 # first four characters of a run of equation lines -> their kind
-_RUN_KINDS = {tag + " ": kind for kind, tag in _TAGS.items()}
+_RUN_KINDS = {tag + " ": kind for kind, tag in enumerate(_TAGS)}
 _HEAD = itemgetter(slice(0, 4))
 # Lines are read this many at a time, so the bulk reader holds the tokens of
 # one chunk, not the four string objects per line of a whole file.
@@ -165,28 +243,42 @@ _CHARS_PER_INDEX = 4
 
 
 def serialize(system: EnSystem) -> str:
-    """Canonical .ens text: ONE lines, then ADD, then MUL, each sorted."""
+    """Canonical .ens text: ONE lines, then ADD, then MUL, each sorted.
+
+    A system with an index outside [0, n] raises FormatError naming it.
+    """
     lines = ["ENSYS 1", f"n {system.n}"]
     for index in sorted(system.names):
         label = system.names[index]
         if label.split() != [label]:
             raise FormatError(f"bad label {label!r} for index {index}")
         lines.append(f"# name {index} {label}")
-    return ("\n".join(lines) + "\n"
-            + "".join(equation_lines(system.equations)))
+    try:
+        blocks = equation_lines(system.rows, system.n)
+    except KeyError:
+        raise FormatError("; ".join(validate(system))) from None
+    return "\n".join(lines) + "\n" + "".join(blocks)
 
 
-def equation_lines(equations: Iterable[EnEquation]) -> tuple[str, str, str]:
-    """The canonical ONE, ADD and MUL lines of `equations`, each kind
-    sorted, as three texts of whole lines."""
-    # One kind at a time, so sorting compares plain int tuples and never
-    # calls the kinds' Python-level __eq__.
-    by_kind = {kind: [] for kind in _TAGS}
-    for eq in equations:
-        by_kind[type(eq)].append(eq)
-    return tuple("".join(map((tag + " %d" * len(kind._fields) + "\n").__mod__,
-                             sorted(by_kind[kind])))
-                 for kind, tag in _TAGS.items())
+def equation_lines(rows: Iterable[tuple], n: int) -> tuple[str, str, str]:
+    """The canonical ONE, ADD and MUL lines of rows whose indices lie in
+    [0, n], each kind sorted, as three texts of whole lines.
+
+    The rows are sorted once, and every index is written through one table
+    of numerals: of 0..n when it holds at most one entry per index slot of
+    the rows, else of the indices the rows hold.  An index outside [0, n]
+    raises KeyError.
+    """
+    rows = sorted(rows)
+    adds, muls = bisect_left(rows, (ADD,)), bisect_left(rows, (MUL,))
+    indices = (range(n + 1) if n < 3 * len(rows)
+               else {i for i in chain.from_iterable(rows) if 0 <= i <= n})
+    s = dict(zip(indices, map(str, indices)))
+    return ("".join([f"ONE {s[i]}\n" for _, i, _, _ in rows[:adds]]),
+            "".join([f"ADD {s[i]} {s[j]} {s[k]}\n"
+                     for _, i, j, k in rows[adds:muls]]),
+            "".join([f"MUL {s[i]} {s[j]} {s[k]}\n"
+                     for _, i, j, k in rows[muls:]]))
 
 
 def _parse_indices(parts: list[str], count: int, line_no: int) -> list[int]:
@@ -202,12 +294,12 @@ def _parse_indices(parts: list[str], count: int, line_no: int) -> list[int]:
 class _Reader:
     """What the lines of one .ens text read so far have declared."""
 
-    __slots__ = ("size", "n", "equations", "names", "in_range", "numerals")
+    __slots__ = ("size", "n", "rows", "names", "in_range", "numerals")
 
     def __init__(self, size: int):
         self.size = size  # characters in the whole text
         self.n: int | None = None
-        self.equations: list[EnEquation] = []
+        self.rows: list[tuple] = []
         self.names: dict[int, str] = {}
         self.in_range = True  # every equation index read lies in [1, n]
         # str(i) -> i for every index i in [1, n], built at the 'n' header
@@ -223,8 +315,13 @@ class _Reader:
 
         Each run of equation lines beginning with the same four characters
         that the bulk reader accepts is read in bulk; any other run is read
-        line by line, which raises the first format error in it.
+        line by line, which raises the first format error in it.  A chunk
+        the bulk reader accepts whole is one run, read without taking the
+        head of each line.
         """
+        kind = _RUN_KINDS.get(_HEAD(lines[0]))
+        if kind is not None and self._bulk_equations(lines, kind):
+            return
         heads = list(map(_HEAD, lines))
         bounds = [0, *compress(count(1), map(ne, heads, heads[1:])),
                   len(lines)]
@@ -235,25 +332,32 @@ class _Reader:
                     and self._bulk_equations(run, _RUN_KINDS[head])):
                 self.read_lines(run, line_no + start)
 
-    def _bulk_equations(self, lines: list[str], kind) -> bool:
-        """Read lines that all begin with kind's tag and a space, or return
-        False, having read nothing, unless every line is well formed and
-        the numeral table holds every index."""
-        width = len(kind._fields) + 1
-        tokens = " ".join(lines).split()
-        if (len(tokens) != width * len(lines)
-                or tokens[::width].count(_TAGS[kind]) != len(lines)):
+    def _bulk_equations(self, lines: list[str], kind: int) -> bool:
+        """Read lines, the first beginning with kind's tag and a space, or
+        return False, having read nothing, unless every line begins so and
+        is well formed and the numeral table holds every index.  Each index
+        column is converted in one pass, and the columns are zipped into
+        rows."""
+        width = 2 if kind == ONE else 4
+        tag = _TAGS[kind]
+        text = "\n".join(lines)
+        if text.count("\n" + tag + " ") != len(lines) - 1:
             return False
-        del tokens[::width]
+        tokens = text.split()
+        if (len(tokens) != width * len(lines)
+                or tokens[::width].count(tag) != len(lines)):
+            return False
+        get = self.numerals.__getitem__
         try:
-            values = list(map(self.numerals.__getitem__, tokens))
+            columns = [list(map(get, tokens[t::width]))
+                       for t in range(1, width)]
         except KeyError:
             return False
-        if kind is One:
-            self.equations.extend(map(tuple.__new__, repeat(One), zip(values)))
+        if kind == ONE:
+            (i,) = columns
+            self.rows.extend(zip(repeat(ONE), i, i, i))
         else:
-            self.equations.extend(
-                kind.from_columns(values[::3], values[1::3], values[2::3]))
+            self.rows.extend(canonical_rows(kind, *columns))
         return True
 
     def read_lines(self, lines: list[str], line_no: int):
@@ -288,7 +392,9 @@ class _Reader:
                         f"line {line_no}: equation before 'n' header")
                 if min(values) < 1 or max(values) > self.n:
                     self.in_range = False
-                self.equations.append(kind(*values))
+                if kind == ONE:
+                    values *= 3  # x_i = 1 is the row (ONE, i, i, i)
+                self.rows.append(canonical_row(kind, *values))
             else:
                 raise FormatError(f"line {line_no}: unknown directive {head!r}")
 
@@ -303,10 +409,11 @@ def deserialize(text: str) -> EnSystem:
     with collector_paused():
         for start in range(1, len(lines), _CHUNK):
             reader.read_chunk(lines[start:start + _CHUNK], start + 1)
+    del lines  # read: the system is built without them
     n, names = reader.n, reader.names
     if n is None:
         raise FormatError("missing 'n <count>' header")
-    system = EnSystem(n, reader.equations, names)
+    system = EnSystem(n, reader.rows, names)
     if not reader.in_range or (names and (min(names) < 1 or max(names) > n)):
         raise FormatError("; ".join(validate(system)))
     return system

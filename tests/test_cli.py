@@ -17,6 +17,7 @@ from enkit.eqio import parse_equation
 from enkit.pipeline import master_witness, parse_layout
 from enkit.reductions import build_reduction
 from enkit.system import Add, EnSystem, One, serialize
+from test_system import count_equation_objects
 
 SRC = str(Path(enkit.__file__).resolve().parents[1])
 
@@ -61,6 +62,33 @@ def test_reduce_writes_ens_and_cert(workdir, capsys):
     cert = (workdir / "full.cert").read_text()
     assert cert.startswith("CERT 1\nmode full_N\np 2\nn 625\n")
     assert cert.rstrip().endswith("ANCHOR N 3 4 5")
+
+
+@pytest.mark.parametrize("ring, mode", [("z", "full"), ("z", "halved"),
+                                        ("n", "full"), ("z", "compact")])
+def test_reduce_and_verify_make_no_equation_objects(workdir, capsys,
+                                                    monkeypatch, ring, mode):
+    # The commands read, check and write rows; an Add, Mul or One object
+    # is made only to name an equation in a failure.
+    made = count_equation_objects(monkeypatch)
+    assert main(["reduce", "--ring", ring, "--mode", mode, "x1 = x2",
+                 "--out", "sys"]) == 0
+    verify = ["verify-equiv", "--ring", ring, "--system", "sys.ens",
+              "--cert", "sys.cert", "--box=0..1", "--report", "r.json"]
+    assert main([*verify, "--equation", "x1 = x2 + 1"]) == 1
+    failures = json.loads((workdir / "r.json").read_text())["failures"]
+    assert len(made) == sum("violates" in text for text in failures)
+    del made[:]
+    assert main([*verify, "--equation", "x1 = x2"]) == 0
+    write(workdir / "id.rep", IDENTITY_REP)
+    assert main(["fn-system", "--rep", "id.rep", "--ring", ring,
+                 "--n", "300", "--out", "fn"]) == 0
+    witness = (300, 300) if ring == "n" else master_witness((300, 300), 2)
+    assert main(["verify-pin", "--system", "fn.ens", "--cert", "fn.cert",
+                 "--layout", "fn.layout", "--expected", "300", "--ring",
+                 ring, "--radius", "1",
+                 "--witness", ",".join(map(str, witness))]) == 0
+    assert made == []
 
 
 def test_reduce_is_deterministic(workdir):

@@ -89,7 +89,7 @@ class _ReferenceReader:
             self.equations.extend(map(tuple.__new__, repeat(One), zip(values)))
         else:
             self.equations.extend(
-                kind.from_columns(values[::3], values[1::3], values[2::3]))
+                map(kind, values[::3], values[1::3], values[2::3]))
         return True
 
     def _bulk_names(self, lines):

@@ -20,7 +20,7 @@ from enkit.poly import Polynomial
 from enkit.reductions import (ReductionCertificate, build_compact_n,
                               build_compact_z, build_full_n, build_full_z,
                               build_halved_z, parse_certificate)
-from enkit.system import Add, EnSystem, Mul, One
+from enkit.system import Add, EnSystem, Mul, One, row_of
 
 
 def P(text, arity=None):
@@ -644,15 +644,16 @@ def test_schedule_matches_propagation_with_coinciding_indices(monkeypatch):
 
 
 def test_schedule_negative_value_over_n(monkeypatch):
-    # compact_Z chains subtract: the first step derives x3 = x1 - x2, which
+    # compact_Z chains subtract: the constants x4 = 1 and, by the anchor,
+    # x5 = 0 are settled first; the one step derives x3 = x1 - x2, which
     # goes negative below the diagonal and refutes the point over N before
-    # any check runs; x5 = x3 - x4 follows, and the anchor only checks
+    # any check runs, and x4 + x5 = x3, the chain's last link, only checks
     d = P("x1 - x2 - 1")
     system, cert = build_compact_z(d)
     schedule = Schedule.derive(system, 2, "N")
-    assert schedule.steps == [(operator.sub, 1, 2, 3),
-                              (operator.sub, 3, 4, 5)]
-    assert schedule.checks == [Add(5, 5, 5)]
+    assert schedule.steps == [(operator.sub, 1, 2, 3)]
+    assert schedule.checks == [row_of(Add(4, 5, 3))]
+    assert schedule.template == [0, 0, 0, 0, 1, 0]
     assert _extensions(schedule, [(1, 3)]) == [None]
     assert isinstance(propagate(system, {1: 1, 2: 3}, "N"), Conflict)
     assert _extensions(Schedule.derive(system, 2, "Z"), [(1, 3)]) == [None]
@@ -660,6 +661,20 @@ def test_schedule_negative_value_over_n(monkeypatch):
     report = check_equivalence(*args)
     assert vars(report) == vars(_propagated(monkeypatch, *args))
     assert report.refuted_by_propagation == 13 and report.passed
+
+
+@pytest.mark.parametrize("build, text", [
+    (build_compact_z, "x1^2 - 3*x2 + 1"), (build_compact_z, "x1 - x2 - 1"),
+    (build_halved_z, "x1 - x2"), (build_full_z, "x1 - x2")])
+def test_anchor_node_is_a_constant_not_a_step(build, text):
+    # x_q + x_q = x_q settles x_q = 0 before the sweep, so the chain or
+    # family equation that would derive x_q only checks it.
+    system, cert = build(P(text))
+    q = cert.anchor_q
+    schedule = Schedule.derive(system, 2)
+    assert schedule.complete and schedule.template[q] == 0
+    assert q not in [k for *_, k in schedule.steps]
+    assert row_of(Add(q, q, q)) not in schedule.checks
 
 
 def _counting_derive(monkeypatch):
@@ -794,10 +809,10 @@ class _FixedPointPropagator(_Propagator):
     __slots__ = ()
 
     def start(self, seed):
-        self.conflict_equation = None
+        self.conflict_row = None
         self.by_var = {}
-        for t, eq in enumerate(self.equations):
-            for index in set(eq):
+        for t, row in enumerate(self.rows):
+            for index in set(row[1:]):
                 self.by_var.setdefault(index, []).append(t)
         trail, queue = [], []
         for index, value in seed.items():
@@ -805,7 +820,7 @@ class _FixedPointPropagator(_Propagator):
                 raise ValueError(f"seed index {index} out of range")
             if not self._set(index, value, None, queue, trail):
                 return False, trail
-        queue.extend(range(len(self.equations)))
+        queue.extend(range(len(self.rows)))
         return self._run(queue, trail), trail
 
 

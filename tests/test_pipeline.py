@@ -399,7 +399,7 @@ def test_check_assembled_rebuilds_the_scaffold():
     assert checked.certificate is asm.certificate
     with pytest.raises(ParseError, match="layout and system disagree on n"):
         check_assembled(EnSystem(18, asm.system.equations), None, text)
-    extra = EnSystem(17, asm.system.equations + (Add(5, 5, 6),),
+    extra = EnSystem(17, (*asm.system.equations, Add(5, 5, 6)),
                      asm.system.names)
     with pytest.raises(ParseError, match="does not match the layout's"):
         check_assembled(extra, None, text)
@@ -411,7 +411,7 @@ def test_check_assembled_rebuilds_the_scaffold():
     with pytest.raises(ParseError, match="does not match the layout's"):
         check_assembled(moved, None, text)
     t1, t2 = scaffold.t_chain[:2]
-    extra = EnSystem(17, asm.system.equations + (Mul(t1, t1, t2),),
+    extra = EnSystem(17, (*asm.system.equations, Mul(t1, t1, t2)),
                      asm.system.names)
     with pytest.raises(ParseError, match="does not match the layout's"):
         check_assembled(extra, None, text)

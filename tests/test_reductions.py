@@ -113,23 +113,47 @@ def test_full_family_keeps_mul_beside_equal_add(build):
         assert line in lines
 
 
-# sha256 of the .ens and .cert texts as the rank-space builder wrote them.
-# The variables, and over N also the zero node, A and B, take the lowest
-# indices, so the identities that meet them are the rows whose operands
-# `from_columns` swaps.
+# sha256 of the .ens and .cert texts of every family the benchmark
+# reduces: its four sources under each full mode.  The variables, and over
+# N also the zero node, A and B, take the lowest indices, so the identities
+# that meet them are the rows whose operands the builder swaps.
 FULL_FAMILY_DIGESTS = [
     ("full_Z", "x1 - x2",
      "1e88ee5e5f5b587fa7c136a53900dd8473a197a23376a12c0c6a6a05349468d0",
      "a97d3ed83f97f19bc317549ab80fb8b58a7669b90e97423aa843ff3081a1ba48"),
-    ("halved_Z", "x1^2 - 2",
-     "95fa74ba076a57e106e7ee7a597a44e18823d3e2667067ef47b6ab18ba800fc6",
-     "70598a5b3982d77caa12f4aa50473c71f40cc6736fdfcaff19fd39f107d7d311"),
+    ("halved_Z", "x1 - x2",
+     "14d43a4cb62fde619cfe860aa376e70f63d34122d2b857a972f7113bda365c9a",
+     "93bcef81b4f3d431e40cb0e294294602526431f38fbb65877a6d4d67aee54a91"),
     ("full_N", "x1 - x2",
      "82b1f5e2f7813efbb8bc38a89da28476d537fc6fa5ffaaff4e41e023b0a6c5cc",
      "38acab7a02a308ec319dbad79c52e14acc87959eecbbc8e2d12e5d42dbe0b297"),
+    ("full_Z", "x1*x2 - 1",
+     "c603181b1caf54850eb00a111dba8175389a0ccecc65d9c8685a40ef85f63466",
+     "98c071802117defd016d2012b9db980321f065f58cbab6314c76bb873eaf378b"),
+    ("halved_Z", "x1*x2 - 1",
+     "14425270238f61476460b9dcdbb16a1d87adcbc42ddecf2115c4d4efb916418f",
+     "98c3b93bc93af1ee75c615c3132220b72b1a5597ff860cd825c1c4dffd325749"),
     ("full_N", "x1*x2 - 1",
      "71e380dbd63097d2ac8bbf8681b534463242493f411af4aa80de12e505e1040a",
      "16188d2598aca342641216d67cdeb70877fa75fe3c9a22cf7068377e9e829429"),
+    ("full_Z", "x1 - 1",
+     "667b52e7c07481e7935bf13f2a7b9f42746c38ae9a9cfccfac8c33d7dc33fb01",
+     "8cb78862b25dfab0fcc3972a9face1a5af9c313bc5ef5a7039e7d4b529444f7e"),
+    ("halved_Z", "x1 - 1",
+     "1e23840a34ac49ad5db78a8a4c4c2d5ff5905d9b56355a5de3443f405c9f1374",
+     "40e203c275a5aa667624687e44c814ccb95dd4f47fc8575385f74949601bfbae"),
+    ("full_N", "x1 - 1",
+     "0e38d8e3f16cf7ebb8abc35b9e04ccf08922979191b28d7562be28b2231d5593",
+     "a5dd5e39190a3a9eb6000bc2ed3c4e2ec46095fe6af1dc90a185ea5f7dd06460"),
+    ("full_Z", "x1^2 - 2",
+     "4388934636b8de52c59697669c0f69aa6e6100da5cf64069f214580a52aec677",
+     "f5ee6ff5018d0b3799235ab63df4100c65d1e81114c8cacd3dd94fa3eac57308"),
+    ("halved_Z", "x1^2 - 2",
+     "95fa74ba076a57e106e7ee7a597a44e18823d3e2667067ef47b6ab18ba800fc6",
+     "70598a5b3982d77caa12f4aa50473c71f40cc6736fdfcaff19fd39f107d7d311"),
+    ("full_N", "x1^2 - 2",
+     "ce8de44899a42e31913825945587eef11c6a967cdafb90c13817471c3c31f609",
+     "bfb8fb8137b4749ba314cdd1b93a97e0a9ed341462d8309ef784fd598f5b9ac8"),
 ]
 
 

@@ -1,5 +1,6 @@
 import gc
 import random
+import sys
 from unittest import mock
 
 import pytest
@@ -8,8 +9,11 @@ from hypothesis import strategies as st
 
 from enkit import system as system_module
 from enkit.errors import DimensionMismatch, FormatError
-from enkit.oracle import check_assignment
-from enkit.system import (Add, EnSystem, Mul, One, deserialize, serialize,
+from enkit.eqio import parse_polynomial
+from enkit.oracle import Box, Schedule, check_assignment, check_equivalence
+from enkit.reductions import build_full_z
+from enkit.system import (ADD, MUL, Add, EnSystem, Mul, One, canonical_rows,
+                          deserialize, equation_of, row_of, serialize,
                           validate)
 
 
@@ -30,12 +34,15 @@ def test_constructors_store_commutative_order():
     assert tuple(Mul(5, 4, 2)) == (4, 5, 2)
     assert Add(3, 2, 1) == Add(2, 3, 1)
     s = EnSystem(3, [Add(3, 2, 1), Add(2, 3, 1)])
-    assert s.equations == (Add(2, 3, 1),)
+    assert tuple(s.equations) == (Add(2, 3, 1),)
+    assert s.rows == ((ADD, 2, 3, 1),)
 
 
 @pytest.mark.parametrize("kind", [Add, Mul])
 @pytest.mark.parametrize("flipped", ["no", "some", "all"])
 def test_from_columns_matches_constructor(kind, flipped):
+    # `canonical_rows`, which took over from `from_columns`, makes in bulk
+    # the rows of the equations the constructor makes one at a time.
     rng = random.Random(f"{kind.__name__} {flipped}")
     size = 200
     rows = [sorted(rng.sample(range(1, 50), 2)) + [rng.randint(1, 50)]
@@ -46,21 +53,58 @@ def test_from_columns_matches_constructor(kind, flipped):
         rows[t][0], rows[t][1] = rows[t][1], rows[t][0]
     i, j, k = (list(column) for column in zip(*rows))
     columns = (i[:], j[:], k[:])
-    made = list(kind.from_columns(i, j, k))
+    made = list(canonical_rows(ADD if kind is Add else MUL, i, j, k))
     expected = [kind(a, b, c) for a, b, c in rows]
-    assert [(type(eq), tuple(eq)) for eq in made] == [
+    assert made == list(map(row_of, expected))
+    assert [(type(eq), tuple(eq)) for eq in map(equation_of, made)] == [
         (type(eq), tuple(eq)) for eq in expected]
     assert (i, j, k) == columns
+
+
+def count_equation_objects(monkeypatch) -> list:
+    """The rows an equation object is made from from now on: `equation_of`
+    is replaced under every enkit module's name for it."""
+    made = []
+    original = system_module.equation_of
+
+    def counting(row):
+        made.append(row)
+        return original(row)
+
+    for module in list(sys.modules.values()):
+        if (getattr(module, "__name__", "").startswith("enkit")
+                and getattr(module, "equation_of", None) is original):
+            monkeypatch.setattr(module, "equation_of", counting)
+    return made
+
+
+def test_full_family_round_trip_makes_no_equation_objects(monkeypatch):
+    # Built, written, read, scheduled and checked as rows: the 67,435
+    # equations of full_Z x1 - x2 never become Add or Mul objects.
+    made = count_equation_objects(monkeypatch)
+    d = parse_polynomial("x1 - x2")
+    built, cert = build_full_z(d)
+    system = deserialize(serialize(built))
+    assert len(system) == len(built) == 67435
+    assert Schedule.derive(system, 2).complete
+    report = check_equivalence(d, system, cert, Box.cube(2, 2))
+    assert report.passed and report.base_points == 25
+    assert made == []
+    gc.collect()
+    assert not any(type(o) in (Add, Mul) for o in gc.get_objects())
+    # The objects are made on demand, one per equation read.
+    assert type(system.equations[0]) is One
+    assert made == [system.rows[0]]
 
 
 def test_kind_is_part_of_identity():
     assert Add(1, 1, 2) != Mul(1, 1, 2)
     assert not Add(1, 1, 2) == Mul(1, 1, 2)
     s = EnSystem(2, [One(1), Add(1, 1, 2), Mul(1, 1, 2), Add(1, 1, 2)])
-    assert s.equations == (One(1), Add(1, 1, 2), Mul(1, 1, 2))
+    assert tuple(s.equations) == (One(1), Add(1, 1, 2), Mul(1, 1, 2))
     text = serialize(s)
     assert text == "ENSYS 1\nn 2\nONE 1\nADD 1 1 2\nMUL 1 1 2\n"
-    assert deserialize(text).equations == s.equations
+    assert deserialize(text).rows == s.rows
 
 
 def test_check_assignment_examples():
@@ -369,7 +413,7 @@ def test_whitespace_and_order_variants_match_per_line(variant, at):
     parsed = deserialize(text)
     reference = per_line(text)
     assert parsed.n == reference.n == 5
-    assert kinds(parsed.equations) == kinds(dict.fromkeys(reference.equations))
+    assert parsed.rows == tuple(dict.fromkeys(reference.rows))
     assert list(parsed.names.items()) == list(reference.names.items())
 
 
@@ -381,8 +425,7 @@ def test_interleaved_kinds_keep_file_order():
     assert kinds(parsed.equations) == [
         (Add, (1, 2, 3)), (Mul, (1, 1, 1)), (One, (2,)), (Add, (1, 1, 2)),
         (Mul, (2, 3, 1)), (One, (1,))]
-    assert kinds(parsed.equations) == kinds(
-        dict.fromkeys(per_line(text).equations))
+    assert parsed.rows == tuple(dict.fromkeys(per_line(text).rows))
 
 
 @pytest.mark.parametrize("enabled", [True, False])

@@ -720,7 +720,8 @@ def check_equivalence(d: Polynomial, system: EnSystem,
     if not count:
         raise ValueError(f"box holds no point in {domain}")
     if count > limits.points:
-        raise BoxTooLarge(f"box holds {count} points, limit {limits.points}")
+        raise BoxTooLarge(
+            f"box holds {count} points, limit is {limits.points}")
     deadline = time.monotonic() + limits.seconds
     report = EquivalenceReport(domain=domain)
     schedule = Schedule.derive(system, cert.p, domain)
@@ -764,18 +765,17 @@ def check_equivalence(d: Polynomial, system: EnSystem,
     return report
 
 
-def _checked_lift(report, system, cert, point, domain) -> list | None:
-    """The lift of a root when it solves the system, counted as a
-    solution; otherwise None, with the failure recorded."""
-    lifted = lift(cert, point)
-    result = check_assignment(system, lifted, domain)
+def _checked_lift(report, system, cert, point, domain) -> bool:
+    """Whether the lift of a root solves the system: counted as a
+    solution if so, recorded as a failure if not."""
+    result = check_assignment(system, lift(cert, point), domain)
     if result.satisfied:
         report.system_solutions += 1
-        return lifted
+        return True
     report.lifted_ok = False
     problem = "leaves N" if result.negatives else f"violates {result.equation}"
     report.failures.append(f"lift of {point} {problem}")
-    return None
+    return False
 
 
 def _propagate_point(report, prop, schedule, row, cert, point, root, limits,
@@ -784,23 +784,16 @@ def _propagate_point(report, prop, schedule, row, cert, point, root, limits,
     and, when it gets stuck on a non-root, search."""
     if root:
         report.base_roots.append(point)
-        lifted = _checked_lift(report, prop.system, cert, point, prop.domain)
-        if lifted is None:
+        if not _checked_lift(report, prop.system, cert, point, prop.domain):
             return
     outcome = prop.outcome(prop.resume(row, schedule))
     if root:
-        if isinstance(outcome, Conflict):
-            report.unique_extension = False
-            report.failures.append(
-                f"propagation from root {point} hit a contradiction "
-                f"on {outcome.equation}")
-        elif isinstance(outcome, Stuck):
+        # The lift solves the system in the domain, and every value in the
+        # row or propagated from it is forced, so it is the lift's: the
+        # propagation ends Solved at the lift, or Stuck.
+        if isinstance(outcome, Stuck):
             report.unique_extension = False
             report.stuck_roots += 1
-        elif outcome.values != lifted:
-            report.unique_extension = False
-            report.failures.append(
-                f"propagation from {point} disagrees with the lift")
     elif isinstance(outcome, Conflict):
         report.refuted_by_propagation += 1
     elif isinstance(outcome, Solved):

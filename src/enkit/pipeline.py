@@ -283,9 +283,13 @@ def read_rendered(ens_text: str, layout_text: str
     Only psi's lines, between the rendered blocks, are parsed; they
     must be canonical, with every index at most s.
     """
-    n, s, mode = _layout_header(layout_text)
+    header = "\n".join(layout_text.split("\n", 4)[:4])
+    try:
+        n, s, mode, _ = parse_layout(header)
+    except FormatError:
+        return None
     # A name line takes 12 characters or more: the text bounds the work.
-    if n is None or 12 * n > len(ens_text):
+    if s < 3 or n < threshold(s) or 12 * n > len(ens_text):
         return None
     scaffold = Scaffold.of(n, s)
     head, ones, adds, layout = _render(scaffold, mode)
@@ -310,19 +314,6 @@ def read_rendered(ens_text: str, layout_text: str
 
 def serialize_layout(assembled: AssembledSystem) -> str:
     return _render(assembled.scaffold, assembled.mode).layout
-
-
-def _layout_header(text: str) -> tuple[int | None, int | None, str | None]:
-    """The values of lines 2-4 of `text`, its (n, s, mode) if it is a
-    rendered layout, or three Nones unless they describe a scaffold."""
-    head = text.split("\n", 4)[1:4]
-    if len(head) == 3:
-        n, s, mode = (line.partition(" ")[2] for line in head)
-        n, s = ascii_int(n), ascii_int(s)
-        if (s is not None and s >= 3 and n is not None and n >= threshold(s)
-                and mode in (DOMAIN_Z, DOMAIN_N)):
-            return n, s, mode
-    return None, None, None
 
 
 _LAYOUT_HEADER = ("n", "s", "mode")

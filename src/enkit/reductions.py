@@ -18,7 +18,7 @@ node, mirroring x_{p+1} + x_{p+2} = x_{p+3}.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import chain, product
 from math import prod
 
 from . import kernels
@@ -80,21 +80,6 @@ class FamilyDescriptor:
             basis = self.basis()
         return Polynomial._raw(
             self.p, {e: c for e, c in zip(basis, vector) if c})
-
-    def poly_vector(self, poly: Polynomial, basis=None):
-        """Dense vector of a member, or None if the polynomial is outside."""
-        if poly.arity != self.p:
-            return None
-        if basis is None:
-            basis = self.basis()
-        position = {e: t for t, e in enumerate(basis)}
-        vec = [0] * len(basis)
-        for e, c in poly.terms.items():
-            t = position.get(e)
-            if t is None or not self.coeff_lo <= c <= self.coeff_hi:
-                return None
-            vec[t] = c
-        return tuple(vec)
 
 
 def enumerate_t(desc: FamilyDescriptor, cap: int = DEFAULT_FAMILY_CAP):
@@ -441,59 +426,6 @@ def _require_all_variables(d: Polynomial):
                 "the family minus the variables exists")
 
 
-def _family_system(desc: FamilyDescriptor, *, pinned: list[Polynomial],
-                   cap: int, pair_cap: int):
-    """Index the family, close it under + and *, and return the machinery.
-
-    `pinned` polynomials receive the first auxiliary indices p+1, p+2, ...
-    in order; everything else follows in enumeration order.  Returns
-    (rows, defs, index_of), rows holding the system's equations, where
-    index_of maps a member polynomial to its variable index.
-    """
-    card = desc.cardinality()
-    if card > cap:
-        raise FamilyTooLarge(card, cap)
-    if card > pair_cap:
-        raise FamilyTooLarge(
-            card, pair_cap,
-            what="full-family construction (emitted identity set grows "
-                 "quadratically) cardinality")
-    basis = desc.basis()
-    vectors = list(desc.iter_vectors())
-    members = [desc.vector_to_poly(v, basis) for v in vectors]
-    rank_of = {v: r for r, v in enumerate(vectors)}
-    rank_of_member = lambda poly: rank_of[desc.poly_vector(poly, basis)]
-
-    index = [0] * card  # rank -> variable index; 0 while unassigned
-    for i in range(1, desc.p + 1):
-        vec = desc.poly_vector(Polynomial.variable(desc.p, i), basis)
-        if vec is None:
-            raise UnusedVariable(f"x{i} is not a member of the family")
-        index[rank_of[vec]] = i
-    for offset, poly in enumerate(pinned):
-        rank = rank_of_member(poly)
-        if index[rank]:
-            raise ValueError("pinned member collides with a variable")
-        index[rank] = desc.p + 1 + offset
-    next_index = desc.p + 1 + len(pinned)
-    for rank in range(card):
-        if not index[rank]:
-            index[rank] = next_index
-            next_index += 1
-
-    one_poly = Polynomial.constant(desc.p, 1)
-    rows = [(ONE, index[rank], index[rank], index[rank])
-            for rank in range(card) if members[rank] == one_poly]
-    adds, muls = kernels.family_join(
-        vectors, desc.coeff_lo, desc.coeff_hi, basis, index)
-    rows += adds
-    rows += muls
-
-    defs = {index[rank]: members[rank] for rank in range(card)
-            if index[rank] > desc.p}
-    return rows, defs, lambda poly: index[rank_of_member(poly)]
-
-
 def b_polynomial(d: Polynomial) -> Polynomial:
     """Same support as D with every coefficient replaced by |a| + 2."""
     return Polynomial._raw(
@@ -527,19 +459,54 @@ def _build_full(d: Polynomial, mode: str, cap: int, pair_cap: int):
     """Every member of the mode's family as a variable, every identity
     among them as an equation, and one anchor.
 
-    Over Z the anchor x_q + x_q = x_q sits on the member naming 2*D
+    The family is refused by its cardinality, against `cap` and then
+    `pair_cap`, before any member is built.  x_1..x_p name the variables;
+    over Z the anchor x_q + x_q = x_q sits on the member naming 2*D
     (full_Z: doubling keeps it off the variables) or D (halved_Z: q = i
     when D is x_i itself).  Over N the zero node, A and B take the indices
-    p+1, p+2, p+3 and x_{p+1} + x_{p+2} = x_{p+3} equates A with B.
+    p+1, p+2, p+3 and x_{p+1} + x_{p+2} = x_{p+3} equates A with B.  Every
+    other member takes the next index in enumeration order.
     """
     if d.is_zero():
         raise ZeroPolynomial("full-family reduction needs a nonzero polynomial")
     _require_all_variables(d)
     desc, anchored = family_descriptor(d, mode)
-    pinned = anchored if mode == "full_N" else []
-    rows, defs, index_of = _family_system(
-        desc, pinned=pinned, cap=cap, pair_cap=pair_cap)
-    nodes = [index_of(poly) for poly in anchored]
+    card = desc.cardinality()
+    if card > cap:
+        raise FamilyTooLarge(card, cap)
+    if card > pair_cap:
+        raise FamilyTooLarge(
+            card, pair_cap,
+            what="full-family construction (emitted identity set grows "
+                 "quadratically) cardinality")
+    p = desc.p
+    basis = desc.basis()
+    vectors = list(desc.iter_vectors())
+    members = [desc.vector_to_poly(v, basis) for v in vectors]
+    # Ranked by coefficient vector, which makes no new object: a
+    # Polynomial.key() would cache a frozenset on every member.
+    rank_of = {v: rank for rank, v in enumerate(vectors)}
+    rank_of_member = lambda poly: rank_of[
+        tuple(poly.terms.get(e, 0) for e in basis)]
+    # Every variable is a member: D uses each one, and every mode's
+    # coefficient range holds 1.  Over N the pinned 0, A and B are none
+    # of them (see family_descriptor).
+    first = [Polynomial.variable(p, i) for i in range(1, p + 1)]
+    if mode == "full_N":
+        first += anchored
+    pinned = list(map(rank_of_member, first))
+    rest = sorted(set(range(card)).difference(pinned))
+    index = [0] * card  # rank -> variable index
+    for i, rank in enumerate(pinned + rest, start=1):
+        index[rank] = i
+    index_of = lambda poly: index[rank_of_member(poly)]
+
+    one = index_of(Polynomial.constant(p, 1))
+    # family_join's two lists are not kept alive beside `rows` while the
+    # EnSystem is built.
+    rows = [(ONE, one, one, one), *chain.from_iterable(kernels.family_join(
+        vectors, desc.coeff_lo, desc.coeff_hi, basis, index))]
+    nodes = list(map(index_of, anchored))
     if mode == "full_N":
         zero, a, b = nodes
         rows.append(canonical_row(ADD, zero, a, b))
@@ -548,9 +515,11 @@ def _build_full(d: Polynomial, mode: str, cap: int, pair_cap: int):
         (q,) = nodes
         rows.append((ADD, q, q, q))
         anchor = {"anchor_q": q}
-    system = EnSystem(desc.cardinality(), rows)
+    defs = {index[rank]: members[rank] for rank in range(card)
+            if index[rank] > p}
+    system = EnSystem(card, rows)
     cert = ReductionCertificate(
-        mode=mode, p=d.arity, n=system.n, defs=defs, **anchor)
+        mode=mode, p=p, n=system.n, defs=defs, **anchor)
     return system, cert
 
 

@@ -116,6 +116,18 @@ def test_reduce_pair_cap_names_the_quadratic_identity_set(workdir, capsys):
         "quadratically) cardinality 6561 exceeds limit 2000\n")
 
 
+def test_reduce_pair_cap_refuses_before_any_member_is_built(workdir, capsys):
+    # 531,441 members, under the default --cap: building them takes
+    # seconds, refusing them by their count does not.
+    start = time.perf_counter()
+    assert main(["reduce", "x1^2*x2*x3 = 1", "--ring", "z",
+                 "--mode", "halved"]) == 3
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().err == (
+        "error: full-family construction (emitted identity set grows "
+        "quadratically) cardinality 531441 exceeds limit 2000\n")
+
+
 @pytest.mark.parametrize("command", [
     ["reduce", "x1^3000000 = 2", "--ring", "z"],
     ["reduce", "x1^3000000 = 2", "--ring", "n"],

@@ -336,6 +336,36 @@ def test_equivalence_refuses_a_box_without_points(monkeypatch):
         check_equivalence(d, system, cert, Box(((-3, -1),)), "N")
 
 
+def test_equivalence_refuses_a_box_past_the_point_limit(monkeypatch):
+    d = P("x1 - x2")
+    system, cert = build_compact_z(d)
+    limits = OracleLimits(points=49)
+    assert check_equivalence(d, system, cert, Box.cube(2, 3), "Z",
+                             limits).passed
+
+    def derive(*args, **kwargs):
+        raise AssertionError("work started on a box past the limit")
+
+    monkeypatch.setattr(Schedule, "derive", derive)
+    with pytest.raises(BoxTooLarge) as err:
+        check_equivalence(d, system, cert, Box.cube(2, 3), "Z",
+                          replace(limits, points=48))
+    # The wording enumerate_roots uses for the same refusal.
+    assert str(err.value) == "box holds 49 points, limit is 48"
+
+
+@pytest.mark.parametrize("source, checked, box", [
+    ("x1 - x2", P("x1 - x2"), Box.cube(3, 1)),
+    ("x1 - 1", P("x1 - x2"), Box.cube(2, 1)),
+    ("x1 - x2", P("x1 - 1"), Box.cube(2, 1)),
+], ids=["box", "certificate", "polynomial"])
+def test_equivalence_refuses_parts_that_disagree(source, checked, box):
+    system, cert = build_compact_z(P(source))
+    with pytest.raises(DimensionMismatch) as err:
+        check_equivalence(checked, system, cert, box, "Z")
+    assert str(err.value) == "box, polynomial, and certificate disagree"
+
+
 def test_equivalence_points_leave_no_state_behind():
     # x2 * x2 = x1 with the lift x2 := 0: the root 0 stays stuck, 1 extends
     # to the spurious solution x2 = -1, and the other points need the search.

@@ -12,9 +12,9 @@ from enkit.errors import DimensionMismatch, FormatError
 from enkit.eqio import parse_polynomial
 from enkit.oracle import Box, Schedule, check_assignment, check_equivalence
 from enkit.reductions import build_full_z
-from enkit.system import (ADD, MUL, Add, EnSystem, Mul, One, canonical_rows,
-                          deserialize, equation_of, row_of, serialize,
-                          validate)
+from enkit.system import (ADD, MUL, ONE, Add, EnSystem, Mul, One,
+                          canonical_rows, deserialize, equation_of, row_of,
+                          serialize, validate)
 
 
 def test_validate_index_out_of_range():
@@ -476,3 +476,16 @@ def test_serialize_rejects_labels_with_whitespace():
         with pytest.raises(FormatError) as err:
             serialize(EnSystem(1, [], {1: label}))
         assert str(err.value) == f"bad label {label!r} for index 1"
+
+
+@pytest.mark.parametrize("n, row, message", [
+    # n < 3 * len(rows): the numeral table is of 0..n
+    (2, (ADD, 1, 2, 3), "index 3 out of range [1, 2] in x1 + x2 = x3"),
+    (1, (ONE, 2, 2, 2), "index 2 out of range [1, 1] in x2 = 1"),
+    # otherwise it is of the indices in [0, n] the rows hold
+    (9, (MUL, -1, 1, 2), "index -1 out of range [1, 9] in x-1 * x1 = x2"),
+], ids=["range-above", "range-one", "held-negative"])
+def test_serialize_refuses_an_index_outside_the_system(n, row, message):
+    with pytest.raises(FormatError) as err:
+        serialize(EnSystem(n, [row]))
+    assert str(err.value) == message

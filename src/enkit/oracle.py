@@ -21,8 +21,8 @@ from . import kernels
 from .errors import BoxTooLarge, CertificateMismatch, DimensionMismatch
 from .poly import Polynomial
 from .reductions import ReductionCertificate, validate_certificate
-from .system import (ADD, DOMAIN_N, DOMAIN_Z, ONE, EnEquation, EnSystem,
-                     canonical_row, equation_of)
+from .system import (ADD, DOMAIN_N, DOMAIN_Z, ONE, EnSystem, canonical_row,
+                     format_row)
 
 DEFAULT_POINT_LIMIT = 10**8
 
@@ -113,7 +113,7 @@ def enumerate_roots(poly: Polynomial, box: Box, domain: str = DOMAIN_Z,
 @dataclass(frozen=True)
 class CheckResult:
     status: str  # "satisfied" | "violated" | "incomplete"
-    equation: EnEquation | None = None
+    equation: tuple | None = None  # the violated row
     missing: tuple[int, ...] = ()
     negatives: tuple[int, ...] = ()
 
@@ -147,7 +147,7 @@ def check_assignment(system: EnSystem, row: list,
         rows = [r for r in rows if None not in map(row.__getitem__, r[1:])]
     bad = kernels.check_equations(rows, row)
     if bad != -1:
-        return CheckResult(status="violated", equation=equation_of(rows[bad]))
+        return CheckResult(status="violated", equation=rows[bad])
     if missing:
         return CheckResult(status="incomplete", missing=missing)
     return CheckResult(status="satisfied")
@@ -169,7 +169,7 @@ class Stuck:
 
 @dataclass
 class Conflict:
-    equation: EnEquation | None
+    equation: tuple | None  # the row found false, if any
 
 
 PropagationResult = Solved | Stuck | Conflict
@@ -342,8 +342,7 @@ class _Propagator:
         The row is copied, so the result survives `undo`.
         """
         if not ok:
-            row = self.conflict_row
-            return Conflict(None if row is None else equation_of(row))
+            return Conflict(self.conflict_row)
         row = self.row.copy()
         if None not in row:
             return Solved(values=row)
@@ -773,7 +772,8 @@ def _checked_lift(report, system, cert, point, domain) -> bool:
         report.system_solutions += 1
         return True
     report.lifted_ok = False
-    problem = "leaves N" if result.negatives else f"violates {result.equation}"
+    problem = ("leaves N" if result.negatives
+               else f"violates {format_row(result.equation)}")
     report.failures.append(f"lift of {point} {problem}")
     return False
 

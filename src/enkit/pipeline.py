@@ -110,24 +110,9 @@ class Scaffold:
         if n < minimum:
             raise ValueError(f"n below threshold {minimum}")
         first = n - n // 2 - 1  # t_1: after psi and n - [n/2] - 2 - s padding
-        # Each index is made once here; the labels built from these tuples
-        # share its int object.
         return cls(n=n, s=s, padding=tuple(range(s + 1, first)),
                    t_chain=tuple(range(first, n - 1)), w_index=n - 1,
                    y_index=n)
-
-    def layout(self) -> dict[int, str]:
-        """Index -> label, for x1..xn in index order: x1..xs, z1..,
-        t1.., w, y."""
-        s, pad, half = self.s, len(self.padding), len(self.t_chain)
-        # Each group numbers from 1, so one list of numerals serves all.
-        numerals = list(map(str, range(1, max(s, pad, half) + 1)))
-        indices = (*range(1, s + 1), *self.padding, *self.t_chain,
-                   self.w_index, self.y_index)
-        return dict(zip(indices, [*map("x".__add__, numerals[:s]),
-                                  *map("z".__add__, numerals[:pad]),
-                                  *map("t".__add__, numerals[:half]),
-                                  "w", "y"]))
 
     def values(self) -> list[int]:
         """The values forced on x_{s+1}..x_n: padding 1, t_k = k,
@@ -157,13 +142,13 @@ class AssembledSystem:
 
 def assemble(psi: PsiSystem, n: int) -> AssembledSystem:
     """Surround Psi with the scaffold forcing x2 = n, using n variables:
-    the rendered scaffold's equations and `Scaffold.layout`'s names."""
+    the equations and names of the rendered scaffold, read back."""
     scaffold = Scaffold.of(n, psi.s)
-    _, ones, adds, _ = _render(scaffold, psi.mode)
+    _, ones, adds, layout = _render(scaffold, psi.mode)
     rows = ens.deserialize(f"ENSYS 1\nn {n}\n{ones}{adds}").rows
     return AssembledSystem(
         EnSystem(n, [*psi.system.rows, *rows],
-                 names=scaffold.layout()), scaffold, psi.mode,
+                 names=parse_layout(layout)[3]), scaffold, psi.mode,
         psi.certificate)
 
 
@@ -188,17 +173,17 @@ def check_assembled(system: EnSystem,
     if certificate is not None:
         validate_certificate(certificate, s)
     scaffold = Scaffold.of(n, s)
-    _, ones, adds, _ = _render(scaffold, mode)
+    _, ones, adds, rendered = _render(scaffold, mode)
     # i <= j, so j and k hold a row's greatest index.
     outside = [row for row in system.rows if row[2] > s or row[3] > s]
     if ens.equation_lines(outside, n) != (ones, adds, ""):
         raise ParseError("system does not match the layout's scaffold")
-    layout = scaffold.layout()
+    expected = parse_layout(rendered)[3]
     for what, names in (("layout label", labels),
                         (".ens name", system.names)):
-        if names != layout:
-            index = min(i for i in names.keys() | layout.keys()
-                        if names.get(i) != layout.get(i))
+        if names != expected:
+            index = min(i for i in names.keys() | expected.keys()
+                        if names.get(i) != expected.get(i))
             raise ParseError(f"{what} of index {index} does not match "
                              f"the scaffold")
     return AssembledSystem(system, scaffold, mode, certificate)

@@ -8,21 +8,18 @@ ONE < ADD < MUL, so one `sorted` of the rows is the canonical order of the
 serialized form, which is consequently unique: systems written by
 deterministic builders are byte-identical across runs.
 
-`One`, `Add` and `Mul` are the value objects of the same equations, with
-the same canonical form: what `EnSystem` takes from a caller as readily as
-rows, and what `EnSystem.equations` yields, made from the rows on demand
-by `equation_of`.
+`One`, `Add` and `Mul` make these rows: `Add(2, 1, 3)` is the row
+(ADD, 1, 2, 3).
 """
 
 from __future__ import annotations
 
 import gc
 from bisect import bisect_left
-from collections.abc import Sequence
 from contextlib import contextmanager
 from itertools import chain, compress, count, pairwise, repeat
 from operator import gt, itemgetter, ne
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, Mapping
 
 from .eqio import ascii_int, ascii_ints
 from .errors import FormatError
@@ -32,69 +29,6 @@ DOMAIN_N = "N"
 
 # The kind of a row (kind, i, j, k), in canonical order.
 ONE, ADD, MUL = 0, 1, 2
-
-
-class One(NamedTuple):
-    i: int
-
-
-class _Fields(NamedTuple):
-    i: int
-    j: int
-    k: int
-
-
-class _Commutative:
-    """Add and Mul: stored with i <= j, and equal only to their own kind."""
-
-    __slots__ = ()
-
-    def __new__(cls, i: int, j: int, k: int):
-        return tuple.__new__(cls, (i, j, k) if i <= j else (j, i, k))
-
-    def __eq__(self, other) -> bool:
-        return type(self) is type(other) and tuple.__eq__(self, other)
-
-    def __ne__(self, other) -> bool:
-        return type(self) is not type(other) or tuple.__ne__(self, other)
-
-    __hash__ = tuple.__hash__
-
-
-class Add(_Commutative, _Fields):
-    """x_i + x_j = x_k."""
-
-    __slots__ = ()
-
-
-class Mul(_Commutative, _Fields):
-    """x_i * x_j = x_k."""
-
-    __slots__ = ()
-
-
-EnEquation = One | Add | Mul
-_KIND_OF = {One: ONE, Add: ADD, Mul: MUL}
-
-
-def equation_of(row: tuple) -> EnEquation:
-    """The One, Add or Mul of a row: the one place an equation object is
-    made from a row."""
-    kind, i, j, k = row
-    if kind == ONE:
-        return One(i)
-    return (Add if kind == ADD else Mul)(i, j, k)
-
-
-def row_of(equation) -> tuple:
-    """The row of a One, Add or Mul; a row is returned as it is."""
-    kind = type(equation)
-    if kind is tuple:
-        return equation
-    if kind is One:
-        (i,) = equation
-        return (ONE, i, i, i)
-    return (_KIND_OF[kind], *equation)
 
 
 def canonical_row(kind: int, i: int, j: int, k: int) -> tuple:
@@ -116,60 +50,55 @@ def canonical_rows(kind: int, i: list[int], j: list[int], k: list[int]):
     return zip(repeat(kind), i, j, k)
 
 
-def format_eq(eq: EnEquation) -> str:
-    if isinstance(eq, One):
-        return f"x{eq.i} = 1"
-    if isinstance(eq, Add):
-        return f"x{eq.i} + x{eq.j} = x{eq.k}"
-    return f"x{eq.i} * x{eq.j} = x{eq.k}"
+def One(i: int) -> tuple:
+    """x_i = 1."""
+    return (ONE, i, i, i)
 
 
-class _Equations(Sequence):
-    """A system's equations as One/Add/Mul objects, each made from its row
-    when it is read."""
+def Add(i: int, j: int, k: int) -> tuple:
+    """x_i + x_j = x_k."""
+    return canonical_row(ADD, i, j, k)
 
-    __slots__ = ("rows",)
 
-    def __init__(self, rows: tuple):
-        self.rows = rows
+def Mul(i: int, j: int, k: int) -> tuple:
+    """x_i * x_j = x_k."""
+    return canonical_row(MUL, i, j, k)
 
-    def __len__(self) -> int:
-        return len(self.rows)
 
-    def __getitem__(self, t):
-        if isinstance(t, slice):
-            return tuple(map(equation_of, self.rows[t]))
-        return equation_of(self.rows[t])
+def format_eq(row: tuple) -> str:
+    """A row as an equation: x1 + x2 = x3."""
+    kind, i, j, k = row
+    if kind == ONE:
+        return f"x{i} = 1"
+    return f"x{i} {'+' if kind == ADD else '*'} x{j} = x{k}"
 
-    def __iter__(self):
-        return map(equation_of, self.rows)
+
+def format_row(row: tuple) -> str:
+    """A row as the call that makes it: Add(i=1, j=2, k=3)."""
+    kind, i, j, k = row
+    if kind == ONE:
+        return f"One(i={i})"
+    return f"{'Add' if kind == ADD else 'Mul'}(i={i}, j={j}, k={k})"
 
 
 class EnSystem:
     """A duplicate-free ordered set of E_n equations over n variables,
-    held as rows.
-
-    `equations` may be rows or One/Add/Mul objects; objects become their
-    rows, and a later duplicate of a row is dropped.
-    """
+    held as rows; a later duplicate of a row is dropped."""
 
     __slots__ = ("n", "rows", "names")
 
-    def __init__(self, n: int, equations: Iterable,
+    def __init__(self, n: int, equations: Iterable[tuple],
                  names: Mapping[int, str] | None = None):
         if n < 0:
             raise ValueError("variable count must be non-negative")
         self.n = n
-        rows = dict.fromkeys(equations)
-        if set(map(type, rows)) - {tuple}:
-            rows = dict.fromkeys(map(row_of, rows))
-        self.rows = tuple(rows)
+        self.rows = tuple(dict.fromkeys(equations))
         self.names = dict(names) if names else {}
 
     @property
-    def equations(self) -> Sequence[EnEquation]:
-        """The equations as One/Add/Mul objects, made as they are read."""
-        return _Equations(self.rows)
+    def equations(self) -> tuple:
+        """An alias of `rows`."""
+        return self.rows
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, EnSystem):
@@ -193,14 +122,13 @@ def validate(system: EnSystem) -> list[str]:
     problems = []
     n = system.n
     for row in system.rows:
-        _, i, j, k = row
+        kind, i, j, k = row
         # i <= j, so i and k hold the least index and j and k the greatest.
         if min(i, k) < 1 or max(j, k) > n:
-            eq = equation_of(row)
-            for index in eq:
+            for index in (i,) if kind == ONE else (i, j, k):
                 if not 1 <= index <= n:
                     problems.append(f"index {index} out of range [1, {n}] "
-                                    f"in {format_eq(eq)}")
+                                    f"in {format_eq(row)}")
     for index in system.names:
         if not 1 <= index <= n:
             problems.append(f"named index {index} out of range [1, {n}]")
@@ -212,9 +140,11 @@ def collector_paused():
     """Pause the cyclic garbage collector, and restore the caller's state
     on every exit.
 
-    enkit's commands and readers make no reference cycles, yet each
-    collection would walk every live Add and Mul: tuple subclasses are
-    never untracked.
+    enkit's commands and readers make no reference cycles, yet while they
+    make rows, lists and dicts a young collection runs every 700 new
+    containers and walks each one it finds (a row of ints until that walk
+    untracks it).  On full_Z x1^2 = 2 (116,506 rows), `reduce` took 92-95
+    ms paused against 103-104 ms unpaused (README.md).
     """
     collecting = gc.isenabled()
     gc.disable()
@@ -245,7 +175,7 @@ _CHARS_PER_INDEX = 4
 def serialize(system: EnSystem) -> str:
     """Canonical .ens text: ONE lines, then ADD, then MUL, each sorted.
 
-    A system with an index outside [0, n] raises FormatError naming it.
+    A system with an index outside [1, n] raises FormatError naming it.
     """
     lines = ["ENSYS 1", f"n {system.n}"]
     for index in sorted(system.names):
@@ -262,17 +192,17 @@ def serialize(system: EnSystem) -> str:
 
 def equation_lines(rows: Iterable[tuple], n: int) -> tuple[str, str, str]:
     """The canonical ONE, ADD and MUL lines of rows whose indices lie in
-    [0, n], each kind sorted, as three texts of whole lines.
+    [1, n], each kind sorted, as three texts of whole lines.
 
     The rows are sorted once, and every index is written through one table
-    of numerals: of 0..n when it holds at most one entry per index slot of
-    the rows, else of the indices the rows hold.  An index outside [0, n]
+    of numerals: of 1..n when it holds at most one entry per index slot of
+    the rows, else of the indices the rows hold.  An index outside [1, n]
     raises KeyError.
     """
     rows = sorted(rows)
     adds, muls = bisect_left(rows, (ADD,)), bisect_left(rows, (MUL,))
-    indices = (range(n + 1) if n < 3 * len(rows)
-               else {i for i in chain.from_iterable(rows) if 0 <= i <= n})
+    indices = (range(1, n + 1) if n < 3 * len(rows)
+               else {i for i in chain.from_iterable(rows) if 1 <= i <= n})
     s = dict(zip(indices, map(str, indices)))
     return ("".join([f"ONE {s[i]}\n" for _, i, _, _ in rows[:adds]]),
             "".join([f"ADD {s[i]} {s[j]} {s[k]}\n"

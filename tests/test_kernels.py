@@ -9,7 +9,7 @@ import pytest
 
 from enkit import kernels
 from enkit.reductions import FamilyDescriptor
-from enkit.system import ADD, MUL, Add, Mul, One, row_of
+from enkit.system import ADD, MUL, Add, Mul, One
 
 
 def test_family_join_known_family():
@@ -20,13 +20,12 @@ def test_family_join_known_family():
         list(desc.iter_vectors()), desc.coeff_lo, desc.coeff_hi,
         desc.basis(), [3, 1, 2])
     # rank triples (0, 1, 0), (0, 2, 1), (1, 1, 1), (1, 2, 2)
-    assert adds == list(map(row_of, [
-        Add(1, 3, 3), Add(2, 3, 1), Add(1, 1, 1), Add(1, 2, 2)]))
+    assert adds == [Add(1, 3, 3), Add(2, 3, 1), Add(1, 1, 1), Add(1, 2, 2)]
     # rank triples (0, 0, 2), (0, 1, 1), (0, 2, 0), (1, 1, 1), (1, 2, 1),
     # (2, 2, 2)
-    assert muls == list(map(row_of, [
+    assert muls == [
         Mul(3, 3, 2), Mul(1, 3, 1), Mul(2, 3, 3), Mul(1, 1, 1), Mul(1, 2, 1),
-        Mul(2, 2, 2)]))
+        Mul(2, 2, 2)]
     assert all(type(row) is tuple and row[0] == ADD for row in adds)
     assert all(type(row) is tuple and row[0] == MUL for row in muls)
 
@@ -114,9 +113,9 @@ def test_family_join_matches_pairwise_reference():
         index = rng.sample(range(1, len(args[0]) + 1), len(args[0]))
         adds, muls = kernels.family_join(*args, index)
         ref_adds, ref_muls = _pairwise_join(*args)
-        assert adds == [row_of(Add(index[a], index[b], index[c]))
+        assert adds == [Add(index[a], index[b], index[c])
                         for a, b, c in ref_adds], desc
-        assert muls == [row_of(Mul(index[a], index[b], index[c]))
+        assert muls == [Mul(index[a], index[b], index[c])
                         for a, b, c in ref_muls], desc
         totals[box][0] += len(adds)
         totals[box][1] += len(muls)
@@ -286,7 +285,7 @@ def test_grid_roots_chunks_match_brute_force(monkeypatch, budget):
 
 
 def test_check_equations_first_violation():
-    equations = list(map(row_of, [One(1), Add(1, 1, 2), Mul(2, 2, 3)]))
+    equations = [One(1), Add(1, 1, 2), Mul(2, 2, 3)]
     assert kernels.check_equations(equations, {1: 1, 2: 2, 3: 4}) == -1
     assert kernels.check_equations(equations, {1: 2, 2: 4, 3: 16}) == 0
     assert kernels.check_equations(equations, {1: 1, 2: 3, 3: 9}) == 1
@@ -298,7 +297,7 @@ def test_check_equations_first_violation():
 
 def test_check_equations_values_past_int64():
     big = 2**63 + 5
-    equations = list(map(row_of, [Add(1, 1, 2), Mul(1, 2, 3)]))
+    equations = [Add(1, 1, 2), Mul(1, 2, 3)]
     values = {1: big, 2: 2 * big, 3: 2 * big * big}
     assert kernels.check_equations(equations, values) == -1
     values[3] += 1

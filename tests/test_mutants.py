@@ -23,18 +23,25 @@ MUTANTS = json.loads((ROOT / "tests" / "mutants.json").read_text(
 COPIED = shutil.ignore_patterns("__pycache__", "*.egg-info", ".hypothesis")
 
 
-def _failed(stdout):
-    """Node ids pytest's `-rf` summary reports as failed."""
-    return {line.split()[1] for line in stdout.splitlines()
-            if line.startswith("FAILED ")}
+def _failed(stdout, tests):
+    """The node ids among `tests` that pytest's `-rf` summary reports as
+    failed: a line `FAILED <id>`, or one starting `FAILED <id> - `.  An id
+    may hold spaces, so the lines are not split into words."""
+    lines = stdout.splitlines()
+    return {test for test in tests
+            if f"FAILED {test}" in lines
+            or any(line.startswith(f"FAILED {test} - ") for line in lines)}
 
 
 def test_failed_ids_are_read():
     stdout = ("..F\n= short test summary info =\n"
               "FAILED tests/test_a.py::test_b[x-1] - assert 1 == 2\n"
+              "FAILED tests/test_a.py::test_d[full_N-x1 - x2] - assert 0\n"
               "FAILED tests/test_a.py::test_c\n1 failed, 2 passed\n")
-    assert _failed(stdout) == {"tests/test_a.py::test_b[x-1]",
-                               "tests/test_a.py::test_c"}
+    tests = ["tests/test_a.py::test_b[x-1]", "tests/test_a.py::test_c",
+             "tests/test_a.py::test_d[full_N-x1 - x2]",
+             "tests/test_a.py::test_b[x-2]", "tests/test_a.py::test_b"]
+    assert _failed(stdout, tests) == set(tests[:3])
 
 
 @pytest.mark.parametrize("mutant", MUTANTS, ids=[m["name"] for m in MUTANTS])
@@ -53,5 +60,6 @@ def test_mutant_is_killed(mutant, tmp_path):
         [sys.executable, "-m", "pytest", "-q", "-rf", "-p",
          "no:cacheprovider", *mutant["tests"]],
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
-    survivors = sorted(set(mutant["tests"]) - _failed(result.stdout))
+    survivors = sorted(set(mutant["tests"])
+                       - _failed(result.stdout, mutant["tests"]))
     assert survivors == [], result.stdout[-3000:]

@@ -20,7 +20,7 @@ from enkit.poly import Polynomial
 from enkit.reductions import (ReductionCertificate, build_compact_n,
                               build_compact_z, build_full_n, build_full_z,
                               build_halved_z, parse_certificate)
-from enkit.system import Add, EnSystem, Mul, One, row_of
+from enkit.system import Add, EnSystem, Mul, One
 
 
 def P(text, arity=None):
@@ -269,6 +269,20 @@ def test_equivalence_catches_broken_certificate():
     report = check_equivalence(d, system, cert, Box.cube(2, 2), "Z")
     assert not report.passed
     assert not report.lifted_ok
+
+
+@pytest.mark.parametrize("index, violated", [
+    (2, "Mul(i=1, j=1, k=2)"), (3, "One(i=3)"), (4, "Add(i=3, j=3, k=4)")],
+    ids=["mul", "one", "add"])
+def test_equivalence_names_the_equation_a_lift_violates(index, violated):
+    # compact_Z x1^2 - 4 holds x1 * x1 = x2, x3 = 1 and x3 + x3 = x4 first:
+    # a definition off by one makes each root's lift violate its equation.
+    d = P("x1^2 - 4")
+    system, cert = build_compact_z(d)
+    cert.defs[index] = cert.defs[index] + Polynomial.constant(1, 1)
+    report = check_equivalence(d, system, cert, Box.cube(1, 3), "Z")
+    assert report.failures == [f"lift of ({x},) violates {violated}"
+                               for x in (-2, 2)]
 
 
 def test_equivalence_catches_certificate_missing_a_definition():
@@ -682,7 +696,7 @@ def test_schedule_negative_value_over_n(monkeypatch):
     system, cert = build_compact_z(d)
     schedule = Schedule.derive(system, 2, "N")
     assert schedule.steps == [(operator.sub, 1, 2, 3)]
-    assert schedule.checks == [row_of(Add(4, 5, 3))]
+    assert schedule.checks == [Add(4, 5, 3)]
     assert schedule.template == [0, 0, 0, 0, 1, 0]
     assert _extensions(schedule, [(1, 3)]) == [None]
     assert isinstance(propagate(system, {1: 1, 2: 3}, "N"), Conflict)
@@ -704,7 +718,7 @@ def test_anchor_node_is_a_constant_not_a_step(build, text):
     schedule = Schedule.derive(system, 2)
     assert schedule.complete and schedule.template[q] == 0
     assert q not in [k for *_, k in schedule.steps]
-    assert row_of(Add(q, q, q)) not in schedule.checks
+    assert Add(q, q, q) not in schedule.checks
 
 
 def _counting_derive(monkeypatch):
@@ -786,7 +800,7 @@ def _random_soup(rng):
     equations = []
     for _ in range(rng.randint(1, 2 * n)):
         kind = rng.choice([One, Add, Add, Mul])
-        indices = [rng.randint(1, n) for _ in range(len(kind._fields))]
+        indices = [rng.randint(1, n) for _ in range(1 if kind is One else 3)]
         equations.append(kind(*indices))
     return EnSystem(n, equations)
 
@@ -949,8 +963,8 @@ def test_derivation_from_a_seed_is_the_fixed_point_reference(case):
         row, schedule = _derived_row(ordered, domain, seed)
         # The open equations are exactly those left with an unknown slot.
         assert schedule.open == [
-            t for t, eq in enumerate(ordered.equations)
-            if any(row[index] is None for index in eq)]
+            t for t, eq in enumerate(ordered.rows)
+            if any(row[index] is None for index in eq[1:])]
         ref = _FixedPointPropagator(ordered, domain)
         ref_ok, _ = ref.start(dict(seed))
         if ref_ok:

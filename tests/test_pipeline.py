@@ -521,7 +521,7 @@ def check_by_rebuilding(system, certificate, layout_text):
     if certificate is not None:
         validate_certificate(certificate, s)
     psi = PsiSystem(
-        system=EnSystem(s, [eq for eq in system.equations if max(eq) <= s]),
+        system=EnSystem(s, [eq for eq in system.rows if max(eq[1:]) <= s]),
         mode=mode, certificate=certificate)
     assembled = rebuilt(psi, n)
     if set(assembled.system.equations) != set(system.equations):
@@ -653,7 +653,8 @@ def test_check_assembled_parses_other_layouts_once(monkeypatch, case, edit):
     monkeypatch.setattr(pipeline, "parse_layout", counted)
     edited = edit(text)
     assert check_outcome(check_assembled, system, cert, edited) == expected
-    assert calls == [edited]
+    # The given layout, then the rendered one the labels are read from.
+    assert calls == [edited, text]
 
 
 @pytest.mark.parametrize("mode", ["Q", "z", "N "])
@@ -755,7 +756,7 @@ def test_pinning_psi_inside_its_scaffold_reports_the_whole_system(case):
     whole = verify_pinning(asm.system, expected, **options)
     psi = asm.psi()
     assert psi.n == asm.scaffold.s
-    assert max(map(max, psi.equations)) <= psi.n
+    assert max(max(row[1:]) for row in psi.rows) <= psi.n
     inside = verify_pinning(psi, expected, tail=asm.scaffold.values(),
                             **options)
     assert vars(inside) == vars(whole)
@@ -949,8 +950,14 @@ def test_fn_system_and_verify_pin_build_and_read_no_scaffold(
             full.append(text)
         return system
 
+    def header_only(text):
+        # The labels are read only from a whole layout.
+        if text.count("\n") > 3:
+            refuse()
+        return parse_layout(text)
+
     monkeypatch.setattr(pipeline, "assemble", refuse)
-    monkeypatch.setattr(pipeline.Scaffold, "layout", refuse)
+    monkeypatch.setattr(pipeline, "parse_layout", header_only)
     monkeypatch.setattr(enkit.system, "deserialize", small)
     assert round_trip() == expected
     assert full == []

@@ -16,7 +16,7 @@ from enkit.reductions import (FamilyDescriptor, build_compact_n,
                               master_arity, parse_certificate,
                               serialize_certificate, split_signs,
                               validate_certificate)
-from enkit.system import Add, Mul, One, serialize, validate
+from enkit.system import ADD, ONE, Add, Mul, One, serialize, validate
 
 
 def P(text, arity=None):
@@ -175,13 +175,13 @@ def _assert_identities(system, cert, rng, points, equations):
         values = {i + 1: v for i, v in enumerate(point)}
         values.update(
             {s: poly.eval_at(point) for s, poly in cert.defs.items()})
-        for eq in equations:
-            if isinstance(eq, One):
-                assert values[eq.i] == 1
-            elif isinstance(eq, Add):
-                assert values[eq.i] + values[eq.j] == values[eq.k]
+        for kind, i, j, k in equations:
+            if kind == ONE:
+                assert values[i] == 1
+            elif kind == ADD:
+                assert values[i] + values[j] == values[k]
             else:
-                assert values[eq.i] * values[eq.j] == values[eq.k]
+                assert values[i] * values[j] == values[k]
 
 
 def test_full_family_identity_soundness():

@@ -1,6 +1,5 @@
 import gc
 import random
-import sys
 from unittest import mock
 
 import pytest
@@ -13,8 +12,7 @@ from enkit.eqio import parse_polynomial
 from enkit.oracle import Box, Schedule, check_assignment, check_equivalence
 from enkit.reductions import build_full_z
 from enkit.system import (ADD, MUL, ONE, Add, EnSystem, Mul, One,
-                          canonical_rows, deserialize, equation_of, row_of,
-                          serialize, validate)
+                          canonical_rows, deserialize, serialize, validate)
 
 
 def test_validate_index_out_of_range():
@@ -23,19 +21,29 @@ def test_validate_index_out_of_range():
     assert "3" in problems[0]
 
 
+def test_validate_names_each_bad_index_once():
+    system = EnSystem(3, [One(4), One(0), Mul(0, 5, 0)])
+    assert validate(system) == [
+        "index 4 out of range [1, 3] in x4 = 1",
+        "index 0 out of range [1, 3] in x0 = 1",
+        "index 0 out of range [1, 3] in x0 * x5 = x0",
+        "index 5 out of range [1, 3] in x0 * x5 = x0",
+        "index 0 out of range [1, 3] in x0 * x5 = x0"]
+
+
 def test_validate_ok():
     assert validate(EnSystem(3, [One(1), Add(1, 1, 2)])) == []
     assert validate(EnSystem(1, [Mul(1, 1, 1)])) == []
 
 
 def test_constructors_store_commutative_order():
-    # the constructors store i <= j
-    assert tuple(Add(3, 2, 1)) == (2, 3, 1)
-    assert tuple(Mul(5, 4, 2)) == (4, 5, 2)
+    # the constructors make rows with i <= j
+    assert Add(3, 2, 1) == (ADD, 2, 3, 1)
+    assert Mul(5, 4, 2) == (MUL, 4, 5, 2)
+    assert One(4) == (ONE, 4, 4, 4)
     assert Add(3, 2, 1) == Add(2, 3, 1)
     s = EnSystem(3, [Add(3, 2, 1), Add(2, 3, 1)])
-    assert tuple(s.equations) == (Add(2, 3, 1),)
-    assert s.rows == ((ADD, 2, 3, 1),)
+    assert s.equations == s.rows == ((ADD, 2, 3, 1),)
 
 
 @pytest.mark.parametrize("kind", [Add, Mul])
@@ -54,34 +62,13 @@ def test_from_columns_matches_constructor(kind, flipped):
     i, j, k = (list(column) for column in zip(*rows))
     columns = (i[:], j[:], k[:])
     made = list(canonical_rows(ADD if kind is Add else MUL, i, j, k))
-    expected = [kind(a, b, c) for a, b, c in rows]
-    assert made == list(map(row_of, expected))
-    assert [(type(eq), tuple(eq)) for eq in map(equation_of, made)] == [
-        (type(eq), tuple(eq)) for eq in expected]
+    assert made == [kind(a, b, c) for a, b, c in rows]
     assert (i, j, k) == columns
 
 
-def count_equation_objects(monkeypatch) -> list:
-    """The rows an equation object is made from from now on: `equation_of`
-    is replaced under every enkit module's name for it."""
-    made = []
-    original = system_module.equation_of
-
-    def counting(row):
-        made.append(row)
-        return original(row)
-
-    for module in list(sys.modules.values()):
-        if (getattr(module, "__name__", "").startswith("enkit")
-                and getattr(module, "equation_of", None) is original):
-            monkeypatch.setattr(module, "equation_of", counting)
-    return made
-
-
-def test_full_family_round_trip_makes_no_equation_objects(monkeypatch):
-    # Built, written, read, scheduled and checked as rows: the 67,435
-    # equations of full_Z x1 - x2 never become Add or Mul objects.
-    made = count_equation_objects(monkeypatch)
+def test_full_family_round_trip():
+    # The 67,435 equations of full_Z x1 - x2 are built, written, read,
+    # scheduled and checked.
     d = parse_polynomial("x1 - x2")
     built, cert = build_full_z(d)
     system = deserialize(serialize(built))
@@ -89,12 +76,6 @@ def test_full_family_round_trip_makes_no_equation_objects(monkeypatch):
     assert Schedule.derive(system, 2).complete
     report = check_equivalence(d, system, cert, Box.cube(2, 2))
     assert report.passed and report.base_points == 25
-    assert made == []
-    gc.collect()
-    assert not any(type(o) in (Add, Mul) for o in gc.get_objects())
-    # The objects are made on demand, one per equation read.
-    assert type(system.equations[0]) is One
-    assert made == [system.rows[0]]
 
 
 def test_kind_is_part_of_identity():
@@ -152,15 +133,16 @@ def _check_by_each_equation(system, row, domain):
                       if row[i] is not None and row[i] < 0)
     if domain == "N" and negatives:
         return ("violated", None, (), negatives)
-    for eq in system.equations:
-        if any(row[index] is None for index in eq):
+    for eq in system.rows:
+        kind, i, j, k = eq
+        if any(row[index] is None for index in (i, j, k)):
             continue
-        if isinstance(eq, One):
-            holds = row[eq.i] == 1
-        elif isinstance(eq, Add):
-            holds = row[eq.i] + row[eq.j] == row[eq.k]
+        if kind == ONE:
+            holds = row[i] == 1
+        elif kind == ADD:
+            holds = row[i] + row[j] == row[k]
         else:
-            holds = row[eq.i] * row[eq.j] == row[eq.k]
+            holds = row[i] * row[j] == row[k]
         if not holds:
             return ("violated", eq, (), ())
     missing = tuple(i for i in known if row[i] is None)
@@ -379,10 +361,6 @@ def per_line(text):
     return reader
 
 
-def kinds(equations):
-    return [(type(eq), tuple(eq)) for eq in equations]
-
-
 WHITESPACE_VARIANTS = [
     "ADD\t1\t2\t3",
     "ADD  1 2  3",
@@ -422,9 +400,9 @@ def test_interleaved_kinds_keep_file_order():
              "ONE 1", "ADD 1 1 2"] * 700
     text = "ENSYS 1\nn 3\n" + "\n".join(lines) + "\n"
     parsed = deserialize(text)
-    assert kinds(parsed.equations) == [
-        (Add, (1, 2, 3)), (Mul, (1, 1, 1)), (One, (2,)), (Add, (1, 1, 2)),
-        (Mul, (2, 3, 1)), (One, (1,))]
+    assert parsed.rows == (
+        (ADD, 1, 2, 3), (MUL, 1, 1, 1), (ONE, 2, 2, 2), (ADD, 1, 1, 2),
+        (MUL, 2, 3, 1), (ONE, 1, 1, 1))
     assert parsed.rows == tuple(dict.fromkeys(per_line(text).rows))
 
 
@@ -463,10 +441,8 @@ def test_roundtrip_keeps_kinds_order_and_names(s, chunk):
     text = serialize(s)
     with mock.patch.object(system_module, "_CHUNK", chunk):
         back = deserialize(text)
-    order = {One: 0, Add: 1, Mul: 2}
-    canonical = sorted(s.equations, key=lambda eq: (order[type(eq)], eq))
     assert back.n == s.n
-    assert kinds(back.equations) == kinds(canonical)
+    assert list(back.rows) == sorted(s.rows)
     assert list(back.names.items()) == sorted(s.names.items())
     assert serialize(back) == text
 
@@ -479,12 +455,16 @@ def test_serialize_rejects_labels_with_whitespace():
 
 
 @pytest.mark.parametrize("n, row, message", [
-    # n < 3 * len(rows): the numeral table is of 0..n
+    # n < 3 * len(rows): the numeral table is of 1..n
     (2, (ADD, 1, 2, 3), "index 3 out of range [1, 2] in x1 + x2 = x3"),
     (1, (ONE, 2, 2, 2), "index 2 out of range [1, 1] in x2 = 1"),
-    # otherwise it is of the indices in [0, n] the rows hold
+    (2, (ADD, 0, 1, 2), "index 0 out of range [1, 2] in x0 + x1 = x2"),
+    (1, (ONE, 0, 0, 0), "index 0 out of range [1, 1] in x0 = 1"),
+    # otherwise it is of the indices in [1, n] the rows hold
     (9, (MUL, -1, 1, 2), "index -1 out of range [1, 9] in x-1 * x1 = x2"),
-], ids=["range-above", "range-one", "held-negative"])
+    (9, (MUL, 0, 1, 2), "index 0 out of range [1, 9] in x0 * x1 = x2"),
+], ids=["range-above", "range-one", "range-zero", "range-one-zero",
+        "held-negative", "held-zero"])
 def test_serialize_refuses_an_index_outside_the_system(n, row, message):
     with pytest.raises(FormatError) as err:
         serialize(EnSystem(n, [row]))

@@ -178,7 +178,8 @@ def check_assembled(system: EnSystem,
     outside = [row for row in system.rows if row[2] > s or row[3] > s]
     if ens.equation_lines(outside, n) != (ones, adds, ""):
         raise ParseError("system does not match the layout's scaffold")
-    expected = parse_layout(rendered)[3]
+    expected = (labels if layout_text == rendered
+                else parse_layout(rendered)[3])
     for what, names in (("layout label", labels),
                         (".ens name", system.names)):
         if names != expected:

@@ -6,7 +6,9 @@ MUL with i <= j, since addition and multiplication commute.  The kind is
 part of an equation's identity ((ADD, 1, 1, 2) is not (MUL, 1, 1, 2)), and
 ONE < ADD < MUL, so one `sorted` of the rows is the canonical order of the
 serialized form, which is consequently unique: systems written by
-deterministic builders are byte-identical across runs.
+deterministic builders are byte-identical across runs.  A system's rows
+are distinct: no builder makes a repeat, so only a text can hold one, and
+`deserialize` drops it.
 
 `One`, `Add` and `Mul` make these rows: `Add(2, 1, 3)` is the row
 (ADD, 1, 2, 3).
@@ -17,8 +19,8 @@ from __future__ import annotations
 import gc
 from bisect import bisect_left
 from contextlib import contextmanager
-from itertools import chain, compress, count, pairwise, repeat
-from operator import gt, itemgetter, ne
+from itertools import chain, compress, count, islice, pairwise, repeat
+from operator import gt, itemgetter, lt, ne
 from typing import Iterable, Mapping
 
 from .eqio import ascii_int, ascii_ints
@@ -82,8 +84,12 @@ def format_row(row: tuple) -> str:
 
 
 class EnSystem:
-    """A duplicate-free ordered set of E_n equations over n variables,
-    held as rows; a later duplicate of a row is dropped."""
+    """An ordered set of E_n equations over n variables, held as rows.
+
+    The rows are kept as given: callers pass distinct rows, each with its
+    operands in canonical order, as `One`, `Add`, `Mul`, `canonical_rows`,
+    every builder and `deserialize` make them.
+    """
 
     __slots__ = ("n", "rows", "names")
 
@@ -92,7 +98,7 @@ class EnSystem:
         if n < 0:
             raise ValueError("variable count must be non-negative")
         self.n = n
-        self.rows = tuple(dict.fromkeys(equations))
+        self.rows = tuple(equations)
         self.names = dict(names) if names else {}
 
     @property
@@ -143,8 +149,8 @@ def collector_paused():
     enkit's commands and readers make no reference cycles, yet while they
     make rows, lists and dicts a young collection runs every 700 new
     containers and walks each one it finds (a row of ints until that walk
-    untracks it).  On full_Z x1^2 = 2 (116,506 rows), `reduce` took 92-95
-    ms paused against 103-104 ms unpaused (README.md).
+    untracks it).  On full_Z x1^2 = 2 (116,506 rows), `reduce` took a
+    median of 84-86 ms paused against 95 ms unpaused (README.md).
     """
     collecting = gc.isenabled()
     gc.disable()
@@ -331,7 +337,12 @@ class _Reader:
 
 def deserialize(text: str) -> EnSystem:
     """Parse .ens text; any format error or index out of range raises
-    FormatError (range problems only once the whole text is well formed)."""
+    FormatError (range problems only once the whole text is well formed).
+
+    A line repeating an earlier equation is dropped.  Rows read in
+    strictly increasing order, as from every text enkit writes, are
+    distinct and kept as read; only other rows are searched for repeats,
+    keeping the first occurrence of each."""
     lines = text.splitlines()
     if not lines or lines[0] != "ENSYS 1":
         raise FormatError("missing 'ENSYS 1' header")
@@ -343,7 +354,10 @@ def deserialize(text: str) -> EnSystem:
     n, names = reader.n, reader.names
     if n is None:
         raise FormatError("missing 'n <count>' header")
-    system = EnSystem(n, reader.rows, names)
+    rows = reader.rows
+    if not all(map(lt, rows, islice(rows, 1, None))):
+        rows = dict.fromkeys(rows)
+    system = EnSystem(n, rows, names)
     if not reader.in_range or (names and (min(names) < 1 or max(names) > n)):
         raise FormatError("; ".join(validate(system)))
     return system

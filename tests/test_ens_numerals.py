@@ -150,7 +150,8 @@ def reference_deserialize(text, chunk):
     n, names = reader.n, reader.names
     if n is None:
         raise FormatError("missing 'n <count>' header")
-    system = EnSystem(n, reader.equations, names)
+    # A repeated equation is kept once, at its first line.
+    system = EnSystem(n, dict.fromkeys(reader.equations), names)
     if not reader.in_range or (names and (min(names) < 1 or max(names) > n)):
         raise FormatError("; ".join(validate(system)))
     return system

@@ -54,11 +54,15 @@ def test_mutant_is_killed(mutant, tmp_path):
     assert text.count(mutant["old"]) == 1, "old text not found exactly once"
     target.write_text(text.replace(mutant["old"], mutant["new"]),
                       encoding="utf-8")
+    # Plugins are not auto-loaded, which halves pytest's start-up; the one
+    # the tests need, hypothesis's, is loaded by name.
     env = {**os.environ, "PYTHONPATH": str(tmp_path / "src"),
-           "PYTHONDONTWRITEBYTECODE": "1", "COLUMNS": "400"}
+           "PYTHONDONTWRITEBYTECODE": "1", "COLUMNS": "400",
+           "PYTEST_DISABLE_PLUGIN_AUTOLOAD": "1"}
     result = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-rf", "-p",
-         "no:cacheprovider", *mutant["tests"]],
+         "no:cacheprovider", "-p", "_hypothesis_pytestplugin",
+         *mutant["tests"]],
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
     survivors = sorted(set(mutant["tests"])
                        - _failed(result.stdout, mutant["tests"]))

@@ -169,6 +169,41 @@ def test_full_family_outputs_byte_identical(mode, text, ens_digest,
     assert sha(serialize_certificate(cert)) == cert_digest
 
 
+def _battery_polynomials(seed):
+    """Criterion-4 style polynomials, drawn as the compact battery draws
+    them: arity 1 to 3, one to four distinct monomials of degree at most 2
+    per variable with x_p among them, and coefficients of magnitude 1 to
+    4 and either sign."""
+    rng = random.Random(seed)
+    for p in (1, 2, 3):
+        for t in range(20):
+            count = 1 + t % min(4, 3 ** p)
+            exps = set()
+            while len(exps) != count or not any(e[p - 1] for e in exps):
+                exps = {tuple(rng.randint(0, 2) for _ in range(p))
+                        for _ in range(count)}
+            yield Polynomial(p, {e: rng.choice((-1, 1)) * rng.randint(1, 4)
+                                 for e in sorted(exps)})
+
+
+# A system keeps the rows its builder gives it, so no builder may give a
+# row twice.
+@pytest.mark.parametrize("mode", ["compact_Z", "compact_N"])
+def test_compact_builders_make_distinct_rows(mode):
+    for d in _battery_polynomials(mode):
+        rows = build_reduction(d, mode)[0].rows
+        assert len(set(rows)) == len(rows), d
+
+
+@pytest.mark.parametrize("mode,text", [(mode, text) for mode, text, *_
+                                       in FULL_FAMILY_DIGESTS],
+                         ids=[f"{mode}-{text}"
+                              for mode, text, *_ in FULL_FAMILY_DIGESTS])
+def test_full_family_makes_distinct_rows(mode, text):
+    rows = build_reduction(P(text), mode)[0].rows
+    assert len(set(rows)) == len(rows)
+
+
 def _assert_identities(system, cert, rng, points, equations):
     for _ in range(points):
         point = tuple(rng.randint(-7, 7) for _ in range(cert.p))

@@ -42,7 +42,7 @@ def test_constructors_store_commutative_order():
     assert Mul(5, 4, 2) == (MUL, 4, 5, 2)
     assert One(4) == (ONE, 4, 4, 4)
     assert Add(3, 2, 1) == Add(2, 3, 1)
-    s = EnSystem(3, [Add(3, 2, 1), Add(2, 3, 1)])
+    s = deserialize("ENSYS 1\nn 3\nADD 3 2 1\nADD 2 3 1\n")
     assert s.equations == s.rows == ((ADD, 2, 3, 1),)
 
 
@@ -81,7 +81,7 @@ def test_full_family_round_trip():
 def test_kind_is_part_of_identity():
     assert Add(1, 1, 2) != Mul(1, 1, 2)
     assert not Add(1, 1, 2) == Mul(1, 1, 2)
-    s = EnSystem(2, [One(1), Add(1, 1, 2), Mul(1, 1, 2), Add(1, 1, 2)])
+    s = deserialize("ENSYS 1\nn 2\nONE 1\nADD 1 1 2\nMUL 1 1 2\nADD 1 1 2\n")
     assert tuple(s.equations) == (One(1), Add(1, 1, 2), Mul(1, 1, 2))
     text = serialize(s)
     assert text == "ENSYS 1\nn 2\nONE 1\nADD 1 1 2\nMUL 1 1 2\n"
@@ -225,7 +225,7 @@ def random_system(rng):
     names = {}
     if rng.random() < 0.5:
         names[rng.randint(1, n)] = rng.choice(["w", "y", "t1", "z2"])
-    return EnSystem(n, equations, names)
+    return EnSystem(n, dict.fromkeys(equations), names)
 
 
 def test_roundtrip_random_systems():
@@ -406,6 +406,37 @@ def test_interleaved_kinds_keep_file_order():
     assert parsed.rows == tuple(dict.fromkeys(per_line(text).rows))
 
 
+REPEATS = {
+    # a run read in bulk
+    "bulk": "ADD 1 2 3\nADD 2 2 4\nADD 2 1 3\nADD 1 2 3\n",
+    # a run read line by line, for the numeral the table lacks
+    "per-line": "ADD 1 2 3\nADD 01 2 3\nADD 2 2 4\nADD 1 2 3\n",
+    "interleaved": "ADD 2 1 3\nMUL 1 1 1\nONE 2\nADD 1 2 3\nONE 2\n"
+                   "MUL 1 1 1\n",
+    # sorted, so each repeat is next to its twin
+    "adjacent": "ONE 1\nONE 1\nADD 1 1 2\nADD 1 2 3\nADD 2 1 3\n"
+                "MUL 1 1 1\n",
+}
+
+
+@pytest.mark.parametrize("chunk", [1, 2, CHUNK])
+@pytest.mark.parametrize("case", sorted(REPEATS))
+def test_repeated_lines_read_once_at_their_first_line(case, chunk):
+    text = "ENSYS 1\nn 5\n" + REPEATS[case]
+    with mock.patch.object(system_module, "_CHUNK", chunk):
+        parsed = deserialize(text)
+    read = per_line(text).rows
+    assert len(set(read)) < len(read)
+    assert parsed.rows == tuple(dict.fromkeys(read))
+
+
+def test_repeated_line_out_of_range_is_named_once():
+    text = "ENSYS 1\nn 5\nADD 1 2 9\nONE 1\nADD 2 1 9\n"
+    with pytest.raises(FormatError) as err:
+        deserialize(text)
+    assert str(err.value) == "index 9 out of range [1, 5] in x1 + x2 = x9"
+
+
 @pytest.mark.parametrize("enabled", [True, False])
 def test_gc_state_restored(enabled):
     was = gc.isenabled()
@@ -428,7 +459,7 @@ def systems(draw):
         st.builds(One, index),
         st.builds(Add, index, index, index),
         st.builds(Mul, index, index, index))
-    equations = draw(st.lists(equation, max_size=60))
+    equations = draw(st.lists(equation, max_size=60, unique=True))
     labels = st.text(st.characters(exclude_categories=("Cs", "Z", "Cc")),
                      min_size=1, max_size=4).filter(lambda s: s.split() == [s])
     names = draw(st.dictionaries(index, labels, max_size=5))

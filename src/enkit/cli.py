@@ -178,43 +178,39 @@ def _cmd_fn_system(args) -> int:
 def _cmd_info(args) -> int:
     if not args.rep and not args.equation:
         raise ParseError("info needs --rep or --equation")
-    # Every line is formatted before any is printed, so a value too large
-    # to print leaves stdout empty.
+    # Every line is made before any is printed, so a card too large to
+    # print leaves stdout empty; no other value here can be that large.
     lines = []
     if args.equation:
         d = eqio.parse_equation(args.equation)
         if d.is_zero():
             raise ParseError("equation normalizes to 0 = 0")
-        lines.append(_info_line("p", d.arity))
-        lines.append(_info_line("degree bounds", list(d.degree_bounds())))
+        lines.append(f"p = {d.arity}")
+        lines.append(f"degree bounds = {list(d.degree_bounds())}")
         for mode in ("full_Z", "halved_Z", "full_N"):
             desc, _ = reductions.family_descriptor(d, mode)
-            line = _info_line(f"card {mode}", desc.cardinality())
+            card = desc.cardinality()
+            if isinstance(card, str):
+                raise ValueError(f"card {mode} is too large to print (more "
+                                 f"than {reductions.CARD_DIGITS} digits)")
+            line = f"card {mode} = {card}"
             if mode == "full_N":
-                line += " (" + _info_line("delta", desc.coeff_hi) + ")"
+                line += f" (delta = {desc.coeff_hi})"
             lines.append(line)
         compact_z, _ = reductions.build_compact_z(d, args.cap)
         compact_n, _ = reductions.build_compact_n(d, args.cap)
-        lines.append(_info_line("n compact_Z", compact_z.n))
-        lines.append(_info_line("n compact_N", compact_n.n))
+        lines.append(f"n compact_Z = {compact_z.n}")
+        lines.append(f"n compact_N = {compact_n.n}")
     if args.rep:
         rep = eqio.parse_rep(_read(args.rep))
         mode = args.ring.upper()
         psi = pipeline.build_psi(rep, mode, family=args.mode, cap=args.cap,
                                  pair_cap=args.pair_cap)
-        lines.append(_info_line("s", psi.s))
-        lines.append(_info_line("m(f)" if mode == "Z" else "w(f)",
-                                pipeline.threshold(psi.s)))
+        name = "m(f)" if mode == "Z" else "w(f)"
+        lines.append(f"s = {psi.s}")
+        lines.append(f"{name} = {pipeline.threshold(psi.s)}")
     print("\n".join(lines))
     return EXIT_OK
-
-
-def _info_line(name: str, value) -> str:
-    try:
-        return f"{name} = {value}"
-    except ValueError:  # Python's digit limit for int-to-str conversion
-        raise ValueError(f"{name} is too large to print (more than "
-                         f"{sys.get_int_max_str_digits()} digits)") from None
 
 
 def _cmd_solve(args) -> int:
@@ -244,6 +240,10 @@ def _cmd_verify_equiv(args) -> int:
     cert = reductions.parse_certificate(_read(args.cert))
     domain = args.ring.upper()
     box = _parse_box_spec(args.box, d.arity)
+    # A box with no point in the domain is named first, by the check.
+    if box.point_count(domain) and not cert.mode.endswith("_" + domain):
+        raise ParseError(f"--ring {args.ring} contradicts the certificate's "
+                         f"mode {cert.mode}")
     started = time.monotonic()
     report = oracle.check_equivalence(d, target, cert, box, domain,
                                       limits=_limits(args))

@@ -553,9 +553,9 @@ def anchor_polynomial(cert: ReductionCertificate) -> Polynomial:
             return Polynomial.variable(cert.p, index)
         return cert.defs[index]
 
-    if cert.anchor_q is not None:
-        return poly_at(cert.anchor_q)
-    return poly_at(cert.anchor_a) - poly_at(cert.anchor_b)
+    if len(cert.anchor) == 1:  # (q,) over Z, (zero, a, b) over N
+        return poly_at(*cert.anchor)
+    return poly_at(cert.anchor[1]) - poly_at(cert.anchor[2])
 
 
 # --------------------------------------------------------------------------

@@ -17,7 +17,7 @@ node, mirroring x_{p+1} + x_{p+2} = x_{p+3}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain, product
 from math import prod
 
@@ -34,8 +34,19 @@ DEFAULT_FAMILY_CAP = 10**6
 # 625 members); past this many members the full modes refuse instead of
 # grinding.
 DEFAULT_PAIR_CAP = 2000
+# Python prints no int of more digits (sys.get_int_max_str_digits()'s
+# default), and no cap read from text is that large.
+CARD_DIGITS = 4300
+_PRINTABLE = 10**CARD_DIGITS
 
 MODES = ("full_Z", "halved_Z", "compact_Z", "full_N", "compact_N")
+
+
+def anchor_shape(mode: str) -> tuple[str, int]:
+    """A mode's ANCHOR tag and index count: q and 1 over Z, N and 3 over N."""
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}")
+    return ("q", 1) if mode.endswith("_Z") else ("N", 3)
 
 
 # --------------------------------------------------------------------------
@@ -67,8 +78,19 @@ class FamilyDescriptor:
         """Monomial basis, ascending lexicographic."""
         return list(product(*(range(d + 1) for d in self.degree_bounds)))
 
-    def cardinality(self) -> int:
-        return self.width ** prod(d + 1 for d in self.degree_bounds)
+    def cardinality(self) -> int | str:
+        """width ** E for the E basis monomials or, past CARD_DIGITS
+        digits, the text 'width^E' ('over 10^CARD_DIGITS' if width or E is
+        that long itself).  A large E shows this without the power."""
+        width, e = self.width, prod(d + 1 for d in self.degree_bounds)
+        # width ** e >= 2 ** (e * (width.bit_length() - 1)) >= 16 ** 4300
+        if e * (width.bit_length() - 1) <= 4 * CARD_DIGITS:
+            card = width ** e
+            if card < _PRINTABLE:
+                return card
+        if max(width, e) < _PRINTABLE:
+            return f"{width}^{e}"
+        return f"over 10^{CARD_DIGITS}"
 
     def iter_vectors(self):
         """Dense coefficient vectors in lexicographic order."""
@@ -82,11 +104,17 @@ class FamilyDescriptor:
             self.p, {e: c for e, c in zip(basis, vector) if c})
 
 
+def _cardinality_within(desc: FamilyDescriptor, cap: int) -> int:
+    """The family's cardinality, if at most `cap`; FamilyTooLarge if not."""
+    card = desc.cardinality()
+    if isinstance(card, str) or card > cap:
+        raise FamilyTooLarge(card, cap)
+    return card
+
+
 def enumerate_t(desc: FamilyDescriptor, cap: int = DEFAULT_FAMILY_CAP):
     """The family as an ordered list; refuses when larger than `cap`."""
-    card = desc.cardinality()
-    if card > cap:
-        raise FamilyTooLarge(card, cap)
+    _cardinality_within(desc, cap)
     basis = desc.basis()
     return [desc.vector_to_poly(vector, basis) for vector in desc.iter_vectors()]
 
@@ -94,48 +122,42 @@ def enumerate_t(desc: FamilyDescriptor, cap: int = DEFAULT_FAMILY_CAP):
 # --------------------------------------------------------------------------
 # certificates
 
-@dataclass
+@dataclass(frozen=True)
 class ReductionCertificate:
     """Witness of a reduction: which polynomial each variable stands for.
 
     defs maps every auxiliary index to the polynomial (in x1..xp) whose
-    value it must take in any solution extending a base point.  For the
-    integer modes anchor_q names the variable carrying the source
-    polynomial (2*D, or D itself for the halved and compact modes); for
-    the non-negative modes (anchor_zero, anchor_a, anchor_b) name the zero
-    node and the two sides of the anchored equality.
+    value it must take in any solution extending a base point.  The
+    anchor's shape is the mode's: over Z it is (q,), the variable carrying
+    the source polynomial (2*D, or D itself for the halved and compact
+    modes); over N it is (zero, a, b), the zero node and the two sides of
+    the anchored equality.
     """
 
     mode: str
     p: int
     n: int
-    defs: dict[int, Polynomial] = field(default_factory=dict)
-    anchor_q: int | None = None
-    anchor_zero: int | None = None
-    anchor_a: int | None = None
-    anchor_b: int | None = None
+    defs: dict[int, Polynomial]
+    anchor: tuple[int, ...]
 
     def __post_init__(self):
-        if self.mode not in MODES:
-            raise ValueError(f"unknown mode {self.mode!r}")
-
-    def anchor_indices(self) -> tuple[int, ...]:
-        if self.anchor_q is not None:
-            return (self.anchor_q,)
-        return (self.anchor_zero, self.anchor_a, self.anchor_b)
+        _, size = anchor_shape(self.mode)
+        if type(self.anchor) is not tuple or len(self.anchor) != size:
+            raise ValueError(f"mode {self.mode} takes an anchor of length "
+                             f"{size}, not {self.anchor!r}")
 
 
 def serialize_certificate(cert: ReductionCertificate) -> str:
+    """The `.cert` text of a certificate that `validate_certificate`
+    accepts at its own n, which `parse_certificate` reads back equal."""
+    validate_certificate(cert, cert.n)
     lines = ["CERT 1", f"mode {cert.mode}", f"p {cert.p}", f"n {cert.n}"]
     # One table for all the definitions: a chain's lines repeat terms.
     table = TermTable(cert.p)
     for index in sorted(cert.defs):
         lines.append(f"{index} {table.format(cert.defs[index])}")
-    if cert.anchor_q is not None:
-        lines.append(f"ANCHOR q {cert.anchor_q}")
-    else:
-        lines.append(
-            f"ANCHOR N {cert.anchor_zero} {cert.anchor_a} {cert.anchor_b}")
+    tag, _ = anchor_shape(cert.mode)
+    lines.append(" ".join(["ANCHOR", tag, *map(str, cert.anchor)]))
     return "\n".join(lines) + "\n"
 
 
@@ -179,16 +201,12 @@ def parse_certificate(text: str) -> ReductionCertificate:
                        else poly)
     if anchor is None:
         raise FormatError("missing ANCHOR line")
-    cert = ReductionCertificate(mode=mode, p=p, n=n, defs=defs)
+    tag, size = anchor_shape(mode)
     parts = anchor.split()
     values = ascii_ints(parts[2:]) or []
-    if parts[1:2] == ["q"] and len(values) == 1:
-        (cert.anchor_q,) = values
-    elif parts[1:2] == ["N"] and len(values) == 3:
-        cert.anchor_zero, cert.anchor_a, cert.anchor_b = values
-    else:
+    if parts[1:2] != [tag] or len(values) != size:
         raise FormatError(f"bad ANCHOR line {anchor!r}")
-    return cert
+    return ReductionCertificate(mode, p, n, defs, tuple(values))
 
 
 def validate_certificate(cert: ReductionCertificate, n: int):
@@ -226,7 +244,7 @@ def validate_certificate(cert: ReductionCertificate, n: int):
             raise CertificateMismatch(
                 f"certificate defines index {index} in {poly.arity} "
                 f"variables, not p = {p}")
-    for index in cert.anchor_indices():
+    for index in cert.anchor:
         if not 1 <= index <= n:
             raise CertificateMismatch(
                 f"certificate anchor index {index} outside [1, {n}]")
@@ -375,10 +393,8 @@ def build_compact_z(d: Polynomial, cap: int = DEFAULT_FAMILY_CAP
     builder = _ChainBuilder(d.arity)
     q = builder.accumulate(d)
     system = EnSystem(builder.n, builder.rows + [(ADD, q, q, q)])
-    cert = ReductionCertificate(
-        mode="compact_Z", p=d.arity, n=builder.n, defs=builder.defs,
-        anchor_q=q)
-    return system, cert
+    return system, ReductionCertificate("compact_Z", d.arity, builder.n,
+                                        builder.defs, (q,))
 
 
 def split_signs(d: Polynomial) -> tuple[Polynomial, Polynomial]:
@@ -409,10 +425,8 @@ def build_compact_n(d: Polynomial, cap: int = DEFAULT_FAMILY_CAP
     u_neg = zero if neg.is_zero() else builder.accumulate(neg)
     system = EnSystem(builder.n,
                       builder.rows + [canonical_row(ADD, zero, u_neg, u_pos)])
-    cert = ReductionCertificate(
-        mode="compact_N", p=d.arity, n=builder.n, defs=builder.defs,
-        anchor_zero=zero, anchor_a=u_pos, anchor_b=u_neg)
-    return system, cert
+    return system, ReductionCertificate("compact_N", d.arity, builder.n,
+                                        builder.defs, (zero, u_pos, u_neg))
 
 
 # --------------------------------------------------------------------------
@@ -471,9 +485,7 @@ def _build_full(d: Polynomial, mode: str, cap: int, pair_cap: int):
         raise ZeroPolynomial("full-family reduction needs a nonzero polynomial")
     _require_all_variables(d)
     desc, anchored = family_descriptor(d, mode)
-    card = desc.cardinality()
-    if card > cap:
-        raise FamilyTooLarge(card, cap)
+    card = _cardinality_within(desc, cap)
     if card > pair_cap:
         raise FamilyTooLarge(
             card, pair_cap,
@@ -506,21 +518,14 @@ def _build_full(d: Polynomial, mode: str, cap: int, pair_cap: int):
     # EnSystem is built.
     rows = [(ONE, one, one, one), *chain.from_iterable(kernels.family_join(
         vectors, desc.coeff_lo, desc.coeff_hi, basis, index))]
-    nodes = list(map(index_of, anchored))
-    if mode == "full_N":
-        zero, a, b = nodes
-        rows.append(canonical_row(ADD, zero, a, b))
-        anchor = {"anchor_zero": zero, "anchor_a": a, "anchor_b": b}
-    else:
-        (q,) = nodes
-        rows.append((ADD, q, q, q))
-        anchor = {"anchor_q": q}
+    anchor = tuple(map(index_of, anchored))
+    # (zero, a, b) over N, (q, q, q) over Z
+    rows.append(canonical_row(ADD, *anchor) if mode == "full_N"
+                else (ADD, *anchor * 3))
     defs = {index[rank]: members[rank] for rank in range(card)
             if index[rank] > p}
     system = EnSystem(card, rows)
-    cert = ReductionCertificate(
-        mode=mode, p=p, n=system.n, defs=defs, **anchor)
-    return system, cert
+    return system, ReductionCertificate(mode, p, system.n, defs, anchor)
 
 
 def build_full_z(d: Polynomial, cap: int = DEFAULT_FAMILY_CAP,

@@ -88,7 +88,7 @@ def test_criterion_02_lemma_full_z_difference():
     system, cert = build_full_z(d)
     assert system.n == 625
     assert validate(system) == []
-    assert cert.defs[cert.anchor_q] == d.scaled(2)
+    assert cert.defs[cert.anchor[0]] == d.scaled(2)
     report = check_equivalence(d, system, cert, Box.cube(2, 3), "Z")
     assert len(report.base_roots) == 7
     assert report.lifted_ok
@@ -105,10 +105,10 @@ def test_criterion_03_theorem2_full_n_difference():
     d = P("x1 - x2")
     system, cert = build_full_n(d)
     assert system.n == 625
-    assert cert.defs[cert.anchor_a] == P("4*x1 + 2*x2")
-    assert cert.defs[cert.anchor_b] == P("3*x1 + 3*x2")
-    assert max(cert.defs[cert.anchor_a].max_abs_coeff(),
-               cert.defs[cert.anchor_b].max_abs_coeff()) == 4
+    assert cert.defs[cert.anchor[1]] == P("4*x1 + 2*x2")
+    assert cert.defs[cert.anchor[2]] == P("3*x1 + 3*x2")
+    assert max(cert.defs[cert.anchor[1]].max_abs_coeff(),
+               cert.defs[cert.anchor[2]].max_abs_coeff()) == 4
     equations = set(system.equations)
     assert Add(3, 3, 3) in equations        # x_{p+1} + x_{p+1} = x_{p+1}
     assert Add(3, 4, 5) in equations        # the anchored equality

@@ -136,6 +136,46 @@ def test_compact_chain_over_cap_exits_3_at_once(workdir, capsys, command):
     assert list(workdir.glob("huge.*")) == [workdir / "huge.rep"]
 
 
+@pytest.mark.parametrize("command, card", [
+    (["reduce", "x1^2147483647 = 1", "--ring", "z", "--mode", "full",
+      "--out", "big"], "5^2147483648"),
+    (["reduce", "x1^2147483647 = 1", "--ring", "n", "--mode", "full",
+      "--out", "big"], "5^2147483648"),
+    (["reduce", "x1^2147483647 = 1", "--ring", "z", "--mode", "halved",
+      "--out", "big"], "3^2147483648"),
+    (["reduce", "x1^40*x2^40*x3^40 = 1", "--ring", "n", "--mode", "full",
+      "--out", "big"], "5^68921"),
+    (["fn-system", "--rep", "id.rep", "--n", "30", "--ring", "z", "--mode",
+      "full", "--out", "big"], "9^3515625"),
+    (["info", "--rep", "id.rep", "--ring", "z", "--mode", "full"],
+     "9^3515625"),
+    (["reduce", "x1 = 10^5000", "--ring", "z", "--mode", "full", "--out",
+      "big"], "over 10^4300"),
+], ids=["full_Z", "full_N", "halved_Z", "past-print", "fn-system", "info",
+        "wide"])
+def test_family_past_printing_is_refused_by_its_exponent(workdir, command,
+                                                         card):
+    # The power 5^(2^31) would take minutes and gigabytes to compute, and
+    # past 4300 digits its message could not be written.
+    write(workdir / "id.rep", IDENTITY_REP)
+    started = time.monotonic()
+    result = run_cli_limited(*command, timeout=5)
+    assert time.monotonic() - started < 2
+    assert (result.returncode, result.stdout, result.stderr) == (
+        3, "", f"error: family cardinality {card} exceeds limit 1000000\n")
+    assert list(workdir.glob("big*")) == []
+
+
+def test_info_card_past_printing_is_decided_by_its_exponent(workdir):
+    started = time.monotonic()
+    result = run_cli_limited("info", "--equation", "x1^2147483647 = 1",
+                             timeout=5)
+    assert time.monotonic() - started < 2
+    assert (result.returncode, result.stdout, result.stderr) == (
+        2, "", "error: card full_Z is too large to print (more than 4300 "
+               "digits)\n")
+
+
 def test_reduce_rejects_zero_polynomial(workdir):
     assert main(["reduce", "--ring", "z", "x1 = x1", "--out", "z"]) == 2
     assert not (workdir / "z.ens").exists()
@@ -417,6 +457,59 @@ def test_verify_equiv_refuses_a_box_without_points(workdir, capsys):
                            "--system", "c1.ens", "--cert", "c1.cert",
                            "--ring", "n", "--box=-3..-1"],
                   "box holds no point in N")
+
+
+@pytest.mark.parametrize("built, asked, old, new, message", [
+    ("n", "z", None, None, "--ring z contradicts the certificate's mode "
+                           "compact_N"),
+    ("z", "n", None, None, "--ring n contradicts the certificate's mode "
+                           "compact_Z"),
+    ("z", "z", "ANCHOR q 6", "ANCHOR N 6 6 6",
+     "bad ANCHOR line 'ANCHOR N 6 6 6'"),
+    ("z", "z", "mode compact_Z", "mode full_N", "bad ANCHOR line 'ANCHOR q 6'"),
+], ids=["ring-n-as-z", "ring-z-as-n", "anchor-tag", "mode"])
+def test_verify_equiv_refuses_before_the_box(workdir, capsys, monkeypatch,
+                                             built, asked, old, new, message):
+    # Without these refusals each of these passes the box 0..3: it holds
+    # no root of x1 - 5, so nothing reads the certificate.
+    assert main(["reduce", "x1 - 5 = 0", "--ring", built, "--out", "c"]) == 0
+    if old is not None:
+        tamper(workdir / "c.cert", old, new, workdir / "c.cert")
+    capsys.readouterr()
+
+    def walk(*args, **kwargs):
+        raise AssertionError("a box point was read")
+
+    monkeypatch.setattr(oracle, "check_equivalence", walk)
+    assert main(["verify-equiv", "--equation", "x1 - 5 = 0", "--system",
+                 "c.ens", "--cert", "c.cert", "--ring", asked,
+                 "--box=0..3", "--report", "r.json"]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not (workdir / "r.json").exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["verify-equiv", "--equation", "x1 = x2", "--system", "c.ens", "--cert",
+      "c.cert", "--ring", "z", "--box=-1..1,0..1,0..1", "--report", "r.json"],
+     "box spec has 3 ranges, need 2"),
+    (["verify-equiv", "--equation", "x1 = x2", "--system", "c.ens", "--cert",
+      "c.cert", "--ring", "z", "--box=-1:1", "--report", "r.json"],
+     "bad range '-1:1' (expected lo..hi)"),
+    (["reduce", "x1 = 1", "--ring", "n", "--mode", "halved", "--out", "h"],
+     "--mode halved is only defined over the integers"),
+    (["info"], "info needs --rep or --equation"),
+    (["info", "--equation", "x1 + x2 = x2 + x1"],
+     "equation normalizes to 0 = 0"),
+], ids=["box-ranges", "box-range", "halved-over-n", "info-input",
+        "info-zero"])
+def test_usage_errors_exit_2_and_write_nothing(workdir, capsys, argv,
+                                               message):
+    assert main(["reduce", "x1 = x2", "--ring", "z", "--out", "c"]) == 0
+    capsys.readouterr()
+    before = sorted(workdir.iterdir())
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert sorted(workdir.iterdir()) == before
 
 
 def test_solve_output(workdir, capsys):
@@ -824,9 +917,10 @@ def test_certificate_validated_against_system(workdir, flags):
 HUGE = 10**11
 
 
-def run_cli_limited(*argv, address_space=10**9):
+def run_cli_limited(*argv, address_space=10**9, timeout=None):
     """Run the CLI in a fresh interpreter whose address space is capped, so
-    that building anything of a declared size 10^11 fails at once."""
+    that building anything of a declared size 10^11 fails at once, and
+    which is stopped after `timeout` seconds."""
     def limit():
         resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
 
@@ -834,7 +928,7 @@ def run_cli_limited(*argv, address_space=10**9):
     env = {k: v for k, v in os.environ.items() if not k.startswith("ENKIT_")}
     return subprocess.run([sys.executable, "-m", "enkit.cli", *argv],
                           capture_output=True, text=True, preexec_fn=limit,
-                          env=dict(env, PYTHONPATH=path))
+                          env=dict(env, PYTHONPATH=path), timeout=timeout)
 
 
 def test_declared_size_over_the_cap_exits_3(workdir, capsys):

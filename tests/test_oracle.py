@@ -190,7 +190,7 @@ def test_lift_matches_each_definition_alone():
                 exps: rng.choice([1, -1, 7, -(2**70), 3**45])
                 for exps in rng.sample(pool, rng.randint(0, len(pool)))})
         cert = ReductionCertificate(mode="compact_Z", p=p, n=p + len(defs),
-                                    defs=defs, anchor_q=max(defs))
+                                    defs=defs, anchor=(max(defs),))
         base = tuple(rng.choice([0, 1, -1, 5, -(2**64) - 3, 2**65])
                      for _ in range(p))
         assert lift(cert, base) == [0, *base] + [
@@ -200,9 +200,9 @@ def test_lift_matches_each_definition_alone():
 def test_lift_full_n():
     _, cert = build_full_n(P("x1 - x2"))
     lifted = lift(cert, (2, 2))
-    assert lifted[cert.anchor_a] == 12
-    assert lifted[cert.anchor_b] == 12
-    assert lifted[cert.anchor_zero] == 0
+    assert lifted[cert.anchor[1]] == 12
+    assert lifted[cert.anchor[2]] == 12
+    assert lifted[cert.anchor[0]] == 0
 
 
 @pytest.mark.parametrize("defs, message", [
@@ -214,7 +214,7 @@ def test_lift_refuses_a_certificate_that_does_not_fit(defs, message):
     # A lift writes each definition into a row of n + 1 entries, so a
     # definition outside p+1..n must be refused, not written elsewhere.
     cert = ReductionCertificate(
-        mode="compact_Z", p=1, n=3, anchor_q=2,
+        mode="compact_Z", p=1, n=3, anchor=(2,),
         defs={index: P(text) for index, text in defs.items()})
     with pytest.raises(CertificateMismatch, match=re.escape(message)):
         lift(cert, (1,))
@@ -513,6 +513,29 @@ def test_equivalence_searches_share_one_deadline(monkeypatch):
     assert not report.passed
 
 
+@pytest.mark.parametrize("points, verdict", [
+    (3**7 - 1, "inconclusive"), (3**7, "refuted_by_search")],
+    ids=["over-budget", "within-budget"])
+def test_equivalence_residue_too_large_is_inconclusive(points, verdict):
+    # The system of the test above: from a negative x1, propagation leaves
+    # x2..x8 stuck, so a search at radius 1 would walk 3^7 points.
+    system = EnSystem(8, [Add(5, 6, 8), Add(7, 8, 1), Mul(2, 2, 5),
+                          Mul(3, 3, 6), Mul(4, 4, 7)])
+    cert = parse_certificate("CERT 1\nmode compact_Z\np 1\nn 8\n"
+                             + "".join(f"{i} 0\n" for i in range(2, 9))
+                             + "ANCHOR q 1\n")
+    report = check_equivalence(P("x1 - 100"), system, cert,
+                               Box(((-3, -1),)), "Z",
+                               OracleLimits(points=points, residual_radius=1))
+    assert report.spurious == [] and report.base_roots == []
+    if verdict == "inconclusive":
+        assert report.inconclusive == [(-3,), (-2,), (-1,)]
+        assert report.refuted_by_search == 0 and not report.passed
+    else:
+        assert report.inconclusive == [] and report.refuted_by_search == 3
+        assert report.passed
+
+
 # --------------------------------------------------------------------------
 # four squares
 
@@ -714,7 +737,7 @@ def test_anchor_node_is_a_constant_not_a_step(build, text):
     # x_q + x_q = x_q settles x_q = 0 before the sweep, so the chain or
     # family equation that would derive x_q only checks it.
     system, cert = build(P(text))
-    q = cert.anchor_q
+    q = cert.anchor[0]
     schedule = Schedule.derive(system, 2)
     assert schedule.complete and schedule.template[q] == 0
     assert q not in [k for *_, k in schedule.steps]

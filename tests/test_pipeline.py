@@ -223,7 +223,7 @@ def _psi_with_free_auxiliary():
     cert = ReductionCertificate(
         mode="compact_N", p=2, n=4,
         defs={3: Polynomial.constant(2, 0), 4: Polynomial.constant(2, 0)},
-        anchor_zero=3, anchor_a=1, anchor_b=2)
+        anchor=(3, 1, 2))
     system = EnSystem(4, [Add(3, 3, 3), Add(3, 2, 1), Mul(3, 4, 3)])
     return PsiSystem(system=system, mode="N", certificate=cert)
 
@@ -343,7 +343,7 @@ def test_pinning_refuses_a_certificate_that_does_not_fit(monkeypatch,
     # Fitting in n but missing a definition is refused as well.
     holed = ReductionCertificate(
         mode="compact_N", p=2, n=4, defs={3: Polynomial.constant(2, 0)},
-        anchor_zero=3, anchor_a=1, anchor_b=2)
+        anchor=(3, 1, 2))
     with pytest.raises(CertificateMismatch,
                        match="certificate has no definition for index 4"):
         verify_pinning(bare, 4, domain="N", certificate=holed,

@@ -1,14 +1,18 @@
 import hashlib
 import random
 import re
+from dataclasses import FrozenInstanceError, replace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from enkit.eqio import parse_polynomial
 from enkit.errors import (CertificateMismatch, FamilyTooLarge, FormatError,
                           ParseError, UnusedVariable, ZeroPolynomial)
 from enkit.poly import Polynomial
-from enkit.reductions import (FamilyDescriptor, build_compact_n,
+from enkit.reductions import (MODES, FamilyDescriptor, ReductionCertificate,
+                              anchor_shape, build_compact_n,
                               build_compact_z, build_full_n, build_full_z,
                               build_halved_z, build_master_z,
                               build_reduction, b_polynomial,
@@ -30,6 +34,23 @@ def test_card_examples():
     assert FamilyDescriptor(1, -2, 2, (1,)).cardinality() == 25
     assert FamilyDescriptor(2, 0, 0, (3, 3)).cardinality() == 1
     assert FamilyDescriptor(2, 0, 4, (1, 1)).cardinality() == 625
+
+
+@pytest.mark.parametrize("desc, card", [
+    (FamilyDescriptor(1, 0, 9, (4298,)), 10**4299),
+    (FamilyDescriptor(1, 0, 9, (4299,)), "10^4300"),
+    (FamilyDescriptor(1, -2, 2, (2**31 - 1,)), "5^2147483648"),
+    (FamilyDescriptor(1, -10**4300, 10**4300, (1,)), "over 10^4300"),
+    (FamilyDescriptor(470, -1, 1, (2**31 - 1,) * 470), "over 10^4300"),
+], ids=["4300-digits", "4301-digits", "exponent", "wide", "long-exponent"])
+def test_card_past_printing_is_text(desc, card):
+    # Python prints ints of at most 4300 digits; past that a cardinality is
+    # named, and a large exponent alone shows it without the power.
+    assert desc.cardinality() == card
+    with pytest.raises(FamilyTooLarge) as refused:
+        enumerate_t(desc, cap=10**6)
+    assert str(refused.value) == (
+        f"family cardinality {card} exceeds limit 1000000")
 
 
 def test_family_descriptor_modes():
@@ -84,8 +105,8 @@ def test_full_z_difference():
     system, cert = build_full_z(d)
     assert system.n == 625
     assert cert.mode == "full_Z"
-    assert cert.defs[cert.anchor_q] == d.scaled(2)
-    assert Add(cert.anchor_q, cert.anchor_q, cert.anchor_q) in set(
+    assert cert.defs[cert.anchor[0]] == d.scaled(2)
+    assert Add(cert.anchor[0], cert.anchor[0], cert.anchor[0]) in set(
         system.equations)
     assert validate(system) == []
     # tau is injective and hits the whole family minus the variables
@@ -225,12 +246,12 @@ def test_full_family_identity_soundness():
     # polynomial identity under the naming, at 100 random points.
     d = P("x1 - x2")
     system, cert = build_halved_z(d)
-    anchor = Add(cert.anchor_q, cert.anchor_q, cert.anchor_q)
+    anchor = Add(cert.anchor[0], cert.anchor[0], cert.anchor[0])
     equations = [eq for eq in system.equations if eq != anchor]
     _assert_identities(system, cert, rng, 100, equations)
     # The 625-member family is checked on a sample of its equations.
     system, cert = build_full_z(d)
-    anchor = Add(cert.anchor_q, cert.anchor_q, cert.anchor_q)
+    anchor = Add(cert.anchor[0], cert.anchor[0], cert.anchor[0])
     equations = [eq for eq in system.equations if eq != anchor]
     _assert_identities(system, cert, rng, 20, rng.sample(equations, 500))
 
@@ -258,10 +279,10 @@ def test_full_family_identity_completeness(text, build, members):
                 k = index.get(value)
                 if k is not None:
                     identities.add(kind(i, j, k))
-    if cert.anchor_q is not None:
-        anchor = Add(cert.anchor_q, cert.anchor_q, cert.anchor_q)
+    if len(cert.anchor) == 1:
+        anchor = Add(cert.anchor[0], cert.anchor[0], cert.anchor[0])
     else:
-        anchor = Add(cert.anchor_zero, cert.anchor_a, cert.anchor_b)
+        anchor = Add(*cert.anchor)
     assert anchor not in identities
     assert set(system.equations) == identities | {anchor}
 
@@ -277,13 +298,13 @@ def test_full_z_rejects_degenerate():
 
 def test_halved_variants():
     system, cert = build_halved_z(P("x1"))
-    assert cert.anchor_q == 1
+    assert cert.anchor[0] == 1
     assert system.n == 9
     assert Add(1, 1, 1) in set(system.equations)
 
     system, cert = build_halved_z(P("x1 - x2"))
     assert system.n == 81
-    assert cert.defs[cert.anchor_q] == P("x1 - x2")
+    assert cert.defs[cert.anchor[0]] == P("x1 - x2")
 
     system, cert = build_halved_z(P("3*x1"))
     assert system.n == 49
@@ -293,9 +314,9 @@ def test_full_n_recipe():
     d = P("x1 - x2")
     system, cert = build_full_n(d)
     assert system.n == 625
-    assert cert.defs[cert.anchor_zero].is_zero()
-    assert cert.defs[cert.anchor_a] == P("4*x1 + 2*x2")
-    assert cert.defs[cert.anchor_b] == P("3*x1 + 3*x2")
+    assert cert.defs[cert.anchor[0]].is_zero()
+    assert cert.defs[cert.anchor[1]] == P("4*x1 + 2*x2")
+    assert cert.defs[cert.anchor[2]] == P("3*x1 + 3*x2")
     eqs = set(system.equations)
     assert Add(3, 3, 3) in eqs          # the zero node's self-equation
     assert Add(3, 4, 5) in eqs          # the anchored A = B equality
@@ -318,14 +339,14 @@ def test_compact_z_difference():
     system, cert = build_compact_z(P("x1 - x2"))
     assert system.n == 3
     assert set(system.equations) == {Add(2, 3, 1), Add(3, 3, 3)}
-    assert cert.anchor_q == 3
+    assert cert.anchor[0] == 3
     assert cert.defs[3] == P("x1 - x2")
 
 
 def test_compact_z_square_difference():
     system, cert = build_compact_z(P("x1*x1 - x2"))
     assert system.n == 4
-    assert cert.defs[cert.anchor_q] == P("x1^2 - x2")
+    assert cert.defs[cert.anchor[0]] == P("x1^2 - x2")
     assert Mul(1, 1, 3) in set(system.equations)
 
 
@@ -336,20 +357,20 @@ def test_compact_z_constant_chain():
     built = {poly.key() for poly in cert.defs.values()}
     for text in ("1", "2", "2*x1", "3", "2*x1 + 3"):
         assert P(text, arity=1).key() in built
-    assert cert.defs[cert.anchor_q] == P("2*x1 + 3")
+    assert cert.defs[cert.anchor[0]] == P("2*x1 + 3")
 
 
 def test_compact_z_single_variable():
     system, cert = build_compact_z(P("x1"))
     assert system.n == 1
-    assert cert.anchor_q == 1
+    assert cert.anchor[0] == 1
     assert set(system.equations) == {Add(1, 1, 1)}
     assert cert.defs == {}
 
 
 def test_compact_z_leading_negative_term():
     system, cert = build_compact_z(P("-x1 + x2"))
-    assert cert.defs[cert.anchor_q] == P("-x1 + x2")
+    assert cert.defs[cert.anchor[0]] == P("-x1 + x2")
     zero_nodes = [s for s, poly in cert.defs.items() if poly.is_zero()]
     assert len(zero_nodes) == 1
 
@@ -366,9 +387,9 @@ def test_compact_n_difference():
     system, cert = build_compact_n(P("x1 - x2"))
     assert system.n == 3
     assert set(system.equations) == {Add(3, 3, 3), Add(2, 3, 1)}
-    assert cert.anchor_zero == 3
-    assert cert.anchor_a == 1   # positive side is x1 itself
-    assert cert.anchor_b == 2
+    assert cert.anchor[0] == 3
+    assert cert.anchor[1] == 1   # positive side is x1 itself
+    assert cert.anchor[2] == 2
 
 
 def test_compact_n_split():
@@ -376,16 +397,16 @@ def test_compact_n_split():
     assert pos == P("x1^2 + 3", arity=2)
     assert neg == P("2*x2", arity=2)
     system, cert = build_compact_n(P("x1^2 - 2*x2 + 3"))
-    assert cert.defs[cert.anchor_a] == pos
-    assert cert.defs[cert.anchor_b] == neg
+    assert cert.defs[cert.anchor[1]] == pos
+    assert cert.defs[cert.anchor[2]] == neg
 
 
 def test_compact_n_one_sided():
     # All-negative polynomial: the positive side is the zero node itself.
     system, cert = build_compact_n(P("-x1 - 1"))
-    assert cert.anchor_a == cert.anchor_zero
+    assert cert.anchor[1] == cert.anchor[0]
     system, cert = build_compact_n(P("x1 + 1"))
-    assert cert.anchor_b == cert.anchor_zero
+    assert cert.anchor[2] == cert.anchor[0]
 
 
 def test_compact_rejects_zero():
@@ -521,6 +542,95 @@ def test_certificate_with_deep_parentheses(depth):
     assert "nested deeper than 100" in str(err.value)
 
 
+@pytest.mark.parametrize("mode, anchor", [
+    ("compact_Z", ()), ("compact_Z", (3, 1, 2)), ("full_Z", [3]),
+    ("compact_N", (3,)), ("full_N", ()), ("compact_N", (3, 1)),
+])
+def test_certificate_anchor_has_its_modes_shape(mode, anchor):
+    defs = {2: P("x1"), 3: P("x1")}
+    with pytest.raises(ValueError) as err:
+        ReductionCertificate(mode, 1, 3, defs, anchor)
+    size = 1 if mode.endswith("_Z") else 3
+    assert str(err.value) == (f"mode {mode} takes an anchor of length "
+                              f"{size}, not {anchor!r}")
+    cert = ReductionCertificate(mode, 1, 3, defs, (3,) * size)
+    with pytest.raises(FrozenInstanceError):
+        cert.anchor = (2,) * size
+
+
+@pytest.mark.parametrize("mode, line", [
+    ("compact_Z", "ANCHOR N 3"), ("halved_Z", "ANCHOR N 3 2 1"),
+    ("full_N", "ANCHOR q 3 2 1"), ("compact_N", "ANCHOR q 3"),
+], ids=["Z-tag-N", "Z-three-indices", "N-tag-q", "N-one-index"])
+def test_certificate_anchor_line_has_its_modes_tag(mode, line):
+    with pytest.raises(FormatError) as err:
+        parse_certificate(f"CERT 1\nmode {mode}\np 1\nn 3\n2 x1\n3 x1\n"
+                          f"{line}\n")
+    assert str(err.value) == f"bad ANCHOR line {line!r}"
+    # An unknown mode is named before the anchor line is read.
+    with pytest.raises(ValueError) as err:
+        parse_certificate(f"CERT 1\nmode Z\np 1\nn 3\n2 x1\n3 x1\n{line}\n")
+    assert str(err.value) == "unknown mode 'Z'"
+
+
+@pytest.mark.parametrize("p, n, defs, anchor, message", [
+    (1, 2, {2: P("x1 + x2 + x3")}, 2,
+     "certificate defines index 2 in 3 variables, not p = 1"),
+    (-1, 1, {1: P("1", arity=0)}, 1, "certificate has no definition for "
+                                     "index 0"),
+    (1, 2, {2: P("x1")}, 3, "certificate anchor index 3 outside [1, 2]"),
+    (2, 1, {}, 1, "certificate has p 2, more than its n 1"),
+], ids=["arity", "p=-1", "anchor", "p>n"])
+def test_certificate_writer_refuses_what_readers_refuse(p, n, defs, anchor,
+                                                          message):
+    for mode in ("compact_Z", "compact_N"):
+        cert = ReductionCertificate(mode, p, n, defs,
+                                    (anchor,) * anchor_shape(mode)[1])
+        with pytest.raises(CertificateMismatch) as err:
+            serialize_certificate(cert)
+        assert str(err.value) == message
+
+
+@st.composite
+def _certificates(draw):
+    """Certificate fields drawn wider than any builder's output: every
+    mode, an anchor of either shape or none, p and n from -1, and
+    definitions in p variables or in 3, their indices covering (p, n] or
+    drawn at random.  Most draws are near a valid certificate."""
+    mode = draw(st.sampled_from(MODES))
+    p = draw(st.integers(-1, 3))
+    n = p + draw(st.integers(-2, 4))
+    covering = st.just(range(p + 1, n + 1))
+    indices = draw(st.one_of(covering, covering, covering, st.lists(
+        st.integers(-1, 7), max_size=5, unique=True)))
+    defs = {}
+    for index in indices:
+        arity = draw(st.sampled_from([max(p, 0)] * 5 + [3]))
+        exps = st.tuples(*[st.integers(0, 3)] * arity)
+        defs[index] = Polynomial(arity, draw(st.dictionaries(
+            exps, st.integers(-9, 9), max_size=4)))
+    size = anchor_shape(mode)[1]
+    size = draw(st.sampled_from([size, size, size, 4 - size, 0]))
+    index = st.integers(1, max(n, 1)) | st.integers(-1, max(n + 1, 0))
+    return mode, p, n, defs, tuple(draw(index) for _ in range(size))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_certificates())
+@example(("compact_Z", 1, 2, {2: P("x1 + x2 + x3")}, (2,)))
+@example(("compact_N", 1, 2, {2: P("x1")}, (0, 1, 2)))
+@example(("halved_Z", -1, 0, {}, (0,)))
+@example(("full_N", 1, 3, {2: P("x1^2"), 3: P("0", arity=1)}, (3, 2, 1)))
+def test_certificates_the_writer_accepts_read_back_equal(fields):
+    try:
+        cert = ReductionCertificate(*fields)
+        text = serialize_certificate(cert)
+    except (ValueError, FormatError):
+        return
+    assert parse_certificate(text) == cert
+    validate_certificate(cert, cert.n)
+
+
 # --------------------------------------------------------------------------
 # the master polynomial
 
@@ -565,10 +675,8 @@ def test_master_needs_two_variables():
 ])
 def test_validate_certificate_counts_instead_of_building_sets(defs, message):
     # n = 10^11: a set of the auxiliary indices would not fit in memory
-    cert = build_compact_z(P("x1 - 1"))[1]
-    cert.n = 10**11
-    cert.defs = {index: Polynomial.constant(1, value)
-                 for index, value in defs.items()}
+    cert = replace(build_compact_z(P("x1 - 1"))[1], n=10**11, defs={
+        index: Polynomial.constant(1, value) for index, value in defs.items()})
     with pytest.raises(CertificateMismatch, match=re.escape(message)):
         validate_certificate(cert, 10**11)
 
@@ -576,8 +684,7 @@ def test_validate_certificate_counts_instead_of_building_sets(defs, message):
 def test_validate_certificate_refuses_p_above_n():
     # With no definitions and p > n, nothing else would be out of place,
     # and a search over x1..xp would never end.
-    cert = build_compact_z(P("x1 - 1"))[1]
-    cert.p, cert.defs = 10**11, {}
+    cert = replace(build_compact_z(P("x1 - 1"))[1], p=10**11, defs={})
     with pytest.raises(CertificateMismatch,
                        match="certificate has p 100000000000, more than its "
                              "n 3"):

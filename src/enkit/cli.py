@@ -221,6 +221,10 @@ def _cmd_solve(args) -> int:
     if not outcome.exhausted:
         _note("search truncated by node or time budget")
         return EXIT_LIMIT
+    # Every value is known printable before any line is printed.
+    reductions._refuse_unprintable(
+        max((abs(v) for row in outcome.solutions for v in row), default=0),
+        "solution value")
     for solution in outcome.solutions:
         print(" ".join(["SOLUTION", *map(str, solution[1:])]))
     print(f"count {len(outcome.solutions)}")

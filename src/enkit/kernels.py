@@ -16,7 +16,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from itertools import islice, product, repeat
 from math import prod
-from operator import add, le, mul, ne
+from operator import add, le, mul
 
 from .system import ADD, MUL, canonical_rows
 
@@ -59,8 +59,6 @@ def grid_roots(exps, coeffs, lows, highs):
     side's sub-box is walked with `chunks` and its terms are evaluated
     with `eval_columns` over each chunk's columns.
     """
-    if any(lo > hi for lo, hi in zip(lows, highs)):
-        return []
     constant = sum(c for e, c in zip(exps, coeffs) if not any(e))
     size = lambda side: prod(highs[v] - lows[v] + 1 for v in side)
     groups = _variable_groups(len(lows), exps, coeffs)
@@ -221,21 +219,11 @@ def family_join(vectors, lo, hi, basis, index):
     degrees, so each a visits only the b whose degrees add up to within the
     box, plus the zero member; every monomial of such a product is in the
     basis at the sum of the two positions, and only its coefficients need
-    checking.  Raises ValueError when `basis` or `vectors` has any other
-    layout, or `index` another length.
+    checking.
     """
     bounds = tuple(map(max, zip(*basis)))
-    if list(basis) != list(product(*(range(d + 1) for d in bounds))):
-        raise ValueError("basis is not a lexicographic degree box")
     width = len(basis)
     radix = hi - lo + 1
-    if (lo > hi or len(vectors) != radix**width
-            or any(map(ne, vectors, product(range(lo, hi + 1),
-                                            repeat=width)))):
-        raise ValueError("vectors are not the lexicographic box "
-                         "[lo, hi]^len(basis)")
-    if len(index) != len(vectors):
-        raise ValueError("index does not map every member")
     weights = [radix**(width - 1 - t) for t in range(width)]
     # rank(v) = sum(weights[t] * (v[t] - lo)) = sum(weights[t] * v[t]) - shift
     shift = lo * sum(weights)

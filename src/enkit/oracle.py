@@ -20,7 +20,7 @@ from operator import add, and_, mul, or_, sub
 from . import kernels
 from .errors import BoxTooLarge, CertificateMismatch, DimensionMismatch
 from .poly import Polynomial
-from .reductions import ReductionCertificate, validate_certificate
+from .reductions import ReductionCertificate, _poly_at, validate_certificate
 from .system import (ADD, DOMAIN_N, DOMAIN_Z, ONE, EnSystem, canonical_row,
                      format_row)
 
@@ -398,14 +398,11 @@ class Schedule:
     @classmethod
     def derive(cls, system: EnSystem, p: int,
                domain: str = DOMAIN_Z) -> "Schedule":
-        """The schedule from x_1..x_p, for `kernels.run_schedule`: the
-        template keeps only the constants, with 0 at the base and step
-        slots and None at the unknown ones."""
-        n = system.n
-        if not 0 <= p <= n:
-            raise ValueError(f"base variable count {p} outside [0, {n}]")
-        schedule = cls.from_row(system, [0] * (p + 1) + [None] * (n - p),
-                                domain)
+        """The schedule from x_1..x_p (0 <= p <= n), for
+        `kernels.run_schedule`: the template keeps only the constants, with
+        0 at the base and step slots and None at the unknown ones."""
+        schedule = cls.from_row(
+            system, [0] * (p + 1) + [None] * (system.n - p), domain)
         for step in schedule.steps:
             schedule.template[step[3]] = 0
         return schedule
@@ -547,15 +544,9 @@ def lift(cert: ReductionCertificate, base) -> list:
 
 def anchor_polynomial(cert: ReductionCertificate) -> Polynomial:
     """The polynomial whose vanishing the anchored equation enforces."""
-
-    def poly_at(index: int) -> Polynomial:
-        if index <= cert.p:
-            return Polynomial.variable(cert.p, index)
-        return cert.defs[index]
-
-    if len(cert.anchor) == 1:  # (q,) over Z, (zero, a, b) over N
-        return poly_at(*cert.anchor)
-    return poly_at(cert.anchor[1]) - poly_at(cert.anchor[2])
+    # (q,) over Z, (zero, a, b) over N
+    polys = [_poly_at(cert.p, cert.defs, index) for index in cert.anchor]
+    return polys[0] if len(polys) == 1 else polys[1] - polys[2]
 
 
 # --------------------------------------------------------------------------

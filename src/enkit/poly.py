@@ -167,15 +167,7 @@ class Polynomial:
         return Polynomial._raw(a.arity, out)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
-        a, b = _aligned(self, other)
-        out = dict(a.terms)
-        for exps, coeff in b.terms.items():
-            s = out.get(exps, 0) - coeff
-            if s:
-                out[exps] = s
-            elif exps in out:
-                del out[exps]
-        return Polynomial._raw(a.arity, out)
+        return self + -other
 
     def __neg__(self) -> "Polynomial":
         return Polynomial._raw(self.arity, {e: -c for e, c in self.terms.items()})

@@ -18,8 +18,9 @@ node, mirroring x_{p+1} + x_{p+2} = x_{p+3}.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain, product
-from math import prod
+from math import log10, prod
 
 from . import kernels
 from .eqio import TermTable, ascii_int, ascii_ints, parse_polynomial
@@ -250,6 +251,14 @@ def validate_certificate(cert: ReductionCertificate, n: int):
                 f"certificate anchor index {index} outside [1, {n}]")
 
 
+def _poly_at(p: int, defs: dict[int, Polynomial], index: int) -> Polynomial:
+    """The polynomial x_index stands for: itself for index <= p, else
+    its definition in `defs`."""
+    if index <= p:
+        return Polynomial.variable(p, index)
+    return defs[index]
+
+
 # --------------------------------------------------------------------------
 # compact modes: straight-line chains
 
@@ -263,15 +272,11 @@ class _ChainBuilder:
     def __init__(self, p: int):
         self.p = p
         self.defs: dict[int, Polynomial] = {}
+        self._poly = partial(_poly_at, p, self.defs)
         self.rows: list[tuple] = []  # the system's equations
         self._index_of = {
             Polynomial.variable(p, i).key(): i for i in range(1, p + 1)}
         self._next = p + 1
-
-    def poly_of(self, index: int) -> Polynomial:
-        if index <= self.p:
-            return Polynomial.variable(self.p, index)
-        return self.defs[index]
 
     def _node(self, poly: Polynomial, row_for) -> int:
         index = self._index_of.get(poly.key())
@@ -292,22 +297,20 @@ class _ChainBuilder:
         return self._node(Polynomial.zero(self.p), lambda s: (ADD, s, s, s))
 
     def add(self, a: int, b: int) -> int:
-        poly = self.poly_of(a) + self.poly_of(b)
+        poly = self._poly(a) + self._poly(b)
         return self._node(poly, lambda s: canonical_row(ADD, a, b, s))
 
     def sub(self, a: int, b: int) -> int:
         """Node for poly(a) - poly(b), via reversed addition s + b = a."""
-        poly = self.poly_of(a) - self.poly_of(b)
+        poly = self._poly(a) - self._poly(b)
         return self._node(poly, lambda s: canonical_row(ADD, s, b, a))
 
     def mul(self, a: int, b: int) -> int:
-        poly = self.poly_of(a) * self.poly_of(b)
+        poly = self._poly(a) * self._poly(b)
         return self._node(poly, lambda s: canonical_row(MUL, a, b, s))
 
     def constant(self, value: int) -> int:
         """Node for a positive constant, by binary doubling and summing."""
-        if value < 1:
-            raise ValueError("only positive constants are chained")
         powers = [self.one()]
         while (1 << len(powers)) <= value:
             powers.append(self.add(powers[-1], powers[-1]))
@@ -318,12 +321,13 @@ class _ChainBuilder:
         return acc
 
     def monomial(self, exps: Exponents) -> int:
-        """Node for a monomial, one variable multiplication at a time."""
+        """Node for a monomial of positive degree, one variable
+        multiplication at a time."""
         node = None
         for i, e in enumerate(exps, start=1):
             for _ in range(e):
                 node = i if node is None else self.mul(node, i)
-        return self.one() if node is None else node
+        return node
 
     def term(self, coeff: int, exps: Exponents) -> int:
         """Node for |coeff| * monomial (signs are handled by the caller)."""
@@ -373,10 +377,30 @@ def compact_bound(d: Polynomial) -> int:
                   for exps, coeff in d.terms.items()))
 
 
-def _refuse_long_chain(d: Polynomial, cap: int):
+def _refuse_unprintable(value: int, what: str):
+    """FamilyTooLarge naming the digit count of `value` past CARD_DIGITS,
+    found without printing it."""
+    value = abs(value)
+    if value >= _PRINTABLE:
+        # At most the digit count: 10^digits <= 2^(bit_length - 1) <= value.
+        digits = int((value.bit_length() - 1) * log10(2))
+        while 10**digits <= value:
+            digits += 1
+        raise FamilyTooLarge(digits, CARD_DIGITS, what=f"{what} digit count")
+
+
+def _chain_builder(d: Polynomial, cap: int) -> _ChainBuilder:
+    """An empty builder for D's compact chain, once D is nonzero, the
+    chain's `compact_bound` is at most `cap` and its certificate can be
+    written: no definition in the chain has a coefficient wider than D's
+    widest, which must have at most CARD_DIGITS digits."""
+    if d.is_zero():
+        raise ZeroPolynomial("compact reduction needs a nonzero polynomial")
     bound = compact_bound(d)
     if bound > cap:
         raise FamilyTooLarge(bound, cap, what="compact chain variable bound")
+    _refuse_unprintable(d.max_abs_coeff(), "compact chain coefficient")
+    return _ChainBuilder(d.arity)
 
 
 def build_compact_z(d: Polynomial, cap: int = DEFAULT_FAMILY_CAP
@@ -385,12 +409,10 @@ def build_compact_z(d: Polynomial, cap: int = DEFAULT_FAMILY_CAP
 
     The chain computes D node by node; the anchor x_q + x_q = x_q forces
     the final node, hence D itself, to vanish.  Refuses, before building
-    it, a chain whose `compact_bound` exceeds `cap`.
+    it, a chain whose `compact_bound` exceeds `cap` or whose certificate
+    could not be written.
     """
-    if d.is_zero():
-        raise ZeroPolynomial("compact reduction needs a nonzero polynomial")
-    _refuse_long_chain(d, cap)
-    builder = _ChainBuilder(d.arity)
+    builder = _chain_builder(d, cap)
     q = builder.accumulate(d)
     system = EnSystem(builder.n, builder.rows + [(ADD, q, q, q)])
     return system, ReductionCertificate("compact_Z", d.arity, builder.n,
@@ -413,16 +435,14 @@ def build_compact_n(d: Polynomial, cap: int = DEFAULT_FAMILY_CAP
     value is non-negative at a non-negative base point.  A zero node and
     the anchor z + u_N = u_P close the system: it holds exactly when
     P = N, i.e. D = 0.  Refuses, before building it, a chain whose
-    `compact_bound` exceeds `cap`.
+    `compact_bound` exceeds `cap` or whose certificate could not be
+    written.
     """
-    if d.is_zero():
-        raise ZeroPolynomial("compact reduction needs a nonzero polynomial")
-    _refuse_long_chain(d, cap)
+    builder = _chain_builder(d, cap)
     pos, neg = split_signs(d)
-    builder = _ChainBuilder(d.arity)
     zero = builder.zero()
-    u_pos = zero if pos.is_zero() else builder.accumulate(pos)
-    u_neg = zero if neg.is_zero() else builder.accumulate(neg)
+    u_pos = builder.accumulate(pos)
+    u_neg = builder.accumulate(neg)
     system = EnSystem(builder.n,
                       builder.rows + [canonical_row(ADD, zero, u_neg, u_pos)])
     return system, ReductionCertificate("compact_N", d.arity, builder.n,

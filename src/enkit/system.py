@@ -181,16 +181,20 @@ _CHARS_PER_INDEX = 4
 def serialize(system: EnSystem) -> str:
     """Canonical .ens text: ONE lines, then ADD, then MUL, each sorted.
 
-    A system with an index outside [1, n] raises FormatError naming it.
+    A system with an index outside [1, n], in a row or a name, raises
+    FormatError naming it.
     """
-    lines = ["ENSYS 1", f"n {system.n}"]
+    n = system.n
+    lines = ["ENSYS 1", f"n {n}"]
     for index in sorted(system.names):
         label = system.names[index]
+        if not 1 <= index <= n:
+            raise FormatError(f"named index {index} out of range [1, {n}]")
         if label.split() != [label]:
             raise FormatError(f"bad label {label!r} for index {index}")
         lines.append(f"# name {index} {label}")
     try:
-        blocks = equation_lines(system.rows, system.n)
+        blocks = equation_lines(system.rows, n)
     except KeyError:
         raise FormatError("; ".join(validate(system))) from None
     return "\n".join(lines) + "\n" + "".join(blocks)

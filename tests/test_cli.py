@@ -136,6 +136,28 @@ def test_compact_chain_over_cap_exits_3_at_once(workdir, capsys, command):
     assert list(workdir.glob("huge.*")) == [workdir / "huge.rep"]
 
 
+@pytest.mark.parametrize("command, digits", [
+    (["reduce", "x1 = 10^5000", "--ring", "z", "--out", "big"], 5001),
+    (["reduce", "x1 = 10^5000", "--ring", "n", "--out", "big"], 5001),
+    (["fn-system", "--rep", "wide.rep", "--ring", "z", "--n", "45000",
+      "--out", "big"], 4401),
+    (["info", "--rep", "wide.rep", "--ring", "z"], 4401),
+], ids=["compact_Z", "compact_N", "fn-system", "info"])
+def test_compact_chain_past_printing_exits_3_before_building(
+        workdir, capsys, command, digits):
+    # No definition in a compact chain has a coefficient wider than D's
+    # widest, so the certificate can be written exactly when that one can;
+    # the master polynomial squares 10^2200.
+    write(workdir / "wide.rep", "REP r=2\nx1 - 10^2200*x2\n")
+    started = time.monotonic()
+    assert main(command) == 3
+    assert time.monotonic() - started < 2
+    assert capsys.readouterr() == ("", "error: compact chain coefficient "
+                                   f"digit count {digits} exceeds limit "
+                                   "4300\n")
+    assert list(workdir.glob("big*")) == []
+
+
 @pytest.mark.parametrize("command, card", [
     (["reduce", "x1^2147483647 = 1", "--ring", "z", "--mode", "full",
       "--out", "big"], "5^2147483648"),
@@ -159,7 +181,7 @@ def test_family_past_printing_is_refused_by_its_exponent(workdir, command,
     # past 4300 digits its message could not be written.
     write(workdir / "id.rep", IDENTITY_REP)
     started = time.monotonic()
-    result = run_cli_limited(*command, timeout=5)
+    result = run_cli_limited(*command, timeout=2)
     assert time.monotonic() - started < 2
     assert (result.returncode, result.stdout, result.stderr) == (
         3, "", f"error: family cardinality {card} exceeds limit 1000000\n")
@@ -169,7 +191,7 @@ def test_family_past_printing_is_refused_by_its_exponent(workdir, command,
 def test_info_card_past_printing_is_decided_by_its_exponent(workdir):
     started = time.monotonic()
     result = run_cli_limited("info", "--equation", "x1^2147483647 = 1",
-                             timeout=5)
+                             timeout=2)
     assert time.monotonic() - started < 2
     assert (result.returncode, result.stdout, result.stderr) == (
         2, "", "error: card full_Z is too large to print (more than 4300 "
@@ -500,8 +522,13 @@ def test_verify_equiv_refuses_before_the_box(workdir, capsys, monkeypatch,
     (["info"], "info needs --rep or --equation"),
     (["info", "--equation", "x1 + x2 = x2 + x1"],
      "equation normalizes to 0 = 0"),
+    (["verify-equiv", "--equation", "x1 = x2", "--system", "c.ens", "--cert",
+      "c.cert", "--ring", "z", "--box=3..1", "--report", "r.json"],
+     "empty interval [3, 1]"),
+    (["reduce", "(x1 + 1 = 2", "--ring", "z", "--out", "p"],
+     "expected ')' at offset 8"),
 ], ids=["box-ranges", "box-range", "halved-over-n", "info-input",
-        "info-zero"])
+        "info-zero", "box-empty", "unclosed"])
 def test_usage_errors_exit_2_and_write_nothing(workdir, capsys, argv,
                                                message):
     assert main(["reduce", "x1 = x2", "--ring", "z", "--out", "c"]) == 0
@@ -510,6 +537,21 @@ def test_usage_errors_exit_2_and_write_nothing(workdir, capsys, argv,
     assert main(argv) == 2
     assert capsys.readouterr() == ("", f"error: {message}\n")
     assert sorted(workdir.iterdir()) == before
+
+
+@pytest.mark.parametrize("n, step, digits", [
+    (15001, "ADD", 4516),  # x_k = 2^(k - 1), up to 2^15000
+    (16, "MUL", 4933),  # x_k = 2^(2^(k - 2)) for k >= 2, up to 2^16384
+], ids=["doubling", "squaring"])
+def test_solve_refuses_a_value_past_printing(workdir, capsys, n, step,
+                                             digits):
+    lines = ["ENSYS 1", f"n {n}", "ONE 1", "ADD 1 1 2"]
+    lines += [f"{step} {k} {k} {k + 1}" for k in range(2, n)]
+    write(workdir / "wide.ens", "\n".join(lines) + "\n")
+    assert main(["solve", "--system", "wide.ens", "--ring", "n",
+                 "--radius", "0"]) == 3
+    assert capsys.readouterr() == ("", "error: solution value digit count "
+                                   f"{digits} exceeds limit 4300\n")
 
 
 def test_solve_output(workdir, capsys):

@@ -130,29 +130,6 @@ def test_family_join_matches_pairwise_reference():
         assert (flipped > 0) == (box != "zero"), box
 
 
-def test_family_join_refuses_other_layouts():
-    desc = FamilyDescriptor(2, -1, 1, (1, 0))
-    vectors = list(desc.iter_vectors())
-    basis = desc.basis()
-    index = list(range(1, len(vectors) + 1))
-    kernels.family_join(vectors, -1, 1, basis, index)
-    swapped = vectors[:]
-    swapped[3], swapped[4] = swapped[4], swapped[3]
-    for bad in (swapped, vectors[:-1], vectors[::-1], vectors + vectors[:1],
-                [list(v) for v in vectors]):
-        with pytest.raises(ValueError):
-            kernels.family_join(bad, -1, 1, basis, index)
-    with pytest.raises(ValueError):
-        kernels.family_join(vectors, -1, 0, basis, index)
-    with pytest.raises(ValueError):
-        kernels.family_join(vectors, -1, 1, basis[::-1], index)
-    with pytest.raises(ValueError):
-        kernels.family_join(vectors, -1, 1, [(0,), (2,)], index)
-    for bad_index in (index[:-1], index + [len(index) + 1]):
-        with pytest.raises(ValueError):
-            kernels.family_join(vectors, -1, 1, basis, bad_index)
-
-
 def test_grid_roots_coefficients_past_int64():
     exps = ((2,), (0,))
     coeffs = (10**25, -(10**25) * 49)

@@ -391,6 +391,21 @@ def test_offending_rows_are_copies(monkeypatch, route):
     assert vars(again) == vars(replace(report, offending=want))
 
 
+def test_pinning_refuses_a_certificate_whose_lift_fails():
+    # The zero node defined as 1 leaves the anchor polynomial, poly(a) -
+    # poly(b), and so its roots, as they were, but no lift of a root solves
+    # the system: the certificate is not the system's.
+    system, expected, options = _offending_by_route("certificate")
+    cert = options["certificate"]
+    zero = cert.anchor[0]
+    assert cert.defs[zero].is_zero()
+    defs = {**cert.defs, zero: Polynomial.constant(cert.p, 1)}
+    options["certificate"] = replace(cert, defs=defs)
+    with pytest.raises(CertificateMismatch, match=r"^certificate lift of "
+                       r"\(.*\) does not solve the system$"):
+        verify_pinning(system, expected, **options)
+
+
 def test_complete_propagation_is_never_truncated():
     # The search from a complete propagation has nothing to branch on, so
     # no budget cuts it short.

@@ -1,6 +1,7 @@
 import hashlib
 import random
 import re
+import sys
 from dataclasses import FrozenInstanceError, replace
 
 import pytest
@@ -11,7 +12,8 @@ from enkit.eqio import parse_polynomial
 from enkit.errors import (CertificateMismatch, FamilyTooLarge, FormatError,
                           ParseError, UnusedVariable, ZeroPolynomial)
 from enkit.poly import Polynomial
-from enkit.reductions import (MODES, FamilyDescriptor, ReductionCertificate,
+from enkit.reductions import (CARD_DIGITS, MODES, FamilyDescriptor,
+                              ReductionCertificate, _refuse_unprintable,
                               anchor_shape, build_compact_n,
                               build_compact_z, build_full_n, build_full_z,
                               build_halved_z, build_master_z,
@@ -446,6 +448,46 @@ def test_compact_bound_covers_the_built_chain():
         for build in (build_compact_z, build_compact_n):
             system, _ = build(d)
             assert system.n <= compact_bound(d), (str(d), build.__name__)
+
+
+def test_compact_definitions_are_no_wider_than_d():
+    # So a chain's certificate can be written exactly when D's widest
+    # coefficient can.
+    for d in _compact_corpus():
+        for build in (build_compact_z, build_compact_n):
+            _, cert = build(d)
+            widest = max((poly.max_abs_coeff()
+                          for poly in cert.defs.values()), default=0)
+            assert widest <= d.max_abs_coeff(), (str(d), build.__name__)
+
+
+@pytest.mark.parametrize("value", [
+    10**4300 - 1, 10**4300, -10**4300, 10**4301 - 1, 2**14284, 2**14287,
+    10**5000, 7 * 10**6000 + 3, -(2**100_000)],
+    ids=["10^4300-1", "10^4300", "-10^4300", "10^4301-1", "2^14284",
+         "2^14287", "10^5000", "7*10^6000+3", "-2^100000"])
+def test_values_past_printing_are_refused_by_their_digit_count(value):
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        digits = len(str(abs(value)))
+    finally:
+        sys.set_int_max_str_digits(previous)
+    if digits <= CARD_DIGITS:
+        _refuse_unprintable(value, "value")
+    else:
+        with pytest.raises(FamilyTooLarge) as refused:
+            _refuse_unprintable(value, "value")
+        assert str(refused.value) == \
+            f"value digit count {digits} exceeds limit 4300"
+
+
+@pytest.mark.parametrize("build", [build_compact_z, build_compact_n],
+                         ids=["compact_Z", "compact_N"])
+def test_compact_chain_refuses_a_coefficient_past_printing(build):
+    with pytest.raises(FamilyTooLarge, match="^compact chain coefficient "
+                       "digit count 4301 exceeds limit 4300$"):
+        build(P("x1") - Polynomial.constant(1, 10**4300))
 
 
 @pytest.mark.parametrize("build", [build_compact_z, build_compact_n],

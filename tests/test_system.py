@@ -3,7 +3,7 @@ import random
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from enkit import system as system_module
@@ -500,3 +500,47 @@ def test_serialize_refuses_an_index_outside_the_system(n, row, message):
     with pytest.raises(FormatError) as err:
         serialize(EnSystem(n, [row]))
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize("index", [3, 5, 0, -1])
+def test_serialize_refuses_a_name_outside_the_system(index):
+    # deserialize refuses each: the reader reads `# name -1 a` as a bad
+    # name line, and the others as a named index out of range.
+    with pytest.raises(FormatError) as err:
+        serialize(EnSystem(2, [One(1)], names={index: "a"}))
+    assert str(err.value) == f"named index {index} out of range [1, 2]"
+
+
+@st.composite
+def _systems_drawn_wide(draw):
+    """Systems within EnSystem's contract (distinct rows, operands in
+    canonical order) whose indices reach a little past [1, n], with names
+    at any index near it and labels of any text."""
+    n = draw(st.integers(0, 6))
+    # Each part is drawn wide or within range, so that about one system in
+    # four is one the writer accepts.
+    wide = lambda: not n or draw(st.booleans())
+    index = st.integers(-1, n + 2) if wide() else st.integers(1, n)
+    equation = st.one_of(st.builds(One, index),
+                         st.builds(Add, index, index, index),
+                         st.builds(Mul, index, index, index))
+    rows = draw(st.lists(equation, max_size=6, unique=True))
+    named = st.integers(-3, n + 3) if wide() else st.integers(1, n)
+    label = (st.text(max_size=3) if wide()
+             else st.from_regex(r"[a-z][0-9]?", fullmatch=True))
+    names = draw(st.dictionaries(named, label, max_size=3))
+    return EnSystem(n, rows, names)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_systems_drawn_wide())
+@example(EnSystem(2, [One(1), Add(1, 1, 2)], {1: "a", 2: "\u00e9"}))
+@example(EnSystem(2, [One(1)], {5: "a"}))
+@example(EnSystem(2, [One(1)], {0: "a"}))
+@example(EnSystem(2, [One(1)], {-1: "a"}))
+def test_systems_the_writer_accepts_read_back_equal(s):
+    try:
+        text = serialize(s)
+    except FormatError:
+        return
+    assert deserialize(text) == s

@@ -231,11 +231,16 @@ def _cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def _report_out(args, payload: dict):
+def _verdict(args, payload: dict, summary: str) -> int:
+    """Write the report, if asked for, then print `summary` and the
+    verdict; the exit code follows the verdict."""
     if args.report:
         out = _Outputs()
         out.add(args.report, json.dumps(payload, indent=2, sort_keys=True) + "\n")
         out.commit()
+    print(summary)
+    print("PASS" if payload["passed"] else "FAIL")
+    return EXIT_OK if payload["passed"] else EXIT_VERIFY_FAILED
 
 
 def _cmd_verify_equiv(args) -> int:
@@ -267,11 +272,9 @@ def _cmd_verify_equiv(args) -> int:
         "failures": report.failures,
         "passed": report.passed,
     }
-    _report_out(args, payload)
-    print(f"roots {len(report.base_roots)} solutions "
-          f"{report.system_solutions} spurious {len(report.spurious)}")
-    print("PASS" if report.passed else "FAIL")
-    return EXIT_OK if report.passed else EXIT_VERIFY_FAILED
+    return _verdict(args, payload,
+                    f"roots {len(report.base_roots)} solutions "
+                    f"{report.system_solutions} spurious {len(report.spurious)}")
 
 
 def _cmd_verify_pin(args) -> int:
@@ -331,11 +334,9 @@ def _cmd_verify_pin(args) -> int:
         "witness_ok": report.witness_ok,
         "passed": report.passed,
     }
-    _report_out(args, payload)
-    print(f"solutions {report.solutions_found} offending "
-          f"{len(report.offending)}")
-    print("PASS" if report.passed else "FAIL")
-    return EXIT_OK if report.passed else EXIT_VERIFY_FAILED
+    return _verdict(args, payload,
+                    f"solutions {report.solutions_found} offending "
+                    f"{len(report.offending)}")
 
 
 # --------------------------------------------------------------------------

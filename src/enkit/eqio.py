@@ -294,25 +294,16 @@ def _parse_term(text: str, arity: int) -> tuple[tuple[int, ...], int] | None:
     return tuple(exps), coeff
 
 
-class _Texts(dict):
-    """(exponents, coefficient) term -> (graded-lex key, `_format_term`),
-    each made on first use."""
+class _Memo(dict):
+    """`make(key)` for each key, made on first use."""
 
-    def __missing__(self, term):
-        entry = self[term] = grlex_key(term), _format_term(term)
-        return entry
-
-
-class _Terms(dict):
-    """Term text -> `_parse_term` at the arity, made on first use."""
-
-    def __init__(self, arity: int):
+    def __init__(self, make):
         super().__init__()
-        self.arity = arity
+        self.make = make
 
-    def __missing__(self, text):
-        term = self[text] = _parse_term(text, self.arity)
-        return term
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
 
 
 class TermTable:
@@ -327,8 +318,8 @@ class TermTable:
 
     def __init__(self, arity: int):
         self.arity = arity
-        self._texts = _Texts()
-        self._terms = _Terms(arity)
+        self._texts = _Memo(lambda term: (grlex_key(term), _format_term(term)))
+        self._terms = _Memo(lambda text: _parse_term(text, arity))
 
     def format(self, poly: Polynomial) -> str:
         """format_polynomial(poly)."""
@@ -343,7 +334,15 @@ class TermTable:
         return head + "".join([text for _, text in entries[1:]])
 
     def parse(self, text: str) -> Polynomial | None:
-        """parse_canonical(text, arity)."""
+        """The polynomial in x1..x_arity that format_polynomial writes as
+        exactly `text`, or None if there is none.
+
+        A fast reader for what enkit wrote, with no tokens and no
+        polynomial arithmetic: terms split at ` + ` and ` - `, factors at
+        `*`.  Whatever it returns formats back to `text`, so
+        `parse_polynomial(text, arity)` reads the same polynomial; any
+        other text, errors included, is left to `parse_polynomial`.
+        """
         if not 0 <= self.arity <= MAX_VARIABLE:
             return None
         if text == "0":
@@ -359,20 +358,6 @@ class TermTable:
 def format_polynomial(poly: Polynomial) -> str:
     """Canonical graded-lex rendering; parse(format(P)) == P."""
     return TermTable(poly.arity).format(poly)
-
-
-def parse_canonical(text: str, arity: int) -> Polynomial | None:
-    """The polynomial in x1..x_arity that format_polynomial writes as
-    exactly `text`, or None if there is none.
-
-    A fast reader for what enkit wrote, with no tokens and no polynomial
-    arithmetic: terms split at ` + ` and ` - `, factors at `*`, through
-    a `TermTable` of its own (`TermTable.parse` reads a batch of texts
-    with one table).  Whatever it returns formats back to `text`, so
-    `parse_polynomial(text, arity)` reads the same polynomial; any other
-    text, errors included, is left to `parse_polynomial`.
-    """
-    return TermTable(arity).parse(text)
 
 
 # --------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from math import isqrt, prod
 from operator import add, and_, mul, or_, sub
 
 from . import kernels
+from .eqio import format_polynomial
 from .errors import BoxTooLarge, CertificateMismatch, DimensionMismatch
 from .poly import Polynomial
 from .reductions import ReductionCertificate, _poly_at, validate_certificate
@@ -549,6 +550,28 @@ def anchor_polynomial(cert: ReductionCertificate) -> Polynomial:
     return polys[0] if len(polys) == 1 else polys[1] - polys[2]
 
 
+def anchor_failures(d: Polynomial, cert: ReductionCertificate) -> list[str]:
+    """Why the certificate's anchor does not enforce D = 0, one line per
+    reason: its polynomial must be a nonzero rational multiple of D (2*D
+    for full_Z, and up to sign over N), and over N its zero node must be
+    defined as 0."""
+    failures = []
+    anchored = anchor_polynomial(cert)
+    # The same support, each coefficient in one ratio to D's.
+    lead = next(iter(d.terms), None)
+    if anchored.terms.keys() != d.terms.keys() or not all(
+            anchored.terms[e] * d.terms[lead] == c * anchored.terms[lead]
+            for e, c in d.terms.items()):
+        failures.append(f"anchor {format_polynomial(anchored)} is not a "
+                        f"multiple of D = {format_polynomial(d)}")
+    if cert.mode.endswith("_N"):
+        zero = _poly_at(cert.p, cert.defs, cert.anchor[0])
+        if not zero.is_zero():
+            failures.append(f"zero node x{cert.anchor[0]} is "
+                            f"{format_polynomial(zero)}, not 0")
+    return failures
+
+
 # --------------------------------------------------------------------------
 # bounded search
 
@@ -679,7 +702,9 @@ def check_equivalence(d: Polynomial, system: EnSystem,
     propagation or by exhaustive search over the stuck residue.  A
     certificate that does not fit the system is refused first with
     `validate_certificate`'s CertificateMismatch, and a box with no point
-    in the domain with ValueError, since it would check nothing.
+    in the domain with ValueError, since it would check nothing.  An
+    anchor that does not enforce D = 0 (`anchor_failures`) fails the
+    check, and the box is still walked in full.
 
     The check runs in one process and walks the box with `kernels.chunks`,
     the walker `grid_roots` uses: a chunk holds at most
@@ -713,7 +738,8 @@ def check_equivalence(d: Polynomial, system: EnSystem,
         raise BoxTooLarge(
             f"box holds {count} points, limit is {limits.points}")
     deadline = time.monotonic() + limits.seconds
-    report = EquivalenceReport(domain=domain)
+    report = EquivalenceReport(domain=domain,
+                               failures=anchor_failures(d, cert))
     schedule = Schedule.derive(system, cert.p, domain)
     prop = None if schedule.complete else _Propagator(system, domain)
     for batch, columns in kernels.chunks(box.iter_points(domain),

@@ -223,7 +223,10 @@ def _render(scaffold: Scaffold, mode: str) -> Rendering:
     """The one renderer of scaffold text, from one list of numerals.  Psi's
     indices are at most s and the scaffold's above, so an assembled
     `.ens` is `head`, psi's ONE lines, `ones`, psi's ADD lines, `adds`,
-    then psi's MUL lines."""
+    then psi's MUL lines.  A mode `parse_layout` refuses is refused
+    before anything is rendered."""
+    if mode not in (DOMAIN_Z, DOMAIN_N):
+        raise FormatError(f"layout mode {mode!r} is neither Z nor N")
     n, s = scaffold.n, scaffold.s
     first, w, y = scaffold.t_chain[0], scaffold.w_index, scaffold.y_index
     numerals = list(map(str, range(n + 1)))

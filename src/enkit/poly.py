@@ -27,10 +27,6 @@ def grlex_key(term: tuple[Exponents, int]) -> tuple[int, Exponents]:
     return sum(exps), exps
 
 
-def _grlex_sorted(terms: Mapping[Exponents, int]) -> list[tuple[Exponents, int]]:
-    return sorted(terms.items(), key=grlex_key, reverse=True)
-
-
 class Polynomial:
     """Sparse polynomial in ``arity`` variables with integer coefficients."""
 
@@ -90,7 +86,7 @@ class Polynomial:
 
     def sorted_terms(self) -> list[tuple[Exponents, int]]:
         """Terms in canonical (graded-lex, descending) order."""
-        return _grlex_sorted(self.terms)
+        return sorted(self.terms.items(), key=grlex_key, reverse=True)
 
     def key(self) -> tuple:
         """Hashable identity, (arity, frozenset of (exponents, coefficient)
@@ -190,9 +186,6 @@ class Polynomial:
             return Polynomial.zero(self.arity)
         return Polynomial._raw(
             self.arity, {e: c * factor for e, c in self.terms.items()})
-
-    def squared(self) -> "Polynomial":
-        return self * self
 
     def __pow__(self, exponent: int) -> "Polynomial":
         if exponent < 0:

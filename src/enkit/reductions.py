@@ -98,9 +98,7 @@ class FamilyDescriptor:
         span = range(self.coeff_lo, self.coeff_hi + 1)
         return product(span, repeat=prod(d + 1 for d in self.degree_bounds))
 
-    def vector_to_poly(self, vector, basis=None) -> Polynomial:
-        if basis is None:
-            basis = self.basis()
+    def vector_to_poly(self, vector, basis) -> Polynomial:
         return Polynomial._raw(
             self.p, {e: c for e, c in zip(basis, vector) if c})
 

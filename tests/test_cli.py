@@ -510,6 +510,49 @@ def test_verify_equiv_refuses_before_the_box(workdir, capsys, monkeypatch,
     assert not (workdir / "r.json").exists()
 
 
+@pytest.mark.parametrize("ring, source, claim, old, new, box, failure", [
+    ("z", "x1 - 5 = 0", "x1 - 5 = 0", "6 x1 - 5", "6 x1 - 4", "-3..3",
+     "anchor x1 - 4 is not a multiple of D = x1 - 5"),
+    ("n", "x1 - 2 = 0", "x1 - 3 = 0", None, None, "0..1",
+     "anchor x1 - 2 is not a multiple of D = x1 - 3"),
+    ("n", "x1 = 5", "x1 = 5", "2 0", "2 1", "0..4", "zero node x2 is 1, not 0"),
+], ids=["anchor-def", "other-equation", "zero-node"])
+def test_verify_equiv_checks_the_anchor_against_d(workdir, capsys, ring,
+                                                  source, claim, old, new,
+                                                  box, failure):
+    # No box holds a root of the claim, so no point reads the anchor's
+    # definitions: the anchor check alone fails each, and the box is still
+    # walked in full.
+    assert main(["reduce", source, "--ring", ring, "--out", "c"]) == 0
+    if old is not None:
+        tamper(workdir / "c.cert", f"\n{old}\n", f"\n{new}\n",
+               workdir / "c.cert")
+    capsys.readouterr()
+    assert main(["verify-equiv", "--equation", claim, "--system", "c.ens",
+                 "--cert", "c.cert", "--ring", ring, f"--box={box}",
+                 "--report", "r.json"]) == 1
+    assert capsys.readouterr().out == "roots 0 solutions 0 spurious 0\nFAIL\n"
+    report = json.loads((workdir / "r.json").read_text())
+    lo, hi = map(int, box.split(".."))
+    assert report["failures"] == [failure]
+    assert report["base_points"] == report["refuted_by_propagation"] == (
+        hi - lo + 1)
+
+
+@pytest.mark.parametrize("ring, mode", [("z", "full"), ("z", "halved"),
+                                        ("z", "compact"), ("n", "full"),
+                                        ("n", "compact")])
+def test_verify_equiv_takes_any_multiple_of_d(workdir, capsys, ring, mode):
+    # The anchor is D up to a nonzero factor: 2*D for full_Z, and up to
+    # sign over N.
+    assert main(["reduce", "x1 = 5", "--ring", ring, "--mode", mode,
+                 "--out", "c"]) == 0
+    for claim in ("x1 = 5", "5 = x1", "2*x1 = 10"):
+        assert main(["verify-equiv", "--equation", claim, "--system",
+                     "c.ens", "--cert", "c.cert", "--ring", ring,
+                     "--box=0..6"]) == 0
+
+
 @pytest.mark.parametrize("argv, message", [
     (["verify-equiv", "--equation", "x1 = x2", "--system", "c.ens", "--cert",
       "c.cert", "--ring", "z", "--box=-1..1,0..1,0..1", "--report", "r.json"],

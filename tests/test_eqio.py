@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from enkit import eqio
 from enkit.eqio import (MAX_NESTING, MAX_VARIABLE, ascii_int, ascii_ints,
-                        format_polynomial, format_rep, parse_canonical,
+                        TermTable, format_polynomial, format_rep,
                         parse_equation, parse_polynomial, parse_rep)
 from enkit.errors import FormatError, ParseError
 from enkit.poly import Polynomial
@@ -222,7 +222,7 @@ def test_whitespace_insensitive():
 def read_canonical_first(text, arity):
     """How parse_certificate reads a definition: the canonical reader,
     then parse_polynomial for whatever it leaves."""
-    poly = parse_canonical(text, arity)
+    poly = TermTable(arity).parse(text)
     return parse_polynomial(text, arity=arity) if poly is None else poly
 
 
@@ -281,7 +281,7 @@ def test_canonical_reader_agrees_with_the_parser(case):
     text, arity = case
     got = outcome(read_canonical_first, text, arity)
     assert got == outcome(parse_polynomial, text, arity)
-    poly = parse_canonical(text, arity)
+    poly = TermTable(arity).parse(text)
     if poly is not None:
         assert format_polynomial(poly) == text
 
@@ -290,7 +290,7 @@ def test_canonical_reader_agrees_with_the_parser(case):
     ("0", 3), ("1", 0), ("-7", 2), ("x1", 1), ("-x2^3", 2),
     ("12*x1^2*x3 - x2 + 5", 3), ("x1^2147483647", 1)])
 def test_canonical_reader_takes_formatted_text(text, arity):
-    poly = parse_canonical(text, arity)
+    poly = TermTable(arity).parse(text)
     assert poly is not None and poly == parse_polynomial(text, arity=arity)
 
 
@@ -301,7 +301,7 @@ def test_canonical_reader_takes_formatted_text(text, arity):
     ("x1*x1", 1), ("x1  - 1", 1), ("x1 ", 1), ("١", 1), ("", 1),
     ("x1", MAX_VARIABLE + 1), ("x1", -1)])
 def test_canonical_reader_leaves_other_text(text, arity):
-    assert parse_canonical(text, arity) is None
+    assert TermTable(arity).parse(text) is None
 
 
 # -- certificates: one term table per certificate --------------------------

@@ -8,7 +8,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import enkit
@@ -829,6 +829,43 @@ def test_rendered_outputs_are_the_serialized_ones(case):
     assert (psi_read, scaffold, mode) == (EnSystem(psi.s,
                                                    psi.system.equations),
                                           asm.scaffold, psi.mode)
+
+
+# Modes wider than the two a layout holds: near misses, and short texts
+# over an alphabet with look-alikes (a named alphabet spares hypothesis
+# building its Unicode tables in a fresh copy, as the mutant harness makes).
+WIDE_MODES = st.one_of(st.sampled_from(["Z", "N", "z", "n", "X", "ZN", "",
+                                        "N ", " Z"]),
+                       st.text(alphabet="ZNzn X\t\u0396\uff2e", max_size=3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(psi_and_n(), WIDE_MODES)
+@example((PsiSystem(EnSystem(3, []), "Z", None), 12), "X")
+@example((PsiSystem(EnSystem(3, []), "Z", None), 12), "z")
+def test_layouts_the_writers_accept_read_back_equal(case, mode):
+    # Each writer raises, or both readers read its output back equal.
+    psi, n = case
+    psi = replace(psi, mode=mode)
+    asm = replace(assemble(replace(psi, mode="Z"), n), mode=mode)
+    try:
+        ens_text, layout_text = render_system(psi, n)
+    except FormatError as err:
+        assert str(err) == f"layout mode {mode!r} is neither Z nor N"
+        with pytest.raises(FormatError):
+            serialize_layout(asm)
+        return
+    assert serialize_layout(asm) == layout_text
+    assert parse_layout(layout_text) == (n, psi.s, mode, asm.system.names)
+    assert read_rendered(ens_text, layout_text) == (
+        EnSystem(psi.s, psi.system.rows), asm.scaffold, mode)
+
+
+def test_assemble_refuses_a_mode_no_layout_holds():
+    psi = PsiSystem(EnSystem(3, []), "X", None)
+    with pytest.raises(FormatError) as err:
+        assemble(psi, 12)
+    assert str(err.value) == "layout mode 'X' is neither Z nor N"
 
 
 # -- verify-pin's two routes ------------------------------------------------

@@ -95,7 +95,7 @@ class TestArithmetic:
 
     def test_square(self):
         p = Polynomial.variable(1, 1) - Polynomial.constant(1, 1)
-        assert p.squared() == Polynomial(1, {(2,): 1, (1,): -2, (0,): 1})
+        assert p * p == Polynomial(1, {(2,): 1, (1,): -2, (0,): 1})
 
     def test_arity_embedding(self):
         a = Polynomial.variable(1, 1)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from enkit.eqio import parse_polynomial
 from enkit.errors import (CertificateMismatch, FamilyTooLarge, FormatError,
                           ParseError, UnusedVariable, ZeroPolynomial)
+from enkit.oracle import anchor_failures
 from enkit.poly import Polynomial
 from enkit.reductions import (CARD_DIGITS, MODES, FamilyDescriptor,
                               ReductionCertificate, _refuse_unprintable,
@@ -225,6 +226,22 @@ def test_compact_builders_make_distinct_rows(mode):
 def test_full_family_makes_distinct_rows(mode, text):
     rows = build_reduction(P(text), mode)[0].rows
     assert len(set(rows)) == len(rows)
+
+
+# Every certificate a builder makes anchors its own D, so the anchor check
+# of `check_equivalence` fails none of them.
+@pytest.mark.parametrize("mode", ["compact_Z", "compact_N"])
+def test_compact_certificates_anchor_their_polynomial(mode):
+    for d in _battery_polynomials(mode):
+        assert anchor_failures(d, build_reduction(d, mode)[1]) == [], d
+
+
+@pytest.mark.parametrize("mode,text", [(mode, text) for mode, text, *_
+                                       in FULL_FAMILY_DIGESTS],
+                         ids=[f"{mode}-{text}"
+                              for mode, text, *_ in FULL_FAMILY_DIGESTS])
+def test_full_family_certificates_anchor_their_polynomial(mode, text):
+    assert anchor_failures(P(text), build_reduction(P(text), mode)[1]) == []
 
 
 def _assert_identities(system, cert, rng, points, equations):
